@@ -115,7 +115,7 @@ def _cmd_reconstruct(args) -> int:
             raise StructuralError("--auto requires --dmax")
         tight = mode if mode != STANDARD else None
         print(f"auto k={args.k} dmax={args.dmax} tight={args.mode if tight else 'off'}")
-        results = reconstruct_auto(c, args.k, args.dmax, tight_mode=tight, jobs=args.jobs)
+        results = reconstruct_auto(c, args.k, args.dmax, tight_mode=tight)
         for d, cx in results:
             print(f"result d={d} faces={len(cx.faces)}")
         if not results:
@@ -130,7 +130,7 @@ def _cmd_reconstruct(args) -> int:
     cfg = ReconstructionConfig(args.k, args.d, mode)
     print(f"mode {args.mode} k={args.k} d={args.d}")
     current = c
-    for step in reconstruct_steps(c, cfg, jobs=args.jobs):
+    for step in reconstruct_steps(c, cfg):
         _print_verdicts(step)
         current = step.complex_after
     print(f"faces {len(current.faces)}")
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--auto", action="store_true")
     p.add_argument("--dmax", type=int)
     p.add_argument("--mode", choices=sorted(_MODES), default="standard")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_reconstruct)
 

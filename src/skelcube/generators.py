@@ -36,8 +36,9 @@ class GeneratorSpec:
 
 
 def parse_generator_spec(text: str) -> GeneratorSpec:
-    spec, rest = _parse_spec(text.strip(), 0)
-    if rest != len(text.strip()):
+    text = text.strip()
+    spec, rest = _parse_spec(text, 0)
+    if rest != len(text):
         raise StructuralError(f"trailing input in generator spec: {text[rest:]!r}")
     return spec
 

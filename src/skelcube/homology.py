@@ -95,16 +95,6 @@ class BoundaryMatrices:
             return []
         return [sum(1 << r for r, _ in col) for col in self.columns[j]]
 
-    def gf2_row_masks(self, j: int) -> list[int]:
-        """Rows of D_j as masks over column indices (the transpose route)."""
-        if not 1 <= j <= self.top:
-            return []
-        rows = [0] * len(self.levels[j - 1])
-        for ci, col in enumerate(self.columns[j]):
-            for r, _ in col:
-                rows[r] |= 1 << ci
-        return rows
-
     def dense(self, j: int) -> list[list[int]]:
         if not 1 <= j <= self.top:
             return []
@@ -113,16 +103,6 @@ class BoundaryMatrices:
         for ci, col in enumerate(self.columns[j]):
             for r, s in col:
                 out[r][ci] = s
-        return out
-
-    def dense_transpose(self, j: int) -> list[list[int]]:
-        if not 1 <= j <= self.top:
-            return []
-        n = len(self.levels[j - 1])
-        out = [[0] * n for _ in self.columns[j]]
-        for ci, col in enumerate(self.columns[j]):
-            for r, s in col:
-                out[ci][r] = s
         return out
 
     def check_chain_identity(self) -> None:
@@ -288,31 +268,44 @@ def integer_rank(matrix) -> int:
     return rank
 
 
-def _gf2_betti(mats: BoundaryMatrices, length: int) -> HomologyProfile:
-    ranks = [gf2_rank(mats.gf2_column_masks(j)) for j in range(length + 2)]
-    betti = tuple(mats.num_faces(j) - ranks[j] - ranks[j + 1] for j in range(length))
-    return HomologyProfile(betti, ((),) * length)
+def _profile(mats: BoundaryMatrices, length: int, factors_of, shift: int = 1) -> HomologyProfile:
+    """Betti numbers faces_j - rank_j - rank_(j+1) and torsion in degrees 0..length-1.
 
-
-def _integer_profile(mats: BoundaryMatrices, length: int) -> HomologyProfile:
-    factors = [smith_normal_form(mats.dense(j)) for j in range(length + 2)]
+    factors_of(j) returns the invariant factors of the degree-j boundary
+    map, or of its transpose for cohomology (over GF(2), one 1 per pivot),
+    and an empty tuple outside 1..top.  Homology takes the torsion of
+    degree j from D_(j+1) (shift 1); cohomology takes it from the
+    coboundary into degree j, the transpose of D_j (shift 0).
+    """
+    factors = [factors_of(j) for j in range(length + 2)]
     betti = tuple(mats.num_faces(j) - len(factors[j]) - len(factors[j + 1]) for j in range(length))
-    torsion = tuple(tuple(d for d in factors[j + 1] if d > 1) for j in range(length))
+    torsion = tuple(tuple(d for d in factors[j + shift] if d > 1) for j in range(length))
     return HomologyProfile(betti, torsion)
 
 
+def _gf2_factors(vectors) -> tuple[int, ...]:
+    return (1,) * gf2_rank(vectors)
+
+
+def _homology(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile:
+    if ring == GF2:
+        return _profile(mats, length, lambda j: _gf2_factors(mats.gf2_column_masks(j)))
+    return _profile(mats, length, lambda j: smith_normal_form(mats.dense(j)))
+
+
+# Reconstruction asks for the base profile of the same skeleton once per
+# candidate, and perfbench/traced.py reads cache_info() of these two memos
+# for homology.memo_hit_ratio.  No path asks for a cohomology twice.
 @lru_cache(maxsize=256)
 def betti_gf2(c: CubicalComplex) -> HomologyProfile:
     """Non-reduced GF(2) Betti numbers in degrees 0..dim."""
-    mats = _matrices_over(c.faces, c.ambient_dim, GF2)
-    return _gf2_betti(mats, c.dim + 1)
+    return _homology(_matrices_over(c.faces, c.ambient_dim, GF2), c.dim + 1, GF2)
 
 
 @lru_cache(maxsize=256)
 def homology_integer(c: CubicalComplex) -> HomologyProfile:
     """Integer homology: free ranks plus invariant factors per degree."""
-    mats = _matrices_over(c.faces, c.ambient_dim, INTEGER)
-    return _integer_profile(mats, c.dim + 1)
+    return _homology(_matrices_over(c.faces, c.ambient_dim, INTEGER), c.dim + 1, INTEGER)
 
 
 def homology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
@@ -320,21 +313,21 @@ def homology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
     return betti_gf2(c) if ring == GF2 else homology_integer(c)
 
 
-@lru_cache(maxsize=256)
 def cohomology_betti_gf2(c: CubicalComplex) -> HomologyProfile:
     """GF(2) cohomology ranks, eliminated along the transposed matrices.
 
-    Field coefficients force equality with betti_gf2; computing through
-    the transpose keeps this an independent route rather than an alias.
+    Field coefficients force equality with betti_gf2; eliminating the
+    columns of D_j^T (the rows of D_j) keeps this an independent route
+    rather than an alias.
     """
     mats = _matrices_over(c.faces, c.ambient_dim, GF2)
-    length = c.dim + 1
-    ranks = [gf2_rank(mats.gf2_row_masks(j)) for j in range(length + 2)]
-    betti = tuple(mats.num_faces(j) - ranks[j] - ranks[j + 1] for j in range(length))
-    return HomologyProfile(betti, ((),) * length)
+    return _profile(
+        mats,
+        c.dim + 1,
+        lambda j: _gf2_factors(sum(1 << i for i, v in enumerate(row) if v) for row in mats.dense(j)),
+    )
 
 
-@lru_cache(maxsize=256)
 def cohomology_integer(c: CubicalComplex) -> HomologyProfile:
     """Integer cohomology from the coboundary (transposed) matrices.
 
@@ -342,11 +335,7 @@ def cohomology_integer(c: CubicalComplex) -> HomologyProfile:
     incoming coboundary, which is the transpose of D_j.
     """
     mats = _matrices_over(c.faces, c.ambient_dim, INTEGER)
-    length = c.dim + 1
-    factors = [smith_normal_form(mats.dense_transpose(j)) for j in range(length + 2)]
-    betti = tuple(mats.num_faces(j) - len(factors[j]) - len(factors[j + 1]) for j in range(length))
-    torsion = tuple(tuple(d for d in factors[j] if d > 1) for j in range(length))
-    return HomologyProfile(betti, torsion)
+    return _profile(mats, c.dim + 1, lambda j: smith_normal_form(list(zip(*mats.dense(j)))), shift=0)
 
 
 def cohomology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
@@ -367,8 +356,4 @@ def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> H
     if not a.faces <= c.faces:
         raise StructuralError("second member of the pair is not a subcomplex of the first")
     rest = c.faces - a.faces
-    mats = _matrices_over(rest, c.ambient_dim, ring)
-    length = c.dim + 1
-    if ring == GF2:
-        return _gf2_betti(mats, length)
-    return _integer_profile(mats, length)
+    return _homology(_matrices_over(rest, c.ambient_dim, ring), c.dim + 1, ring)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complex import CubicalComplex, components, is_face_like
-from .errors import ContractError, StructuralError
+from .errors import ContractError, ContradictionError, StructuralError
 from .homology import GF2, INTEGER, HomologyProfile, _matrices_over, integer_rank, relative_profile
 from .words import is_subword, proper_subwords, span_word, word_dim
 
@@ -47,11 +47,16 @@ def _top_free_rank(comp: CubicalComplex) -> int:
     return mats.num_faces(d) - integer_rank(mats.dense(d))
 
 
+def _impure_face(c: CubicalComplex) -> Optional[str]:
+    """First maximal face below the top dimension, None when c is pure."""
+    return next((w for w in c.maximal_faces() if word_dim(w) != c.dim), None)
+
+
 def _component_report(comp: CubicalComplex, with_orientability: bool) -> ManifoldReport:
     d = comp.dim
-    for w in comp.maximal_faces():
-        if word_dim(w) != d:
-            return ManifoldReport(False, None, None, w)
+    impure = _impure_face(comp)
+    if impure is not None:
+        return ManifoldReport(False, None, None, impure)
     sphere = (0,) * d + (1,)
     for w in comp.sorted_faces():
         if local_profile(comp, w, GF2).betti != sphere:
@@ -88,10 +93,9 @@ def is_orientable(c: CubicalComplex) -> bool:
     parts = components(c)
     if not parts:
         raise ContractError("orientability needs a nonempty homology manifold")
-    d = c.dim
-    for w in c.maximal_faces():
-        if word_dim(w) != d:
-            raise ContractError(f"complex is not pure: maximal face {w!r} has dimension {word_dim(w)}")
+    impure = _impure_face(c)
+    if impure is not None:
+        raise ContractError(f"complex is not pure: maximal face {impure!r} has dimension {word_dim(impure)}")
     return all(_top_free_rank(p) == 1 for p in parts)
 
 
@@ -100,8 +104,8 @@ def facelike_characterization(c: CubicalComplex, s: CubicalComplex, k: int) -> b
 
     s must be the full boundary of some (k+1)-face of the ambient cube,
     given as a subcomplex of c.  The return value is is_face_like(c, s);
-    it is asserted to coincide with the absence of a face of c whose
-    boundary is exactly s.
+    it must coincide with the absence of a face of c whose boundary is
+    exactly s, and ContradictionError is raised when it does not.
     """
     if k < 1:
         raise ContractError(f"k >= 1 required, got {k}")
@@ -114,7 +118,8 @@ def facelike_characterization(c: CubicalComplex, s: CubicalComplex, k: int) -> b
         raise StructuralError(f"s is not the boundary of a ({k + 1})-face")
     facelike = is_face_like(c, s)
     bounds = spanning in c.faces
-    assert facelike == (not bounds), (
-        f"face-likeness ({facelike}) disagrees with not-bounding ({not bounds}) for {spanning!r}"
-    )
+    if facelike == bounds:
+        raise ContradictionError(
+            f"face-likeness ({facelike}) disagrees with not-bounding ({not bounds}) for {spanning!r}"
+        )
     return facelike

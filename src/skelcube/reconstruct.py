@@ -16,15 +16,13 @@ produces a well-defined but possibly wrong complex.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
 
-from .complex import CubicalComplex, delete
+from .complex import CubicalComplex, ambient_faces, delete
 from .errors import ContractError
 from .homology import GF2, INTEGER, homology_profile
 from .manifold import is_homology_manifold
-from .words import STAR, canon_key, facets, proper_subwords, validate_word, word_dim
+from .words import facets, proper_subwords, sort_words, validate_word, word_dim
 
 __all__ = [
     "STANDARD",
@@ -93,22 +91,11 @@ def enumerate_candidates(skel: CubicalComplex, k: int) -> list[str]:
     """
     if skel.dim > k:
         raise ContractError(f"skeleton dimension {skel.dim} exceeds k={k}")
-    n = skel.ambient_dim
-    if k + 1 > n:
-        return []
-    out = []
-    for stars in combinations(range(n), k + 1):
-        star_set = set(stars)
-        free = [i for i in range(n) if i not in star_set]
-        for bits in product("01", repeat=n - k - 1):
-            w = [STAR] * n
-            for i, b in zip(free, bits):
-                w[i] = b
-            cand = "".join(w)
-            if all(f in skel.faces for f in facets(cand)):
-                out.append(cand)
-    out.sort(key=canon_key)
-    return out
+    return sort_words(w for w in ambient_faces(skel.ambient_dim, k + 1) if _boundary_present(skel, w))
+
+
+def _boundary_present(skel: CubicalComplex, w: str) -> bool:
+    return all(f in skel.faces for f in facets(w))
 
 
 def _boundary_complex(n: int, w: str) -> CubicalComplex:
@@ -117,7 +104,7 @@ def _boundary_complex(n: int, w: str) -> CubicalComplex:
 
 def _criterion(skel: CubicalComplex, f: str, degrees, ring: str) -> CandidateVerdict:
     validate_word(f, skel.ambient_dim)
-    if not all(x in skel.faces for x in facets(f)):
+    if not _boundary_present(skel, f):
         return CandidateVerdict(f, False, False)
     boundary = _boundary_complex(skel.ambient_dim, f)
     deleted = homology_profile(delete(skel, boundary), ring)
@@ -154,15 +141,7 @@ def face_criterion_tight(skel: CubicalComplex, f: str, r: int, ring: str = GF2) 
     return _criterion(skel, f, (r - 1,), ring)
 
 
-def _evaluate(args) -> CandidateVerdict:
-    skel, f, degree, cfg = args
-    if cfg.mode != STANDARD and degree == cfg.k:
-        ring = GF2 if cfg.mode == TIGHT_GF2 else INTEGER
-        return face_criterion_tight(skel, f, cfg.k, ring)
-    return face_criterion(skel, f, degree, cfg.d)
-
-
-def reconstruct_steps(skel: CubicalComplex, cfg: ReconstructionConfig, jobs: int = 1):
+def reconstruct_steps(skel: CubicalComplex, cfg: ReconstructionConfig):
     """Yield one ReconstructionStep per degree from k up to d-1."""
     cfg.validate()
     if skel.dim > cfg.k:
@@ -170,21 +149,20 @@ def reconstruct_steps(skel: CubicalComplex, cfg: ReconstructionConfig, jobs: int
     current = skel
     for degree in range(cfg.k, cfg.d):
         cands = enumerate_candidates(current, degree)
-        work = [(current, f, degree, cfg) for f in cands]
-        if jobs > 1 and len(work) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                verdicts = tuple(pool.map(_evaluate, work))
+        if cfg.mode != STANDARD and degree == cfg.k:
+            ring = GF2 if cfg.mode == TIGHT_GF2 else INTEGER
+            verdicts = tuple(face_criterion_tight(current, f, cfg.k, ring) for f in cands)
         else:
-            verdicts = tuple(_evaluate(w) for w in work)
+            verdicts = tuple(face_criterion(current, f, degree, cfg.d) for f in cands)
         added = [v.face for v in verdicts if v.accepted]
         current = CubicalComplex(current.ambient_dim, current.faces | frozenset(added))
         yield ReconstructionStep(degree, verdicts, current)
 
 
-def reconstruct(skel: CubicalComplex, cfg: ReconstructionConfig, jobs: int = 1) -> CubicalComplex:
+def reconstruct(skel: CubicalComplex, cfg: ReconstructionConfig) -> CubicalComplex:
     """Run all degrees and return the final complex (the input if nothing was added)."""
     current = skel
-    for step in reconstruct_steps(skel, cfg, jobs):
+    for step in reconstruct_steps(skel, cfg):
         current = step.complex_after
     return current
 
@@ -194,7 +172,6 @@ def reconstruct_auto(
     k: int,
     d_max: int,
     tight_mode: str | None = None,
-    jobs: int = 1,
 ) -> list[tuple[int, CubicalComplex]]:
     """Try every admissible target dimension and keep verified manifolds.
 
@@ -228,7 +205,7 @@ def reconstruct_auto(
             cfg = ReconstructionConfig(k, d, tight_mode)
         else:
             continue
-        built = reconstruct(skel, cfg, jobs)
+        built = reconstruct(skel, cfg)
         report = is_homology_manifold(built)
         if report.is_manifold and report.dimension == d:
             keep(d, built)

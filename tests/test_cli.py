@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import skelcube as sk
@@ -252,3 +257,14 @@ def test_generate_command_graph(tmp_path, capsys):
 def test_generate_command_unknown_family(tmp_path, capsys):
     assert main(["generate", "moebius", "2", "-o", str(tmp_path / "x")]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_process_machinery():
+    src = str(Path(sk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, skelcube.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -28,6 +28,8 @@ def test_parse_rejects_malformed_specs():
     for text in ["", "cube(", "cube(2", "cube(2,)x", "cube(2))", "(3)"]:
         with pytest.raises(sk.StructuralError):
             sk.parse_generator_spec(text)
+    with pytest.raises(sk.StructuralError, match=r"trailing input in generator spec: 'x'$"):
+        sk.parse_generator_spec("   cube(3)x")
 
 
 def test_generate_rejects_bad_arguments():

@@ -81,6 +81,18 @@ def test_cohomology_gf2_matches_homology_ranks():
         assert sk.cohomology_betti_gf2(c).betti == sk.betti_gf2(c).betti
 
 
+def test_integer_cohomology_obeys_universal_coefficients():
+    # H^j(C; Z) has the free rank of H_j and the torsion of H_(j-1)
+    rng = random.Random(53)
+    base = sk.full_cube(4)
+    for c in [projective_plane()] + [random_subcomplex(rng, base) for _ in range(15)]:
+        hom = sk.homology_integer(c)
+        coh = sk.cohomology_integer(c)
+        assert coh.betti == hom.betti
+        for j in range(len(coh.betti)):
+            assert coh.degree(j)[1] == hom.degree(j - 1)[1]
+
+
 def test_profile_interface():
     prof = sk.homology_profile(sk.cube_boundary(3), sk.GF2)
     assert prof.betti == (1, 0, 1)

@@ -138,6 +138,14 @@ def test_facelike_characterization_positive_and_negative():
     assert sk.facelike_characterization(sk.full_cube(2), sk.cube_boundary(2), 1) is False
 
 
+def test_facelike_characterization_raises_on_disagreement(monkeypatch):
+    # a face-likeness test that answers wrong must trip the cross-check, also under -O
+    monkeypatch.setattr("skelcube.manifold.is_face_like", lambda c, g: False)
+    s2 = sk.cube_boundary(3)
+    with pytest.raises(sk.ContradictionError):
+        sk.facelike_characterization(s2, s2, 2)
+
+
 def test_facelike_characterization_rejects_bad_inputs():
     s2 = sk.cube_boundary(3)
     with pytest.raises(sk.ContractError):

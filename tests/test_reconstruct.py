@@ -170,12 +170,6 @@ def test_reconstruct_rejects_oversized_input():
         sk.reconstruct(sk.cube_boundary(4), sk.ReconstructionConfig(2, 3))
 
 
-def test_parallel_jobs_match_serial():
-    skel = sk.skeleton(sk.cube_boundary(4), 2)
-    cfg = sk.ReconstructionConfig(2, 3)
-    assert sk.reconstruct(skel, cfg, jobs=2) == sk.reconstruct(skel, cfg)
-
-
 def test_auto_finds_sphere_and_nothing_else():
     skel = sk.skeleton(sk.cube_boundary(3), 2)
     found = sk.reconstruct_auto(skel, 2, 4)
