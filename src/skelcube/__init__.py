@@ -10,7 +10,6 @@ from .complex import (
     CubicalComplex,
     ambient_faces,
     closure,
-    components,
     cube_boundary,
     delete,
     face_boundary,
@@ -23,7 +22,9 @@ from .complex import (
 from .embedding import (
     HypercubeEmbedding,
     SimpleGraph,
+    bfs_forest,
     bipartition_or_odd_cycle,
+    components,
     find_graph_embedding,
     graph_of,
     labelling_from_embedding,

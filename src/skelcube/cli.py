@@ -33,9 +33,6 @@ from .reconstruct import (
     reconstruct_steps,
 )
 
-_RINGS = {"gf2": GF2, "int": INTEGER}
-_MODES = {"standard": STANDARD, "tight-gf2": TIGHT_GF2, "tight-int": TIGHT_INTEGER}
-
 
 def _load_complex(path: str) -> CubicalComplex:
     c, added = parse_complex(Path(path).read_text())
@@ -53,8 +50,7 @@ def _fmt_degree(data: tuple[int, tuple[int, ...]]) -> str:
 
 def _cmd_homology(args) -> int:
     c = _load_complex(args.file)
-    ring = _RINGS[args.ring]
-    profile = cohomology_profile(c, ring) if args.cohomology else homology_profile(c, ring)
+    profile = cohomology_profile(c, args.ring) if args.cohomology else homology_profile(c, args.ring)
     print(f"ambient {c.ambient_dim}")
     print(f"faces {len(c.faces)}")
     print(f"dimension {c.dim}")
@@ -109,12 +105,11 @@ def _print_verdicts(step) -> None:
 
 def _cmd_reconstruct(args) -> int:
     c = _load_complex(args.file)
-    mode = _MODES[args.mode]
     if args.auto:
         if args.dmax is None:
             raise StructuralError("--auto requires --dmax")
-        tight = mode if mode != STANDARD else None
-        print(f"auto k={args.k} dmax={args.dmax} tight={args.mode if tight else 'off'}")
+        tight = args.mode if args.mode != STANDARD else None
+        print(f"auto k={args.k} dmax={args.dmax} tight={tight or 'off'}")
         results = reconstruct_auto(c, args.k, args.dmax, tight_mode=tight)
         for d, cx in results:
             print(f"result d={d} faces={len(cx.faces)}")
@@ -127,7 +122,7 @@ def _cmd_reconstruct(args) -> int:
         return 0
     if args.d is None:
         raise StructuralError("reconstruct requires -d or --auto")
-    cfg = ReconstructionConfig(args.k, args.d, mode)
+    cfg = ReconstructionConfig(args.k, args.d, args.mode)
     print(f"mode {args.mode} k={args.k} d={args.d}")
     current = c
     for step in reconstruct_steps(c, cfg):
@@ -191,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="homology profile of a complex file")
     p.add_argument("file")
-    p.add_argument("--ring", choices=sorted(_RINGS), default="gf2")
+    p.add_argument("--ring", choices=sorted([GF2, INTEGER]), default=GF2)
     p.add_argument("--cohomology", action="store_true", help="report cohomology instead")
     p.set_defaults(func=_cmd_homology)
 
@@ -211,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int)
     p.add_argument("--auto", action="store_true")
     p.add_argument("--dmax", type=int)
-    p.add_argument("--mode", choices=sorted(_MODES), default="standard")
+    p.add_argument("--mode", choices=sorted([STANDARD, TIGHT_GF2, TIGHT_INTEGER]), default=STANDARD)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_reconstruct)
 

@@ -8,9 +8,7 @@ from itertools import combinations, product
 from .errors import StructuralError
 from .words import (
     STAR,
-    canon_key,
     facets,
-    is_subword,
     proper_subwords,
     sort_words,
     subwords,
@@ -30,7 +28,6 @@ __all__ = [
     "face_boundary",
     "is_face_like",
     "product_complex",
-    "components",
     "ambient_faces",
 ]
 
@@ -184,35 +181,6 @@ def product_complex(a: CubicalComplex, b: CubicalComplex) -> CubicalComplex:
     """Concatenate face words; realizes the product in I^(m+n)."""
     faces = frozenset(wa + wb for wa in a.faces for wb in b.faces)
     return CubicalComplex(a.ambient_dim + b.ambient_dim, faces)
-
-
-def components(c: CubicalComplex) -> list[CubicalComplex]:
-    """Connected components, ordered by their smallest vertex."""
-    adj: dict[str, set[str]] = {v: set() for v in c.vertices()}
-    for w in c.faces:
-        if word_dim(w) == 1:
-            u, v = word_vertices(w)
-            adj[u].add(v)
-            adj[v].add(u)
-    comp_of: dict[str, int] = {}
-    reps: list[str] = []
-    for v in sort_words(adj):
-        if v in comp_of:
-            continue
-        idx = len(reps)
-        reps.append(v)
-        stack = [v]
-        comp_of[v] = idx
-        while stack:
-            u = stack.pop()
-            for nb in adj[u]:
-                if nb not in comp_of:
-                    comp_of[nb] = idx
-                    stack.append(nb)
-    buckets: list[set[str]] = [set() for _ in reps]
-    for w in c.faces:
-        buckets[comp_of[next(word_vertices(w))]].add(w)
-    return [CubicalComplex(c.ambient_dim, frozenset(b)) for b in buckets]
 
 
 def ambient_faces(n: int, k: int):

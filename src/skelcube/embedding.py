@@ -1,5 +1,10 @@
 """Embedding graphs into hypercube graphs and lifting complexes along them.
 
+`bfs_forest` is the one graph traversal: a breadth-first forest with
+roots in index order.  Connectivity, the bipartition, the labelling
+check, the embedding search and the connected `components` of a complex
+(through its 1-skeleton, `graph_of`) all read it.
+
 A labelling of the edges by coordinates {1..n} certifies an embedding
 when every cycle uses each label an even number of times and every path
 uses some label an odd number of times.  Both conditions reduce to XOR
@@ -9,7 +14,6 @@ parity, and vertex codes must be pairwise distinct.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .complex import CubicalComplex
@@ -20,6 +24,8 @@ __all__ = [
     "SimpleGraph",
     "HypercubeEmbedding",
     "graph_of",
+    "components",
+    "bfs_forest",
     "bipartition_or_odd_cycle",
     "verify_labelling",
     "find_graph_embedding",
@@ -62,18 +68,8 @@ class SimpleGraph:
         return adj
 
     def is_connected(self) -> bool:
-        if self.num_vertices <= 1:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.num_vertices
+        _, parent = bfs_forest(self.adjacency())
+        return parent.count(-1) <= 1
 
 
 @dataclass(frozen=True)
@@ -110,43 +106,68 @@ def graph_of(c: CubicalComplex) -> SimpleGraph:
     return SimpleGraph(len(verts), frozenset(edges))
 
 
+def components(c: CubicalComplex) -> list[CubicalComplex]:
+    """Connected components, ordered by their smallest vertex."""
+    index = {v: i for i, v in enumerate(sort_words(c.vertices()))}
+    order, parent = bfs_forest(graph_of(c).adjacency())
+    root = [-1] * len(order)
+    for v in order:
+        root[v] = v if parent[v] < 0 else root[parent[v]]
+    buckets: list[set[str]] = [set() for _ in order]
+    for w in c.faces:
+        buckets[root[index[next(word_vertices(w))]]].add(w)
+    return [CubicalComplex(c.ambient_dim, frozenset(b)) for b in buckets if b]
+
+
+def bfs_forest(adj: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Breadth-first order of all vertices, roots taken in index order.
+
+    parent[v] is the vertex that discovered v, -1 at a root; a root is
+    the smallest vertex of its component.
+    """
+    order: list[int] = []
+    parent = [-1] * len(adj)
+    seen = [False] * len(adj)
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = u
+                    order.append(v)
+    return order, parent
+
+
 def bipartition_or_odd_cycle(g: SimpleGraph):
     """Return (colors, None) for bipartite g, else (None, odd cycle vertex list)."""
     adj = g.adjacency()
-    color = [-1] * g.num_vertices
-    parent = [-1] * g.num_vertices
-    for root in range(g.num_vertices):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if color[v] < 0:
-                    color[v] = color[u] ^ 1
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None, _close_cycle(u, v, parent)
+    order, parent = bfs_forest(adj)
+    color = [0] * g.num_vertices
+    for v in order:
+        color[v] = 0 if parent[v] < 0 else color[parent[v]] ^ 1
+    for u in order:
+        for v in adj[u]:
+            if color[v] == color[u]:
+                return None, _close_cycle(u, v, parent)
     return color, None
 
 
 def _close_cycle(u: int, v: int, parent: list[int]) -> list[int]:
-    up, vp = [u], [v]
-    seen = {u: 0}
-    x = u
-    while parent[x] >= 0:
-        x = parent[x]
-        seen[x] = len(up)
-        up.append(x)
-    x = v
-    while x not in seen:
-        x = parent[x]
-        vp.append(x)
-    # up to the meeting point, then back down the other branch
-    cycle = up[: seen[x] + 1] + vp[-2::-1]
-    return cycle
+    # an edge joins equal colours only at equal depth, so both tree paths
+    # reach the common ancestor after the same number of steps
+    up, down = [u], [v]
+    while u != v:
+        u, v = parent[u], parent[v]
+        up.append(u)
+        down.append(v)
+    return up + down[-2::-1]
 
 
 def verify_labelling(g: SimpleGraph, labels: dict[tuple[int, int], int]) -> bool:
@@ -158,33 +179,21 @@ def verify_labelling(g: SimpleGraph, labels: dict[tuple[int, int], int]) -> bool
     Fundamental cycles span the cycle space and path parities equal code
     differences, so this decides both conditions exactly.
     """
-    if not g.is_connected():
+    order, parent = bfs_forest(g.adjacency())
+    if parent.count(-1) > 1:
         raise StructuralError("labelling verification needs a connected graph")
     for e in g.edges:
         if e not in labels:
             raise StructuralError(f"edge {e} has no label")
         if labels[e] < 1:
             raise StructuralError(f"edge {e} has non-positive label {labels[e]}")
-    if g.num_vertices == 0:
-        return True
-    adj = g.adjacency()
-    code = [-1] * g.num_vertices
-    code[0] = 0
-    tree = set()
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if code[v] < 0:
-                code[v] = code[u] ^ (1 << (labels[_normalize_edge(u, v)] - 1))
-                tree.add(_normalize_edge(u, v))
-                queue.append(v)
-    for e in g.edges:
-        if e not in tree:
-            u, v = e
-            if code[u] ^ code[v] != 1 << (labels[e] - 1):
-                return False
-    return len(set(code)) == g.num_vertices
+    code = [0] * g.num_vertices
+    for v in order[1:]:
+        u = parent[v]
+        code[v] = code[u] ^ (1 << (labels[_normalize_edge(u, v)] - 1))
+    # tree edges hold by construction; the others close fundamental cycles
+    closed = all(code[u] ^ code[v] == 1 << (labels[(u, v)] - 1) for u, v in g.edges)
+    return closed and len(set(code)) == g.num_vertices
 
 
 def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | None:
@@ -208,22 +217,8 @@ def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | Non
     if max((len(a) for a in adj), default=0) > n_max:
         return None
 
-    # BFS forest order; roots of later components float freely
-    order: list[int] = []
-    seen = [False] * g.num_vertices
-    for root in range(g.num_vertices):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-
+    # roots of later components float freely
+    order, _ = bfs_forest(adj)
     pos = {v: i for i, v in enumerate(order)}
     code = [-1] * g.num_vertices
     used_codes: set[int] = set()
@@ -234,7 +229,7 @@ def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | Non
         v = order[i]
         earlier = [u for u in adj[v] if pos[u] < i]
         if not earlier:
-            candidates = [0] if i == 0 else [c for c in range(1 << n_max) if c not in used_codes]
+            candidates = [0] if i == 0 else range(1 << n_max)
         else:
             base = code[earlier[0]]
             width = min(used_coords + 1, n_max)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complex import CubicalComplex, closure, cube_boundary, full_cube, product_complex, skeleton
+from .complex import CubicalComplex, cube_boundary, full_cube, product_complex, skeleton
 from .embedding import SimpleGraph
 from .errors import StructuralError
 from .words import ONE, STAR, ZERO

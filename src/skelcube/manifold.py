@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complex import CubicalComplex, components, is_face_like
+from .complex import CubicalComplex, is_face_like
+from .embedding import components
 from .errors import ContractError, ContradictionError, StructuralError
 from .homology import GF2, INTEGER, HomologyProfile, _matrices_over, integer_rank, relative_profile
 from .words import is_subword, proper_subwords, span_word, word_dim
@@ -31,8 +32,8 @@ class ManifoldReport:
 def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile:
     """Homology of the pair (c, faces not containing f).
 
-    The quotient basis is the set of faces having f as a subface, so the
-    computation stays local to the star of f.
+    The quotient basis is the star of f, the faces having f as a
+    subface, but finding it scans every face of c.
     """
     if f not in c.faces:
         raise StructuralError(f"face {f!r} is not in the complex")

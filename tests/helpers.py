@@ -155,3 +155,27 @@ RP2_TRIANGLES = [
 
 def projective_plane() -> sk.CubicalComplex:
     return sk.cubical_barycentric_subdivision(RP2_TRIANGLES)
+
+
+def components_oracle(c: sk.CubicalComplex) -> list[frozenset[str]]:
+    """Face sets of the connected components, ordered by smallest vertex.
+
+    Union-find joins all vertices of every face, so no edge list or
+    graph traversal is involved.
+    """
+    root = {w: w for w in c.faces if "*" not in w}
+
+    def find(x: str) -> str:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for w in c.faces:
+        first, *rest = vertices_of(w)
+        for v in rest:
+            root[find(v)] = find(first)
+    groups: dict[str, set[str]] = {}
+    for w in c.faces:
+        groups.setdefault(find(next(vertices_of(w))), set()).add(w)
+    return sorted((frozenset(g) for g in groups.values()), key=lambda g: min(w for w in g if "*" not in w))

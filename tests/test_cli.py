@@ -221,6 +221,13 @@ def test_embed_command_negative_odd_cycle(tmp_path, capsys):
     assert len(out[1].split()) == 2 + 5
 
 
+def test_embed_command_pins_odd_cycle_of_two_component_graph(tmp_path, capsys):
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (3, 10), (3, 6), (5, 9)]
+    path = write_graph(tmp_path, "g11.graph", sk.SimpleGraph.from_edges(11, edges))
+    assert main(["embed", path, "--nmax", "6"]) == 1
+    assert capsys.readouterr().out == "no embedding with n <= 6\nodd cycle 5 4 3 10 9\n"
+
+
 def test_embed_command_negative_bipartite(tmp_path, capsys):
     k23 = sk.SimpleGraph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
     path = write_graph(tmp_path, "k23.graph", k23)

@@ -4,7 +4,7 @@ import pytest
 
 import skelcube as sk
 
-from helpers import is_full_subcomplex, random_subcomplex, vertices_of
+from helpers import components_oracle, is_full_subcomplex, random_subcomplex, vertices_of
 
 
 def test_closure_of_full_square():
@@ -191,6 +191,14 @@ def test_components_preserve_faces_and_sort_deterministically():
     assert min(parts[0].vertices()) < min(parts[1].vertices())
     for p in parts:
         p.validate()
+
+
+def test_components_match_union_find_oracle():
+    rng = random.Random(29)
+    base = sk.full_cube(4)
+    for _ in range(60):
+        c = random_subcomplex(rng, base, max_generators=8)
+        assert [p.faces for p in sk.components(c)] == components_oracle(c)
 
 
 def test_maximal_faces():

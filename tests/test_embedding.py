@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -8,6 +9,12 @@ import skelcube as sk
 
 def cycle_graph(m: int) -> sk.SimpleGraph:
     return sk.SimpleGraph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
+
+
+def random_graph(rng, max_vertices: int = 8) -> sk.SimpleGraph:
+    m = rng.randint(0, max_vertices)
+    density = rng.random()
+    return sk.SimpleGraph.from_edges(m, [e for e in combinations(range(m), 2) if rng.random() < density])
 
 
 def brute_force_embeddable(g: sk.SimpleGraph, n: int) -> bool:
@@ -58,6 +65,38 @@ def test_odd_cycle_witness_is_a_real_odd_cycle():
         assert len(set(cyc)) == len(cyc)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             assert (min(a, b), max(a, b)) in g.edges
+
+
+def test_bipartition_random_graphs_vs_brute_force():
+    rng = random.Random(83)
+    for _ in range(150):
+        g = random_graph(rng)
+        two_colourable = any(
+            all((bits >> u ^ bits >> v) & 1 for u, v in g.edges) for bits in range(1 << g.num_vertices)
+        )
+        colors, odd = sk.bipartition_or_odd_cycle(g)
+        assert (colors is not None) == two_colourable
+        if colors is not None:
+            assert all(colors[u] != colors[v] for u, v in g.edges)
+        else:
+            assert len(odd) % 2 == 1
+            assert len(set(odd)) == len(odd)
+            assert all((min(a, b), max(a, b)) in g.edges for a, b in zip(odd, odd[1:] + odd[:1]))
+
+
+def test_is_connected_random_graphs_vs_reachability():
+    rng = random.Random(84)
+    for _ in range(150):
+        g = random_graph(rng)
+        reached = {0} if g.num_vertices else set()
+        grown = True
+        while grown:
+            grown = False
+            for u, v in g.edges:
+                if (u in reached) != (v in reached):
+                    reached |= {u, v}
+                    grown = True
+        assert g.is_connected() == (len(reached) == g.num_vertices)
 
 
 def test_verify_labelling_square():
@@ -165,6 +204,20 @@ def test_empty_and_single_vertex_graphs():
     assert one == sk.HypercubeEmbedding(0, (0,))
     two = sk.find_graph_embedding(sk.SimpleGraph(2, frozenset()), 1)
     assert two is not None and two.n <= 1
+
+
+def test_later_component_root_allocates_no_code_table():
+    g = sk.SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        emb = sk.find_graph_embedding(g, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert emb is not None and emb.is_valid_for(g)
+    assert peak - before < 1 << 20
 
 
 def test_embedding_code_validation():
