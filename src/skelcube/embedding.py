@@ -204,7 +204,9 @@ def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | Non
     coordinates in increasing order, which loses no embeddings because
     cube symmetries can always relabel an embedding into this shape.
     None is therefore a certificate for every n up to n_max, and for all
-    n at once when the graph is not bipartite.
+    n at once when the graph is not bipartite.  A graph with several
+    components is first searched one component at a time, so a component
+    that cannot embed is refuted without placing the others.
     """
     if n_max < 0:
         raise ContractError(f"n_max >= 0 required, got {n_max}")
@@ -217,8 +219,18 @@ def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | Non
     if max((len(a) for a in adj), default=0) > n_max:
         return None
 
+    order, parent = bfs_forest(adj)
+    starts = [i for i, v in enumerate(order) if parent[v] < 0]
+    if len(starts) > 1:
+        # a graph embeds only if every component does; refuting one alone
+        # spares trying every code at the roots of the others
+        for lo, hi in zip(starts, starts[1:] + [len(order)]):
+            index = {v: i for i, v in enumerate(order[lo:hi])}
+            edges = [(index[u], index[v]) for u in index for v in adj[u] if u < v]
+            if find_graph_embedding(SimpleGraph.from_edges(hi - lo, edges), n_max) is None:
+                return None
+
     # roots of later components float freely
-    order, _ = bfs_forest(adj)
     pos = {v: i for i, v in enumerate(order)}
     code = [-1] * g.num_vertices
     used_codes: set[int] = set()

@@ -109,6 +109,39 @@ def snf_oracle(mat) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def bareiss_rank(matrix) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    a = [[int(v) for v in row] for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(n):
+        piv = -1
+        for i in range(row, m):
+            if a[i][col]:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        p = a[row][col]
+        ar = a[row]
+        for i in range(row + 1, m):
+            ai = a[i]
+            f = ai[col]
+            for j in range(col + 1, n):
+                ai[j] = (ai[j] * p - f * ar[j]) // prev
+            ai[col] = 0
+        prev = p
+        rank += 1
+        row += 1
+        if row == m:
+            break
+    return rank
+
+
 def candidate_oracle(skel: sk.CubicalComplex, k: int) -> list[str]:
     """Scan every ambient word and test all proper subfaces, not just facets."""
     n = skel.ambient_dim

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import combinations, permutations
 
@@ -218,6 +219,15 @@ def test_later_component_root_allocates_no_code_table():
         tracemalloc.stop()
     assert emb is not None and emb.is_valid_for(g)
     assert peak - before < 1 << 20
+
+
+def test_component_that_cannot_embed_is_refuted_alone():
+    # an edge plus a disjoint K_{2,3}: the edge embeds, K_{2,3} never does,
+    # so the search must not try all 2^10 codes for the root of K_{2,3}
+    g = sk.SimpleGraph.from_edges(7, [(0, 1)] + [(u, v) for u in (2, 3) for v in (4, 5, 6)])
+    t0 = time.process_time()
+    assert sk.find_graph_embedding(g, 10) is None
+    assert time.process_time() - t0 < 0.5
 
 
 def test_embedding_code_validation():

@@ -3,8 +3,10 @@ import random
 import pytest
 
 import skelcube as sk
+from skelcube.homology import _invariant_factors, _matrices_over
 
 from helpers import (
+    bareiss_rank,
     betti_oracle_gf2,
     projective_plane,
     random_subcomplex,
@@ -167,6 +169,74 @@ def test_integer_rank_matches_snf_length():
         cols = rng.randint(1, 5)
         m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         assert sk.integer_rank(m) == len(sk.smith_normal_form(m))
+
+
+def sparse_columns(mat, cols: int) -> list[list[tuple[int, int]]]:
+    return [[(i, row[j]) for i, row in enumerate(mat) if row[j]] for j in range(cols)]
+
+
+def test_invariant_factors_vs_oracle_random():
+    rng = random.Random(41)
+    entries = [0, 0, 0, 0, 1, -1, 2, -2, 3, -4, 6]
+    for _ in range(400):
+        rows = rng.randint(0, 4)
+        cols = rng.randint(0, 4)
+        m = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+        if rows and rng.random() < 0.3:
+            m[rng.randrange(rows)] = [0] * cols
+        if cols and rng.random() < 0.3:
+            dead = rng.randrange(cols)
+            for row in m:
+                row[dead] = 0
+        assert _invariant_factors(sparse_columns(m, cols)) == snf_oracle(m), m
+    assert _invariant_factors([[], [], []]) == ()  # 0 x 3
+    assert _invariant_factors([]) == ()  # any m x 0
+    assert _invariant_factors([[(0, 2), (1, 4)], [(0, 6), (1, 8)]]) == (2, 4)
+    assert _invariant_factors([[(5, 1)], [(5, 1)], [(7, -1)]]) == (1, 1)
+
+
+def test_invariant_factors_match_dense_snf_on_boundary_and_quotient_matrices():
+    rng = random.Random(59)
+    checked = 0
+    for n in range(1, 6):
+        base = sk.full_cube(n)
+        for _ in range(50):
+            c = random_subcomplex(rng, base)
+            a = random_subcomplex(rng, c)
+            for faces in (c.faces, c.faces - a.faces):
+                mats = _matrices_over(faces, n, sk.INTEGER)
+                for j in range(1, mats.top + 1):
+                    dense = mats.dense(j)
+                    assert _invariant_factors(mats.sparse_columns(j)) == sk.smith_normal_form(dense)
+                    assert _invariant_factors(mats.sparse_rows(j)) == sk.smith_normal_form(list(zip(*dense)))
+                    checked += 1
+    assert checked > 500
+
+
+def test_integer_rank_vs_bareiss_oracle():
+    rng = random.Random(23)
+    for _ in range(150):
+        rows = rng.randint(0, 6)
+        cols = rng.randint(0, 6)
+        m = [[rng.choice([0, 0, 1, -1, 2, 3, -5]) for _ in range(cols)] for _ in range(rows)]
+        assert sk.integer_rank(m) == bareiss_rank(m)
+    rp2 = projective_plane()
+    mats = _matrices_over(rp2.faces, rp2.ambient_dim, sk.INTEGER)
+    for j in range(1, mats.top + 1):
+        assert sk.integer_rank(mats.dense(j)) == bareiss_rank(mats.dense(j))
+
+
+def test_projective_plane_squared_integer_homology_and_cohomology():
+    # Kuenneth: H_*(RP^2 x RP^2; Z) = Z, (Z/2)^2, Z/2, Z/2, 0
+    rp2 = projective_plane()
+    c = sk.product_complex(rp2, rp2)
+    assert len(c.faces) == 14641
+    h = sk.homology_integer(c)
+    assert h.betti == (1, 0, 0, 0, 0)
+    assert h.torsion == ((), (2, 2), (2,), (2,), ())
+    co = sk.cohomology_integer(c)
+    assert co.betti == (1, 0, 0, 0, 0)
+    assert co.torsion == ((), (), (2, 2), (2,), (2,))
 
 
 def test_gf2_rank_packed():
