@@ -18,6 +18,7 @@ from .complex import (
     is_face_like,
     product_complex,
     skeleton,
+    star,
 )
 from .embedding import (
     HypercubeEmbedding,

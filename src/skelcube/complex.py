@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .errors import StructuralError
+from .errors import ContractError, StructuralError
 from .words import (
     STAR,
     facets,
+    one_step_cofaces,
     proper_subwords,
     sort_words,
     subwords,
@@ -23,6 +24,7 @@ __all__ = [
     "full_cube",
     "cube_boundary",
     "skeleton",
+    "star",
     "delete",
     "face_subcomplex",
     "face_boundary",
@@ -30,6 +32,11 @@ __all__ = [
     "product_complex",
     "ambient_faces",
 ]
+
+# Most faces a closure may hold.  A generator with d stars has 3**d
+# subfaces, so one long word in a complex file could exhaust memory;
+# full_cube(13) is the largest cube within the bound.
+MAX_CLOSURE_FACES = 3**13
 
 
 @dataclass(frozen=True)
@@ -106,8 +113,14 @@ def closure(ambient_dim: int, generators) -> CubicalComplex:
     for g in generators:
         validate_word(g, ambient_dim)
         if g not in out:
+            _check_closure_size(len(out), g)
             out.update(subwords(g))
     return CubicalComplex(ambient_dim, frozenset(out))
+
+
+def _check_closure_size(known: int, g: str) -> None:
+    if known + 3 ** word_dim(g) > MAX_CLOSURE_FACES:
+        raise ContractError(f"closure of {g!r} would exceed {MAX_CLOSURE_FACES} faces")
 
 
 def full_cube(n: int) -> CubicalComplex:
@@ -122,6 +135,7 @@ def cube_boundary(n: int) -> CubicalComplex:
     if n < 1:
         raise StructuralError("boundary of I^n needs n >= 1")
     top = STAR * n
+    _check_closure_size(0, top)
     return CubicalComplex(n, frozenset(s for s in subwords(top) if s != top))
 
 
@@ -139,12 +153,30 @@ def _require_subcomplex(c: CubicalComplex, g: CubicalComplex, role: str) -> None
         raise StructuralError(f"{role} is not a subcomplex: {len(g.faces - c.faces)} faces missing from the host")
 
 
+def star(c: CubicalComplex, faces) -> frozenset[str]:
+    """Faces of c having one of the given faces as a subface (their open star).
+
+    Walks up one coface at a time inside c.faces, so only the star is
+    visited.  Exact because c is downward closed: every face between a
+    given face and a face of c above it is itself in c.
+    """
+    found = {f for f in faces if f in c.faces}
+    frontier = list(found)
+    while frontier:
+        for up in one_step_cofaces(frontier.pop()):
+            if up in c.faces and up not in found:
+                found.add(up)
+                frontier.append(up)
+    return frozenset(found)
+
+
 def delete(c: CubicalComplex, g: CubicalComplex) -> CubicalComplex:
-    """Faces of c containing no vertex of g."""
+    """Faces of c containing no vertex of g: c minus the open star of V(g).
+
+    c must be downward closed (see star).
+    """
     _require_subcomplex(c, g, "deletion argument")
-    gverts = g.vertices()
-    keep = frozenset(w for w in c.faces if not any(v in gverts for v in word_vertices(w)))
-    return CubicalComplex(c.ambient_dim, keep)
+    return CubicalComplex(c.ambient_dim, c.faces - star(c, g.vertices()))
 
 
 def face_subcomplex(c: CubicalComplex, f: str) -> CubicalComplex:
@@ -166,13 +198,14 @@ def is_face_like(c: CubicalComplex, g: CubicalComplex) -> bool:
 
     The test is purely combinatorial: intersect each face's vertex set
     with V(g) and look the result up among vertex sets of faces of g.
+    Only the open star of V(g) meets V(g) at all, so only its faces are
+    checked; c must be downward closed (see star).
     """
     _require_subcomplex(c, g, "face-likeness argument")
     gverts = g.vertices()
     gface_vertex_sets = {frozenset(word_vertices(w)) for w in g.faces}
-    for w in c.faces:
-        hit = frozenset(v for v in word_vertices(w) if v in gverts)
-        if hit and hit not in gface_vertex_sets:
+    for w in star(c, gverts):
+        if frozenset(v for v in word_vertices(w) if v in gverts) not in gface_vertex_sets:
             return False
     return True
 

@@ -230,41 +230,44 @@ def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | Non
             if find_graph_embedding(SimpleGraph.from_edges(hi - lo, edges), n_max) is None:
                 return None
 
-    # roots of later components float freely
     pos = {v: i for i, v in enumerate(order)}
+    earlier = [[u for u in adj[v] if pos[u] < i] for i, v in enumerate(order)]
     code = [-1] * g.num_vertices
     used_codes: set[int] = set()
 
-    def place(i: int, used_coords: int) -> int | None:
-        if i == len(order):
-            return used_coords
+    def candidates(i: int, used_coords: int):
+        if not earlier[i]:
+            # roots of later components float freely
+            return iter([0] if i == 0 else range(1 << n_max))
+        base = code[earlier[i][0]]
+        return (base ^ (1 << b) for b in range(min(used_coords + 1, n_max)))
+
+    # one frame per level placed so far: its candidate iterator and the
+    # coordinates used before it; a loop, not recursion, since a long
+    # path would otherwise exceed the interpreter's recursion limit
+    stack = [(candidates(0, 0), 0)]
+    while stack:
+        i = len(stack) - 1
         v = order[i]
-        earlier = [u for u in adj[v] if pos[u] < i]
-        if not earlier:
-            candidates = [0] if i == 0 else range(1 << n_max)
-        else:
-            base = code[earlier[0]]
-            width = min(used_coords + 1, n_max)
-            candidates = [base ^ (1 << b) for b in range(width)]
-        for cand in candidates:
+        cands, used_coords = stack[-1]
+        if code[v] >= 0:
+            used_codes.discard(code[v])
+            code[v] = -1
+        for cand in cands:
             if cand in used_codes:
                 continue
-            if any((cand ^ code[u]).bit_count() != 1 for u in earlier):
+            if any((cand ^ code[u]).bit_count() != 1 for u in earlier[i]):
                 continue
             code[v] = cand
             used_codes.add(cand)
             grown = max(used_coords, cand.bit_length())
-            res = place(i + 1, grown)
-            if res is not None:
-                return res
-            used_codes.discard(cand)
-            code[v] = -1
-        return None
-
-    final = place(0, 0)
-    if final is None:
-        return None
-    return HypercubeEmbedding(final, tuple(code))
+            if i + 1 == len(order):
+                return HypercubeEmbedding(grown, tuple(code))
+            stack.append((candidates(i + 1, grown), grown))
+            break
+        else:
+            stack.pop()
+    return None
 
 
 def labelling_from_embedding(emb: HypercubeEmbedding, g: SimpleGraph) -> dict[tuple[int, int], int]:

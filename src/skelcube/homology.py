@@ -84,8 +84,7 @@ class BoundaryMatrices:
     outside the set are dropped (the quotient boundary).
     """
 
-    def __init__(self, ambient_dim: int, ring: str, levels, columns):
-        self.ambient_dim = ambient_dim
+    def __init__(self, ring: str, levels, columns):
         self.ring = ring
         self.levels = levels        # levels[j]: j-faces, canonical order
         self.columns = columns      # columns[j][c]: list of (row, sign), j >= 1
@@ -143,7 +142,7 @@ class BoundaryMatrices:
                         raise AssertionError(f"boundary of boundary nonzero at degree {j}, row {r}")
 
 
-def _matrices_over(face_set, ambient_dim: int, ring: str) -> BoundaryMatrices:
+def _matrices_over(face_set, ring: str) -> BoundaryMatrices:
     top = max((word_dim(w) for w in face_set), default=-1)
     levels = [[] for _ in range(top + 1)]
     for w in face_set:
@@ -158,12 +157,12 @@ def _matrices_over(face_set, ambient_dim: int, ring: str) -> BoundaryMatrices:
             col = [(below[f], s) for f, s in signed_facets(w) if f in below]
             cols.append(col)
         columns[j] = cols
-    return BoundaryMatrices(ambient_dim, ring, levels, columns)
+    return BoundaryMatrices(ring, levels, columns)
 
 
 def boundary_matrices(c: CubicalComplex, ring: str = GF2) -> BoundaryMatrices:
     _check_ring(ring)
-    return _matrices_over(c.faces, c.ambient_dim, ring)
+    return _matrices_over(c.faces, ring)
 
 
 def gf2_rank(vectors) -> int:
@@ -354,13 +353,13 @@ def _homology(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile
 @lru_cache(maxsize=256)
 def betti_gf2(c: CubicalComplex) -> HomologyProfile:
     """Non-reduced GF(2) Betti numbers in degrees 0..dim."""
-    return _homology(_matrices_over(c.faces, c.ambient_dim, GF2), c.dim + 1, GF2)
+    return _homology(_matrices_over(c.faces, GF2), c.dim + 1, GF2)
 
 
 @lru_cache(maxsize=256)
 def homology_integer(c: CubicalComplex) -> HomologyProfile:
     """Integer homology: free ranks plus invariant factors per degree."""
-    return _homology(_matrices_over(c.faces, c.ambient_dim, INTEGER), c.dim + 1, INTEGER)
+    return _homology(_matrices_over(c.faces, INTEGER), c.dim + 1, INTEGER)
 
 
 def homology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
@@ -375,7 +374,7 @@ def cohomology_betti_gf2(c: CubicalComplex) -> HomologyProfile:
     columns of D_j^T (the rows of D_j) keeps this an independent route
     rather than an alias.
     """
-    mats = _matrices_over(c.faces, c.ambient_dim, GF2)
+    mats = _matrices_over(c.faces, GF2)
     return _profile(
         mats,
         c.dim + 1,
@@ -390,7 +389,7 @@ def cohomology_integer(c: CubicalComplex) -> HomologyProfile:
     the incoming coboundary, the transpose of D_j, whose columns are the
     rows of D_j.
     """
-    mats = _matrices_over(c.faces, c.ambient_dim, INTEGER)
+    mats = _matrices_over(c.faces, INTEGER)
     return _profile(mats, c.dim + 1, lambda j: _invariant_factors(mats.sparse_rows(j)), shift=0)
 
 
@@ -412,4 +411,4 @@ def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> H
     if not a.faces <= c.faces:
         raise StructuralError("second member of the pair is not a subcomplex of the first")
     rest = c.faces - a.faces
-    return _homology(_matrices_over(rest, c.ambient_dim, ring), c.dim + 1, ring)
+    return _homology(_matrices_over(rest, ring), c.dim + 1, ring)

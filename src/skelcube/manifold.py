@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complex import CubicalComplex, is_face_like
+from .complex import CubicalComplex, is_face_like, star
 from .embedding import components
 from .errors import ContractError, ContradictionError, StructuralError
 from .homology import GF2, INTEGER, HomologyProfile, _matrices_over, integer_rank, relative_profile
-from .words import is_subword, proper_subwords, span_word, word_dim
+from .words import proper_subwords, span_word, word_dim
 
 __all__ = [
     "ManifoldReport",
@@ -32,19 +32,19 @@ class ManifoldReport:
 def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile:
     """Homology of the pair (c, faces not containing f).
 
-    The quotient basis is the star of f, the faces having f as a
-    subface, but finding it scans every face of c.
+    The quotient basis is the open star of f, the faces having f as a
+    subface, found by walking up from f (c must be downward closed).
     """
     if f not in c.faces:
         raise StructuralError(f"face {f!r} is not in the complex")
-    away = frozenset(w for w in c.faces if not is_subword(f, w))
+    away = c.faces - star(c, (f,))
     return relative_profile(c, CubicalComplex(c.ambient_dim, away), ring)
 
 
 def _top_free_rank(comp: CubicalComplex) -> int:
     # integer H_top is free (no higher faces), so a rank suffices
     d = comp.dim
-    mats = _matrices_over(comp.faces, comp.ambient_dim, INTEGER)
+    mats = _matrices_over(comp.faces, INTEGER)
     return mats.num_faces(d) - integer_rank(mats.dense(d))
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "sort_words",
     "word_dim",
     "validate_word",
-    "is_subword",
     "facets",
     "signed_facets",
     "subwords",
@@ -61,11 +60,6 @@ def validate_word(w: str, ambient_dim: int) -> None:
         raise StructuralError(f"face word {w!r} has length {len(w)}, expected {ambient_dim}")
     if not _LETTERS.issuperset(w):
         raise StructuralError(f"face word {w!r} contains letters outside '01*'")
-
-
-def is_subword(p: str, q: str) -> bool:
-    """True iff p is a face of q (letterwise, with anything below '*')."""
-    return len(p) == len(q) and all(b == STAR or a == b for a, b in zip(p, q))
 
 
 def facets(w: str):

@@ -163,6 +163,30 @@ def is_full_subcomplex(c: sk.CubicalComplex, g: sk.CubicalComplex) -> bool:
     return True
 
 
+def delete_oracle(c: sk.CubicalComplex, g: sk.CubicalComplex) -> sk.CubicalComplex:
+    """Faces of c none of whose vertices is a vertex of g, by expanding every face."""
+    gverts = {w for w in g.faces if "*" not in w}
+    keep = frozenset(w for w in c.faces if not any(v in gverts for v in vertices_of(w)))
+    return sk.CubicalComplex(c.ambient_dim, keep)
+
+
+def is_face_like_oracle(c: sk.CubicalComplex, g: sk.CubicalComplex) -> bool:
+    """Every face of c meets V(g) in nothing or in the vertex set of a face of g."""
+    gverts = {w for w in g.faces if "*" not in w}
+    gface_vertex_sets = {frozenset(vertices_of(w)) for w in g.faces}
+    for w in c.faces:
+        hit = frozenset(v for v in vertices_of(w) if v in gverts)
+        if hit and hit not in gface_vertex_sets:
+            return False
+    return True
+
+
+def local_profile_oracle(c: sk.CubicalComplex, f: str, ring: str) -> sk.HomologyProfile:
+    """Homology of (c, faces not containing f), the complement found by scanning every face."""
+    away = frozenset(w for w in c.faces if not oracle_is_subface(f, w))
+    return sk.relative_profile(c, sk.CubicalComplex(c.ambient_dim, away), ring)
+
+
 def random_subcomplex(rng, base: sk.CubicalComplex, max_generators: int = 6) -> sk.CubicalComplex:
     faces = sorted(base.faces)
     count = rng.randint(0, min(max_generators, len(faces)))

@@ -266,6 +266,28 @@ def test_generate_command_unknown_family(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_commands_refuse_closures_over_the_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("skelcube.complex.MAX_CLOSURE_FACES", 3**4)
+    dst = str(tmp_path / "x.cplx")
+    assert main(["generate", "cube", "5", "-o", dst]) == 3
+    assert main(["generate", "boundary-cube", "5", "-o", dst]) == 3
+    (tmp_path / "big.cplx").write_text("ambient 5\n*****\n")
+    assert main(["homology", str(tmp_path / "big.cplx")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("contract violation: closure of '*****' would exceed 81 faces") == 3
+    assert not (tmp_path / "x.cplx").exists()
+
+
+def test_embed_command_long_path(tmp_path, capsys):
+    # the search places one vertex per level; 3000 levels exceed the default recursion limit
+    m = 3000
+    path = write_graph(tmp_path, "path.graph", sk.SimpleGraph.from_edges(m, [(i, i + 1) for i in range(m - 1)]))
+    assert main(["embed", path, "--nmax", "12"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "embedding found n=12"
+    assert out[-1] == "labelling verified"
+
+
 def test_cli_import_loads_no_process_machinery():
     src = str(Path(sk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -4,7 +4,16 @@ import pytest
 
 import skelcube as sk
 
-from helpers import components_oracle, is_full_subcomplex, random_subcomplex, vertices_of
+from helpers import (
+    all_words,
+    components_oracle,
+    delete_oracle,
+    is_face_like_oracle,
+    is_full_subcomplex,
+    oracle_is_subface,
+    random_subcomplex,
+    vertices_of,
+)
 
 
 def test_closure_of_full_square():
@@ -89,6 +98,44 @@ def test_delete_stays_closed_on_random_inputs():
         out = sk.delete(c, g)
         out.validate()
         assert out.faces <= c.faces
+
+
+def test_star_matches_subface_oracle():
+    rng = random.Random(31)
+    for n in range(1, 6):
+        base = sk.full_cube(n)
+        for _ in range(40):
+            c = random_subcomplex(rng, base)
+            given = rng.sample(list(all_words(n)), rng.randint(0, 3))
+            expected = {w for w in c.faces if any(oracle_is_subface(f, w) for f in given)}
+            assert sk.star(c, given) == expected, (sorted(c.faces), given)
+
+
+def test_delete_and_face_likeness_match_vertex_scan_oracles():
+    rng = random.Random(37)
+    for n in range(1, 6):
+        base = sk.full_cube(n)
+        for _ in range(40):
+            c = random_subcomplex(rng, base)
+            g = random_subcomplex(rng, c, max_generators=2)
+            assert sk.delete(c, g) == delete_oracle(c, g)
+            assert sk.is_face_like(c, g) == is_face_like_oracle(c, g)
+
+
+def test_closure_refuses_more_faces_than_the_bound(monkeypatch):
+    # the check counts 3**dim subfaces per new generator, overlaps included
+    monkeypatch.setattr("skelcube.complex.MAX_CLOSURE_FACES", 3**4 + 3)
+    assert len(sk.full_cube(4).faces) == 3**4
+    assert len(sk.cube_boundary(4).faces) == 3**4 - 1
+    assert len(sk.closure(5, ["****0", "0000*", "00*00"]).faces) == 3**4 + 2
+    for build in (
+        lambda: sk.full_cube(5),
+        lambda: sk.cube_boundary(5),
+        lambda: sk.closure(5, ["*****"]),
+        lambda: sk.closure(5, ["****0", "****1"]),
+    ):
+        with pytest.raises(sk.ContractError):
+            build()
 
 
 def test_face_subcomplex_and_boundary():

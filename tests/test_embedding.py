@@ -230,6 +230,14 @@ def test_component_that_cannot_embed_is_refuted_alone():
     assert time.process_time() - t0 < 0.5
 
 
+def test_long_path_embeds_without_recursion():
+    # one search level per vertex: 3000 levels exceed the default recursion limit
+    m = 3000
+    g = sk.SimpleGraph.from_edges(m, [(i, i + 1) for i in range(m - 1)])
+    emb = sk.find_graph_embedding(g, 12)
+    assert emb is not None and emb.n == 12 and emb.is_valid_for(g)
+
+
 def test_embedding_code_validation():
     with pytest.raises(sk.StructuralError):
         sk.HypercubeEmbedding(1, (0, 2))

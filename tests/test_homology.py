@@ -204,7 +204,7 @@ def test_invariant_factors_match_dense_snf_on_boundary_and_quotient_matrices():
             c = random_subcomplex(rng, base)
             a = random_subcomplex(rng, c)
             for faces in (c.faces, c.faces - a.faces):
-                mats = _matrices_over(faces, n, sk.INTEGER)
+                mats = _matrices_over(faces, sk.INTEGER)
                 for j in range(1, mats.top + 1):
                     dense = mats.dense(j)
                     assert _invariant_factors(mats.sparse_columns(j)) == sk.smith_normal_form(dense)
@@ -221,7 +221,7 @@ def test_integer_rank_vs_bareiss_oracle():
         m = [[rng.choice([0, 0, 1, -1, 2, 3, -5]) for _ in range(cols)] for _ in range(rows)]
         assert sk.integer_rank(m) == bareiss_rank(m)
     rp2 = projective_plane()
-    mats = _matrices_over(rp2.faces, rp2.ambient_dim, sk.INTEGER)
+    mats = _matrices_over(rp2.faces, sk.INTEGER)
     for j in range(1, mats.top + 1):
         assert sk.integer_rank(mats.dense(j)) == bareiss_rank(mats.dense(j))
 

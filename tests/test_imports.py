@@ -1,4 +1,5 @@
-"""Every name a library module imports is used there or re-exported in __all__."""
+"""Every name a library module imports is used there or re-exported in __all__,
+and every name in __all__ is defined in its module."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,25 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def undefined_exports(tree: ast.Module) -> list[str]:
+    defined: set[str] = set()
+    exported: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return sorted(set(exported) - defined)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_all_names_are_defined(path):
+    assert undefined_exports(ast.parse(path.read_text(), filename=str(path))) == []

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 import skelcube as sk
 
-from helpers import projective_plane
+from helpers import local_profile_oracle, projective_plane, random_subcomplex
 
 
 def test_local_profile_interior_and_top_faces():
@@ -29,6 +31,23 @@ def test_local_profile_homogeneous_across_faces():
             prof = sk.local_profile(c, f, sk.GF2)
             by_dim.setdefault(f.count("*"), set()).add(prof.betti)
         assert all(len(seen) == 1 for seen in by_dim.values())
+
+
+def test_local_profile_matches_subface_scan_oracle():
+    rng = random.Random(41)
+    checked = 0
+    for n in range(1, 6):
+        base = sk.full_cube(n)
+        for _ in range(12):
+            c = random_subcomplex(rng, base, max_generators=4)
+            for f in rng.sample(sorted(c.faces), min(6, len(c.faces))):
+                for ring in (sk.GF2, sk.INTEGER):
+                    assert sk.local_profile(c, f, ring) == local_profile_oracle(c, f, ring), (sorted(c.faces), f)
+                    checked += 1
+    rp2 = projective_plane()
+    for f in sorted(rp2.faces)[::7]:
+        assert sk.local_profile(rp2, f, sk.INTEGER) == local_profile_oracle(rp2, f, sk.INTEGER)
+    assert checked > 300
 
 
 def test_local_profile_requires_membership():

@@ -1,4 +1,4 @@
-"""Algebraic identities on random downward-closed complexes in I^n, n <= 5.
+"""Algebraic identities and closure on random downward-closed complexes in I^n, n <= 5.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same complexes.  Small random complexes carry no torsion, so
@@ -48,3 +48,13 @@ def test_universal_coefficients_mod_2(c):
     for j, bj in enumerate(gf2):
         even = sum(1 for d in h.degree(j)[1] + h.degree(j - 1)[1] if d % 2 == 0)
         assert bj == h.betti[j] + even
+
+
+@PROPERTY
+@given(complexes(), st.data())
+def test_delete_keeps_a_complex_downward_closed(c, data):
+    gens = data.draw(st.lists(st.sampled_from(sorted(c.faces)), max_size=3)) if c.faces else []
+    g = sk.closure(c.ambient_dim, gens)
+    out = sk.delete(c, g)
+    out.validate()
+    assert out.faces <= c.faces

@@ -4,7 +4,6 @@ import skelcube as sk
 from skelcube.words import (
     canon_key,
     facets,
-    is_subword,
     one_step_cofaces,
     proper_subwords,
     signed_facets,
@@ -16,7 +15,6 @@ from skelcube.words import (
     word_vertices,
 )
 
-from helpers import all_words, oracle_is_subface
 
 
 def test_word_dim():
@@ -38,12 +36,6 @@ def test_validate_word():
 def test_canonical_order_puts_star_last():
     assert sort_words(["*0", "00", "10", "1*"]) == ["00", "10", "1*", "*0"]
     assert canon_key("0") < canon_key("1") < canon_key("*")
-
-
-def test_subword_matches_vertex_box_oracle():
-    for p in all_words(3):
-        for q in all_words(3):
-            assert is_subword(p, q) == oracle_is_subface(p, q), (p, q)
 
 
 def test_facets():
