@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 
 from .errors import ContractError, StructuralError
@@ -59,9 +60,9 @@ class CubicalComplex:
         for w in self.faces:
             validate_word(w, self.ambient_dim)
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        """Top face dimension, -1 for the empty complex."""
+        """Top face dimension, -1 for the empty complex; computed once per instance."""
         return max((word_dim(w) for w in self.faces), default=-1)
 
     def __contains__(self, w: str) -> bool:

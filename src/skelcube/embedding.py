@@ -15,6 +15,7 @@ parity, and vertex codes must be pairwise distinct.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, takewhile
 
 from .complex import CubicalComplex
 from .errors import ContractError, ContradictionError, StructuralError
@@ -237,8 +238,9 @@ def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | Non
 
     def candidates(i: int, used_coords: int):
         if not earlier[i]:
-            # roots of later components float freely
-            return iter([0] if i == 0 else range(1 << n_max))
+            # roots of later components float freely over the codes below
+            # 2^n_max, counted without building 2^n_max itself
+            return iter([0]) if i == 0 else takewhile(lambda x: x.bit_length() <= n_max, count())
         base = code[earlier[i][0]]
         return (base ^ (1 << b) for b in range(min(used_coords + 1, n_max)))
 

@@ -5,18 +5,20 @@ and columns by j-faces, both in canonical order.  Incidence signs follow
 signed_facets: the i-th star of a face (left to right, starting at 1)
 contributes (-1)**(i+1) on its ONE facet and (-1)**i on its ZERO facet.
 
-GF(2) ranks run on bit-packed integers.  Every integer elimination
-(homology, cohomology, relative homology and `integer_rank`) goes
-through one sparse reducer, `_invariant_factors`, which works on the
-(row, sign) columns the boundary matrices already store.  It first
-eliminates unit (+-1) pivots: each one is a unimodular row and column
-operation that contributes an invariant factor 1 and leaves the Schur
-complement, one row and one column smaller.  Only the remainder without
-unit entries, which is small on boundary matrices, is densified and
-handed to `smith_normal_form` (cf. Kaczynski-Mischaikow-Mrozek, *Computational
-Homology*, 2004; Dumas-Saunders-Villard on sparse integer Smith forms).
-Arithmetic is exact Python integers, so entry growth is handled by
-arbitrary precision and there is no overflow path to detect.
+The matrices carry no ring: they are the same sparse (index, sign)
+vectors over GF(2) and over Z, and the ring only picks the reducer that
+eliminates them.  GF(2) packs each vector into an integer for
+`gf2_rank`.  Every integer elimination (homology, cohomology, relative
+homology and `integer_rank`) goes through one sparse reducer,
+`_invariant_factors`.  It first eliminates unit (+-1) pivots: each one
+is a unimodular row and column operation that contributes an invariant
+factor 1 and leaves the Schur complement, one row and one column
+smaller.  Only the remainder without unit entries, which is small on
+boundary matrices, is densified and handed to `smith_normal_form` (cf.
+Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004;
+Dumas-Saunders-Villard on sparse integer Smith forms).  Arithmetic is
+exact Python integers, so entry growth is handled by arbitrary precision
+and there is no overflow path to detect.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complex import CubicalComplex
+from .complex import CubicalComplex, _require_subcomplex
 from .errors import ContractError, StructuralError
 from .words import signed_facets, sort_words, word_dim
 
@@ -51,7 +53,7 @@ INTEGER = "int"
 
 
 def _check_ring(ring: str) -> None:
-    if ring not in (GF2, INTEGER):
+    if ring not in _REDUCERS:
         raise ContractError(f"ring must be {GF2!r} or {INTEGER!r}, got {ring!r}")
 
 
@@ -84,8 +86,7 @@ class BoundaryMatrices:
     outside the set are dropped (the quotient boundary).
     """
 
-    def __init__(self, ring: str, levels, columns):
-        self.ring = ring
+    def __init__(self, levels, columns):
         self.levels = levels        # levels[j]: j-faces, canonical order
         self.columns = columns      # columns[j][c]: list of (row, sign), j >= 1
 
@@ -114,9 +115,6 @@ class BoundaryMatrices:
                 rows[r].append((ci, s))
         return rows
 
-    def gf2_column_masks(self, j: int) -> list[int]:
-        return [sum(1 << r for r, _ in col) for col in self.sparse_columns(j)]
-
     def dense(self, j: int) -> list[list[int]]:
         if not 1 <= j <= self.top:
             return []
@@ -128,8 +126,7 @@ class BoundaryMatrices:
         return out
 
     def check_chain_identity(self) -> None:
-        """Assert D_j composed with D_(j+1) vanishes over the ring."""
-        mod2 = self.ring == GF2
+        """Assert D_j composed with D_(j+1) vanishes over Z, hence over GF(2)."""
         for j in range(2, self.top + 1):
             lower = self.columns[j - 1]
             for col in self.columns[j]:
@@ -138,11 +135,11 @@ class BoundaryMatrices:
                     for r, s2 in lower[mid]:
                         acc[r] = acc.get(r, 0) + s1 * s2
                 for r, v in acc.items():
-                    if (v % 2 if mod2 else v) != 0:
+                    if v:
                         raise AssertionError(f"boundary of boundary nonzero at degree {j}, row {r}")
 
 
-def _matrices_over(face_set, ring: str) -> BoundaryMatrices:
+def _matrices_over(face_set) -> BoundaryMatrices:
     top = max((word_dim(w) for w in face_set), default=-1)
     levels = [[] for _ in range(top + 1)]
     for w in face_set:
@@ -157,12 +154,11 @@ def _matrices_over(face_set, ring: str) -> BoundaryMatrices:
             col = [(below[f], s) for f, s in signed_facets(w) if f in below]
             cols.append(col)
         columns[j] = cols
-    return BoundaryMatrices(ring, levels, columns)
+    return BoundaryMatrices(levels, columns)
 
 
-def boundary_matrices(c: CubicalComplex, ring: str = GF2) -> BoundaryMatrices:
-    _check_ring(ring)
-    return _matrices_over(c.faces, ring)
+def boundary_matrices(c: CubicalComplex) -> BoundaryMatrices:
+    return _matrices_over(c.faces)
 
 
 def gf2_rank(vectors) -> int:
@@ -338,13 +334,29 @@ def _profile(mats: BoundaryMatrices, length: int, factors_of, shift: int = 1) ->
 
 
 def _gf2_factors(vectors) -> tuple[int, ...]:
-    return (1,) * gf2_rank(vectors)
+    """One factor 1 per GF(2) pivot of (index, value) vectors, packed as ints."""
+    return (1,) * gf2_rank([sum(1 << i for i, _ in v) for v in vectors])
+
+
+# The ring picks the reducer, never the matrix: both take a matrix as its
+# sparse (index, value) vectors and return its invariant factors.
+_REDUCERS = {GF2: _gf2_factors, INTEGER: _invariant_factors}
 
 
 def _homology(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile:
-    if ring == GF2:
-        return _profile(mats, length, lambda j: _gf2_factors(mats.gf2_column_masks(j)))
-    return _profile(mats, length, lambda j: _invariant_factors(mats.sparse_columns(j)))
+    reduce = _REDUCERS[ring]
+    return _profile(mats, length, lambda j: reduce(mats.sparse_columns(j)))
+
+
+def _cohomology(c: CubicalComplex, ring: str) -> HomologyProfile:
+    """Cohomology from the coboundaries D_j^T, whose columns are the rows of D_j.
+
+    In degree j the torsion subgroup comes from the invariant factors of
+    the incoming coboundary, the transpose of D_j.
+    """
+    mats = _matrices_over(c.faces)
+    reduce = _REDUCERS[ring]
+    return _profile(mats, c.dim + 1, lambda j: reduce(mats.sparse_rows(j)), shift=0)
 
 
 # Reconstruction asks for the base profile of the same skeleton once per
@@ -353,13 +365,13 @@ def _homology(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile
 @lru_cache(maxsize=256)
 def betti_gf2(c: CubicalComplex) -> HomologyProfile:
     """Non-reduced GF(2) Betti numbers in degrees 0..dim."""
-    return _homology(_matrices_over(c.faces, GF2), c.dim + 1, GF2)
+    return _homology(_matrices_over(c.faces), c.dim + 1, GF2)
 
 
 @lru_cache(maxsize=256)
 def homology_integer(c: CubicalComplex) -> HomologyProfile:
     """Integer homology: free ranks plus invariant factors per degree."""
-    return _homology(_matrices_over(c.faces, INTEGER), c.dim + 1, INTEGER)
+    return _homology(_matrices_over(c.faces), c.dim + 1, INTEGER)
 
 
 def homology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
@@ -374,28 +386,17 @@ def cohomology_betti_gf2(c: CubicalComplex) -> HomologyProfile:
     columns of D_j^T (the rows of D_j) keeps this an independent route
     rather than an alias.
     """
-    mats = _matrices_over(c.faces, GF2)
-    return _profile(
-        mats,
-        c.dim + 1,
-        lambda j: _gf2_factors(sum(1 << ci for ci, _ in row) for row in mats.sparse_rows(j)),
-    )
+    return _cohomology(c, GF2)
 
 
 def cohomology_integer(c: CubicalComplex) -> HomologyProfile:
-    """Integer cohomology from the coboundary (transposed) matrices.
-
-    In degree j the torsion subgroup comes from the invariant factors of
-    the incoming coboundary, the transpose of D_j, whose columns are the
-    rows of D_j.
-    """
-    mats = _matrices_over(c.faces, INTEGER)
-    return _profile(mats, c.dim + 1, lambda j: _invariant_factors(mats.sparse_rows(j)), shift=0)
+    """Integer cohomology from the coboundary (transposed) matrices."""
+    return _cohomology(c, INTEGER)
 
 
 def cohomology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
     _check_ring(ring)
-    return cohomology_betti_gf2(c) if ring == GF2 else cohomology_integer(c)
+    return _cohomology(c, ring)
 
 
 def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> HomologyProfile:
@@ -406,9 +407,5 @@ def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> H
     small difference still report a full-length profile.
     """
     _check_ring(ring)
-    if a.ambient_dim != c.ambient_dim:
-        raise StructuralError(f"pair lives in I^{a.ambient_dim}, expected I^{c.ambient_dim}")
-    if not a.faces <= c.faces:
-        raise StructuralError("second member of the pair is not a subcomplex of the first")
-    rest = c.faces - a.faces
-    return _homology(_matrices_over(rest, ring), c.dim + 1, ring)
+    _require_subcomplex(c, a, "second member of the pair")
+    return _homology(_matrices_over(c.faces - a.faces), c.dim + 1, ring)

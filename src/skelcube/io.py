@@ -16,6 +16,11 @@ from .errors import StructuralError
 
 __all__ = ["parse_complex", "serialize_complex", "parse_graph", "serialize_graph"]
 
+# Most vertices a graph file may declare.  The header alone makes the
+# embedding search allocate per vertex (about 0.16 KB each), so a huge
+# count could exhaust memory; 2^20 is the vertex count of Q_20.
+MAX_GRAPH_VERTICES = 1 << 20
+
 
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -70,6 +75,8 @@ def parse_graph(text: str) -> SimpleGraph:
         n = int(parts[1])
     except ValueError:
         raise StructuralError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
+    if n > MAX_GRAPH_VERTICES:
+        raise StructuralError(f"line {lineno}: vertex count {n} exceeds the bound {MAX_GRAPH_VERTICES}")
     edges = set()
     for lineno, line in lines[1:]:
         parts = line.split()

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complex import CubicalComplex, is_face_like, star
+from .complex import CubicalComplex, _require_subcomplex, is_face_like, star
 from .embedding import components
 from .errors import ContractError, ContradictionError, StructuralError
-from .homology import GF2, INTEGER, HomologyProfile, _matrices_over, integer_rank, relative_profile
+from .homology import GF2, HomologyProfile, _matrices_over, integer_rank, relative_profile
 from .words import proper_subwords, span_word, word_dim
 
 __all__ = [
@@ -44,7 +44,7 @@ def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile
 def _top_free_rank(comp: CubicalComplex) -> int:
     # integer H_top is free (no higher faces), so a rank suffices
     d = comp.dim
-    mats = _matrices_over(comp.faces, INTEGER)
+    mats = _matrices_over(comp.faces)
     return mats.num_faces(d) - integer_rank(mats.dense(d))
 
 
@@ -110,8 +110,7 @@ def facelike_characterization(c: CubicalComplex, s: CubicalComplex, k: int) -> b
     """
     if k < 1:
         raise ContractError(f"k >= 1 required, got {k}")
-    if s.ambient_dim != c.ambient_dim or not s.faces <= c.faces:
-        raise StructuralError("s is not a subcomplex of c")
+    _require_subcomplex(c, s, "s")
     if not s.faces:
         raise StructuralError("s is empty")
     spanning = span_word(s.maximal_faces())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .complex import CubicalComplex, ambient_faces, delete
 from .errors import ContractError
-from .homology import GF2, INTEGER, homology_profile
+from .homology import GF2, INTEGER, _check_ring, homology_profile
 from .manifold import is_homology_manifold
 from .words import facets, proper_subwords, sort_words, validate_word, word_dim
 
@@ -117,10 +117,7 @@ def _criterion(skel: CubicalComplex, f: str, degrees, ring: str) -> CandidateVer
 def face_criterion(skel: CubicalComplex, f: str, k: int, d: int) -> CandidateVerdict:
     """Accept f iff deleting its boundary preserves GF(2) homology in
     degrees d-k and d-k-1 (negative degrees count as zero groups)."""
-    if k < 2:
-        raise ContractError(f"k >= 2 required, got k={k}")
-    if d - k > k - 1:
-        raise ContractError(f"d-k <= k-1 required, got k={k}, d={d}")
+    ReconstructionConfig(k, d).validate()
     if word_dim(f) != k + 1:
         raise ContractError(f"candidate {f!r} has dimension {word_dim(f)}, expected {k + 1}")
     return _criterion(skel, f, (d - k, d - k - 1), GF2)
@@ -134,8 +131,7 @@ def face_criterion_tight(skel: CubicalComplex, f: str, r: int, ring: str = GF2) 
     """
     if r < 2:
         raise ContractError(f"r >= 2 required, got r={r}")
-    if ring not in (GF2, INTEGER):
-        raise ContractError(f"ring must be {GF2!r} or {INTEGER!r}, got {ring!r}")
+    _check_ring(ring)
     if word_dim(f) != r + 1:
         raise ContractError(f"candidate {f!r} has dimension {word_dim(f)}, expected {r + 1}")
     return _criterion(skel, f, (r - 1,), ring)
@@ -175,9 +171,10 @@ def reconstruct_auto(
 ) -> list[tuple[int, CubicalComplex]]:
     """Try every admissible target dimension and keep verified manifolds.
 
-    For d in k..d_max the standard loop runs whenever k >= floor(d/2)+1;
-    the boundary case d = 2k additionally runs under the requested tight
-    mode, which the caller enables only when its hypothesis is trusted.
+    For d in k..min(d_max, 2k) the standard loop runs below d = 2k, where
+    k >= floor(d/2)+1 holds; the boundary case d = 2k runs only under the
+    requested tight mode, which the caller enables only when its
+    hypothesis is trusted.  No mode admits d > 2k.
     A result is kept iff it passes is_homology_manifold at dimension d.
     The input itself is reported when it is already a manifold, covering
     skeletons below the search range.
@@ -198,14 +195,11 @@ def reconstruct_auto(
     own = is_homology_manifold(skel)
     if own.is_manifold:
         keep(own.dimension, skel)
-    for d in range(k, d_max + 1):
-        if k >= d // 2 + 1:
-            cfg = ReconstructionConfig(k, d, STANDARD)
-        elif tight_mode is not None and d == 2 * k:
-            cfg = ReconstructionConfig(k, d, tight_mode)
-        else:
+    for d in range(k, min(d_max, 2 * k) + 1):
+        mode = STANDARD if d < 2 * k else tight_mode
+        if mode is None:
             continue
-        built = reconstruct(skel, cfg)
+        built = reconstruct(skel, ReconstructionConfig(k, d, mode))
         report = is_homology_manifold(built)
         if report.is_manifold and report.dimension == d:
             keep(d, built)

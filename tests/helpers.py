@@ -214,6 +214,28 @@ def projective_plane() -> sk.CubicalComplex:
     return sk.cubical_barycentric_subdivision(RP2_TRIANGLES)
 
 
+def cube_symmetry(rng, n: int):
+    """A random symmetry of I^n, a coordinate permutation plus flips, on face words."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    flips = [rng.random() < 0.5 for _ in range(n)]
+    swap = {"0": "1", "1": "0", "*": "*"}
+
+    def apply(w: str) -> str:
+        out = [""] * n
+        for i, letter in enumerate(w):
+            out[perm[i]] = swap[letter] if flips[i] else letter
+        return "".join(out)
+
+    return apply
+
+
+def relabel(c: sk.CubicalComplex, rng) -> sk.CubicalComplex:
+    """The image of c under a random cube symmetry: an isomorphic complex."""
+    apply = cube_symmetry(rng, c.ambient_dim)
+    return sk.CubicalComplex(c.ambient_dim, frozenset(apply(w) for w in c.faces))
+
+
 def components_oracle(c: sk.CubicalComplex) -> list[frozenset[str]]:
     """Face sets of the connected components, ordered by smallest vertex.
 

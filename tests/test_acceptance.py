@@ -195,8 +195,7 @@ def test_criterion_8_homology_engine():
     ]
     betti_ok = all(sk.betti_gf2(c).betti == want for c, want in expected)
     for _, c in sk.corpus():
-        for ring in (sk.GF2, sk.INTEGER):
-            sk.boundary_matrices(c, ring).check_chain_identity()
+        sk.boundary_matrices(c).check_chain_identity()
     rng = random.Random(2024)
     snf_ok = True
     for _ in range(200):

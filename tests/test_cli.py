@@ -171,13 +171,15 @@ def test_reconstruct_command_reports_rejections(tmp_path, capsys):
 def test_reconstruct_auto_command(tmp_path, capsys):
     src = write_complex(tmp_path, "skel.cplx", sk.skeleton(sk.cube_boundary(3), 2))
     dst = str(tmp_path / "auto.cplx")
-    assert main(["reconstruct", src, "-k", "2", "--auto", "--dmax", "4", "-o", dst]) == 0
-    out = capsys.readouterr().out
-    assert "auto k=2 dmax=4 tight=off" in out
-    assert "result d=2 faces=26" in out
-    assert f"wrote {dst} (d=2)" in out
-    rebuilt, _ = parse_complex((tmp_path / "auto.cplx").read_text())
-    assert rebuilt == sk.cube_boundary(3)
+    # no mode admits d > 2k, so a --dmax far above 2k does no further work
+    for dmax in ("4", str(10**18)):
+        assert main(["reconstruct", src, "-k", "2", "--auto", "--dmax", dmax, "-o", dst]) == 0
+        out = capsys.readouterr().out
+        assert f"auto k=2 dmax={dmax} tight=off" in out
+        assert "result d=2 faces=26" in out
+        assert f"wrote {dst} (d=2)" in out
+        rebuilt, _ = parse_complex((tmp_path / "auto.cplx").read_text())
+        assert rebuilt == sk.cube_boundary(3)
 
 
 def test_reconstruct_auto_without_result(tmp_path, capsys):
@@ -276,6 +278,15 @@ def test_commands_refuse_closures_over_the_bound(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("contract violation: closure of '*****' would exceed 81 faces") == 3
     assert not (tmp_path / "x.cplx").exists()
+
+
+def test_embed_refuses_graph_files_over_the_vertex_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("skelcube.io.MAX_GRAPH_VERTICES", 4)
+    (tmp_path / "ok.graph").write_text("vertices 4\n0 1\n")
+    (tmp_path / "big.graph").write_text("# five vertices\nvertices 5\n0 1\n")
+    assert main(["embed", str(tmp_path / "ok.graph"), "--nmax", "3"]) == 0
+    assert main(["embed", str(tmp_path / "big.graph"), "--nmax", "3"]) == 2
+    assert "line 2: vertex count 5 exceeds the bound 4" in capsys.readouterr().err
 
 
 def test_embed_command_long_path(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import skelcube as sk
+from skelcube.words import word_dim
 
 from helpers import (
     all_words,
@@ -120,6 +121,21 @@ def test_delete_and_face_likeness_match_vertex_scan_oracles():
             g = random_subcomplex(rng, c, max_generators=2)
             assert sk.delete(c, g) == delete_oracle(c, g)
             assert sk.is_face_like(c, g) == is_face_like_oracle(c, g)
+
+
+def test_dim_is_computed_once(monkeypatch):
+    c = sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(3))
+    twin = sk.CubicalComplex(c.ambient_dim, c.faces)
+    real = word_dim
+    calls = []
+    monkeypatch.setattr("skelcube.complex.word_dim", lambda w: calls.append(w) or real(w))
+    assert c.dim == 3
+    first = len(calls)
+    assert first > 0
+    assert c.dim == 3
+    assert len(calls) == first
+    # the cached value is no field: equality and hashing ignore it
+    assert c == twin and hash(c) == hash(twin)
 
 
 def test_closure_refuses_more_faces_than_the_bound(monkeypatch):

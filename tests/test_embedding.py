@@ -208,17 +208,19 @@ def test_empty_and_single_vertex_graphs():
 
 
 def test_later_component_root_allocates_no_code_table():
+    # at n_max = 10**8 the number 2**n_max alone would take 12.5 MB
     g = sk.SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        emb = sk.find_graph_embedding(g, 20)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert emb is not None and emb.is_valid_for(g)
-    assert peak - before < 1 << 20
+    for n_max in (20, 10**8):
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            emb = sk.find_graph_embedding(g, n_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert emb is not None and emb.is_valid_for(g)
+        assert peak - before < 1 << 20
 
 
 def test_component_that_cannot_embed_is_refuted_alone():
