@@ -47,8 +47,6 @@ from .homology import (
     HomologyProfile,
     betti_gf2,
     boundary_matrices,
-    cohomology_betti_gf2,
-    cohomology_integer,
     cohomology_profile,
     gf2_rank,
     homology_integer,
@@ -74,7 +72,6 @@ from .reconstruct import (
     ReconstructionStep,
     enumerate_candidates,
     face_criterion,
-    face_criterion_tight,
     reconstruct,
     reconstruct_auto,
     reconstruct_steps,

@@ -108,9 +108,8 @@ def _cmd_reconstruct(args) -> int:
     if args.auto:
         if args.dmax is None:
             raise StructuralError("--auto requires --dmax")
-        tight = args.mode if args.mode != STANDARD else None
-        print(f"auto k={args.k} dmax={args.dmax} tight={tight or 'off'}")
-        results = reconstruct_auto(c, args.k, args.dmax, tight_mode=tight)
+        print(f"auto k={args.k} dmax={args.dmax} tight={'off' if args.mode == STANDARD else args.mode}")
+        results = reconstruct_auto(c, args.k, args.dmax, args.mode)
         for d, cx in results:
             print(f"result d={d} faces={len(cx.faces)}")
         if not results:

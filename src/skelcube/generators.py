@@ -2,6 +2,9 @@
 
 Specs are written family(arg, ...) with integer or nested-spec
 arguments, e.g. "product(boundary-cube(3), boundary-cube(2))".
+FAMILIES maps each family name to the kinds of its arguments (an
+integer or a complex, given by a nested spec) and the builder they are
+passed to; the builders check the ranges of their own arguments.
 """
 
 from __future__ import annotations
@@ -82,27 +85,7 @@ def _parse_spec(text: str, i: int) -> tuple[GeneratorSpec, int]:
     return GeneratorSpec(name, tuple(args)), i
 
 
-def _int_arg(spec: GeneratorSpec, pos: int) -> int:
-    if pos >= len(spec.args) or not isinstance(spec.args[pos], int):
-        raise ValueError(f"{spec.family} needs an integer argument at position {pos}")
-    return spec.args[pos]
-
-
-def _complex_arg(spec: GeneratorSpec, pos: int) -> CubicalComplex:
-    if pos >= len(spec.args) or not isinstance(spec.args[pos], GeneratorSpec):
-        raise ValueError(f"{spec.family} needs a nested spec argument at position {pos}")
-    out = generate(spec.args[pos])
-    if not isinstance(out, CubicalComplex):
-        raise ValueError(f"{spec.family} argument {spec.args[pos]} is a graph, not a complex")
-    return out
-
-
-def _arity(spec: GeneratorSpec, n: int) -> None:
-    if len(spec.args) != n:
-        raise ValueError(f"{spec.family} takes {n} argument(s), got {len(spec.args)}")
-
-
-def cubical_barycentric_subdivision(simplices, num_vertices: int | None = None) -> CubicalComplex:
+def cubical_barycentric_subdivision(simplices) -> CubicalComplex:
     """Cubes are intervals [sigma, tau] of the simplex poset.
 
     A simplex is a set of vertex indices; the input is closed downward
@@ -123,10 +106,6 @@ def cubical_barycentric_subdivision(simplices, num_vertices: int | None = None) 
     if not closed:
         raise StructuralError("cubical barycentric subdivision of an empty complex is undefined")
     n = max(max(s) for s in closed) + 1
-    if num_vertices is not None:
-        if num_vertices < n:
-            raise StructuralError("num_vertices is smaller than the largest vertex index")
-        n = num_vertices
     faces = set()
     for tau in closed:
         members = sorted(tau)
@@ -141,79 +120,56 @@ def cubical_barycentric_subdivision(simplices, num_vertices: int | None = None) 
     return CubicalComplex(n, frozenset(faces))
 
 
-def _polygon(m: int):
-    """Boundary of an m-gon as a simplicial complex on vertices 0..m-1."""
-    return [frozenset({i, (i + 1) % m}) for i in range(m)]
+def _cbs_polygon(m: int) -> CubicalComplex:
+    """Subdivided boundary of an m-gon: a cycle of 2m edges in I^m."""
+    if m < 3:
+        raise ValueError(f"cbs takes a polygon size >= 3, got {m}")
+    return cubical_barycentric_subdivision([frozenset({i, (i + 1) % m}) for i in range(m)])
+
+
+def _even_cycle(length: int) -> CubicalComplex:
+    if length < 4 or length % 2:
+        raise ValueError(f"cycle complexes exist only for even length >= 4, got {length}")
+    return cube_boundary(2) if length == 4 else _cbs_polygon(length // 2)
+
+
+def _disjoint_union(a: CubicalComplex, b: CubicalComplex) -> CubicalComplex:
+    # one extra splitting coordinate keeps the copies vertex-disjoint
+    # even when both operands use all corners of their blocks
+    na, nb = a.ambient_dim, b.ambient_dim
+    faces = {w + ZERO * nb + ZERO for w in a.faces}
+    faces.update(ZERO * na + w + ONE for w in b.faces)
+    return CubicalComplex(na + nb + 1, frozenset(faces))
+
+
+# name -> (argument kinds, builder); a nested spec is built before the check
+FAMILIES = {
+    "cube": ((int,), full_cube),
+    "boundary-cube": ((int,), cube_boundary),
+    "skeleton-of": ((CubicalComplex, int), skeleton),
+    "even-cycle": ((int,), _even_cycle),
+    "product": ((CubicalComplex, CubicalComplex), product_complex),
+    "disjoint-union": ((CubicalComplex, CubicalComplex), _disjoint_union),
+    "cbs": ((int,), _cbs_polygon),
+    "graph-c3": ((), lambda: SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])),
+    "graph-k23": ((), lambda: SimpleGraph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])),
+}
+
+_KIND_NAMES = {int: "integer", CubicalComplex: "complex"}
 
 
 def generate(spec: GeneratorSpec | str):
     """Build the complex or graph named by a generator spec."""
     if isinstance(spec, str):
         spec = parse_generator_spec(spec)
-    family = spec.family
-    if family == "cube":
-        _arity(spec, 1)
-        n = _int_arg(spec, 0)
-        if n < 0:
-            raise ValueError("cube dimension must be nonnegative")
-        return full_cube(n)
-    if family == "boundary-cube":
-        _arity(spec, 1)
-        n = _int_arg(spec, 0)
-        if n < 1:
-            raise ValueError("boundary-cube needs n >= 1")
-        return cube_boundary(n)
-    if family == "skeleton-of":
-        _arity(spec, 2)
-        base = _complex_arg(spec, 0)
-        return skeleton(base, _int_arg(spec, 1))
-    if family == "even-cycle":
-        _arity(spec, 1)
-        length = _int_arg(spec, 0)
-        if length < 4 or length % 2:
-            raise ValueError(f"cycle complexes exist only for even length >= 4, got {length}")
-        if length == 4:
-            return cube_boundary(2)
-        return cubical_barycentric_subdivision(_polygon(length // 2))
-    if family == "product":
-        _arity(spec, 2)
-        return product_complex(_complex_arg(spec, 0), _complex_arg(spec, 1))
-    if family == "disjoint-union":
-        _arity(spec, 2)
-        a = _complex_arg(spec, 0)
-        b = _complex_arg(spec, 1)
-        # one extra splitting coordinate keeps the copies vertex-disjoint
-        # even when both operands use all corners of their blocks
-        na, nb = a.ambient_dim, b.ambient_dim
-        faces = {w + ZERO * nb + ZERO for w in a.faces}
-        faces.update(ZERO * na + w + ONE for w in b.faces)
-        return CubicalComplex(na + nb + 1, frozenset(faces))
-    if family == "cbs":
-        _arity(spec, 1)
-        m = _int_arg(spec, 0)
-        if m < 3:
-            raise ValueError(f"cbs takes a polygon size >= 3, got {m}")
-        return cubical_barycentric_subdivision(_polygon(m))
-    if family == "graph-c3":
-        _arity(spec, 0)
-        return SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    if family == "graph-k23":
-        _arity(spec, 0)
-        return SimpleGraph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
-    raise ValueError(f"unknown generator family {family!r}")
-
-
-FAMILIES = (
-    "cube",
-    "boundary-cube",
-    "skeleton-of",
-    "even-cycle",
-    "product",
-    "disjoint-union",
-    "cbs",
-    "graph-c3",
-    "graph-k23",
-)
+    if spec.family not in FAMILIES:
+        raise ValueError(f"unknown generator family {spec.family!r}")
+    kinds, build = FAMILIES[spec.family]
+    args = [generate(a) if isinstance(a, GeneratorSpec) else a for a in spec.args]
+    if len(args) != len(kinds) or not all(isinstance(a, kind) for a, kind in zip(args, kinds)):
+        expected = ", ".join(_KIND_NAMES[kind] for kind in kinds)
+        raise ValueError(f"{spec.family} takes ({expected}), got {spec}")
+    return build(*args)
 
 
 def corpus() -> list[tuple[str, CubicalComplex]]:

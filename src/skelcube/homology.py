@@ -42,8 +42,6 @@ __all__ = [
     "betti_gf2",
     "homology_integer",
     "homology_profile",
-    "cohomology_betti_gf2",
-    "cohomology_integer",
     "cohomology_profile",
     "relative_profile",
 ]
@@ -348,17 +346,6 @@ def _homology(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile
     return _profile(mats, length, lambda j: reduce(mats.sparse_columns(j)))
 
 
-def _cohomology(c: CubicalComplex, ring: str) -> HomologyProfile:
-    """Cohomology from the coboundaries D_j^T, whose columns are the rows of D_j.
-
-    In degree j the torsion subgroup comes from the invariant factors of
-    the incoming coboundary, the transpose of D_j.
-    """
-    mats = _matrices_over(c.faces)
-    reduce = _REDUCERS[ring]
-    return _profile(mats, c.dim + 1, lambda j: reduce(mats.sparse_rows(j)), shift=0)
-
-
 # Reconstruction asks for the base profile of the same skeleton once per
 # candidate, and perfbench/traced.py reads cache_info() of these two memos
 # for homology.memo_hit_ratio.  No path asks for a cohomology twice.
@@ -379,24 +366,18 @@ def homology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
     return betti_gf2(c) if ring == GF2 else homology_integer(c)
 
 
-def cohomology_betti_gf2(c: CubicalComplex) -> HomologyProfile:
-    """GF(2) cohomology ranks, eliminated along the transposed matrices.
-
-    Field coefficients force equality with betti_gf2; eliminating the
-    columns of D_j^T (the rows of D_j) keeps this an independent route
-    rather than an alias.
-    """
-    return _cohomology(c, GF2)
-
-
-def cohomology_integer(c: CubicalComplex) -> HomologyProfile:
-    """Integer cohomology from the coboundary (transposed) matrices."""
-    return _cohomology(c, INTEGER)
-
-
 def cohomology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
+    """Cohomology from the coboundaries D_j^T, whose columns are the rows of D_j.
+
+    In degree j the torsion subgroup comes from the invariant factors of
+    the incoming coboundary, the transpose of D_j.  Over GF(2) the ranks
+    must equal those of `betti_gf2`; eliminating the transposed matrices
+    keeps this an independent route rather than an alias.
+    """
     _check_ring(ring)
-    return _cohomology(c, ring)
+    mats = _matrices_over(c.faces)
+    reduce = _REDUCERS[ring]
+    return _profile(mats, c.dim + 1, lambda j: reduce(mats.sparse_rows(j)), shift=0)
 
 
 def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> HomologyProfile:

@@ -151,7 +151,7 @@ def candidate_oracle(skel: sk.CubicalComplex, k: int) -> list[str]:
             continue
         if all(s in skel.faces for s in proper_subfaces_of(w)):
             out.append(w)
-    return sorted(out)
+    return sorted(out, key=lambda w: w.translate(str.maketrans("01*", "012")))
 
 
 def is_full_subcomplex(c: sk.CubicalComplex, g: sk.CubicalComplex) -> bool:
@@ -207,6 +207,25 @@ RP2_TRIANGLES = [
     frozenset({1, 3, 4}),
     frozenset({2, 4, 5}),
     frozenset({1, 3, 5}),
+]
+
+
+# 7-vertex torus (Moebius-Csaszar): triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7
+TORUS7_TRIANGLES = [
+    frozenset({0, 1, 3}),
+    frozenset({1, 2, 4}),
+    frozenset({2, 3, 5}),
+    frozenset({3, 4, 6}),
+    frozenset({4, 5, 0}),
+    frozenset({5, 6, 1}),
+    frozenset({6, 0, 2}),
+    frozenset({0, 2, 3}),
+    frozenset({1, 3, 4}),
+    frozenset({2, 4, 5}),
+    frozenset({3, 5, 6}),
+    frozenset({4, 6, 0}),
+    frozenset({5, 0, 1}),
+    frozenset({6, 1, 2}),
 ]
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,20 @@ def test_reconstruct_command_reports_rejections(tmp_path, capsys):
     assert "candidate ***00 boundary=present accepted=no j=1 deleted=0 base=1 j=0 deleted=1 base=1" in out
     rebuilt, _ = parse_complex((tmp_path / "out.cplx").read_text())
     assert rebuilt == m
+
+
+def test_reconstruct_command_in_a_large_ambient_cube(tmp_path, capsys):
+    # the 3-sphere padded with zeros into I^14: candidates come from the
+    # skeleton's own faces, not from the C(14,3) * 2^11 ambient 3-faces
+    s3 = sk.product_complex(sk.cube_boundary(4), sk.closure(10, ["0" * 10]))
+    src = write_complex(tmp_path, "skel.cplx", sk.skeleton(s3, 2))
+    dst = str(tmp_path / "out.cplx")
+    start = time.process_time()
+    assert main(["reconstruct", src, "-k", "2", "-d", "3", "-o", dst]) == 0
+    assert time.process_time() - start <= 0.5
+    assert "step degree=2 candidates=8 accepted=8" in capsys.readouterr().out
+    rebuilt, _ = parse_complex((tmp_path / "out.cplx").read_text())
+    assert rebuilt == s3
 
 
 def test_reconstruct_auto_command(tmp_path, capsys):

@@ -45,6 +45,10 @@ def test_generate_rejects_bad_arguments():
         sk.generate("product(graph-c3, cube(1))")
     with pytest.raises(ValueError):
         sk.generate("mystery(2)")
+    with pytest.raises(ValueError, match=r"^product takes \(complex, complex\), got product\(graph-c3, cube\(1\)\)$"):
+        sk.generate("product(graph-c3, cube(1))")
+    with pytest.raises(ValueError, match=r"^skeleton-of takes \(complex, integer\), got skeleton-of\(2\)$"):
+        sk.generate("skeleton-of(2)")
 
 
 def test_even_cycle_complexes():
@@ -97,8 +101,6 @@ def test_cbs_general_subdivision_of_a_triangle_fan():
         sk.cubical_barycentric_subdivision([])
     with pytest.raises(sk.StructuralError):
         sk.cubical_barycentric_subdivision([set()])
-    padded = sk.cubical_barycentric_subdivision([{0, 1}], num_vertices=4)
-    assert padded.ambient_dim == 4
 
 
 def test_cbs_embeds_in_cube_on_vertex_count():

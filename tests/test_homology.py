@@ -68,10 +68,10 @@ def test_projective_plane_torsion():
 
 def test_projective_plane_cohomology_shifts_torsion():
     p = projective_plane()
-    prof = sk.cohomology_integer(p)
+    prof = sk.cohomology_profile(p, sk.INTEGER)
     assert prof.betti == (1, 0, 0)
     assert prof.torsion == ((), (), (2,))
-    assert sk.cohomology_betti_gf2(p).betti == (1, 1, 1)
+    assert sk.cohomology_profile(p, sk.GF2).betti == (1, 1, 1)
 
 
 def test_cohomology_gf2_matches_homology_ranks():
@@ -79,7 +79,7 @@ def test_cohomology_gf2_matches_homology_ranks():
     base = sk.full_cube(4)
     for _ in range(15):
         c = random_subcomplex(rng, base)
-        assert sk.cohomology_betti_gf2(c).betti == sk.betti_gf2(c).betti
+        assert sk.cohomology_profile(c, sk.GF2).betti == sk.betti_gf2(c).betti
 
 
 def test_integer_cohomology_obeys_universal_coefficients():
@@ -88,7 +88,7 @@ def test_integer_cohomology_obeys_universal_coefficients():
     base = sk.full_cube(4)
     for c in [projective_plane()] + [random_subcomplex(rng, base) for _ in range(15)]:
         hom = sk.homology_integer(c)
-        coh = sk.cohomology_integer(c)
+        coh = sk.cohomology_profile(c, sk.INTEGER)
         assert coh.betti == hom.betti
         for j in range(len(coh.betti)):
             assert coh.degree(j)[1] == hom.degree(j - 1)[1]
@@ -233,7 +233,7 @@ def test_projective_plane_squared_integer_homology_and_cohomology():
     h = sk.homology_integer(c)
     assert h.betti == (1, 0, 0, 0, 0)
     assert h.torsion == ((), (2, 2), (2,), (2,), ())
-    co = sk.cohomology_integer(c)
+    co = sk.cohomology_profile(c, sk.INTEGER)
     assert co.betti == (1, 0, 0, 0, 0)
     assert co.torsion == ((), (), (2, 2), (2,), (2,))
 

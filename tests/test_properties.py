@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import skelcube as sk
 from skelcube.io import parse_complex, serialize_complex
 
-from helpers import all_words, projective_plane, relabel
+from helpers import TORUS7_TRIANGLES, all_words, projective_plane, relabel
 
 WORDS = [list(all_words(n)) for n in range(6)]
 
@@ -30,6 +30,7 @@ def complexes(draw, max_n: int = 5, max_generators: int = 6) -> sk.CubicalComple
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 RP2 = projective_plane()
 RP2_TIMES_CIRCLE = sk.product_complex(RP2, sk.cube_boundary(2))
+TORUS7 = sk.cubical_barycentric_subdivision(TORUS7_TRIANGLES)
 
 
 @PROPERTY
@@ -83,10 +84,23 @@ MANIFOLDS = [
     ("S^1xC_6", sk.product_complex(_sphere(1), _C6), 2, True),
     ("S^2xC_6", sk.product_complex(_sphere(2), _C6), 3, True),
     ("S^2xS^2", sk.product_complex(_sphere(2), _sphere(2)), 4, True),
+    # a rebuild of TORUS7 x S^1 costs over a second, so only the surface is listed
+    ("T^2_7", TORUS7, 2, True),
     ("RP^2", RP2, 2, False),
     ("RP^2xS^1", RP2_TIMES_CIRCLE, 3, False),
 ]
 BY_NAME = {name: (m, d, orientable) for name, m, d, orientable in MANIFOLDS}
+
+
+def test_seven_vertex_torus_under_cbs():
+    assert len(TORUS7.faces) == 168
+    h = sk.homology_integer(TORUS7)
+    assert h.betti == (1, 2, 1)
+    assert h.torsion == ((), (), ())
+    report = sk.is_homology_manifold(TORUS7, check_orientability=True)
+    assert report.is_manifold and report.dimension == 2 and report.orientable
+
+
 # a rebuild of RP^2 x S^1 takes most of a second, so each input is placed once
 REBUILD = settings(PROPERTY, max_examples=1)
 PLACED = settings(PROPERTY, max_examples=4)

@@ -1,20 +1,44 @@
 import random
+import time
 
 import pytest
 
 import skelcube as sk
 
-from helpers import candidate_oracle, random_subcomplex
+from helpers import candidate_oracle, projective_plane, random_subcomplex
 
 
 def test_enumerate_candidates_against_oracle():
     rng = random.Random(19)
+    total = 0
     for _ in range(12):
         base = sk.full_cube(4)
         c = random_subcomplex(rng, base, max_generators=8)
-        for k in range(max(c.dim, 0), 4):
+        # skeletons below c.dim are the ones with candidates: the faces of c one degree up
+        for k in range(4):
             skel = sk.skeleton(c, k)
-            assert sk.enumerate_candidates(skel, k) == candidate_oracle(skel, k)
+            cands = sk.enumerate_candidates(skel, k)
+            assert cands == candidate_oracle(skel, k)
+            total += len(cands)
+    assert total > 0
+
+
+def test_enumerate_candidates_ignores_the_size_of_the_ambient_cube():
+    # the 3-sphere padded with zeros into I^14: scanning every ambient
+    # 3-face would visit C(14,3) * 2^11 words
+    s3 = sk.product_complex(sk.cube_boundary(4), sk.closure(10, ["0" * 10]))
+    skel = sk.skeleton(s3, 2)
+    start = time.process_time()
+    cands = sk.enumerate_candidates(skel, 2)
+    assert time.process_time() - start <= 0.5
+    assert cands == sorted(s3.faces - skel.faces, key=lambda w: w.translate(str.maketrans("01*", "012")))
+    assert len(cands) == 8
+
+
+def test_enumerate_candidates_below_degree_zero_is_empty():
+    empty = sk.CubicalComplex(3)
+    # an ambient scan would call all eight vertices of I^3 candidates: they have no facets
+    assert sk.enumerate_candidates(empty, -1) == []
 
 
 def test_enumerate_candidates_frozen_counts():
@@ -68,9 +92,23 @@ def test_face_criterion_validates_arguments():
     with pytest.raises(sk.ContractError):
         sk.face_criterion(skel, "**00", 2, 3)  # wrong candidate dimension
     with pytest.raises(sk.ContractError):
-        sk.face_criterion_tight(skel, "***0", 1)
+        sk.face_criterion(skel, "***0", 1, 2, sk.TIGHT_GF2)
     with pytest.raises(sk.ContractError):
-        sk.face_criterion_tight(skel, "***0", 2, "rationals")
+        sk.face_criterion(skel, "***0", 2, 3, sk.TIGHT_INTEGER)  # tight needs d = 2k
+    with pytest.raises(sk.ContractError):
+        sk.face_criterion(skel, "***0", 2, 4, "rationals")
+
+
+def test_tight_criterion_compares_only_degree_d_minus_k_minus_1():
+    # H_1 of RP^2 x S^1 is Z + Z/2, so the ring shows in the profile
+    m = sk.product_complex(projective_plane(), sk.cube_boundary(2))
+    skel = sk.skeleton(m, 2)
+    f = "**0001*0"
+    assert f in m
+    standard = sk.face_criterion(skel, f, 2, 3)
+    assert [(j, base) for j, _, base in standard.profiles] == [(1, (2, ())), (0, (1, ()))]
+    assert sk.face_criterion(skel, f, 2, 4, sk.TIGHT_GF2).profiles == ((1, (2, ()), (2, ())),)
+    assert sk.face_criterion(skel, f, 2, 4, sk.TIGHT_INTEGER).profiles == ((1, (1, (2,)), (1, (2,))),)
 
 
 def test_face_criterion_missing_boundary_is_rejected_early():
@@ -197,13 +235,13 @@ def test_auto_validates_arguments():
     with pytest.raises(sk.ContractError):
         sk.reconstruct_auto(skel, 1, 3)
     with pytest.raises(sk.ContractError):
-        sk.reconstruct_auto(skel, 2, 4, tight_mode="loose")
+        sk.reconstruct_auto(skel, 2, 4, mode="loose")
 
 
 def test_tight_mode_misuse_is_caught_by_manifold_check():
     # the 2-skeleton of the 3-sphere violates the tight middle-homology
     # hypothesis at d=4; auto discards whatever the tight run produces
     skel = sk.skeleton(sk.cube_boundary(4), 2)
-    found = sk.reconstruct_auto(skel, 2, 4, tight_mode=sk.TIGHT_GF2)
+    found = sk.reconstruct_auto(skel, 2, 4, mode=sk.TIGHT_GF2)
     assert all(d != 4 or sk.is_homology_manifold(cx).is_manifold for d, cx in found)
     assert (3, sk.cube_boundary(4)) in [(d, cx) for d, cx in found]
