@@ -46,7 +46,8 @@ class CubicalComplex:
 
     Operations in this module keep the face set downward closed; the
     constructor only checks word shape, closure is asserted separately
-    by validate().
+    by validate().  Complexes derived from valid ones are made by
+    `_derived`, which skips that check.
     """
 
     ambient_dim: int
@@ -64,6 +65,13 @@ class CubicalComplex:
     def dim(self) -> int:
         """Top face dimension, -1 for the empty complex; computed once per instance."""
         return max((word_dim(w) for w in self.faces), default=-1)
+
+    @cached_property
+    def chains(self):
+        """Signed boundary matrices of the whole complex (a homology.BoundaryMatrices), built once per instance."""
+        from . import homology  # homology imports this module
+
+        return homology._matrices_over(self.faces)
 
     def __contains__(self, w: str) -> bool:
         return w in self.faces
@@ -108,6 +116,14 @@ class CubicalComplex:
                     raise StructuralError(f"complex is not closed: {w!r} present, facet {f!r} missing")
 
 
+def _derived(ambient_dim: int, faces: frozenset) -> CubicalComplex:
+    """A complex whose words come from valid complexes, built without re-validating them."""
+    c = object.__new__(CubicalComplex)
+    object.__setattr__(c, "ambient_dim", ambient_dim)
+    object.__setattr__(c, "faces", faces)
+    return c
+
+
 def closure(ambient_dim: int, generators) -> CubicalComplex:
     """Downward closure of a set of face words inside I^ambient_dim."""
     out: set[str] = set()
@@ -143,8 +159,8 @@ def cube_boundary(n: int) -> CubicalComplex:
 def skeleton(c: CubicalComplex, k: int) -> CubicalComplex:
     """Faces of dimension at most k; k < 0 yields the empty complex."""
     if k < 0:
-        return CubicalComplex(c.ambient_dim, frozenset())
-    return CubicalComplex(c.ambient_dim, frozenset(w for w in c.faces if word_dim(w) <= k))
+        return _derived(c.ambient_dim, frozenset())
+    return _derived(c.ambient_dim, frozenset(w for w in c.faces if word_dim(w) <= k))
 
 
 def _require_subcomplex(c: CubicalComplex, g: CubicalComplex, role: str) -> None:
@@ -177,7 +193,7 @@ def delete(c: CubicalComplex, g: CubicalComplex) -> CubicalComplex:
     c must be downward closed (see star).
     """
     _require_subcomplex(c, g, "deletion argument")
-    return CubicalComplex(c.ambient_dim, c.faces - star(c, g.vertices()))
+    return _derived(c.ambient_dim, c.faces - star(c, g.vertices()))
 
 
 def face_subcomplex(c: CubicalComplex, f: str) -> CubicalComplex:
@@ -214,7 +230,7 @@ def is_face_like(c: CubicalComplex, g: CubicalComplex) -> bool:
 def product_complex(a: CubicalComplex, b: CubicalComplex) -> CubicalComplex:
     """Concatenate face words; realizes the product in I^(m+n)."""
     faces = frozenset(wa + wb for wa in a.faces for wb in b.faces)
-    return CubicalComplex(a.ambient_dim + b.ambient_dim, faces)
+    return _derived(a.ambient_dim + b.ambient_dim, faces)
 
 
 def ambient_faces(n: int, k: int):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, takewhile
 
-from .complex import CubicalComplex
+from .complex import CubicalComplex, _derived
 from .errors import ContractError, ContradictionError, StructuralError
 from .words import STAR, ZERO, ONE, sort_words, word_dim, word_vertices
 
@@ -117,7 +117,7 @@ def components(c: CubicalComplex) -> list[CubicalComplex]:
     buckets: list[set[str]] = [set() for _ in order]
     for w in c.faces:
         buckets[root[index[next(word_vertices(w))]]].add(w)
-    return [CubicalComplex(c.ambient_dim, frozenset(b)) for b in buckets if b]
+    return [_derived(c.ambient_dim, frozenset(b)) for b in buckets if b]
 
 
 def bfs_forest(adj: list[list[int]]) -> tuple[list[int], list[int]]:

@@ -6,9 +6,14 @@ signed_facets: the i-th star of a face (left to right, starting at 1)
 contributes (-1)**(i+1) on its ONE facet and (-1)**i on its ZERO facet.
 
 The matrices carry no ring: they are the same sparse (index, sign)
-vectors over GF(2) and over Z, and the ring only picks the reducer that
-eliminates them.  GF(2) packs each vector into an integer for
-`gf2_rank`.  Every integer elimination (homology, cohomology, relative
+vectors over GF(2) and over Z, and the ring only picks how a vector is
+packed and the reducer that eliminates them.  GF(2) packs each vector
+into an integer for `gf2_rank`, once per matrix.  A complex builds the
+matrices of its whole face set once (`CubicalComplex.chains`); the
+homology of a subcomplex in a few degrees is read off them by keeping
+the subcomplex's columns (`_kept_degrees`).
+
+Every integer elimination (homology, cohomology, relative
 homology and `integer_rank`) goes through one sparse reducer,
 `_invariant_factors`.  It first eliminates unit (+-1) pivots: each one
 is a unimodular row and column operation that contributes an invariant
@@ -24,7 +29,7 @@ and there is no overflow path to detect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .complex import CubicalComplex, _require_subcomplex
 from .errors import ContractError, StructuralError
@@ -51,7 +56,7 @@ INTEGER = "int"
 
 
 def _check_ring(ring: str) -> None:
-    if ring not in _REDUCERS:
+    if ring not in _RINGS:
         raise ContractError(f"ring must be {GF2!r} or {INTEGER!r}, got {ring!r}")
 
 
@@ -87,6 +92,7 @@ class BoundaryMatrices:
     def __init__(self, levels, columns):
         self.levels = levels        # levels[j]: j-faces, canonical order
         self.columns = columns      # columns[j][c]: list of (row, sign), j >= 1
+        self._packed: dict[str, list] = {}  # ring -> columns packed for its reducer
 
     @property
     def top(self) -> int:
@@ -102,6 +108,16 @@ class BoundaryMatrices:
         if not 1 <= j <= self.top:
             return []
         return self.columns[j]
+
+    def packed_columns(self, j: int, ring: str) -> list:
+        """Columns of D_j packed for the ring's reducer; each ring packs them once per instance."""
+        if not 1 <= j <= self.top:
+            return []
+        packed = self._packed.get(ring)
+        if packed is None:
+            pack = _RINGS[ring][0]
+            packed = self._packed[ring] = [[pack(col) for col in cols] for cols in self.columns]
+        return packed[j]
 
     def sparse_rows(self, j: int) -> list[list[tuple[int, int]]]:
         """Rows of D_j as (column, sign) lists: the columns of its transpose."""
@@ -156,7 +172,7 @@ def _matrices_over(face_set) -> BoundaryMatrices:
 
 
 def boundary_matrices(c: CubicalComplex) -> BoundaryMatrices:
-    return _matrices_over(c.faces)
+    return c.chains
 
 
 def gf2_rank(vectors) -> int:
@@ -316,49 +332,93 @@ def integer_rank(matrix) -> int:
     return len(_invariant_factors([[(i, row[j]) for i, row in enumerate(a) if row[j]] for j in range(n)]))
 
 
-def _profile(mats: BoundaryMatrices, length: int, factors_of, shift: int = 1) -> HomologyProfile:
-    """Betti numbers faces_j - rank_j - rank_(j+1) and torsion in degrees 0..length-1.
+def _degrees(faces_of, factors_of, degrees, shift: int = 1) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """(Betti number, torsion) per degree j: faces_j - rank_j - rank_(j+1), factors above 1.
 
-    factors_of(j) returns the invariant factors of the degree-j boundary
-    map, or of its transpose for cohomology (over GF(2), one 1 per pivot),
-    and an empty tuple outside 1..top.  Homology takes the torsion of
-    degree j from D_(j+1) (shift 1); cohomology takes it from the
-    coboundary into degree j, the transpose of D_j (shift 0).
+    faces_of(j) counts the j-faces; factors_of(j) returns the invariant
+    factors of the degree-j boundary map, or of its transpose for
+    cohomology (over GF(2), one 1 per pivot), and an empty tuple outside
+    1..top.  Each map is reduced once, also when two degrees share it.
+    Homology takes the torsion of degree j from D_(j+1) (shift 1);
+    cohomology takes it from the coboundary into degree j, the transpose
+    of D_j (shift 0).
     """
-    factors = [factors_of(j) for j in range(length + 2)]
-    betti = tuple(mats.num_faces(j) - len(factors[j]) - len(factors[j + 1]) for j in range(length))
-    torsion = tuple(tuple(d for d in factors[j + shift] if d > 1) for j in range(length))
-    return HomologyProfile(betti, torsion)
+    factors = {i: factors_of(i) for i in sorted({i for j in degrees for i in (j, j + 1)})}
+    return {
+        j: (faces_of(j) - len(factors[j]) - len(factors[j + 1]), tuple(d for d in factors[j + shift] if d > 1))
+        for j in degrees
+    }
 
 
-def _gf2_factors(vectors) -> tuple[int, ...]:
-    """One factor 1 per GF(2) pivot of (index, value) vectors, packed as ints."""
-    return (1,) * gf2_rank([sum(1 << i for i, _ in v) for v in vectors])
+def _profile(mats: BoundaryMatrices, length: int, factors_of, shift: int = 1) -> HomologyProfile:
+    """The profile of every face of mats in degrees 0..length-1 (see _degrees)."""
+    groups = _degrees(mats.num_faces, factors_of, range(length), shift)
+    return HomologyProfile(
+        tuple(groups[j][0] for j in range(length)), tuple(groups[j][1] for j in range(length))
+    )
 
 
-# The ring picks the reducer, never the matrix: both take a matrix as its
-# sparse (index, value) vectors and return its invariant factors.
-_REDUCERS = {GF2: _gf2_factors, INTEGER: _invariant_factors}
+def _pack_gf2(vector) -> int:
+    """A sparse (index, value) vector over GF(2) as an int, bit i for index i."""
+    return sum(1 << i for i, _ in vector)
+
+
+def _gf2_factors(packed) -> tuple[int, ...]:
+    """One factor 1 per GF(2) pivot of vectors packed as ints."""
+    return (1,) * gf2_rank(packed)
+
+
+# The ring picks the packing and the reducer, never the matrix: pack turns
+# one sparse (index, value) vector into what reduce takes, and reduce
+# returns the invariant factors of the matrix made of such vectors.
+_RINGS = {GF2: (_pack_gf2, _gf2_factors), INTEGER: (lambda vector: vector, _invariant_factors)}
 
 
 def _homology(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile:
-    reduce = _REDUCERS[ring]
-    return _profile(mats, length, lambda j: reduce(mats.sparse_columns(j)))
+    reduce = _RINGS[ring][1]
+    return _profile(mats, length, lambda j: reduce(mats.packed_columns(j, ring)))
+
+
+def _kept_degrees(mats: BoundaryMatrices, kept, degrees, ring: str) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Homology in the given degrees of the subcomplex on the faces in `kept`, from its host's matrices.
+
+    A subcomplex holds every facet of its faces, so its D_j is the
+    host's D_j restricted to the kept j-faces: columns only, as the
+    rows those columns reach are kept faces and every other row is zero
+    there.  The host's packed columns are reused, and only the maps of
+    the requested degrees and the ones above them are reduced.
+    """
+    reduce = _RINGS[ring][1]
+
+    @cache
+    def kept_at(j: int) -> list[int]:
+        if not 0 <= j <= mats.top:
+            return []
+        return [i for i, w in enumerate(mats.levels[j]) if w in kept]
+
+    def factors_of(j: int) -> tuple[int, ...]:
+        packed = mats.packed_columns(j, ring)
+        return reduce([packed[i] for i in kept_at(j)] if packed else [])
+
+    return _degrees(lambda j: len(kept_at(j)), factors_of, degrees)
 
 
 # Reconstruction asks for the base profile of the same skeleton once per
-# candidate, and perfbench/traced.py reads cache_info() of these two memos
-# for homology.memo_hit_ratio.  No path asks for a cohomology twice.
+# candidate, so these two memos now hold only the base of each degree
+# (the candidates' deleted complexes are judged by _kept_degrees).  They
+# stay because perfbench/traced.py reads their cache_info() for
+# homology.memo_hit_ratio until the benchmark records spans itself
+# (ROADMAP item 1).  No path asks for a cohomology twice.
 @lru_cache(maxsize=256)
 def betti_gf2(c: CubicalComplex) -> HomologyProfile:
     """Non-reduced GF(2) Betti numbers in degrees 0..dim."""
-    return _homology(_matrices_over(c.faces), c.dim + 1, GF2)
+    return _homology(c.chains, c.dim + 1, GF2)
 
 
 @lru_cache(maxsize=256)
 def homology_integer(c: CubicalComplex) -> HomologyProfile:
     """Integer homology: free ranks plus invariant factors per degree."""
-    return _homology(_matrices_over(c.faces), c.dim + 1, INTEGER)
+    return _homology(c.chains, c.dim + 1, INTEGER)
 
 
 def homology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
@@ -375,9 +435,9 @@ def cohomology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
     keeps this an independent route rather than an alias.
     """
     _check_ring(ring)
-    mats = _matrices_over(c.faces)
-    reduce = _REDUCERS[ring]
-    return _profile(mats, c.dim + 1, lambda j: reduce(mats.sparse_rows(j)), shift=0)
+    mats = c.chains
+    pack, reduce = _RINGS[ring]
+    return _profile(mats, c.dim + 1, lambda j: reduce([pack(row) for row in mats.sparse_rows(j)]), shift=0)
 
 
 def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> HomologyProfile:

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complex import CubicalComplex, _require_subcomplex, is_face_like, star
+from .complex import CubicalComplex, _derived, _require_subcomplex, is_face_like, star
 from .embedding import components
 from .errors import ContractError, ContradictionError, StructuralError
-from .homology import GF2, HomologyProfile, _matrices_over, integer_rank, relative_profile
+from .homology import GF2, HomologyProfile, integer_rank, relative_profile
 from .words import proper_subwords, span_word, word_dim
 
 __all__ = [
@@ -38,13 +38,13 @@ def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile
     if f not in c.faces:
         raise StructuralError(f"face {f!r} is not in the complex")
     away = c.faces - star(c, (f,))
-    return relative_profile(c, CubicalComplex(c.ambient_dim, away), ring)
+    return relative_profile(c, _derived(c.ambient_dim, away), ring)
 
 
 def _top_free_rank(comp: CubicalComplex) -> int:
     # integer H_top is free (no higher faces), so a rank suffices
     d = comp.dim
-    mats = _matrices_over(comp.faces)
+    mats = comp.chains
     return mats.num_faces(d) - integer_rank(mats.dense(d))
 
 

@@ -8,6 +8,15 @@ skeleton level because d-k <= k-1.  Accepted faces are added in one
 batch per degree and the process repeats with the grown complex until
 the target dimension is reached.
 
+Deleting the boundary of a candidate removes the open star of its
+vertices, and a face outside that star has no vertex there, so none of
+its facets is in the star either.  The deletion therefore removes
+columns only: its D_j is the current complex's D_j restricted to the
+j-faces kept.  The boundary matrices of the current complex are built
+once per degree (`CubicalComplex.chains`, also read by its base
+profile), and each candidate only reduces the kept columns of the maps
+its compared degrees need.
+
 A tight mode (even target dimension d = 2k) is the same test at the
 first degree with degree d-k dropped, the middle degree whose homology
 its hypothesis controls: H_k vanishing over GF(2) for TIGHT_GF2, or
@@ -20,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complex import CubicalComplex, delete
+from .complex import CubicalComplex, _derived, delete
 from .errors import ContractError
-from .homology import GF2, INTEGER, homology_profile
+from .homology import GF2, INTEGER, _kept_degrees, homology_profile
 from .manifold import is_homology_manifold
 from .words import facets, one_step_cofaces, proper_subwords, sort_words, validate_word, word_dim
 
@@ -114,6 +123,10 @@ def face_criterion(skel: CubicalComplex, f: str, k: int, d: int, mode: str = STA
     These are d-k and d-k-1 in the standard mode and d-k-1 alone in a
     tight mode (see the module docstring); negative degrees count as
     zero groups.  Homology is over GF(2) except in TIGHT_INTEGER.
+    The deletion removes columns only (no kept face has a facet in the
+    deleted star), so the deleted side is computed from skel's own
+    boundary matrices restricted to the kept faces, in the compared
+    degrees alone.
     """
     ReconstructionConfig(k, d, mode).validate()
     if word_dim(f) != k + 1:
@@ -123,9 +136,10 @@ def face_criterion(skel: CubicalComplex, f: str, k: int, d: int, mode: str = STA
         return CandidateVerdict(f, False, False)
     degrees = (d - k, d - k - 1) if mode == STANDARD else (d - k - 1,)
     ring = INTEGER if mode == TIGHT_INTEGER else GF2
-    deleted = homology_profile(delete(skel, _boundary_complex(skel.ambient_dim, f)), ring)
+    kept = delete(skel, _boundary_complex(skel.ambient_dim, f)).faces
     base = homology_profile(skel, ring)
-    profiles = tuple((j, deleted.degree(j), base.degree(j)) for j in degrees)
+    deleted = _kept_degrees(skel.chains, kept, degrees, ring)
+    profiles = tuple((j, deleted[j], base.degree(j)) for j in degrees)
     accepted = all(left == right for _, left, right in profiles)
     return CandidateVerdict(f, True, accepted, profiles)
 
@@ -145,7 +159,7 @@ def reconstruct_steps(skel: CubicalComplex, cfg: ReconstructionConfig):
             face_criterion(current, f, degree, cfg.d, mode) for f in enumerate_candidates(current, degree)
         )
         added = [v.face for v in verdicts if v.accepted]
-        current = CubicalComplex(current.ambient_dim, current.faces | frozenset(added))
+        current = _derived(current.ambient_dim, current.faces | frozenset(added))
         yield ReconstructionStep(degree, verdicts, current)
 
 

@@ -7,6 +7,7 @@ algorithm than the library, so agreement is meaningful.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations, product
 
 import skelcube as sk
@@ -185,6 +186,51 @@ def local_profile_oracle(c: sk.CubicalComplex, f: str, ring: str) -> sk.Homology
     """Homology of (c, faces not containing f), the complement found by scanning every face."""
     away = frozenset(w for w in c.faces if not oracle_is_subface(f, w))
     return sk.relative_profile(c, sk.CubicalComplex(c.ambient_dim, away), ring)
+
+
+def face_criterion_oracle(
+    skel: sk.CubicalComplex, f: str, k: int, d: int, mode: str = sk.STANDARD
+) -> sk.CandidateVerdict:
+    """The reconstruction criterion by deleting and recomputing.
+
+    Deletes the vertex star of f's boundary by scanning every face and
+    computes the whole deleted complex's homology from scratch, where
+    the library restricts the skeleton's own boundary matrices.
+    """
+    sk.ReconstructionConfig(k, d, mode).validate()
+    if not all(w in skel.faces for w in _facet_words(f)):
+        return sk.CandidateVerdict(f, False, False)
+    degrees = (d - k, d - k - 1) if mode == sk.STANDARD else (d - k - 1,)
+    ring = sk.INTEGER if mode == sk.TIGHT_INTEGER else sk.GF2
+    deleted = sk.homology_profile(_delete_boundary_oracle(skel, f), ring)
+    base = sk.homology_profile(skel, ring)
+    profiles = tuple((j, deleted.degree(j), base.degree(j)) for j in degrees)
+    return sk.CandidateVerdict(f, True, all(left == right for _, left, right in profiles), profiles)
+
+
+def _facet_words(f: str) -> list[str]:
+    return [f[:i] + b + f[i + 1 :] for i, letter in enumerate(f) if letter == "*" for b in "01"]
+
+
+@lru_cache(maxsize=8)
+def _delete_boundary_oracle(skel: sk.CubicalComplex, f: str) -> sk.CubicalComplex:
+    # one deletion per candidate, shared by the modes that judge it
+    return delete_oracle(skel, sk.closure(skel.ambient_dim, _facet_words(f)))
+
+
+def assert_criterion_matches_oracle(skel: sk.CubicalComplex, k: int, faces) -> int:
+    """Compare face_criterion with its oracle on each face in every case it admits at degree k.
+
+    The cases are each standard d from k to 2k-1 and d = 2k in both
+    tight modes.  Returns the number of comparisons.
+    """
+    cases = [(d, sk.STANDARD) for d in range(k, 2 * k)] + [(2 * k, sk.TIGHT_GF2), (2 * k, sk.TIGHT_INTEGER)]
+    compared = 0
+    for f in faces:
+        for d, mode in cases:
+            assert sk.face_criterion(skel, f, k, d, mode) == face_criterion_oracle(skel, f, k, d, mode), (f, k, d, mode)
+            compared += 1
+    return compared
 
 
 def random_subcomplex(rng, base: sk.CubicalComplex, max_generators: int = 6) -> sk.CubicalComplex:

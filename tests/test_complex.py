@@ -39,6 +39,53 @@ def test_constructor_rejects_bad_words():
         sk.CubicalComplex(-1, frozenset())
 
 
+def test_constructor_rejects_words_of_the_wrong_length_or_type():
+    with pytest.raises(sk.StructuralError):
+        sk.CubicalComplex(3, frozenset(["0*"]))
+    with pytest.raises(sk.StructuralError):
+        sk.CubicalComplex(1, frozenset([0]))
+    with pytest.raises(sk.StructuralError):
+        sk.CubicalComplex(2, ["**", "0 "])  # a plain iterable is validated as well
+
+
+def _assert_revalidates(c: sk.CubicalComplex) -> None:
+    # a derived complex is exactly what the validating constructor builds from its words
+    again = sk.CubicalComplex(c.ambient_dim, set(c.faces))
+    assert type(c) is sk.CubicalComplex and isinstance(c.faces, frozenset)
+    assert c == again and hash(c) == hash(again) and c.dim == again.dim
+    c.validate()
+
+
+def test_derived_complexes_equal_validated_ones():
+    rng = random.Random(47)
+    for n in range(0, 5):
+        base = sk.full_cube(n)
+        for _ in range(8):
+            c = random_subcomplex(rng, base)
+            g = random_subcomplex(rng, c, max_generators=2)
+            _assert_revalidates(sk.delete(c, g))
+            for k in range(-1, n + 1):
+                _assert_revalidates(sk.skeleton(c, k))
+            for part in sk.components(c):
+                _assert_revalidates(part)
+            _assert_revalidates(sk.product_complex(c, g))
+    skel = sk.skeleton(sk.cube_boundary(4), 2)
+    for step in sk.reconstruct_steps(skel, sk.ReconstructionConfig(2, 3)):
+        _assert_revalidates(step.complex_after)
+
+
+def test_local_profile_complement_is_a_valid_complex(monkeypatch):
+    seen = []
+    real = sk.relative_profile
+    monkeypatch.setattr("skelcube.manifold.relative_profile", lambda c, a, ring: seen.append(a) or real(c, a, ring))
+    torus = sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(2))
+    for w in sorted(torus.faces):
+        sk.local_profile(torus, w)
+    assert len(seen) == len(torus.faces)
+    for away in seen:
+        _assert_revalidates(away)
+
+
 def test_validate_detects_missing_facet():
     broken = sk.CubicalComplex(2, frozenset(["**"]))
     with pytest.raises(sk.StructuralError):

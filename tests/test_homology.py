@@ -3,7 +3,7 @@ import random
 import pytest
 
 import skelcube as sk
-from skelcube.homology import _invariant_factors, _matrices_over
+from skelcube.homology import _invariant_factors, _kept_degrees, _matrices_over
 
 from helpers import (
     bareiss_rank,
@@ -236,6 +236,23 @@ def test_projective_plane_squared_integer_homology_and_cohomology():
     co = sk.cohomology_profile(c, sk.INTEGER)
     assert co.betti == (1, 0, 0, 0, 0)
     assert co.torsion == ((), (), (2, 2), (2,), (2,))
+
+
+def test_kept_columns_give_the_homology_of_any_subcomplex():
+    # a subcomplex's boundary matrices are its host's, restricted to its columns
+    rng = random.Random(53)
+    base = sk.full_cube(4)
+    for _ in range(40):
+        c = random_subcomplex(rng, base)
+        sub = random_subcomplex(rng, c)
+        degrees = range(-1, c.dim + 2)
+        for ring in (sk.GF2, sk.INTEGER):
+            expected = sk.homology_profile(sub, ring)
+            assert _kept_degrees(c.chains, sub.faces, degrees, ring) == {j: expected.degree(j) for j in degrees}
+    rp2_times_circle = sk.product_complex(projective_plane(), sk.cube_boundary(2))
+    skel = sk.skeleton(rp2_times_circle, 2)
+    # the torsion of H_1 = Z + Z/2 shows up from the host's own integer matrices
+    assert _kept_degrees(rp2_times_circle.chains, skel.faces, (1,), sk.INTEGER) == {1: (1, (2,))}
 
 
 def test_gf2_rank_packed():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import skelcube as sk
 from skelcube.io import parse_complex, serialize_complex
 
-from helpers import TORUS7_TRIANGLES, all_words, projective_plane, relabel
+from helpers import TORUS7_TRIANGLES, all_words, assert_criterion_matches_oracle, projective_plane, relabel
 
 WORDS = [list(all_words(n)) for n in range(6)]
 
@@ -84,8 +84,8 @@ MANIFOLDS = [
     ("S^1xC_6", sk.product_complex(_sphere(1), _C6), 2, True),
     ("S^2xC_6", sk.product_complex(_sphere(2), _C6), 3, True),
     ("S^2xS^2", sk.product_complex(_sphere(2), _sphere(2)), 4, True),
-    # a rebuild of TORUS7 x S^1 costs over a second, so only the surface is listed
     ("T^2_7", TORUS7, 2, True),
+    ("T^2_7xS^1", sk.product_complex(TORUS7, _sphere(1)), 3, True),
     ("RP^2", RP2, 2, False),
     ("RP^2xS^1", RP2_TIMES_CIRCLE, 3, False),
 ]
@@ -94,6 +94,7 @@ BY_NAME = {name: (m, d, orientable) for name, m, d, orientable in MANIFOLDS}
 
 def test_seven_vertex_torus_under_cbs():
     assert len(TORUS7.faces) == 168
+    assert len(BY_NAME["T^2_7xS^1"][0].faces) == 1344
     h = sk.homology_integer(TORUS7)
     assert h.betti == (1, 2, 1)
     assert h.torsion == ((), (), ())
@@ -101,7 +102,7 @@ def test_seven_vertex_torus_under_cbs():
     assert report.is_manifold and report.dimension == 2 and report.orientable
 
 
-# a rebuild of RP^2 x S^1 takes most of a second, so each input is placed once
+# a rebuild of T^2_7 x S^1 takes about half a second, so each input is placed once
 REBUILD = settings(PROPERTY, max_examples=1)
 PLACED = settings(PROPERTY, max_examples=4)
 # a seeded Random, so that even the first, simplest example moves the faces
@@ -119,6 +120,22 @@ def test_middle_skeleton_rebuilds_the_manifold(name, rng):
     skel = sk.skeleton(m, k)
     assert sk.reconstruct(skel, sk.ReconstructionConfig(k, d)) == m
     assert (d, m) in sk.reconstruct_auto(skel, k, d)
+
+
+# the largest entries have over a hundred candidates, each judged in four
+# cases, and the oracle recomputes integer homology for each candidate
+ORACLE_SAMPLE = 16
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in MANIFOLDS])
+def test_criterion_matches_delete_and_recompute_oracle(name):
+    # every mode on the skeleton a rebuild starts from, surfaces at k = 2
+    m, d, _ = BY_NAME[name]
+    k = max(2, d // 2 + 1)
+    skel = sk.skeleton(m, k)
+    candidates = sk.enumerate_candidates(skel, k)
+    faces = random.Random(name).sample(candidates, min(len(candidates), ORACLE_SAMPLE))
+    assert_criterion_matches_oracle(skel, k, faces)
 
 
 @PLACED

@@ -4,8 +4,15 @@ import time
 import pytest
 
 import skelcube as sk
+from skelcube import homology
 
-from helpers import candidate_oracle, projective_plane, random_subcomplex
+from helpers import (
+    assert_criterion_matches_oracle,
+    candidate_oracle,
+    delete_oracle,
+    projective_plane,
+    random_subcomplex,
+)
 
 
 def test_enumerate_candidates_against_oracle():
@@ -245,3 +252,61 @@ def test_tight_mode_misuse_is_caught_by_manifold_check():
     found = sk.reconstruct_auto(skel, 2, 4, mode=sk.TIGHT_GF2)
     assert all(d != 4 or sk.is_homology_manifold(cx).is_manifold for d, cx in found)
     assert (3, sk.cube_boundary(4)) in [(d, cx) for d, cx in found]
+
+
+def test_criterion_matches_delete_and_recompute_oracle_on_the_corpus():
+    compared = 0
+    for _, c in sk.corpus():
+        for k in range(2, c.dim):
+            skel = sk.skeleton(c, k)
+            compared += assert_criterion_matches_oracle(skel, k, sk.enumerate_candidates(skel, k))
+    assert compared > 0
+
+
+def _emptied_degrees(skel: sk.CubicalComplex, f: str) -> bool:
+    """Whether deleting f's boundary removes every face of some degree of skel."""
+    # f and its boundary have the same vertices, which is all the deletion looks at
+    return len(delete_oracle(skel, sk.closure(skel.ambient_dim, [f])).f_vector()) < len(skel.f_vector())
+
+
+def test_criterion_matches_delete_and_recompute_oracle_on_random_subcomplexes():
+    # I^1 and I^2 hold no (k+1)-face for k >= 2, so their cases are vacuous
+    rng = random.Random(41)
+    compared = emptied = 0
+    for n in range(1, 6):
+        base = sk.full_cube(n)
+        for _ in range(20):
+            c = random_subcomplex(rng, base, max_generators=4)
+            for k in range(2, n):
+                skel = sk.skeleton(c, k)
+                ambient = sorted(sk.ambient_faces(n, k + 1))
+                # the candidates, plus two faces whose boundary may be missing
+                faces = sorted(set(sk.enumerate_candidates(skel, k)) | set(rng.sample(ambient, min(2, len(ambient)))))
+                compared += assert_criterion_matches_oracle(skel, k, faces)
+                emptied += sum(_emptied_degrees(skel, f) for f in faces)
+    assert compared > 100
+    assert emptied > 0
+
+
+@pytest.mark.parametrize(
+    "skel, cfg",
+    [
+        (sk.skeleton(sk.cube_boundary(4), 2), sk.ReconstructionConfig(2, 3)),
+        (sk.skeleton(sk.cube_boundary(5), 2), sk.ReconstructionConfig(2, 4, sk.TIGHT_GF2)),
+    ],
+    ids=["S^3", "S^4-tight"],
+)
+def test_reconstruction_builds_one_chain_complex_per_degree(monkeypatch, skel, cfg):
+    built = []
+    real = homology._matrices_over
+
+    def counting(face_set):
+        built.append(frozenset(face_set))
+        return real(face_set)
+
+    monkeypatch.setattr(homology, "_matrices_over", counting)
+    skel = sk.CubicalComplex(skel.ambient_dim, skel.faces)  # a fresh instance, nothing built yet
+    steps = list(sk.reconstruct_steps(skel, cfg))
+    bases = [skel.faces] + [step.complex_after.faces for step in steps[:-1]]
+    assert len(steps) == cfg.d - cfg.k
+    assert built == bases
