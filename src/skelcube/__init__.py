@@ -26,6 +26,7 @@ from .embedding import (
     bfs_forest,
     bipartition_or_odd_cycle,
     components,
+    embedding_obstruction,
     find_graph_embedding,
     graph_of,
     labelling_from_embedding,

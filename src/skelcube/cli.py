@@ -14,7 +14,7 @@ from pathlib import Path
 from .complex import CubicalComplex, skeleton
 from .embedding import (
     SimpleGraph,
-    bipartition_or_odd_cycle,
+    embedding_obstruction,
     find_graph_embedding,
     labelling_from_embedding,
     verify_labelling,
@@ -143,9 +143,12 @@ def _cmd_embed(args) -> int:
     emb = find_graph_embedding(g, args.nmax)
     if emb is None:
         print(f"no embedding with n <= {args.nmax}")
-        _, odd = bipartition_or_odd_cycle(g)
-        if odd is not None:
-            print("odd cycle " + " ".join(str(v) for v in odd))
+        reason, witness = embedding_obstruction(g, args.nmax) or ("search", ())
+        if reason == "odd-cycle":
+            print("odd cycle " + " ".join(str(v) for v in witness))
+            print("reason odd-cycle")
+        else:
+            print(" ".join(["reason", reason, *(str(v) for v in witness)]))
         return 1
     print(f"embedding found n={emb.n}")
     for i, code in enumerate(emb.codes):

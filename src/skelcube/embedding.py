@@ -10,12 +10,20 @@ when every cycle uses each label an even number of times and every path
 uses some label an odd number of times.  Both conditions reduce to XOR
 codes along a spanning tree: fundamental cycles must close with even
 parity, and vertex codes must be pairwise distinct.
+
+Deciding embeddability is NP-complete, so `find_graph_embedding`
+backtracks, but only after `embedding_obstruction` has tried four
+necessary conditions, each O(V·Δ²) at most: bipartiteness, degree at
+most n, at most 2^n vertices, and no two vertices with three common
+neighbours.  Most graphs that do not embed fail one of them, and the
+failed one says why.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import count, takewhile
+from itertools import chain, count, takewhile
 
 from .complex import CubicalComplex, _derived
 from .errors import ContractError, ContradictionError, StructuralError
@@ -29,6 +37,7 @@ __all__ = [
     "bfs_forest",
     "bipartition_or_odd_cycle",
     "verify_labelling",
+    "embedding_obstruction",
     "find_graph_embedding",
     "labelling_from_embedding",
     "lift_to_complex_embedding",
@@ -197,15 +206,51 @@ def verify_labelling(g: SimpleGraph, labels: dict[tuple[int, int], int]) -> bool
     return closed and len(set(code)) == g.num_vertices
 
 
+def embedding_obstruction(g: SimpleGraph, n_max: int) -> tuple[str, tuple[int, ...]] | None:
+    """The first necessary condition for embedding into some I^n, n <= n_max, that g fails.
+
+    Returns (reason, witness), or None when g passes all four checks:
+
+    - "odd-cycle": g is not bipartite; the witness is an odd cycle;
+    - "degree": some vertex has more than n_max neighbours;
+    - "size": g has more than 2^n_max vertices;
+    - "k23": vertices u < v share three neighbours a < b < c.  Two
+      vertices of a hypercube share 0 or 2 neighbours, so this K_{2,3}
+      rules out every n.  (u, v) is the smallest such pair and a, b, c
+      are its smallest common neighbours; the witness is (u, v, a, b, c).
+    """
+    _, odd = bipartition_or_odd_cycle(g)
+    if odd is not None:
+        return "odd-cycle", tuple(odd)
+    adj = g.adjacency()
+    if max((len(a) for a in adj), default=0) > n_max:
+        return "degree", ()
+    # |V| > 2^n_max, tested without building 2^n_max
+    if g.num_vertices > 1 and (g.num_vertices - 1).bit_length() > n_max:
+        return "size", ()
+    for u, near in enumerate(adj):
+        # walks u - w - v count the neighbours u and v share
+        shared = Counter(chain.from_iterable(adj[w] for w in near))
+        over = [v for v, k in shared.items() if k >= 3 and v > u]
+        if over:
+            v = min(over)
+            return "k23", (u, v, *sorted(set(near).intersection(adj[v]))[:3])
+    return None
+
+
 def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | None:
     """Search for an embedding into some I^n with n <= n_max.
 
-    Backtracking assigns vertices in BFS order.  Symmetry is broken by
-    sending the first vertex to the all-zeros code and introducing fresh
-    coordinates in increasing order, which loses no embeddings because
-    cube symmetries can always relabel an embedding into this shape.
-    None is therefore a certificate for every n up to n_max, and for all
-    n at once when the graph is not bipartite.  A graph with several
+    Four checks run first, in `embedding_obstruction`: g must be
+    bipartite, have degree at most n_max, have at most 2^n_max vertices
+    and have no two vertices with three common neighbours.  A graph that
+    fails one gets None at once.  Backtracking then assigns vertices in
+    BFS order.  Symmetry is broken by sending the first vertex to the
+    all-zeros code and introducing fresh coordinates in increasing
+    order, which loses no embeddings because cube symmetries can always
+    relabel an embedding into this shape.  None is therefore a
+    certificate for every n up to n_max, and for all n at once when the
+    obstruction is "odd-cycle" or "k23".  A graph with several
     components is first searched one component at a time, so a component
     that cannot embed is refuted without placing the others.
     """
@@ -213,12 +258,9 @@ def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | Non
         raise ContractError(f"n_max >= 0 required, got {n_max}")
     if g.num_vertices == 0:
         return HypercubeEmbedding(0, ())
-    colors, _odd = bipartition_or_odd_cycle(g)
-    if colors is None:
+    if embedding_obstruction(g, n_max) is not None:
         return None
     adj = g.adjacency()
-    if max((len(a) for a in adj), default=0) > n_max:
-        return None
 
     order, parent = bfs_forest(adj)
     starts = [i for i, v in enumerate(order) if parent[v] < 0]

@@ -323,3 +323,16 @@ def components_oracle(c: sk.CubicalComplex) -> list[frozenset[str]]:
     for w in c.faces:
         groups.setdefault(find(next(vertices_of(w))), set()).add(w)
     return sorted((frozenset(g) for g in groups.values()), key=lambda g: min(w for w in g if "*" not in w))
+
+
+def heawood_graph() -> sk.SimpleGraph:
+    """Bipartite, 3-regular, 14 vertices, girth 6: no two vertices share two neighbours."""
+    return sk.SimpleGraph.from_edges(
+        14, [(i, (i + 1) % 14) for i in range(14)] + [(i, (i + 5) % 14) for i in range(0, 14, 2)]
+    )
+
+
+def path_joined_to_k23() -> sk.SimpleGraph:
+    """The path 0-1-...-10 joined at 10 to K_{2,3} with parts {10, 11}, {12, 13, 14}."""
+    path = [(i, i + 1) for i in range(10)]
+    return sk.SimpleGraph.from_edges(15, path + [(u, v) for u in (10, 11) for v in (12, 13, 14)])

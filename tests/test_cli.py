@@ -10,7 +10,7 @@ import skelcube as sk
 from skelcube.cli import main
 from skelcube.io import parse_complex, parse_graph, serialize_complex, serialize_graph
 
-from helpers import projective_plane
+from helpers import heawood_graph, path_joined_to_k23, projective_plane
 
 
 def write_complex(tmp_path, name, c):
@@ -242,7 +242,7 @@ def test_embed_command_pins_odd_cycle_of_two_component_graph(tmp_path, capsys):
     edges = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (3, 10), (3, 6), (5, 9)]
     path = write_graph(tmp_path, "g11.graph", sk.SimpleGraph.from_edges(11, edges))
     assert main(["embed", path, "--nmax", "6"]) == 1
-    assert capsys.readouterr().out == "no embedding with n <= 6\nodd cycle 5 4 3 10 9\n"
+    assert capsys.readouterr().out == "no embedding with n <= 6\nodd cycle 5 4 3 10 9\nreason odd-cycle\n"
 
 
 def test_embed_command_negative_bipartite(tmp_path, capsys):
@@ -252,6 +252,22 @@ def test_embed_command_negative_bipartite(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "no embedding with n <= 4" in out
     assert "odd cycle" not in out
+
+
+@pytest.mark.parametrize(
+    "graph, nmax, reason",
+    [
+        (sk.SimpleGraph.from_edges(6, [(0, i) for i in range(1, 6)]), 4, "degree"),
+        (sk.SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]), 2, "size"),
+        (path_joined_to_k23(), 6, "k23 10 11 12 13 14"),
+        (heawood_graph(), 4, "search"),
+    ],
+    ids=["degree", "size", "k23", "search"],
+)
+def test_embed_command_prints_the_reason(tmp_path, capsys, graph, nmax, reason):
+    path = write_graph(tmp_path, "g.graph", graph)
+    assert main(["embed", path, "--nmax", str(nmax)]) == 1
+    assert capsys.readouterr().out == f"no embedding with n <= {nmax}\nreason {reason}\n"
 
 
 def test_generate_command_complex(tmp_path, capsys):

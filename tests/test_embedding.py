@@ -7,6 +7,8 @@ import pytest
 
 import skelcube as sk
 
+from helpers import heawood_graph, path_joined_to_k23
+
 
 def cycle_graph(m: int) -> sk.SimpleGraph:
     return sk.SimpleGraph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
@@ -24,6 +26,58 @@ def brute_force_embeddable(g: sk.SimpleGraph, n: int) -> bool:
         if all((assign[u] ^ assign[v]).bit_count() == 1 for u, v in g.edges):
             return True
     return False
+
+
+def obstruction_oracle(g: sk.SimpleGraph, n_max: int):
+    """The first pre-search check g fails, each recomputed from its definition."""
+    m = g.num_vertices
+    if not any(all((bits >> u ^ bits >> v) & 1 for u, v in g.edges) for bits in range(1 << m)):
+        return "odd-cycle", None
+    near = [{w for e in g.edges if u in e for w in e if w != u} for u in range(m)]
+    if any(len(s) > n_max for s in near):
+        return "degree", ()
+    if m > 2**n_max:
+        return "size", ()
+    for u, v in combinations(range(m), 2):
+        common = sorted(near[u] & near[v])
+        if len(common) >= 3:
+            return "k23", (u, v, *common[:3])
+    return None
+
+
+def all_graphs(max_vertices: int):
+    for m in range(max_vertices + 1):
+        pairs = list(combinations(range(m), 2))
+        for bits in range(1 << len(pairs)):
+            yield sk.SimpleGraph.from_edges(m, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+def random_bipartite_graph(rng, min_vertices: int, max_vertices: int) -> sk.SimpleGraph:
+    m = rng.randint(min_vertices, max_vertices)
+    side = [rng.randrange(2) for _ in range(m)]
+    density = rng.random()
+    pairs = [(u, v) for u, v in combinations(range(m), 2) if side[u] != side[v]]
+    return sk.SimpleGraph.from_edges(m, [e for e in pairs if rng.random() < density])
+
+
+def assert_refutes_only_non_embeddable(g: sk.SimpleGraph, n_max: int) -> str:
+    """Compare search and certificates with brute force; return the reason seen."""
+    embeddable = brute_force_embeddable(g, n_max)
+    found = sk.find_graph_embedding(g, n_max)
+    assert (found is not None) == embeddable
+    if found is not None:
+        assert found.n <= n_max and found.is_valid_for(g)
+    obstruction = sk.embedding_obstruction(g, n_max)
+    assert obstruction is None or not embeddable
+    expected = obstruction_oracle(g, n_max)
+    if expected is not None and expected[0] == "odd-cycle":
+        # the bipartition tests check the cycle itself
+        assert obstruction is not None and obstruction[0] == "odd-cycle"
+    else:
+        assert obstruction == expected
+    if obstruction is not None:
+        return obstruction[0]
+    return "embeds" if embeddable else "search"
 
 
 def test_graph_construction_rejects_bad_edges():
@@ -165,15 +219,17 @@ def test_find_embedding_respects_degree_bound():
 
 
 def test_find_embedding_small_graphs_vs_brute_force():
-    vertices = 4
-    all_pairs = list(combinations(range(vertices), 2))
-    for bits in range(1 << len(all_pairs)):
-        edges = [e for i, e in enumerate(all_pairs) if bits >> i & 1]
-        g = sk.SimpleGraph.from_edges(vertices, edges)
-        found = sk.find_graph_embedding(g, 2)
-        assert (found is not None) == brute_force_embeddable(g, 2)
-        if found is not None:
-            assert found.is_valid_for(g)
+    # every labelled graph on at most five vertices, into I^0, I^1 and I^2
+    seen = {assert_refutes_only_non_embeddable(g, n_max) for g in all_graphs(5) for n_max in range(3)}
+    assert seen == {"embeds", "odd-cycle", "degree", "size"}
+
+
+def test_certificates_on_random_bipartite_graphs_vs_brute_force():
+    # at n_max = 3 these pass the odd-cycle and size checks and reach the
+    # K_{2,3} one; brute force tries up to 8!/1! codings each, so the sample stays small
+    rng = random.Random(29)
+    seen = {assert_refutes_only_non_embeddable(random_bipartite_graph(rng, 4, 7), 3) for _ in range(80)}
+    assert seen == {"embeds", "degree", "k23"}
 
 
 def test_find_embedding_random_graphs_vs_brute_force():
@@ -224,12 +280,39 @@ def test_later_component_root_allocates_no_code_table():
 
 
 def test_component_that_cannot_embed_is_refuted_alone():
-    # an edge plus a disjoint K_{2,3}: the edge embeds, K_{2,3} never does,
-    # so the search must not try all 2^10 codes for the root of K_{2,3}
-    g = sk.SimpleGraph.from_edges(7, [(0, 1)] + [(u, v) for u in (2, 3) for v in (4, 5, 6)])
+    # an edge plus a disjoint Heawood graph, which passes every certificate
+    # but never embeds: the search must not try all 2^10 codes for the
+    # root of the Heawood graph
+    heawood = heawood_graph()
+    g = sk.SimpleGraph.from_edges(16, [(0, 1)] + [(u + 2, v + 2) for u, v in heawood.edges])
+    assert sk.embedding_obstruction(g, 10) is None
     t0 = time.process_time()
     assert sk.find_graph_embedding(g, 10) is None
     assert time.process_time() - t0 < 0.5
+
+
+def test_k23_refutes_before_the_search():
+    # the search starts at vertex 0, the far end of the path, and needs
+    # seconds to refute this graph; the K_{2,3} certificate needs none
+    g = path_joined_to_k23()
+    assert sk.embedding_obstruction(g, 6) == ("k23", (10, 11, 12, 13, 14))
+    t0 = time.process_time()
+    assert sk.find_graph_embedding(g, 6) is None
+    assert time.process_time() - t0 < 0.05
+
+
+def test_obstruction_reasons_and_witnesses():
+    assert sk.embedding_obstruction(cycle_graph(5), 6) == ("odd-cycle", (2, 1, 0, 4, 3))
+    star = sk.SimpleGraph.from_edges(6, [(0, i) for i in range(1, 6)])
+    assert sk.embedding_obstruction(star, 4) == ("degree", ())
+    assert sk.embedding_obstruction(cycle_graph(6), 2) == ("size", ())
+    # K_{3,3}: 0 and 1 share 3, 4, 5, the first pair that does
+    k33 = sk.SimpleGraph.from_edges(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)])
+    assert sk.embedding_obstruction(k33, 3) == ("k23", (0, 1, 3, 4, 5))
+    # Q_n itself passes at n_max = n: 2^n vertices, degree n, pairs share 0 or 2
+    for n in range(5):
+        assert sk.embedding_obstruction(sk.graph_of(sk.full_cube(n)), n) is None
+    assert sk.embedding_obstruction(sk.SimpleGraph(0, frozenset()), 0) is None
 
 
 def test_long_path_embeds_without_recursion():
