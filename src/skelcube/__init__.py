@@ -47,7 +47,6 @@ from .homology import (
     BoundaryMatrices,
     HomologyProfile,
     betti_gf2,
-    boundary_matrices,
     cohomology_profile,
     gf2_rank,
     homology_integer,

@@ -268,14 +268,21 @@ def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | Non
         # a graph embeds only if every component does; refuting one alone
         # spares trying every code at the roots of the others
         for lo, hi in zip(starts, starts[1:] + [len(order)]):
-            index = {v: i for i, v in enumerate(order[lo:hi])}
-            edges = [(index[u], index[v]) for u in index for v in adj[u] if u < v]
-            if find_graph_embedding(SimpleGraph.from_edges(hi - lo, edges), n_max) is None:
+            if _search(order[lo:hi], adj, n_max) is None:
                 return None
+    found = _search(order, adj, n_max)
+    return None if found is None else HypercubeEmbedding(found[0], tuple(found[1]))
 
+
+def _search(order: list[int], adj: list[list[int]], n_max: int) -> tuple[int, list[int]] | None:
+    """Backtrack codes for the vertices in `order`, each after a neighbour unless it starts a component.
+
+    order must hold every neighbour of its vertices.  Returns the width
+    used and the codes by vertex (-1 off the order), or None.
+    """
     pos = {v: i for i, v in enumerate(order)}
     earlier = [[u for u in adj[v] if pos[u] < i] for i, v in enumerate(order)]
-    code = [-1] * g.num_vertices
+    code = [-1] * len(adj)
     used_codes: set[int] = set()
 
     def candidates(i: int, used_coords: int):
@@ -306,7 +313,7 @@ def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | Non
             used_codes.add(cand)
             grown = max(used_coords, cand.bit_length())
             if i + 1 == len(order):
-                return HypercubeEmbedding(grown, tuple(code))
+                return grown, code
             stack.append((candidates(i + 1, grown), grown))
             break
         else:

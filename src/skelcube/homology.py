@@ -11,10 +11,12 @@ packed and the reducer that eliminates them.  GF(2) packs each vector
 into an integer for `gf2_rank`, once per matrix.  A complex builds the
 matrices of its whole face set once (`CubicalComplex.chains`); the
 homology of a subcomplex in a few degrees is read off them by keeping
-the subcomplex's columns (`_kept_degrees`).
+the subcomplex's columns.  `_homology` is the one ranks-to-Betti
+routine: absolute, relative and kept-face homology all call it, and
+cohomology follows from homology by universal coefficients.
 
-Every integer elimination (homology, cohomology, relative
-homology and `integer_rank`) goes through one sparse reducer,
+Every integer elimination (homology, relative homology and
+`integer_rank`) goes through one sparse reducer,
 `_invariant_factors`.  It first eliminates unit (+-1) pivots: each one
 is a unimodular row and column operation that contributes an invariant
 factor 1 and leaves the Schur complement, one row and one column
@@ -29,7 +31,7 @@ and there is no overflow path to detect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .complex import CubicalComplex, _require_subcomplex
 from .errors import ContractError, StructuralError
@@ -40,7 +42,6 @@ __all__ = [
     "INTEGER",
     "HomologyProfile",
     "BoundaryMatrices",
-    "boundary_matrices",
     "gf2_rank",
     "smith_normal_form",
     "integer_rank",
@@ -77,9 +78,6 @@ class HomologyProfile:
             return self.betti[j], self.torsion[j]
         return 0, ()
 
-    def agrees_with(self, other: "HomologyProfile", j: int) -> bool:
-        return self.degree(j) == other.degree(j)
-
 
 class BoundaryMatrices:
     """Signed boundary matrices over a set of faces.
@@ -103,12 +101,6 @@ class BoundaryMatrices:
             return len(self.levels[j])
         return 0
 
-    def sparse_columns(self, j: int) -> list[list[tuple[int, int]]]:
-        """Columns of D_j as (row, sign) lists; empty outside 1..top."""
-        if not 1 <= j <= self.top:
-            return []
-        return self.columns[j]
-
     def packed_columns(self, j: int, ring: str) -> list:
         """Columns of D_j packed for the ring's reducer; each ring packs them once per instance."""
         if not 1 <= j <= self.top:
@@ -118,16 +110,6 @@ class BoundaryMatrices:
             pack = _RINGS[ring][0]
             packed = self._packed[ring] = [[pack(col) for col in cols] for cols in self.columns]
         return packed[j]
-
-    def sparse_rows(self, j: int) -> list[list[tuple[int, int]]]:
-        """Rows of D_j as (column, sign) lists: the columns of its transpose."""
-        if not 1 <= j <= self.top:
-            return []
-        rows: list[list[tuple[int, int]]] = [[] for _ in self.levels[j - 1]]
-        for ci, col in enumerate(self.columns[j]):
-            for r, s in col:
-                rows[r].append((ci, s))
-        return rows
 
     def dense(self, j: int) -> list[list[int]]:
         if not 1 <= j <= self.top:
@@ -169,10 +151,6 @@ def _matrices_over(face_set) -> BoundaryMatrices:
             cols.append(col)
         columns[j] = cols
     return BoundaryMatrices(levels, columns)
-
-
-def boundary_matrices(c: CubicalComplex) -> BoundaryMatrices:
-    return c.chains
 
 
 def gf2_rank(vectors) -> int:
@@ -332,32 +310,6 @@ def integer_rank(matrix) -> int:
     return len(_invariant_factors([[(i, row[j]) for i, row in enumerate(a) if row[j]] for j in range(n)]))
 
 
-def _degrees(faces_of, factors_of, degrees, shift: int = 1) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """(Betti number, torsion) per degree j: faces_j - rank_j - rank_(j+1), factors above 1.
-
-    faces_of(j) counts the j-faces; factors_of(j) returns the invariant
-    factors of the degree-j boundary map, or of its transpose for
-    cohomology (over GF(2), one 1 per pivot), and an empty tuple outside
-    1..top.  Each map is reduced once, also when two degrees share it.
-    Homology takes the torsion of degree j from D_(j+1) (shift 1);
-    cohomology takes it from the coboundary into degree j, the transpose
-    of D_j (shift 0).
-    """
-    factors = {i: factors_of(i) for i in sorted({i for j in degrees for i in (j, j + 1)})}
-    return {
-        j: (faces_of(j) - len(factors[j]) - len(factors[j + 1]), tuple(d for d in factors[j + shift] if d > 1))
-        for j in degrees
-    }
-
-
-def _profile(mats: BoundaryMatrices, length: int, factors_of, shift: int = 1) -> HomologyProfile:
-    """The profile of every face of mats in degrees 0..length-1 (see _degrees)."""
-    groups = _degrees(mats.num_faces, factors_of, range(length), shift)
-    return HomologyProfile(
-        tuple(groups[j][0] for j in range(length)), tuple(groups[j][1] for j in range(length))
-    )
-
-
 def _pack_gf2(vector) -> int:
     """A sparse (index, value) vector over GF(2) as an int, bit i for index i."""
     return sum(1 << i for i, _ in vector)
@@ -374,51 +326,56 @@ def _gf2_factors(packed) -> tuple[int, ...]:
 _RINGS = {GF2: (_pack_gf2, _gf2_factors), INTEGER: (lambda vector: vector, _invariant_factors)}
 
 
-def _homology(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile:
-    reduce = _RINGS[ring][1]
-    return _profile(mats, length, lambda j: reduce(mats.packed_columns(j, ring)))
+def _homology(mats: BoundaryMatrices, ring: str, degrees, kept=None) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """(Betti number, torsion) per degree j: faces_j - rank D_j - rank D_(j+1), factors above 1.
 
-
-def _kept_degrees(mats: BoundaryMatrices, kept, degrees, ring: str) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Homology in the given degrees of the subcomplex on the faces in `kept`, from its host's matrices.
-
-    A subcomplex holds every facet of its faces, so its D_j is the
-    host's D_j restricted to the kept j-faces: columns only, as the
-    rows those columns reach are kept faces and every other row is zero
-    there.  The host's packed columns are reused, and only the maps of
-    the requested degrees and the ones above them are reduced.
+    The torsion of degree j is that of D_(j+1).  With `kept` given, the
+    answer is for the faces of mats in `kept`, which must hold every
+    facet of its faces: its D_j is mats' D_j restricted to the kept
+    j-faces, columns only, as the rows those columns reach are kept
+    faces and every other row is zero there.  Without it every face is
+    kept.  Each map is reduced once, also when two degrees share it.
     """
     reduce = _RINGS[ring][1]
+    faces: dict[int, int] = {}
+    factors: dict[int, tuple[int, ...]] = {}
+    for i in sorted({i for j in degrees for i in (j, j + 1)}):
+        packed = mats.packed_columns(i, ring)
+        if kept is None or not 0 <= i <= mats.top:
+            faces[i] = mats.num_faces(i)
+        else:
+            at = [c for c, w in enumerate(mats.levels[i]) if w in kept]
+            faces[i] = len(at)
+            packed = [packed[c] for c in at] if packed else []
+        factors[i] = reduce(packed)
+    return {
+        j: (faces[j] - len(factors[j]) - len(factors[j + 1]), tuple(d for d in factors[j + 1] if d > 1))
+        for j in degrees
+    }
 
-    @cache
-    def kept_at(j: int) -> list[int]:
-        if not 0 <= j <= mats.top:
-            return []
-        return [i for i, w in enumerate(mats.levels[j]) if w in kept]
 
-    def factors_of(j: int) -> tuple[int, ...]:
-        packed = mats.packed_columns(j, ring)
-        return reduce([packed[i] for i in kept_at(j)] if packed else [])
-
-    return _degrees(lambda j: len(kept_at(j)), factors_of, degrees)
+def _profile(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile:
+    """The homology of every face of mats in degrees 0..length-1."""
+    groups = _homology(mats, ring, range(length)).values()
+    return HomologyProfile(tuple(betti for betti, _ in groups), tuple(torsion for _, torsion in groups))
 
 
 # Reconstruction asks for the base profile of the same skeleton once per
 # candidate, so these two memos now hold only the base of each degree
-# (the candidates' deleted complexes are judged by _kept_degrees).  They
-# stay because perfbench/traced.py reads their cache_info() for
-# homology.memo_hit_ratio until the benchmark records spans itself
-# (ROADMAP item 1).  No path asks for a cohomology twice.
+# (the candidates' deleted complexes are judged by _homology on the
+# base's kept columns).  They stay because perfbench/traced.py reads
+# their cache_info() for homology.memo_hit_ratio until the benchmark
+# records spans itself (ROADMAP item 1).  Cohomology reads them too.
 @lru_cache(maxsize=256)
 def betti_gf2(c: CubicalComplex) -> HomologyProfile:
     """Non-reduced GF(2) Betti numbers in degrees 0..dim."""
-    return _homology(c.chains, c.dim + 1, GF2)
+    return _profile(c.chains, c.dim + 1, GF2)
 
 
 @lru_cache(maxsize=256)
 def homology_integer(c: CubicalComplex) -> HomologyProfile:
     """Integer homology: free ranks plus invariant factors per degree."""
-    return _homology(c.chains, c.dim + 1, INTEGER)
+    return _profile(c.chains, c.dim + 1, INTEGER)
 
 
 def homology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
@@ -427,17 +384,16 @@ def homology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
 
 
 def cohomology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
-    """Cohomology from the coboundaries D_j^T, whose columns are the rows of D_j.
+    """Cohomology by universal coefficients, from `homology_profile`.
 
-    In degree j the torsion subgroup comes from the invariant factors of
-    the incoming coboundary, the transpose of D_j.  Over GF(2) the ranks
-    must equal those of `betti_gf2`; eliminating the transposed matrices
-    keeps this an independent route rather than an alias.
+    H^j has the free rank of H_j and the torsion of H_(j-1), none in
+    degree 0: the coboundary into degree j is the transpose of D_j,
+    which has the invariant factors of D_j (Kaczynski-Mischaikow-Mrozek,
+    *Computational Homology*, 2004).  Over GF(2) there is no torsion, so
+    cohomology and homology agree.
     """
-    _check_ring(ring)
-    mats = c.chains
-    pack, reduce = _RINGS[ring]
-    return _profile(mats, c.dim + 1, lambda j: reduce([pack(row) for row in mats.sparse_rows(j)]), shift=0)
+    h = homology_profile(c, ring)
+    return HomologyProfile(h.betti, tuple(h.degree(j - 1)[1] for j in range(len(h.betti))))
 
 
 def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> HomologyProfile:
@@ -449,4 +405,4 @@ def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> H
     """
     _check_ring(ring)
     _require_subcomplex(c, a, "second member of the pair")
-    return _homology(_matrices_over(c.faces - a.faces), c.dim + 1, ring)
+    return _profile(_matrices_over(c.faces - a.faces), c.dim + 1, ring)

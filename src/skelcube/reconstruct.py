@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 from .complex import CubicalComplex, _derived, delete
 from .errors import ContractError
-from .homology import GF2, INTEGER, _kept_degrees, homology_profile
+from .homology import GF2, INTEGER, _homology, homology_profile
 from .manifold import is_homology_manifold
-from .words import facets, one_step_cofaces, proper_subwords, sort_words, validate_word, word_dim
+from .words import facets, one_step_cofaces, sort_words, validate_word, word_dim, word_vertices
 
 __all__ = [
     "STANDARD",
@@ -113,17 +113,14 @@ def _boundary_present(skel: CubicalComplex, w: str) -> bool:
     return all(f in skel.faces for f in facets(w))
 
 
-def _boundary_complex(n: int, w: str) -> CubicalComplex:
-    return CubicalComplex(n, frozenset(proper_subwords(w)))
-
-
 def face_criterion(skel: CubicalComplex, f: str, k: int, d: int, mode: str = STANDARD) -> CandidateVerdict:
     """Accept f iff deleting its boundary preserves homology in the compared degrees.
 
     These are d-k and d-k-1 in the standard mode and d-k-1 alone in a
     tight mode (see the module docstring); negative degrees count as
     zero groups.  Homology is over GF(2) except in TIGHT_INTEGER.
-    The deletion removes columns only (no kept face has a facet in the
+    The boundary of f has the vertices of f, so the deletion is that of
+    V(f).  It removes columns only (no kept face has a facet in the
     deleted star), so the deleted side is computed from skel's own
     boundary matrices restricted to the kept faces, in the compared
     degrees alone.
@@ -136,9 +133,9 @@ def face_criterion(skel: CubicalComplex, f: str, k: int, d: int, mode: str = STA
         return CandidateVerdict(f, False, False)
     degrees = (d - k, d - k - 1) if mode == STANDARD else (d - k - 1,)
     ring = INTEGER if mode == TIGHT_INTEGER else GF2
-    kept = delete(skel, _boundary_complex(skel.ambient_dim, f)).faces
+    kept = delete(skel, _derived(skel.ambient_dim, frozenset(word_vertices(f)))).faces
     base = homology_profile(skel, ring)
-    deleted = _kept_degrees(skel.chains, kept, degrees, ring)
+    deleted = _homology(skel.chains, ring, degrees, kept)
     profiles = tuple((j, deleted[j], base.degree(j)) for j in degrees)
     accepted = all(left == right for _, left, right in profiles)
     return CandidateVerdict(f, True, accepted, profiles)
@@ -185,26 +182,20 @@ def reconstruct_auto(
     trusted.  No mode admits d > 2k.
     A result is kept iff it passes is_homology_manifold at dimension d.
     The input itself is reported when it is already a manifold, covering
-    skeletons below the search range.
+    skeletons below the search range.  Whenever a d is tried, its
+    dimension is at most k (a larger one makes reconstruct raise), so
+    results come in ascending d, and it can only repeat as the result at
+    d = k.
     """
     _check_mode_and_k(mode, k)
     results: list[tuple[int, CubicalComplex]] = []
-    seen: set[tuple[int, frozenset]] = set()
-
-    def keep(d: int, cx: CubicalComplex) -> None:
-        key = (d, cx.faces)
-        if key not in seen:
-            seen.add(key)
-            results.append((d, cx))
-
     own = is_homology_manifold(skel)
     if own.is_manifold:
-        keep(own.dimension, skel)
+        results.append((own.dimension, skel))
     top = 2 * k if mode != STANDARD else 2 * k - 1
     for d in range(k, min(d_max, top) + 1):
         built = reconstruct(skel, ReconstructionConfig(k, d, mode if d == 2 * k else STANDARD))
         report = is_homology_manifold(built)
-        if report.is_manifold and report.dimension == d:
-            keep(d, built)
-    results.sort(key=lambda t: t[0])
+        if report.is_manifold and report.dimension == d and (d, built) not in results:
+            results.append((d, built))
     return results

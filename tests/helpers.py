@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import skelcube as sk
+from skelcube.homology import _invariant_factors
 
 
 def oracle_is_subface(p: str, q: str) -> bool:
@@ -141,6 +142,38 @@ def bareiss_rank(matrix) -> int:
         if row == m:
             break
     return rank
+
+
+def transposed_columns(mats: sk.BoundaryMatrices, j: int) -> list[list[tuple[int, int]]]:
+    """Rows of D_j as (column, sign) lists: the columns of D_j transposed, none outside 1..top."""
+    if not 1 <= j <= mats.top:
+        return []
+    rows: list[list[tuple[int, int]]] = [[] for _ in mats.levels[j - 1]]
+    for ci, col in enumerate(mats.columns[j]):
+        for r, s in col:
+            rows[r].append((ci, s))
+    return rows
+
+
+def cohomology_oracle(c: sk.CubicalComplex, ring: str) -> sk.HomologyProfile:
+    """Cohomology by eliminating the coboundaries D_j^T, where the library applies universal coefficients.
+
+    In degree j the torsion comes from the invariant factors of the
+    coboundary into degree j, the transpose of D_j.
+    """
+    mats = c.chains
+
+    def factors(j: int) -> tuple[int, ...]:
+        rows = transposed_columns(mats, j)
+        if ring == sk.GF2:
+            return (1,) * sk.gf2_rank([sum(1 << i for i, _ in row) for row in rows])
+        return _invariant_factors(rows)
+
+    f = [factors(j) for j in range(c.dim + 2)]
+    return sk.HomologyProfile(
+        tuple(mats.num_faces(j) - len(f[j]) - len(f[j + 1]) for j in range(c.dim + 1)),
+        tuple(tuple(d for d in f[j] if d > 1) for j in range(c.dim + 1)),
+    )
 
 
 def candidate_oracle(skel: sk.CubicalComplex, k: int) -> list[str]:
