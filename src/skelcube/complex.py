@@ -8,9 +8,10 @@ from itertools import combinations, product
 
 from .errors import ContractError, StructuralError
 from .words import (
+    ONE,
     STAR,
+    ZERO,
     facets,
-    one_step_cofaces,
     proper_subwords,
     sort_words,
     subwords,
@@ -72,6 +73,19 @@ class CubicalComplex:
         from . import homology  # homology imports this module
 
         return homology._matrices_over(self.faces)
+
+    @cached_property
+    def faces_by_vertex(self) -> dict[str, tuple[str, ...]]:
+        """Each vertex mapped to the faces containing it, built once per instance.
+
+        One pass over the sum of 2**dim(w) vertex incidences; tuples keep
+        the index small, as it lives as long as the complex.
+        """
+        at: dict[str, list[str]] = {}
+        for w in self.faces:
+            for v in word_vertices(w):
+                at.setdefault(v, []).append(w)
+        return {v: tuple(ws) for v, ws in at.items()}
 
     def __contains__(self, w: str) -> bool:
         return w in self.faces
@@ -173,25 +187,24 @@ def _require_subcomplex(c: CubicalComplex, g: CubicalComplex, role: str) -> None
 def star(c: CubicalComplex, faces) -> frozenset[str]:
     """Faces of c having one of the given faces as a subface (their open star).
 
-    Walks up one coface at a time inside c.faces, so only the star is
-    visited.  Exact because c is downward closed: every face between a
-    given face and a face of c above it is itself in c.
+    A face contains f exactly when it contains both extreme corners of
+    f, the vertices with every star of f set to 0 and to 1, so the star
+    of f is the intersection of their entries in `faces_by_vertex`.
+    Exact on any face set, downward closed or not, and for given words
+    outside c.
     """
-    found = {f for f in faces if f in c.faces}
-    frontier = list(found)
-    while frontier:
-        for up in one_step_cofaces(frontier.pop()):
-            if up in c.faces and up not in found:
-                found.add(up)
-                frontier.append(up)
+    at = c.faces_by_vertex
+    found: set[str] = set()
+    for f in faces:
+        low = at.get(f.replace(STAR, ZERO), ())
+        high = at.get(f.replace(STAR, ONE), ())
+        # a vertex is both its corners: the same tuple, no intersection needed
+        found.update(low if low is high else set(low).intersection(high))
     return frozenset(found)
 
 
 def delete(c: CubicalComplex, g: CubicalComplex) -> CubicalComplex:
-    """Faces of c containing no vertex of g: c minus the open star of V(g).
-
-    c must be downward closed (see star).
-    """
+    """Faces of c containing no vertex of g: c minus the open star of V(g)."""
     _require_subcomplex(c, g, "deletion argument")
     return _derived(c.ambient_dim, c.faces - star(c, g.vertices()))
 
@@ -215,8 +228,8 @@ def is_face_like(c: CubicalComplex, g: CubicalComplex) -> bool:
 
     The test is purely combinatorial: intersect each face's vertex set
     with V(g) and look the result up among vertex sets of faces of g.
-    Only the open star of V(g) meets V(g) at all, so only its faces are
-    checked; c must be downward closed (see star).
+    Only the open star of V(g) meets V(g) at all, so only its faces,
+    read from the vertex index, are checked.
     """
     _require_subcomplex(c, g, "face-likeness argument")
     gverts = g.vertices()

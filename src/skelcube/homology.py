@@ -6,26 +6,33 @@ signed_facets: the i-th star of a face (left to right, starting at 1)
 contributes (-1)**(i+1) on its ONE facet and (-1)**i on its ZERO facet.
 
 The matrices carry no ring: they are the same sparse (index, sign)
-vectors over GF(2) and over Z, and the ring only picks how a vector is
-packed and the reducer that eliminates them.  GF(2) packs each vector
-into an integer for `gf2_rank`, once per matrix.  A complex builds the
-matrices of its whole face set once (`CubicalComplex.chains`); the
-homology of a subcomplex in a few degrees is read off them by keeping
-the subcomplex's columns.  `_homology` is the one ranks-to-Betti
-routine: absolute, relative and kept-face homology all call it, and
-cohomology follows from homology by universal coefficients.
+vectors over GF(2) and over Z, and the ring only picks the routine that
+reads a map.  A complex builds the matrices of its whole face set once
+(`CubicalComplex.chains`); the homology of a subcomplex in a few degrees
+is read off them on the subcomplex's columns.  `_homology` is the one
+ranks-to-Betti routine: absolute, relative and kept-face homology all
+call it, and cohomology follows from homology by universal coefficients.
 
-Every integer elimination (homology, relative homology and
-`integer_rank`) goes through one sparse reducer,
-`_invariant_factors`.  It first eliminates unit (+-1) pivots: each one
-is a unimodular row and column operation that contributes an invariant
-factor 1 and leaves the Schur complement, one row and one column
-smaller.  Only the remainder without unit entries, which is small on
-boundary matrices, is densified and handed to `smith_normal_form` (cf.
-Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004;
-Dumas-Saunders-Villard on sparse integer Smith forms).  Arithmetic is
-exact Python integers, so entry growth is handled by arbitrary precision
-and there is no overflow path to detect.
+Over GF(2) each matrix is eliminated once (`gf2_elimination`): column
+reduction packs each column into an int and records rank D_j and a
+kernel basis Z_j.  Keeping only the columns K of D_j, with S the rest,
+rank(D_j|K) = rank D_j - |S| + rank(Z_j|S) by rank-nullity, so a kept
+set costs one `gf2_rank` of the kernel restricted to S.  With nothing
+deleted the correction is zero, and the same route serves absolute and
+relative homology.
+
+Over Z a kept set reduces its own columns: the integer reconstruction
+mode compares torsion, which ranks do not give.  Every integer
+elimination (homology, relative homology and `integer_rank`) goes
+through one sparse reducer, `_invariant_factors`.  It first eliminates
+unit (+-1) pivots: each one is a unimodular row and column operation
+that contributes an invariant factor 1 and leaves the Schur complement,
+one row and one column smaller.  Only the remainder without unit
+entries, which is small on boundary matrices, is densified and handed
+to `smith_normal_form` (cf. Kaczynski-Mischaikow-Mrozek, *Computational
+Homology*, 2004; Dumas-Saunders-Villard on sparse integer Smith forms).
+Arithmetic is exact Python integers, so entry growth is handled by
+arbitrary precision and there is no overflow path to detect.
 """
 
 from __future__ import annotations
@@ -87,10 +94,11 @@ class BoundaryMatrices:
     outside the set are dropped (the quotient boundary).
     """
 
-    def __init__(self, levels, columns):
+    def __init__(self, levels, columns, index):
         self.levels = levels        # levels[j]: j-faces, canonical order
         self.columns = columns      # columns[j][c]: list of (row, sign), j >= 1
-        self._packed: dict[str, list] = {}  # ring -> columns packed for its reducer
+        self.index = index          # index[j][w]: column of the j-face w
+        self._eliminated: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     @property
     def top(self) -> int:
@@ -101,15 +109,25 @@ class BoundaryMatrices:
             return len(self.levels[j])
         return 0
 
-    def packed_columns(self, j: int, ring: str) -> list:
-        """Columns of D_j packed for the ring's reducer; each ring packs them once per instance."""
+    def gf2_elimination(self, j: int) -> tuple[int, tuple[int, ...]]:
+        """Rank of D_j over GF(2) and a basis of its kernel, from one column reduction per matrix.
+
+        Kernel vectors are ints over column indices, bit c for column c.
+        Outside degrees 1..top there is no matrix: rank 0, no basis.
+        """
         if not 1 <= j <= self.top:
-            return []
-        packed = self._packed.get(ring)
-        if packed is None:
-            pack = _RINGS[ring][0]
-            packed = self._packed[ring] = [[pack(col) for col in cols] for cols in self.columns]
-        return packed[j]
+            return 0, ()
+        got = self._eliminated.get(j)
+        if got is None:
+            got = self._eliminated[j] = _gf2_eliminate([_pack_gf2(col) for col in self.columns[j]])
+        return got
+
+    def columns_outside(self, j: int, kept) -> int:
+        """The j-faces not in kept, as a mask over column indices; none when kept is None."""
+        if kept is None or not 0 <= j <= self.top:
+            return 0
+        at = self.index[j]
+        return sum(1 << at[w] for w in at.keys() - kept)
 
     def dense(self, j: int) -> list[list[int]]:
         if not 1 <= j <= self.top:
@@ -150,7 +168,7 @@ def _matrices_over(face_set) -> BoundaryMatrices:
             col = [(below[f], s) for f, s in signed_facets(w) if f in below]
             cols.append(col)
         columns[j] = cols
-    return BoundaryMatrices(levels, columns)
+    return BoundaryMatrices(levels, columns, index)
 
 
 def gf2_rank(vectors) -> int:
@@ -167,6 +185,37 @@ def gf2_rank(vectors) -> int:
                 break
             v ^= b
     return rank
+
+
+def _pack_gf2(vector) -> int:
+    """A sparse (index, value) vector over GF(2) as an int, bit i for index i."""
+    return sum(1 << i for i, _ in vector)
+
+
+def _gf2_eliminate(columns) -> tuple[int, tuple[int, ...]]:
+    """Rank and a kernel basis of the GF(2) matrix whose columns are packed as ints.
+
+    Column reduction that also tracks, as a mask, the columns each
+    reduced column is the sum of: a column reducing to zero names a
+    kernel vector (Edelsbrunner-Harer, *Computational Topology*, 2010,
+    ch. VII).  The kernel vectors are independent, as the one of column
+    c is the only one whose highest bit is c.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for c, v in enumerate(columns):
+        sums = 1 << c
+        while v:
+            h = v.bit_length() - 1
+            hit = pivots.get(h)
+            if hit is None:
+                pivots[h] = (v, sums)
+                break
+            v ^= hit[0]
+            sums ^= hit[1]
+        else:
+            kernel.append(sums)
+    return len(pivots), tuple(kernel)
 
 
 def smith_normal_form(matrix) -> tuple[int, ...]:
@@ -310,20 +359,39 @@ def integer_rank(matrix) -> int:
     return len(_invariant_factors([[(i, row[j]) for i, row in enumerate(a) if row[j]] for j in range(n)]))
 
 
-def _pack_gf2(vector) -> int:
-    """A sparse (index, value) vector over GF(2) as an int, bit i for index i."""
-    return sum(1 << i for i, _ in vector)
+def _gf2_map(mats: BoundaryMatrices, i: int, kept) -> tuple[int, int, tuple[int, ...]]:
+    """(i-faces, rank of D_i, torsion) over GF(2) for the kept faces, by rank-nullity.
+
+    With S the deleted columns of D_i and Z a basis of its kernel,
+    rank(D_i|K) = rank D_i - |S| + rank(Z|S): the kernel of D_i|K is the
+    part of ker D_i vanishing on S.  So every kept set reads mats' one
+    elimination of D_i, and only the kernel restricted to S is reduced.
+    """
+    rank, kernel = mats.gf2_elimination(i)
+    faces = mats.num_faces(i)
+    deleted = mats.columns_outside(i, kept)
+    if deleted:
+        size = deleted.bit_count()
+        faces -= size
+        if i >= 1:  # D_0 is the zero map whatever is kept
+            rank += gf2_rank([z & deleted for z in kernel]) - size
+    return faces, rank, ()
 
 
-def _gf2_factors(packed) -> tuple[int, ...]:
-    """One factor 1 per GF(2) pivot of vectors packed as ints."""
-    return (1,) * gf2_rank(packed)
+def _integer_map(mats: BoundaryMatrices, i: int, kept) -> tuple[int, int, tuple[int, ...]]:
+    """(i-faces, rank of D_i, invariant factors above 1) over Z for the kept faces, on their columns."""
+    faces = mats.num_faces(i)
+    columns = mats.columns[i] if 1 <= i <= mats.top else []
+    if kept is not None and 0 <= i <= mats.top:
+        at = [c for c, w in enumerate(mats.levels[i]) if w in kept]
+        faces = len(at)
+        columns = [columns[c] for c in at] if columns else []
+    factors = _invariant_factors(columns)
+    return faces, len(factors), tuple(d for d in factors if d > 1)
 
 
-# The ring picks the packing and the reducer, never the matrix: pack turns
-# one sparse (index, value) vector into what reduce takes, and reduce
-# returns the invariant factors of the matrix made of such vectors.
-_RINGS = {GF2: (_pack_gf2, _gf2_factors), INTEGER: (lambda vector: vector, _invariant_factors)}
+# the ring picks the routine that reads one boundary map on the kept faces
+_RINGS = {GF2: _gf2_map, INTEGER: _integer_map}
 
 
 def _homology(mats: BoundaryMatrices, ring: str, degrees, kept=None) -> dict[int, tuple[int, tuple[int, ...]]]:
@@ -334,24 +402,15 @@ def _homology(mats: BoundaryMatrices, ring: str, degrees, kept=None) -> dict[int
     facet of its faces: its D_j is mats' D_j restricted to the kept
     j-faces, columns only, as the rows those columns reach are kept
     faces and every other row is zero there.  Without it every face is
-    kept.  Each map is reduced once, also when two degrees share it.
+    kept.  Each map is read once, also when two degrees share it.
     """
-    reduce = _RINGS[ring][1]
+    read = _RINGS[ring]
     faces: dict[int, int] = {}
-    factors: dict[int, tuple[int, ...]] = {}
+    rank: dict[int, int] = {}
+    torsion: dict[int, tuple[int, ...]] = {}
     for i in sorted({i for j in degrees for i in (j, j + 1)}):
-        packed = mats.packed_columns(i, ring)
-        if kept is None or not 0 <= i <= mats.top:
-            faces[i] = mats.num_faces(i)
-        else:
-            at = [c for c, w in enumerate(mats.levels[i]) if w in kept]
-            faces[i] = len(at)
-            packed = [packed[c] for c in at] if packed else []
-        factors[i] = reduce(packed)
-    return {
-        j: (faces[j] - len(factors[j]) - len(factors[j + 1]), tuple(d for d in factors[j + 1] if d > 1))
-        for j in degrees
-    }
+        faces[i], rank[i], torsion[i] = read(mats, i, kept)
+    return {j: (faces[j] - rank[j] - rank[j + 1], torsion[j + 1]) for j in degrees}
 
 
 def _profile(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile:
@@ -362,8 +421,8 @@ def _profile(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile:
 
 # Reconstruction asks for the base profile of the same skeleton once per
 # candidate, so these two memos now hold only the base of each degree
-# (the candidates' deleted complexes are judged by _homology on the
-# base's kept columns).  They stay because perfbench/traced.py reads
+# (the candidates' deleted complexes are judged by _homology over the
+# base's own matrices).  They stay because perfbench/traced.py reads
 # their cache_info() for homology.memo_hit_ratio until the benchmark
 # records spans itself (ROADMAP item 1).  Cohomology reads them too.
 @lru_cache(maxsize=256)

@@ -33,7 +33,7 @@ def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile
     """Homology of the pair (c, faces not containing f).
 
     The quotient basis is the open star of f, the faces having f as a
-    subface, found by walking up from f (c must be downward closed).
+    subface, read from c's vertex index (see star).
     """
     if f not in c.faces:
         raise StructuralError(f"face {f!r} is not in the complex")

@@ -12,10 +12,14 @@ Deleting the boundary of a candidate removes the open star of its
 vertices, and a face outside that star has no vertex there, so none of
 its facets is in the star either.  The deletion therefore removes
 columns only: its D_j is the current complex's D_j restricted to the
-j-faces kept.  The boundary matrices of the current complex are built
-once per degree (`CubicalComplex.chains`, also read by its base
-profile), and each candidate only reduces the kept columns of the maps
-its compared degrees need.
+j-faces kept.  Per degree, the current complex builds its boundary
+matrices once (`CubicalComplex.chains`, also read by its base profile),
+eliminates each over GF(2) once, and indexes its faces by vertex once
+(`CubicalComplex.faces_by_vertex`), so a candidate's deleted star is a
+few index lookups.  Over GF(2) a candidate then costs one rank of the
+base's kernel basis restricted to the deleted columns, by rank-nullity
+(see homology); TIGHT_INTEGER compares torsion and reduces the kept
+columns over Z.
 
 A tight mode (even target dimension d = 2k) is the same test at the
 first degree with degree d-k dropped, the middle degree whose homology

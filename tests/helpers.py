@@ -12,6 +12,7 @@ from itertools import combinations, product
 
 import skelcube as sk
 from skelcube.homology import _invariant_factors
+from skelcube.words import one_step_cofaces
 
 
 def oracle_is_subface(p: str, q: str) -> bool:
@@ -213,6 +214,43 @@ def is_face_like_oracle(c: sk.CubicalComplex, g: sk.CubicalComplex) -> bool:
         if hit and hit not in gface_vertex_sets:
             return False
     return True
+
+
+def star_walk_oracle(c: sk.CubicalComplex, faces) -> frozenset[str]:
+    """Open star by walking up one coface at a time inside c.faces.
+
+    Exact only when c is downward closed: every face between a given
+    face and a face of c above it must itself be in c for the walk to
+    pass through it.
+    """
+    found = {f for f in faces if f in c.faces}
+    frontier = list(found)
+    while frontier:
+        for up in one_step_cofaces(frontier.pop()):
+            if up in c.faces and up not in found:
+                found.add(up)
+                frontier.append(up)
+    return frozenset(found)
+
+
+def kept_homology_gf2_oracle(mats: sk.BoundaryMatrices, degrees, kept) -> dict[int, tuple[int, tuple]]:
+    """GF(2) homology of the faces of mats in kept by reducing their own columns.
+
+    The library instead corrects the rank of each whole matrix by
+    rank-nullity over its kernel.
+    """
+
+    def kept_faces(i: int) -> list[int]:
+        if not 0 <= i <= mats.top:
+            return []
+        return [c for c, w in enumerate(mats.levels[i]) if w in kept]
+
+    def rank(i: int) -> int:
+        if not 1 <= i <= mats.top:
+            return 0
+        return sk.gf2_rank([sum(1 << r for r, _ in mats.columns[i][c]) for c in kept_faces(i)])
+
+    return {j: (len(kept_faces(j)) - rank(j) - rank(j + 1), ()) for j in degrees}
 
 
 def local_profile_oracle(c: sk.CubicalComplex, f: str, ring: str) -> sk.HomologyProfile:

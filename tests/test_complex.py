@@ -13,6 +13,7 @@ from helpers import (
     is_full_subcomplex,
     oracle_is_subface,
     random_subcomplex,
+    star_walk_oracle,
     vertices_of,
 )
 
@@ -157,6 +158,33 @@ def test_star_matches_subface_oracle():
             given = rng.sample(list(all_words(n)), rng.randint(0, 3))
             expected = {w for w in c.faces if any(oracle_is_subface(f, w) for f in given)}
             assert sk.star(c, given) == expected, (sorted(c.faces), given)
+            assert star_walk_oracle(c, given) == expected, (sorted(c.faces), given)
+
+
+def test_star_is_exact_on_face_sets_that_are_not_closed():
+    # the vertex index needs no downward closure; the coface walk does
+    rng = random.Random(32)
+    walk_missed = 0
+    for n in range(1, 6):
+        words = list(all_words(n))
+        for _ in range(40):
+            c = sk.CubicalComplex(n, frozenset(rng.sample(words, rng.randint(0, len(words) // 3))))
+            given = rng.sample(words, rng.randint(0, 3))
+            expected = {w for w in c.faces if any(oracle_is_subface(f, w) for f in given)}
+            assert sk.star(c, given) == expected, (sorted(c.faces), given)
+            walk_missed += star_walk_oracle(c, given) != expected
+    assert walk_missed > 0
+
+
+def test_vertex_index_lists_the_faces_at_each_vertex():
+    rng = random.Random(33)
+    for n in range(0, 5):
+        c = random_subcomplex(rng, sk.full_cube(n))
+        expected = {v: {w for w in c.faces if v in vertices_of(w)} for v in c.vertices()}
+        index = c.faces_by_vertex
+        assert {v: set(ws) for v, ws in index.items()} == expected
+        assert all(len(ws) == len(set(ws)) for ws in index.values())
+        assert c.faces_by_vertex is index
 
 
 def test_delete_and_face_likeness_match_vertex_scan_oracles():

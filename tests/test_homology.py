@@ -9,6 +9,8 @@ from helpers import (
     bareiss_rank,
     betti_oracle_gf2,
     cohomology_oracle,
+    gf2_rank_dense,
+    kept_homology_gf2_oracle,
     projective_plane,
     random_subcomplex,
     snf_oracle,
@@ -260,6 +262,54 @@ def test_kept_columns_give_the_homology_of_any_subcomplex():
     skel = sk.skeleton(rp2_times_circle, 2)
     # the torsion of H_1 = Z + Z/2 shows up from the host's own integer matrices
     assert _homology(rp2_times_circle.chains, sk.INTEGER, (1,), skel.faces) == {1: (1, (2,))}
+
+
+def test_gf2_elimination_gives_the_rank_and_a_kernel_basis():
+    rng = random.Random(57)
+    for n in range(1, 6):
+        base = sk.full_cube(n)
+        for _ in range(10):
+            mats = random_subcomplex(rng, base).chains
+            for j in range(-1, mats.top + 2):
+                rank, kernel = mats.gf2_elimination(j)
+                if not 1 <= j <= mats.top:
+                    assert (rank, kernel) == (0, ())
+                    continue
+                columns = [sum(1 << r for r, _ in col) for col in mats.columns[j]]
+                assert rank == gf2_rank_dense([[v % 2 for v in row] for row in mats.dense(j)])
+                assert len(kernel) == len(columns) - rank
+                assert sk.gf2_rank(kernel) == len(kernel)
+                for z in kernel:
+                    image = 0
+                    for c, col in enumerate(columns):
+                        if z >> c & 1:
+                            image ^= col
+                    assert image == 0
+                assert mats.gf2_elimination(j) is mats.gf2_elimination(j)
+
+
+def test_rank_nullity_matches_the_kept_column_reduction():
+    # kept sets: none, all, a vertex deletion, a skeleton and any subcomplex
+    rng = random.Random(59)
+    emptied = 0
+    for n in range(1, 6):
+        base = sk.full_cube(n)
+        for _ in range(16):
+            c = random_subcomplex(rng, base)
+            mats = c.chains
+            degrees = range(-1, c.dim + 2)
+            deleted = sk.delete(c, random_subcomplex(rng, c, max_generators=2)).faces
+            for kept in (
+                frozenset(),
+                c.faces,
+                deleted,
+                sk.skeleton(c, rng.randint(-1, c.dim)).faces,
+                random_subcomplex(rng, c).faces,
+            ):
+                got = _homology(mats, sk.GF2, degrees, kept)
+                assert got == kept_homology_gf2_oracle(mats, degrees, kept), (sorted(c.faces), sorted(kept))
+            emptied += any(level and deleted.isdisjoint(level) for level in mats.levels)
+    assert emptied > 10
 
 
 def test_gf2_rank_packed():

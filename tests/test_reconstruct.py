@@ -288,7 +288,7 @@ def test_criterion_matches_delete_and_recompute_oracle_on_random_subcomplexes():
     assert emptied > 0
 
 
-@pytest.mark.parametrize(
+_COST_CASES = pytest.mark.parametrize(
     "skel, cfg",
     [
         (sk.skeleton(sk.cube_boundary(4), 2), sk.ReconstructionConfig(2, 3)),
@@ -296,6 +296,9 @@ def test_criterion_matches_delete_and_recompute_oracle_on_random_subcomplexes():
     ],
     ids=["S^3", "S^4-tight"],
 )
+
+
+@_COST_CASES
 def test_reconstruction_builds_one_chain_complex_per_degree(monkeypatch, skel, cfg):
     built = []
     real = homology._matrices_over
@@ -310,3 +313,41 @@ def test_reconstruction_builds_one_chain_complex_per_degree(monkeypatch, skel, c
     bases = [skel.faces] + [step.complex_after.faces for step in steps[:-1]]
     assert len(steps) == cfg.d - cfg.k
     assert built == bases
+
+
+@_COST_CASES
+def test_reconstruction_builds_one_vertex_index_per_degree(monkeypatch, skel, cfg):
+    # the index expands each face of a base into its vertices once; the
+    # candidates' deletions only read it
+    expanded = []
+    real = sk.complex.word_vertices
+
+    def counting(w):
+        expanded.append(w)
+        return real(w)
+
+    monkeypatch.setattr(sk.complex, "word_vertices", counting)
+    skel = sk.CubicalComplex(skel.ambient_dim, skel.faces)  # a fresh instance, no index yet
+    steps = list(sk.reconstruct_steps(skel, cfg))
+    bases = [skel.faces] + [step.complex_after.faces for step in steps[:-1]]
+    assert sorted(expanded) == sorted(w for faces in bases for w in faces)
+    assert sum(len(step.verdicts) for step in steps) > len(bases)
+
+
+@_COST_CASES
+def test_reconstruction_eliminates_each_gf2_map_once_per_degree(monkeypatch, skel, cfg):
+    # every candidate reads the base's elimination of D_1..D_dim; none reduces its own columns
+    eliminated = []
+    real = homology._gf2_eliminate
+
+    def counting(columns):
+        eliminated.append(len(columns))
+        return real(columns)
+
+    monkeypatch.setattr(homology, "_gf2_eliminate", counting)
+    homology.betti_gf2.cache_clear()  # an equal base memoized earlier would skip its profile
+    skel = sk.CubicalComplex(skel.ambient_dim, skel.faces)
+    steps = list(sk.reconstruct_steps(skel, cfg))
+    bases = [skel] + [step.complex_after for step in steps[:-1]]
+    assert eliminated == [base.chains.num_faces(j) for base in bases for j in range(1, base.dim + 1)]
+    assert sum(len(step.verdicts) for step in steps) > len(eliminated)
