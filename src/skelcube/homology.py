@@ -12,14 +12,18 @@ reads a map.  A complex builds the matrices of its whole face set once
 is read off them on the subcomplex's columns.  `_homology` is the one
 ranks-to-Betti routine: absolute, relative and kept-face homology all
 call it, and cohomology follows from homology by universal coefficients.
+Local GF(2) profiles are the exception: `manifold.local_profile` slices
+them from `c.chains`, ranking the packed columns of the open star
+(`BoundaryMatrices.packed_gf2`, packed once per matrix) masked to the
+star's rows, as the quotient by the faces outside a star drops only rows.
 
 Over GF(2) each matrix is eliminated once (`gf2_elimination`): column
-reduction packs each column into an int and records rank D_j and a
-kernel basis Z_j.  Keeping only the columns K of D_j, with S the rest,
-rank(D_j|K) = rank D_j - |S| + rank(Z_j|S) by rank-nullity, so a kept
-set costs one `gf2_rank` of the kernel restricted to S.  With nothing
-deleted the correction is zero, and the same route serves absolute and
-relative homology.
+reduction of its packed columns records rank D_j and a kernel basis
+Z_j.  Keeping only the columns K of D_j, with S the rest, rank(D_j|K)
+= rank D_j - |S| + rank(Z_j|S) by rank-nullity, so a kept set costs
+one `gf2_rank` of the kernel restricted to S.  With nothing deleted the
+correction is zero, and the same route serves absolute and relative
+homology.
 
 Over Z a kept set reduces its own columns: the integer reconstruction
 mode compares torsion, which ranks do not give.  Every integer
@@ -98,6 +102,7 @@ class BoundaryMatrices:
         self.levels = levels        # levels[j]: j-faces, canonical order
         self.columns = columns      # columns[j][c]: list of (row, sign), j >= 1
         self.index = index          # index[j][w]: column of the j-face w
+        self._packed: dict[int, tuple[int, ...]] = {}
         self._eliminated: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     @property
@@ -109,6 +114,18 @@ class BoundaryMatrices:
             return len(self.levels[j])
         return 0
 
+    def packed_gf2(self, j: int) -> tuple[int, ...]:
+        """The columns of D_j over GF(2) as ints, bit r for row r, packed once per matrix.
+
+        Outside degrees 1..top there is no matrix: no columns.
+        """
+        if not 1 <= j <= self.top:
+            return ()
+        got = self._packed.get(j)
+        if got is None:
+            got = self._packed[j] = tuple(_pack_gf2(col) for col in self.columns[j])
+        return got
+
     def gf2_elimination(self, j: int) -> tuple[int, tuple[int, ...]]:
         """Rank of D_j over GF(2) and a basis of its kernel, from one column reduction per matrix.
 
@@ -119,7 +136,7 @@ class BoundaryMatrices:
             return 0, ()
         got = self._eliminated.get(j)
         if got is None:
-            got = self._eliminated[j] = _gf2_eliminate([_pack_gf2(col) for col in self.columns[j]])
+            got = self._eliminated[j] = _gf2_eliminate(self.packed_gf2(j))
         return got
 
     def columns_outside(self, j: int, kept) -> int:

@@ -8,7 +8,7 @@ from typing import Optional
 from .complex import CubicalComplex, _derived, _require_subcomplex, is_face_like, star
 from .embedding import components
 from .errors import ContractError, ContradictionError, StructuralError
-from .homology import GF2, HomologyProfile, integer_rank, relative_profile
+from .homology import GF2, HomologyProfile, gf2_rank, integer_rank, relative_profile
 from .words import proper_subwords, span_word, word_dim
 
 __all__ = [
@@ -22,23 +22,56 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ManifoldReport:
+    """The verdict, and on a negative one why it came out so.
+
+    reason is None on a manifold, else one of: `impure` (a
+    maximal face below the top dimension, failing_face), `local-homology`
+    (failing_face has the local GF(2) profile failing_profile, not that
+    of a sphere), `mixed-dimension` (manifold components of different
+    dimensions) or `empty`.
+    """
+
     is_manifold: bool
     dimension: Optional[int]
     orientable: Optional[bool]
     failing_face: Optional[str]
     per_component: tuple["ManifoldReport", ...] = ()
+    reason: Optional[str] = None
+    failing_profile: Optional[HomologyProfile] = None
 
 
 def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile:
-    """Homology of the pair (c, faces not containing f).
+    """Homology of the pair (c, faces not containing f), in degrees 0..dim c.
 
     The quotient basis is the open star of f, the faces having f as a
-    subface, read from c's vertex index (see star).
+    subface, read from c's vertex index (see star).  The star is closed
+    upward, so the faces outside it are a subcomplex, and the quotient
+    boundary drops the rows outside the star.  Over GF(2) its D_j is
+    therefore c's own D_j (`c.chains`) sliced to the star's j-faces as
+    columns and (j-1)-faces as rows: one `gf2_rank` per degree of the
+    packed columns (`BoundaryMatrices.packed_gf2`) masked to the star's
+    rows, and no face set is built.  Over Z torsion needs the invariant
+    factors, so the integer ring passes the complement to
+    `relative_profile`.
     """
     if f not in c.faces:
         raise StructuralError(f"face {f!r} is not in the complex")
-    away = c.faces - star(c, (f,))
-    return relative_profile(c, _derived(c.ambient_dim, away), ring)
+    open_star = star(c, (f,))
+    if ring != GF2:
+        return relative_profile(c, _derived(c.ambient_dim, c.faces - open_star), ring)
+    mats = c.chains
+    top = c.dim
+    # cols[j]: the star's j-faces, as columns of D_j and as rows of D_(j+1)
+    cols: list[list[int]] = [[] for _ in range(top + 1)]
+    for w in open_star:
+        j = word_dim(w)
+        cols[j].append(mats.index[j][w])
+    rank = [0] * (top + 2)
+    for j in range(1, top + 1):
+        packed, rows = mats.packed_gf2(j), sum(1 << r for r in cols[j - 1])
+        rank[j] = gf2_rank(packed[col] & rows for col in cols[j])
+    betti = tuple(len(cols[j]) - rank[j] - rank[j + 1] for j in range(top + 1))
+    return HomologyProfile(betti, ((),) * (top + 1))
 
 
 def _top_free_rank(comp: CubicalComplex) -> int:
@@ -57,11 +90,12 @@ def _component_report(comp: CubicalComplex, with_orientability: bool) -> Manifol
     d = comp.dim
     impure = _impure_face(comp)
     if impure is not None:
-        return ManifoldReport(False, None, None, impure)
+        return ManifoldReport(False, None, None, impure, reason="impure")
     sphere = (0,) * d + (1,)
     for w in comp.sorted_faces():
-        if local_profile(comp, w, GF2).betti != sphere:
-            return ManifoldReport(False, None, None, w)
+        seen = local_profile(comp, w, GF2)
+        if seen.betti != sphere:
+            return ManifoldReport(False, None, None, w, reason="local-homology", failing_profile=seen)
     orientable = _top_free_rank(comp) == 1 if with_orientability else None
     return ManifoldReport(True, d, orientable, None)
 
@@ -74,12 +108,13 @@ def is_homology_manifold(c: CubicalComplex, check_orientability: bool = False) -
     """
     parts = components(c)
     if not parts:
-        return ManifoldReport(False, None, None, None)
+        return ManifoldReport(False, None, None, None, reason="empty")
     sub = tuple(_component_report(p, check_orientability) for p in parts)
-    ok = all(r.is_manifold for r in sub) and len({r.dimension for r in sub}) == 1
-    if not ok:
-        failing = next((r.failing_face for r in sub if r.failing_face is not None), None)
-        return ManifoldReport(False, None, None, failing, sub)
+    bad = next((r for r in sub if not r.is_manifold), None)
+    if bad is not None:
+        return ManifoldReport(False, None, None, bad.failing_face, sub, bad.reason, bad.failing_profile)
+    if len({r.dimension for r in sub}) != 1:
+        return ManifoldReport(False, None, None, None, sub, "mixed-dimension")
     orientable = all(r.orientable for r in sub) if check_orientability else None
     return ManifoldReport(True, sub[0].dimension, orientable, None, sub)
 

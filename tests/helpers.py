@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import skelcube as sk
+from skelcube.complex import _derived
 from skelcube.homology import _invariant_factors
 from skelcube.words import one_step_cofaces
 
@@ -254,9 +255,15 @@ def kept_homology_gf2_oracle(mats: sk.BoundaryMatrices, degrees, kept) -> dict[i
 
 
 def local_profile_oracle(c: sk.CubicalComplex, f: str, ring: str) -> sk.HomologyProfile:
-    """Homology of (c, faces not containing f), the complement found by scanning every face."""
-    away = frozenset(w for w in c.faces if not oracle_is_subface(f, w))
-    return sk.relative_profile(c, sk.CubicalComplex(c.ambient_dim, away), ring)
+    """Homology of (c, faces not containing f) from quotient matrices rebuilt from words.
+
+    The faces containing f are listed by keeping or starring each fixed
+    letter of f, not read from the library's vertex index; the pair goes
+    through `relative_profile`, not the library's slice of c.chains.
+    """
+    letters = [(a,) if a == "*" else (a, "*") for a in f]
+    above = frozenset("".join(w) for w in product(*letters)) & c.faces
+    return sk.relative_profile(c, _derived(c.ambient_dim, c.faces - above), ring)
 
 
 def face_criterion_oracle(

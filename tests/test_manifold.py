@@ -4,7 +4,8 @@ import pytest
 
 import skelcube as sk
 
-from helpers import local_profile_oracle, projective_plane, random_subcomplex
+from helpers import local_profile_oracle, projective_plane, random_subcomplex, relabel
+from test_properties import BY_NAME, MANIFOLDS
 
 
 def test_local_profile_interior_and_top_faces():
@@ -34,20 +35,56 @@ def test_local_profile_homogeneous_across_faces():
 
 
 def test_local_profile_matches_subface_scan_oracle():
+    # random subcomplexes are not manifolds, so the sliced ranks drop and profiles vary:
+    # every face over GF(2), a sample over Z
     rng = random.Random(41)
     checked = 0
     for n in range(1, 6):
         base = sk.full_cube(n)
         for _ in range(12):
             c = random_subcomplex(rng, base, max_generators=4)
+            for f in sorted(c.faces):
+                assert sk.local_profile(c, f, sk.GF2) == local_profile_oracle(c, f, sk.GF2), (sorted(c.faces), f)
+                checked += 1
             for f in rng.sample(sorted(c.faces), min(6, len(c.faces))):
-                for ring in (sk.GF2, sk.INTEGER):
-                    assert sk.local_profile(c, f, ring) == local_profile_oracle(c, f, ring), (sorted(c.faces), f)
-                    checked += 1
+                assert sk.local_profile(c, f, sk.INTEGER) == local_profile_oracle(c, f, sk.INTEGER), (sorted(c.faces), f)
     rp2 = projective_plane()
     for f in sorted(rp2.faces)[::7]:
         assert sk.local_profile(rp2, f, sk.INTEGER) == local_profile_oracle(rp2, f, sk.INTEGER)
-    assert checked > 300
+    assert checked > 500
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in MANIFOLDS])
+def test_local_profile_matches_oracle_on_every_face_of_a_placed_manifold(name):
+    m, d, _ = BY_NAME[name]
+    c = relabel(m, random.Random(name))
+    for f in sorted(c.faces):
+        assert sk.local_profile(c, f, sk.GF2) == local_profile_oracle(c, f, sk.GF2), f
+
+
+def test_local_profile_alternating_rings_on_one_complex():
+    # the packed columns are cached on c.chains; integer calls in between must not disturb them
+    c = sk.product_complex(projective_plane(), sk.closure(1, ["*"]))
+    packed = [c.chains.packed_gf2(j) for j in range(c.dim + 1)]
+    for i, f in enumerate(sorted(c.faces)[::3]):
+        ring = (sk.GF2, sk.INTEGER)[i % 2]
+        assert sk.local_profile(c, f, ring) == local_profile_oracle(c, f, ring), (f, ring)
+    assert all(c.chains.packed_gf2(j) is p for j, p in enumerate(packed))
+
+
+def test_manifold_check_builds_the_matrices_once_per_component(monkeypatch):
+    # the local profiles slice each component's own chains instead of rebuilding a quotient per face
+    calls = []
+    real = sk.homology._matrices_over
+    monkeypatch.setattr("skelcube.homology._matrices_over", lambda faces: calls.append(len(faces)) or real(faces))
+    torus = sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(2))
+    assert sk.is_homology_manifold(torus, check_orientability=True).is_manifold
+    assert len(calls) == 1
+    calls.clear()
+    gens = [w + b + b for w in sk.cube_boundary(3).maximal_faces() for b in "01"]
+    two = sk.closure(5, gens)
+    assert sk.is_homology_manifold(two, check_orientability=True).is_manifold
+    assert len(calls) == len(sk.components(two)) == 2
 
 
 def test_local_profile_requires_membership():
@@ -61,6 +98,7 @@ def test_sphere_is_manifold():
     assert rep.dimension == 2
     assert rep.orientable is True
     assert rep.failing_face is None
+    assert rep.reason is None and rep.failing_profile is None
 
 
 def test_circle_and_point_are_manifolds():
@@ -92,8 +130,9 @@ def test_wedge_of_circles_fails_at_shared_corner():
     assert len(sk.components(c)) == 1
     rep = sk.is_homology_manifold(c)
     assert not rep.is_manifold
-    assert rep.failing_face == "1100"
-    assert sk.local_profile(c, "1100", sk.GF2).betti == (0, 3)
+    assert (rep.reason, rep.failing_face) == ("local-homology", "1100")
+    assert rep.failing_profile == sk.local_profile(c, "1100", sk.GF2)
+    assert rep.failing_profile.betti == (0, 3)
 
 
 def test_impure_complex_fails_with_witness():
@@ -101,13 +140,16 @@ def test_impure_complex_fails_with_witness():
     c = sk.closure(3, ["**0", "00*"])
     rep = sk.is_homology_manifold(c)
     assert not rep.is_manifold
-    assert rep.failing_face == "00*"
+    assert (rep.reason, rep.failing_face, rep.failing_profile) == ("impure", "00*", None)
+    assert rep.per_component[0].reason == "impure"
 
 
 def test_mixed_component_dimensions_fail():
     c = sk.closure(4, [w + "0" for w in sk.cube_boundary(3).maximal_faces()] + ["1111"])
     rep = sk.is_homology_manifold(c)
     assert not rep.is_manifold  # a sphere next to an isolated vertex
+    assert (rep.reason, rep.failing_face, rep.failing_profile) == ("mixed-dimension", None, None)
+    assert all(r.is_manifold and r.reason is None for r in rep.per_component)
 
 
 def test_two_spheres_manifold_with_component_reports():
@@ -124,6 +166,7 @@ def test_two_spheres_manifold_with_component_reports():
 def test_empty_complex_is_not_a_manifold():
     rep = sk.is_homology_manifold(sk.CubicalComplex(3, frozenset()))
     assert not rep.is_manifold
+    assert (rep.reason, rep.failing_face, rep.failing_profile) == ("empty", None, None)
 
 
 def test_projective_plane_manifold_not_orientable():
