@@ -10,20 +10,20 @@ vectors over GF(2) and over Z, and the ring only picks the routine that
 reads a map.  A complex builds the matrices of its whole face set once
 (`CubicalComplex.chains`); the homology of a subcomplex in a few degrees
 is read off them on the subcomplex's columns.  `_homology` is the one
-ranks-to-Betti routine: absolute, relative and kept-face homology all
-call it, and cohomology follows from homology by universal coefficients.
-Local GF(2) profiles are the exception: `manifold.local_profile` slices
-them from `c.chains`, ranking the packed columns of the open star
-(`BoundaryMatrices.packed_gf2`, packed once per matrix) masked to the
-star's rows, as the quotient by the faces outside a star drops only rows.
+ranks-to-Betti routine: absolute, relative, kept-face and local
+homology all call it, and cohomology follows from homology by universal
+coefficients.  A local profile (`manifold.local_profile`) reads
+`c.chains` sliced to an open star (`BoundaryMatrices.restricted_to`):
+the faces outside a star are a subcomplex, so the quotient boundary
+keeps the star's columns and drops only the rows outside it.
 
 Over GF(2) each matrix is eliminated once (`gf2_elimination`): column
-reduction of its packed columns records rank D_j and a kernel basis
-Z_j.  Keeping only the columns K of D_j, with S the rest, rank(D_j|K)
-= rank D_j - |S| + rank(Z_j|S) by rank-nullity, so a kept set costs
-one `gf2_rank` of the kernel restricted to S.  With nothing deleted the
-correction is zero, and the same route serves absolute and relative
-homology.
+reduction packs each column into an int and records rank D_j and a
+kernel basis Z_j.  Keeping only the columns K of D_j, with S the rest,
+rank(D_j|K) = rank D_j - |S| + rank(Z_j|S) by rank-nullity, so a kept
+set costs one `gf2_rank` of the kernel restricted to S.  With nothing
+deleted the correction is zero, and the same route serves absolute and
+relative homology.
 
 Over Z a kept set reduces its own columns: the integer reconstruction
 mode compares torsion, which ranks do not give.  Every integer
@@ -102,7 +102,6 @@ class BoundaryMatrices:
         self.levels = levels        # levels[j]: j-faces, canonical order
         self.columns = columns      # columns[j][c]: list of (row, sign), j >= 1
         self.index = index          # index[j][w]: column of the j-face w
-        self._packed: dict[int, tuple[int, ...]] = {}
         self._eliminated: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     @property
@@ -114,17 +113,29 @@ class BoundaryMatrices:
             return len(self.levels[j])
         return 0
 
-    def packed_gf2(self, j: int) -> tuple[int, ...]:
-        """The columns of D_j over GF(2) as ints, bit r for row r, packed once per matrix.
+    def restricted_to(self, faces) -> "BoundaryMatrices":
+        """The quotient matrices on `faces`, a subset of these faces closed upward.
 
-        Outside degrees 1..top there is no matrix: no columns.
+        The faces outside `faces` are then a subcomplex, so the quotient
+        D_j is this D_j on the j-faces of `faces` as columns, with the
+        rows of the (j-1)-faces outside dropped.  Faces keep their
+        canonical order and the degrees stay 0..top.  The cost is that
+        of the columns taken, not of the whole matrices.
         """
-        if not 1 <= j <= self.top:
-            return ()
-        got = self._packed.get(j)
-        if got is None:
-            got = self._packed[j] = tuple(_pack_gf2(col) for col in self.columns[j])
-        return got
+        taken: list[list[int]] = [[] for _ in self.levels]
+        for w in faces:
+            j = word_dim(w)
+            taken[j].append(self.index[j][w])
+        for cols in taken:
+            cols.sort()
+        levels = [[self.levels[j][c] for c in cols] for j, cols in enumerate(taken)]
+        index = [{w: i for i, w in enumerate(level)} for level in levels]
+        columns: list[list[list[tuple[int, int]]]] = [[] for _ in self.levels]
+        for j in range(1, len(self.levels)):
+            rows = {c: i for i, c in enumerate(taken[j - 1])}
+            own = self.columns[j]
+            columns[j] = [[(rows[r], s) for r, s in own[c] if r in rows] for c in taken[j]]
+        return BoundaryMatrices(levels, columns, index)
 
     def gf2_elimination(self, j: int) -> tuple[int, tuple[int, ...]]:
         """Rank of D_j over GF(2) and a basis of its kernel, from one column reduction per matrix.
@@ -136,7 +147,7 @@ class BoundaryMatrices:
             return 0, ()
         got = self._eliminated.get(j)
         if got is None:
-            got = self._eliminated[j] = _gf2_eliminate(self.packed_gf2(j))
+            got = self._eliminated[j] = _gf2_eliminate([_pack_gf2(col) for col in self.columns[j]])
         return got
 
     def columns_outside(self, j: int, kept) -> int:

@@ -5,18 +5,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complex import CubicalComplex, _derived, _require_subcomplex, is_face_like, star
+from .complex import CubicalComplex, _require_subcomplex, is_face_like, star
 from .embedding import components
 from .errors import ContractError, ContradictionError, StructuralError
-from .homology import GF2, HomologyProfile, gf2_rank, integer_rank, relative_profile
+from .homology import GF2, HomologyProfile, _check_ring, _profile, integer_rank, relative_profile
 from .words import proper_subwords, span_word, word_dim
 
+# relative_profile is re-exported, not called: perfbench/traced.py wraps
+# skelcube.manifold.relative_profile as its homology.relative span, which
+# the next benchmark change retires (ROADMAP item 1).
 __all__ = [
     "ManifoldReport",
     "local_profile",
     "is_homology_manifold",
     "is_orientable",
     "facelike_characterization",
+    "relative_profile",
 ]
 
 
@@ -45,33 +49,14 @@ def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile
 
     The quotient basis is the open star of f, the faces having f as a
     subface, read from c's vertex index (see star).  The star is closed
-    upward, so the faces outside it are a subcomplex, and the quotient
-    boundary drops the rows outside the star.  Over GF(2) its D_j is
-    therefore c's own D_j (`c.chains`) sliced to the star's j-faces as
-    columns and (j-1)-faces as rows: one `gf2_rank` per degree of the
-    packed columns (`BoundaryMatrices.packed_gf2`) masked to the star's
-    rows, and no face set is built.  Over Z torsion needs the invariant
-    factors, so the integer ring passes the complement to
-    `relative_profile`.
+    upward, so the quotient matrices are c's own (`c.chains`) sliced to
+    the star's columns and rows (`BoundaryMatrices.restricted_to`), over
+    either ring.  Per face only the star's own columns are built.
     """
     if f not in c.faces:
         raise StructuralError(f"face {f!r} is not in the complex")
-    open_star = star(c, (f,))
-    if ring != GF2:
-        return relative_profile(c, _derived(c.ambient_dim, c.faces - open_star), ring)
-    mats = c.chains
-    top = c.dim
-    # cols[j]: the star's j-faces, as columns of D_j and as rows of D_(j+1)
-    cols: list[list[int]] = [[] for _ in range(top + 1)]
-    for w in open_star:
-        j = word_dim(w)
-        cols[j].append(mats.index[j][w])
-    rank = [0] * (top + 2)
-    for j in range(1, top + 1):
-        packed, rows = mats.packed_gf2(j), sum(1 << r for r in cols[j - 1])
-        rank[j] = gf2_rank(packed[col] & rows for col in cols[j])
-    betti = tuple(len(cols[j]) - rank[j] - rank[j + 1] for j in range(top + 1))
-    return HomologyProfile(betti, ((),) * (top + 1))
+    _check_ring(ring)
+    return _profile(c.chains.restricted_to(star(c, (f,))), c.dim + 1, ring)
 
 
 def _top_free_rank(comp: CubicalComplex) -> int:

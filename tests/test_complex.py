@@ -77,8 +77,8 @@ def test_derived_complexes_equal_validated_ones():
         _assert_revalidates(step.complex_after)
 
 
-def test_local_profile_complement_is_a_valid_complex(monkeypatch):
-    # the GF(2) local profile slices c.chains to the open star: the star must be
+def test_local_profile_complement_is_a_valid_complex():
+    # the local profile slices c.chains to the open star: the star must be
     # closed upward (its complement a complex) and every star face a column of c
     torus = sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(2))
     for c in (torus, projective_plane()):
@@ -86,15 +86,6 @@ def test_local_profile_complement_is_a_valid_complex(monkeypatch):
             open_star = sk.star(c, (f,))
             _assert_revalidates(_derived(c.ambient_dim, c.faces - open_star))
             assert all(w in c.chains.index[word_dim(w)] for w in open_star)
-    # the integer ring still hands the complement to relative_profile, once per face
-    seen = []
-    real = sk.relative_profile
-    monkeypatch.setattr("skelcube.manifold.relative_profile", lambda c, a, ring: seen.append(a) or real(c, a, ring))
-    for w in sorted(torus.faces):
-        sk.local_profile(torus, w, sk.INTEGER)
-    assert len(seen) == len(torus.faces)
-    for away in seen:
-        _assert_revalidates(away)
 
 
 def test_validate_detects_missing_facet():

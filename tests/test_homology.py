@@ -343,6 +343,26 @@ def test_relative_profile_requires_subcomplex():
         sk.relative_profile(c, sk.CubicalComplex(3, frozenset()), sk.GF2)
 
 
+def test_restricted_matrices_equal_the_quotient_matrices_built_from_words():
+    # slicing c.chains to the faces outside a subcomplex gives the quotient
+    # matrices of the pair, in canonical order, with the degrees of c
+    rng = random.Random(67)
+    for n in range(1, 6):
+        base = sk.full_cube(n)
+        for _ in range(20):
+            c = random_subcomplex(rng, base)
+            a = random_subcomplex(rng, c)
+            for away in (c.faces - a.faces, c.faces):
+                sliced = c.chains.restricted_to(away)
+                built = _matrices_over(away)
+                assert sliced.top == c.dim
+                for j in range(c.dim + 1):
+                    assert sliced.levels[j] == (built.levels[j] if j <= built.top else [])
+                    assert sliced.index[j] == (built.index[j] if j <= built.top else {})
+                    if j >= 1:
+                        assert sliced.columns[j] == (built.columns[j] if j <= built.top else [])
+
+
 def test_long_exact_sequence_euler_check():
     # chi(c) == chi(a) + chi(c, a) for any subcomplex pair
     rng = random.Random(53)
