@@ -38,6 +38,12 @@ class GeneratorSpec:
         return f"{self.family}({', '.join(str(a) for a in self.args)})"
 
 
+# Deepest nesting of specs a parse accepts.  The parser recurses once per
+# level, so a very deep spec would exhaust the interpreter's stack; the
+# corpus nests 3 levels.
+MAX_SPEC_DEPTH = 32
+
+
 def parse_generator_spec(text: str) -> GeneratorSpec:
     text = text.strip()
     spec, rest = _parse_spec(text, 0)
@@ -46,7 +52,9 @@ def parse_generator_spec(text: str) -> GeneratorSpec:
     return spec
 
 
-def _parse_spec(text: str, i: int) -> tuple[GeneratorSpec, int]:
+def _parse_spec(text: str, i: int, depth: int = 1) -> tuple[GeneratorSpec, int]:
+    if depth > MAX_SPEC_DEPTH:
+        raise StructuralError(f"generator spec nests deeper than {MAX_SPEC_DEPTH} levels")
     start = i
     while i < len(text) and (text[i].isalnum() or text[i] == "-"):
         i += 1
@@ -71,7 +79,7 @@ def _parse_spec(text: str, i: int) -> tuple[GeneratorSpec, int]:
                 i += 1
             args.append(int(text[start:i]))
         else:
-            spec, i = _parse_spec(text, i)
+            spec, i = _parse_spec(text, i, depth + 1)
             args.append(spec)
         while i < len(text) and text[i] == " ":
             i += 1

@@ -8,14 +8,14 @@ contributes (-1)**(i+1) on its ONE facet and (-1)**i on its ZERO facet.
 The matrices carry no ring: they are the same sparse (index, sign)
 vectors over GF(2) and over Z, and the ring only picks the routine that
 reads a map.  A complex builds the matrices of its whole face set once
-(`CubicalComplex.chains`); the homology of a subcomplex in a few degrees
-is read off them on the subcomplex's columns.  `_homology` is the one
-ranks-to-Betti routine: absolute, relative, kept-face and local
-homology all call it, and cohomology follows from homology by universal
-coefficients.  A local profile (`manifold.local_profile`) reads
-`c.chains` sliced to an open star (`BoundaryMatrices.restricted_to`):
-the faces outside a star are a subcomplex, so the quotient boundary
-keeps the star's columns and drops only the rows outside it.
+(`CubicalComplex.chains`), and every other chain complex is read off
+them.  A subcomplex's homology in a few degrees uses the subcomplex's
+columns.  The faces of c outside a subcomplex are closed upward, so the
+quotient matrices of a pair (`relative_profile`) and of an open star
+(`manifold.local_profile`) are c.chains sliced to those faces
+(`BoundaryMatrices.restricted_to`): their columns, with the rows
+outside dropped.  `_homology` is the one ranks-to-Betti routine, and
+cohomology follows from homology by universal coefficients.
 
 Over GF(2) each matrix is eliminated once (`gf2_elimination`): column
 reduction packs each column into an int and records rank D_j and a
@@ -33,16 +33,17 @@ unit (+-1) pivots: each one is a unimodular row and column operation
 that contributes an invariant factor 1 and leaves the Schur complement,
 one row and one column smaller.  Only the remainder without unit
 entries, which is small on boundary matrices, is densified and handed
-to `smith_normal_form` (cf. Kaczynski-Mischaikow-Mrozek, *Computational
-Homology*, 2004; Dumas-Saunders-Villard on sparse integer Smith forms).
-Arithmetic is exact Python integers, so entry growth is handled by
-arbitrary precision and there is no overflow path to detect.
+to `smith_normal_form`, one loop over least-absolute-value pivots (cf.
+Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004;
+Dumas-Saunders-Villard on sparse integer Smith forms).  Arithmetic is
+exact Python integers, so entry growth is handled by arbitrary
+precision and there is no overflow path to detect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .complex import CubicalComplex, _require_subcomplex
 from .errors import ContractError, StructuralError
@@ -91,18 +92,22 @@ class HomologyProfile:
 
 
 class BoundaryMatrices:
-    """Signed boundary matrices over a set of faces.
+    """Signed boundary matrices over a set of faces, one per degree.
 
-    The face set need not be downward closed: for relative homology the
-    basis is the faces of a pair difference, and facet entries leading
-    outside the set are dropped (the quotient boundary).
+    A complex builds the matrices of its own faces once
+    (`CubicalComplex.chains`).  The quotient matrices of a pair, and of
+    an open star, are sliced from them by `restricted_to`.
     """
 
-    def __init__(self, levels, columns, index):
+    def __init__(self, levels, columns):
         self.levels = levels        # levels[j]: j-faces, canonical order
         self.columns = columns      # columns[j][c]: list of (row, sign), j >= 1
-        self.index = index          # index[j][w]: column of the j-face w
         self._eliminated: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+    @cached_property
+    def index(self) -> list[dict[str, int]]:
+        """index[j][w]: the column of the j-face w, built on first use."""
+        return [{w: i for i, w in enumerate(level)} for level in self.levels]
 
     @property
     def top(self) -> int:
@@ -122,20 +127,20 @@ class BoundaryMatrices:
         canonical order and the degrees stay 0..top.  The cost is that
         of the columns taken, not of the whole matrices.
         """
+        index = self.index
         taken: list[list[int]] = [[] for _ in self.levels]
         for w in faces:
             j = word_dim(w)
-            taken[j].append(self.index[j][w])
+            taken[j].append(index[j][w])
         for cols in taken:
             cols.sort()
         levels = [[self.levels[j][c] for c in cols] for j, cols in enumerate(taken)]
-        index = [{w: i for i, w in enumerate(level)} for level in levels]
         columns: list[list[list[tuple[int, int]]]] = [[] for _ in self.levels]
         for j in range(1, len(self.levels)):
             rows = {c: i for i, c in enumerate(taken[j - 1])}
             own = self.columns[j]
             columns[j] = [[(rows[r], s) for r, s in own[c] if r in rows] for c in taken[j]]
-        return BoundaryMatrices(levels, columns, index)
+        return BoundaryMatrices(levels, columns)
 
     def gf2_elimination(self, j: int) -> tuple[int, tuple[int, ...]]:
         """Rank of D_j over GF(2) and a basis of its kernel, from one column reduction per matrix.
@@ -167,36 +172,18 @@ class BoundaryMatrices:
                 out[r][ci] = s
         return out
 
-    def check_chain_identity(self) -> None:
-        """Assert D_j composed with D_(j+1) vanishes over Z, hence over GF(2)."""
-        for j in range(2, self.top + 1):
-            lower = self.columns[j - 1]
-            for col in self.columns[j]:
-                acc: dict[int, int] = {}
-                for mid, s1 in col:
-                    for r, s2 in lower[mid]:
-                        acc[r] = acc.get(r, 0) + s1 * s2
-                for r, v in acc.items():
-                    if v:
-                        raise AssertionError(f"boundary of boundary nonzero at degree {j}, row {r}")
-
 
 def _matrices_over(face_set) -> BoundaryMatrices:
+    """The matrices of face_set built from its words; facets outside face_set get no row."""
     top = max((word_dim(w) for w in face_set), default=-1)
     levels = [[] for _ in range(top + 1)]
     for w in face_set:
         levels[word_dim(w)].append(w)
-    levels = [sort_words(level) for level in levels]
-    index = [{w: i for i, w in enumerate(level)} for level in levels]
-    columns: list[list[list[tuple[int, int]]]] = [[] for _ in range(top + 1)]
+    mats = BoundaryMatrices([sort_words(level) for level in levels], [[] for _ in range(top + 1)])
     for j in range(1, top + 1):
-        below = index[j - 1]
-        cols = []
-        for w in levels[j]:
-            col = [(below[f], s) for f, s in signed_facets(w) if f in below]
-            cols.append(col)
-        columns[j] = cols
-    return BoundaryMatrices(levels, columns, index)
+        below = mats.index[j - 1]
+        mats.columns[j] = [[(below[f], s) for f, s in signed_facets(w) if f in below] for w in mats.levels[j]]
+    return mats
 
 
 def gf2_rank(vectors) -> int:
@@ -247,80 +234,48 @@ def _gf2_eliminate(columns) -> tuple[int, tuple[int, ...]]:
 
 
 def smith_normal_form(matrix) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... of a dense integer matrix.
+    """Invariant factors d_1 | d_2 | ... of a dense integer matrix, by one pivot loop.
 
-    The library calls this only on the remainder that `_invariant_factors`
-    leaves after eliminating unit pivots.  Smallest-absolute-pivot
-    selection keeps entries from growing; the remainder-swap steps
-    strictly shrink the pivot, so the loop always terminates with a full
-    divisibility chain.
+    The pivot is an entry of least absolute value (ties by row, then
+    column).  Reducing its row and column by it leaves remainders smaller
+    than it; a nonzero one is the next pivot.  Else a row with an entry
+    the pivot does not divide is added to the pivot's row, and reducing
+    again leaves such a remainder.  Else |pivot| divides all that is
+    left, hence every later factor: it is recorded and its row and
+    column go.  Each pass drops a row and a column or shrinks |pivot|.
     """
     a = [[int(v) for v in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m and any(len(row) != n for row in a):
+    if any(len(row) != len(a[0]) for row in a):
         raise StructuralError("ragged matrix")
     factors: list[int] = []
-    t = 0
-    while t < m and t < n:
-        # pick the entry of smallest absolute value in the live submatrix
-        pr = pc = -1
-        best = 0
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v and (best == 0 or abs(v) < best):
-                    best = abs(v)
-                    pr, pc = i, j
-                    if best == 1:
-                        break
-            if best == 1:
+    pivot = None
+    while a:
+        if pivot is None:
+            live = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
+            if not live:
                 break
-        if best == 0:
-            break
-        a[t], a[pr] = a[pr], a[t]
+            pivot = min(live)[1:]
+        r, c = pivot
+        top, p = a[r], a[r][c]
         for row in a:
-            row[t], row[pc] = row[pc], row[t]
-        restart = False
-        # clear column t; a nonzero remainder is strictly smaller, retry with it
-        for i in range(t + 1, m):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                if q:
-                    ai, at = a[i], a[t]
-                    for j in range(t, n):
-                        ai[j] -= q * at[j]
-                if a[i][t]:
-                    restart = True
-                    break
-        if restart:
+            if row is not top and row[c]:
+                q = row[c] // p
+                row[:] = [v - q * t for v, t in zip(row, top)]
+        for j, t in enumerate(top):
+            if j != c and t:
+                q = t // p
+                for row in a:
+                    row[j] -= q * row[c]
+        pivot = None
+        if any(row[c] for row in a if row is not top) or any(top[:c] + top[c + 1 :]):
             continue
-        # clear row t by column operations
-        for j in range(t + 1, n):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                if q:
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                if a[t][j]:
-                    restart = True
-                    break
-        if restart:
+        bad = next((row for row in a if any(v % p for v in row)), None)
+        if bad is not None:
+            top[:] = [t + v for t, v in zip(top, bad)]
+            pivot = (r, c)
             continue
-        # enforce divisibility into the rest of the matrix
-        bad_row = -1
-        for i in range(t + 1, m):
-            if any(a[i][j] % a[t][t] for j in range(t + 1, n)):
-                bad_row = i
-                break
-        if bad_row >= 0:
-            at = a[t]
-            abad = a[bad_row]
-            for j in range(t, n):
-                at[j] += abad[j]
-            continue
-        factors.append(abs(a[t][t]))
-        t += 1
+        factors.append(abs(p))
+        a = [row[:c] + row[c + 1 :] for row in a if row is not top]
     return tuple(factors)
 
 
@@ -484,12 +439,11 @@ def cohomology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
 
 
 def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> HomologyProfile:
-    """Homology of the pair (c, a) via the quotient chain complex.
+    """Homology of the pair (c, a) via the quotient chain complex, in degrees 0..dim(c).
 
-    The basis is the set of faces of c outside a; boundary entries that
-    land in a are dropped.  Degrees run 0..dim(c) so that pairs with a
-    small difference still report a full-length profile.
+    The faces of c outside the subcomplex a are closed upward, so the
+    quotient matrices are c's own sliced to them (`restricted_to`).
     """
     _check_ring(ring)
     _require_subcomplex(c, a, "second member of the pair")
-    return _profile(_matrices_over(c.faces - a.faces), c.dim + 1, ring)
+    return _profile(c.chains.restricted_to(c.faces - a.faces), c.dim + 1, ring)

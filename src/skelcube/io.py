@@ -5,7 +5,8 @@ line.  Parsing closes the face set downward; serialization writes only
 the maximal faces in canonical order, so parse and serialize are
 mutually inverse exactly on canonical files.  Graph files start with
 "vertices <n>" followed by "u v" edge lines.  Full-line comments start
-with '#'; blank lines are ignored.
+with '#'; blank lines are ignored, except that in an "ambient 0" file a
+blank line after the header is the empty word, the one face of I^0.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ def parse_complex(text: str) -> tuple[CubicalComplex, int]:
         if len(line.split()) != 1:
             raise StructuralError(f"line {lineno}: expected a single face word, got {line!r}")
         generators.append(line)
+    # the empty word, the one face of I^0, serializes as a blank line
+    if n == 0 and any(not raw.strip() for raw in text.splitlines()[lines[0][0] :]):
+        generators.append("")
     try:
         c = closure(n, generators)
     except StructuralError as exc:

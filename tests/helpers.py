@@ -11,8 +11,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import skelcube as sk
-from skelcube.complex import _derived
-from skelcube.homology import _invariant_factors
+from skelcube.homology import _invariant_factors, _matrices_over, _profile
 from skelcube.words import one_step_cofaces
 
 
@@ -81,20 +80,6 @@ def betti_oracle_gf2(c: sk.CubicalComplex) -> tuple[int, ...]:
     )
 
 
-def _det(mat) -> int:
-    n = len(mat)
-    if n == 0:
-        return 1
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j, v in enumerate(mat[0]):
-        if v:
-            minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-            total += (-1) ** j * v * _det(minor)
-    return total
-
-
 def snf_oracle(mat) -> tuple[int, ...]:
     """Invariant factors as successive quotients of gcds of k-minors."""
     rows = len(mat)
@@ -105,12 +90,31 @@ def snf_oracle(mat) -> tuple[int, ...]:
         g = 0
         for rsel in combinations(range(rows), k):
             for csel in combinations(range(cols), k):
-                g = math.gcd(g, _det([[mat[i][j] for j in csel] for i in rsel]))
+                g = math.gcd(g, bareiss_det([[mat[i][j] for j in csel] for i in rsel]))
         if g == 0:
             break
         factors.append(g // prev)
         prev = g
     return tuple(factors)
+
+
+def bareiss_det(matrix) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    a = [[int(v) for v in row] for row in matrix]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
 
 
 def bareiss_rank(matrix) -> int:
@@ -155,6 +159,19 @@ def transposed_columns(mats: sk.BoundaryMatrices, j: int) -> list[list[tuple[int
         for r, s in col:
             rows[r].append((ci, s))
     return rows
+
+
+def assert_chain_identity(mats: sk.BoundaryMatrices) -> None:
+    """Assert D_j composed with D_(j+1) vanishes over Z, hence over GF(2)."""
+    for j in range(2, mats.top + 1):
+        lower = mats.columns[j - 1]
+        for col in mats.columns[j]:
+            acc: dict[int, int] = {}
+            for mid, s1 in col:
+                for r, s2 in lower[mid]:
+                    acc[r] = acc.get(r, 0) + s1 * s2
+            for r, v in acc.items():
+                assert not v, f"boundary of boundary nonzero at degree {j}, row {r}"
 
 
 def cohomology_oracle(c: sk.CubicalComplex, ring: str) -> sk.HomologyProfile:
@@ -258,12 +275,12 @@ def local_profile_oracle(c: sk.CubicalComplex, f: str, ring: str) -> sk.Homology
     """Homology of (c, faces not containing f) from quotient matrices rebuilt from words.
 
     The faces containing f are listed by keeping or starring each fixed
-    letter of f, not read from the library's vertex index; the pair goes
-    through `relative_profile`, not the library's slice of c.chains.
+    letter of f, not read from the library's vertex index, and their
+    matrices are built from the words, not sliced from c.chains.
     """
     letters = [(a,) if a == "*" else (a, "*") for a in f]
     above = frozenset("".join(w) for w in product(*letters)) & c.faces
-    return sk.relative_profile(c, _derived(c.ambient_dim, c.faces - above), ring)
+    return _profile(_matrices_over(above), c.dim + 1, ring)
 
 
 def face_criterion_oracle(

@@ -14,7 +14,7 @@ from skelcube.cli import main as cli_main
 from skelcube.io import serialize_complex
 from skelcube.words import proper_subwords, word_dim
 
-from helpers import snf_oracle
+from helpers import assert_chain_identity, snf_oracle
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -195,7 +195,7 @@ def test_criterion_8_homology_engine():
     ]
     betti_ok = all(sk.betti_gf2(c).betti == want for c, want in expected)
     for _, c in sk.corpus():
-        c.chains.check_chain_identity()
+        assert_chain_identity(c.chains)
     rng = random.Random(2024)
     snf_ok = True
     for _ in range(200):

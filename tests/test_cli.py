@@ -38,6 +38,11 @@ def test_complex_round_trip():
     assert added == 20  # six squares listed, closure fills in the rest
     assert serialize_complex(back) == text
     assert text.endswith("\n")
+    # the point's one face is the empty word, written as a blank line;
+    # without it the file holds the empty complex of I^0
+    for c, text in ((sk.full_cube(0), "ambient 0\n\n"), (sk.CubicalComplex(0, frozenset()), "ambient 0\n")):
+        assert serialize_complex(c) == text
+        assert parse_complex(text) == (c, 0)
 
 
 def test_complex_parse_skips_comments_and_blanks():
@@ -297,6 +302,14 @@ def test_generate_command_graph(tmp_path, capsys):
 def test_generate_command_unknown_family(tmp_path, capsys):
     assert main(["generate", "moebius", "2", "-o", str(tmp_path / "x")]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_generate_command_refuses_deep_specs(tmp_path, capsys):
+    # nested far past the interpreter's recursion limit: an input error, not a traceback
+    deep = "skeleton-of(" * 3000 + "cube(1)" + ", 1)" * 3000
+    assert main(["generate", deep, "-o", str(tmp_path / "x")]) == 2
+    assert "nests deeper than 32 levels" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_commands_refuse_closures_over_the_bound(tmp_path, capsys, monkeypatch):

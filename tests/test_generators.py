@@ -1,6 +1,7 @@
 import pytest
 
 import skelcube as sk
+from skelcube.generators import MAX_SPEC_DEPTH
 
 
 def test_parse_round_trips():
@@ -30,6 +31,16 @@ def test_parse_rejects_malformed_specs():
             sk.parse_generator_spec(text)
     with pytest.raises(sk.StructuralError, match=r"trailing input in generator spec: 'x'$"):
         sk.parse_generator_spec("   cube(3)x")
+
+
+def test_parse_bounds_the_nesting_depth():
+    def nested(levels: int) -> str:
+        return "skeleton-of(" * (levels - 1) + "cube(1)" + ", 1)" * (levels - 1)
+
+    assert str(sk.parse_generator_spec(nested(MAX_SPEC_DEPTH))) == nested(MAX_SPEC_DEPTH)
+    for levels in (MAX_SPEC_DEPTH + 1, 3000):
+        with pytest.raises(sk.StructuralError, match=r"nests deeper than 32 levels"):
+            sk.parse_generator_spec(nested(levels))
 
 
 def test_generate_rejects_bad_arguments():

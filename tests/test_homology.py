@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,8 @@ import skelcube as sk
 from skelcube.homology import _homology, _invariant_factors, _matrices_over
 
 from helpers import (
+    assert_chain_identity,
+    bareiss_det,
     bareiss_rank,
     betti_oracle_gf2,
     cohomology_oracle,
@@ -23,7 +26,7 @@ def test_boundary_of_boundary_vanishes():
     base = sk.full_cube(4)
     for _ in range(25):
         c = random_subcomplex(rng, base)
-        c.chains.check_chain_identity()
+        assert_chain_identity(c.chains)
 
 
 def test_boundary_matrix_shapes_match_f_vector():
@@ -167,6 +170,19 @@ def test_smith_normal_form_vs_oracle_random():
         cols = rng.randint(1, 4)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         assert sk.smith_normal_form(m) == snf_oracle(m)
+    # many entries of least absolute value: the pivot is chosen among ties
+    for _ in range(150):
+        rows = rng.randint(1, 4)
+        cols = rng.randint(1, 4)
+        m = [[rng.choice([0, 2, -2, 4, -4]) for _ in range(cols)] for _ in range(rows)]
+        assert sk.smith_normal_form(m) == snf_oracle(m), m
+    # a dense 40 x 40 without units is beyond the minors oracle: check the
+    # rank, the divisibility chain and that the factors multiply to |det|
+    m = [[rng.choice([0, 2, -2, 3, 4, 6]) for _ in range(40)] for _ in range(40)]
+    factors = sk.smith_normal_form(m)
+    assert len(factors) == bareiss_rank(m)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert math.prod(factors) == abs(bareiss_det(m)) != 0
 
 
 def test_integer_rank_matches_snf_length():
