@@ -21,9 +21,13 @@ Over GF(2) each matrix is eliminated once (`gf2_elimination`): column
 reduction packs each column into an int and records rank D_j and a
 kernel basis Z_j.  Keeping only the columns K of D_j, with S the rest,
 rank(D_j|K) = rank D_j - |S| + rank(Z_j|S) by rank-nullity, so a kept
-set costs one `gf2_rank` of the kernel restricted to S.  With nothing
-deleted the correction is zero, and the same route serves absolute and
-relative homology.
+set costs one `gf2_rank` of the kernel restricted to S.  S is the
+level's cached set minus K (`columns_outside`), a C-level pass over the
+level however large K is, and its mask is summed from a cached table of
+column bits.  With nothing deleted the correction is zero, and the same
+route serves absolute and relative homology.  A complex grown by one
+level shares the matrices, tables and eliminations below it
+(`BoundaryMatrices.extended`).
 
 Over Z a kept set reduces its own columns: the integer reconstruction
 mode compares torsion, which ranks do not give.  Every integer
@@ -109,6 +113,16 @@ class BoundaryMatrices:
         """index[j][w]: the column of the j-face w, built on first use."""
         return [{w: i for i, w in enumerate(level)} for level in self.levels]
 
+    @cached_property
+    def bits(self) -> list[dict[str, int]]:
+        """bits[j][w]: 1 << index[j][w], built on first use."""
+        return [{w: 1 << i for w, i in at.items()} for at in self.index]
+
+    @cached_property
+    def level_sets(self) -> list[frozenset[str]]:
+        """level_sets[j]: the j-faces as a set, built on first use."""
+        return [frozenset(level) for level in self.levels]
+
     @property
     def top(self) -> int:
         return len(self.levels) - 1
@@ -156,11 +170,31 @@ class BoundaryMatrices:
         return got
 
     def columns_outside(self, j: int, kept) -> int:
-        """The j-faces not in kept, as a mask over column indices; none when kept is None."""
+        """The j-faces not in kept, as a mask over column indices; none when kept is None.
+
+        The complement is the level's set minus kept: CPython walks the
+        level and looks each face up in kept, rather than copying the
+        level and discarding every kept face.  The faces left are summed
+        from the level's table of bits, so no Python loop runs either.
+        """
         if kept is None or not 0 <= j <= self.top:
             return 0
-        at = self.index[j]
-        return sum(1 << at[w] for w in at.keys() - kept)
+        return sum(map(self.bits[j].__getitem__, self.level_sets[j] - kept))
+
+    def extended(self, words) -> "BoundaryMatrices":
+        """These matrices with one level added on top: `words`, faces one dimension above the top.
+
+        The lower levels, their index, level sets, bits and GF(2)
+        eliminations are shared, so only the new level's are built.
+        """
+        level = sort_words(words)
+        grown = BoundaryMatrices(self.levels + [level], self.columns + [_columns_over(self.index[-1], level)])
+        # cached properties, set ahead of their first use
+        grown.index = self.index + [{w: i for i, w in enumerate(level)}]
+        grown.level_sets = self.level_sets + [frozenset(level)]
+        grown.bits = self.bits + [{w: 1 << i for i, w in enumerate(level)}]
+        grown._eliminated.update(self._eliminated)
+        return grown
 
     def dense(self, j: int) -> list[list[int]]:
         if not 1 <= j <= self.top:
@@ -181,9 +215,13 @@ def _matrices_over(face_set) -> BoundaryMatrices:
         levels[word_dim(w)].append(w)
     mats = BoundaryMatrices([sort_words(level) for level in levels], [[] for _ in range(top + 1)])
     for j in range(1, top + 1):
-        below = mats.index[j - 1]
-        mats.columns[j] = [[(below[f], s) for f, s in signed_facets(w) if f in below] for w in mats.levels[j]]
+        mats.columns[j] = _columns_over(mats.index[j - 1], mats.levels[j])
     return mats
+
+
+def _columns_over(below: dict[str, int], level) -> list[list[tuple[int, int]]]:
+    """The signed columns of the faces in level; `below` indexes the rows, and a facet outside it gets none."""
+    return [[(below[f], s) for f, s in signed_facets(w) if f in below] for w in level]
 
 
 def gf2_rank(vectors) -> int:
@@ -335,11 +373,11 @@ def integer_rank(matrix) -> int:
     The number of its invariant factors, from the same unit-pivot
     elimination and dense remainder as integer homology.
     """
-    a = [[int(v) for v in row] for row in matrix]
-    n = len(a[0]) if a else 0
-    if any(len(row) != n for row in a):
+    rows = list(matrix)
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
         raise StructuralError("ragged matrix")
-    return len(_invariant_factors([[(i, row[j]) for i, row in enumerate(a) if row[j]] for j in range(n)]))
+    return len(_invariant_factors([[(i, int(v)) for i, v in enumerate(col) if v] for col in zip(*rows)]))
 
 
 def _gf2_map(mats: BoundaryMatrices, i: int, kept) -> tuple[int, int, tuple[int, ...]]:
@@ -442,8 +480,11 @@ def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> H
     """Homology of the pair (c, a) via the quotient chain complex, in degrees 0..dim(c).
 
     The faces of c outside the subcomplex a are closed upward, so the
-    quotient matrices are c's own sliced to them (`restricted_to`).
+    quotient matrices are c's own sliced to them (`restricted_to`).  A
+    set a that is not downward closed would leave no chain complex
+    there, so it is refused.
     """
     _check_ring(ring)
     _require_subcomplex(c, a, "second member of the pair")
+    a.validate()
     return _profile(c.chains.restricted_to(c.faces - a.faces), c.dim + 1, ring)

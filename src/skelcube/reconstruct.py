@@ -12,14 +12,21 @@ Deleting the boundary of a candidate removes the open star of its
 vertices, and a face outside that star has no vertex there, so none of
 its facets is in the star either.  The deletion therefore removes
 columns only: its D_j is the current complex's D_j restricted to the
-j-faces kept.  Per degree, the current complex builds its boundary
-matrices once (`CubicalComplex.chains`, also read by its base profile),
-eliminates each over GF(2) once, and indexes its faces by vertex once
-(`CubicalComplex.faces_by_vertex`), so a candidate's deleted star is a
-few index lookups.  Over GF(2) a candidate then costs one rank of the
-base's kernel basis restricted to the deleted columns, by rank-nullity
-(see homology); TIGHT_INTEGER compares torsion and reduces the kept
-columns over Z.
+j-faces kept.  The input builds its boundary matrices once
+(`CubicalComplex.chains`, also read by its base profile) and indexes its
+faces by vertex once (`CubicalComplex.faces_by_vertex`).  A degree only
+adds faces one dimension above the current complex, so the grown
+complex carries both up (`complex._grown`): its matrices are the
+current ones plus one level, sharing D_1..D_k with their index and
+GF(2) eliminations, and its vertex index is the current one plus the
+added faces.  A step that accepts nothing keeps the current complex.
+So each map is built and eliminated over GF(2) once per
+reconstruction, and a candidate's deleted star is a few index lookups.
+Over GF(2) a candidate then costs a few C-level set passes (the copy in
+`delete`, the complement of the kept faces per compared level) and one
+rank of the base's kernel basis restricted to the deleted columns, by
+rank-nullity (see homology); TIGHT_INTEGER compares torsion and reduces
+the kept columns over Z.
 
 A tight mode (even target dimension d = 2k) is the same test at the
 first degree with degree d-k dropped, the middle degree whose homology
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complex import CubicalComplex, _derived, delete
+from .complex import CubicalComplex, _derived, _grown, delete
 from .errors import ContractError
 from .homology import GF2, INTEGER, _homology, homology_profile
 from .manifold import is_homology_manifold
@@ -160,7 +167,7 @@ def reconstruct_steps(skel: CubicalComplex, cfg: ReconstructionConfig):
             face_criterion(current, f, degree, cfg.d, mode) for f in enumerate_candidates(current, degree)
         )
         added = [v.face for v in verdicts if v.accepted]
-        current = _derived(current.ambient_dim, current.faces | frozenset(added))
+        current = _grown(current, added)
         yield ReconstructionStep(degree, verdicts, current)
 
 

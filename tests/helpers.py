@@ -328,6 +328,31 @@ def assert_criterion_matches_oracle(skel: sk.CubicalComplex, k: int, faces) -> i
     return compared
 
 
+def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.ReconstructionConfig) -> list:
+    """The steps of reconstruct_steps, each grown complex checked against a fresh build.
+
+    A degree carries the previous complex's matrices, their GF(2)
+    eliminations and its vertex index up by the added faces; they must
+    equal what `_matrices_over` and a new complex build from the grown
+    faces: levels, signed columns, tables, and the rank and kernel of
+    every elimination carried.  The vertex index is compared as sets.
+    """
+    steps = []
+    for step in sk.reconstruct_steps(skel, cfg):
+        after = step.complex_after
+        carried, fresh = after.chains, _matrices_over(after.faces)
+        assert carried.levels == fresh.levels
+        assert carried.columns[1:] == fresh.columns[1:]
+        assert (carried.index, carried.level_sets, carried.bits) == (fresh.index, fresh.level_sets, fresh.bits)
+        for j, got in carried._eliminated.items():
+            assert got == fresh.gf2_elimination(j), j
+        index = sk.CubicalComplex(after.ambient_dim, after.faces).faces_by_vertex
+        assert {v: set(ws) for v, ws in after.faces_by_vertex.items()} == {v: set(ws) for v, ws in index.items()}
+        assert sum(map(len, after.faces_by_vertex.values())) == sum(map(len, index.values()))
+        steps.append(step)
+    return steps
+
+
 def random_subcomplex(rng, base: sk.CubicalComplex, max_generators: int = 6) -> sk.CubicalComplex:
     faces = sorted(base.faces)
     count = rng.randint(0, min(max_generators, len(faces)))

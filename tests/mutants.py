@@ -75,6 +75,23 @@ MUTANTS = (
         ("tests/test_homology.py::test_rank_nullity_matches_the_kept_column_reduction",),
     ),
     Mutant(
+        "complement-taken-as-intersection",
+        HOMOLOGY,
+        "self.level_sets[j] - kept",
+        "self.level_sets[j] & kept",
+        (
+            "tests/test_homology.py::test_columns_outside_is_the_mask_of_the_level_minus_kept",
+            "tests/test_homology.py::test_rank_nullity_matches_the_kept_column_reduction",
+        ),
+    ),
+    Mutant(
+        "carried-level-signs-all-positive",
+        HOMOLOGY,
+        "self.columns + [_columns_over(self.index[-1], level)]",
+        "self.columns + [[[(r, 1) for r, _ in col] for col in _columns_over(self.index[-1], level)]]",
+        ("tests/test_properties.py::test_middle_skeleton_rebuilds_the_manifold",),
+    ),
+    Mutant(
         "cohomology-torsion-from-same-degree",
         HOMOLOGY,
         "tuple(h.degree(j - 1)[1] for j in range(len(h.betti)))",

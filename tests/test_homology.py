@@ -7,6 +7,7 @@ import skelcube as sk
 from skelcube.homology import _homology, _invariant_factors, _matrices_over
 
 from helpers import (
+    all_words,
     assert_chain_identity,
     bareiss_det,
     bareiss_rank,
@@ -192,6 +193,13 @@ def test_integer_rank_matches_snf_length():
         cols = rng.randint(1, 5)
         m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         assert sk.integer_rank(m) == len(sk.smith_normal_form(m))
+    # empty shapes, tuples and bool entries read as the integers they are
+    for m in ([], [[]], [[], []], [[0, 0]], ((2, 4), (1, 2)), [[True, False], [True, True]], [[False]]):
+        assert sk.integer_rank(m) == len(sk.smith_normal_form(m))
+    assert sk.integer_rank([[True, True], [True, True]]) == 1
+    for ragged in ([[1, 2], [3]], [[], [1]], [[0], [0, 0]]):
+        with pytest.raises(sk.StructuralError):
+            sk.integer_rank(ragged)
 
 
 def sparse_columns(mat, cols: int) -> list[list[tuple[int, int]]]:
@@ -328,6 +336,30 @@ def test_rank_nullity_matches_the_kept_column_reduction():
     assert emptied > 10
 
 
+def test_columns_outside_is_the_mask_of_the_level_minus_kept():
+    # random kept sets: closed or not, with words of other levels and of
+    # no face of c; compared with the mask built from the index alone
+    rng = random.Random(71)
+    strangers = [w for n in range(1, 6) for w in all_words(n)]
+    for n in range(1, 6):
+        base = sk.full_cube(n)
+        for _ in range(12):
+            c = random_subcomplex(rng, base)
+            mats = c.chains
+            faces = sorted(c.faces)
+            for kept in (
+                frozenset(),
+                c.faces,
+                random_subcomplex(rng, c).faces,
+                frozenset(rng.sample(faces, rng.randint(0, len(faces)))),
+                frozenset(rng.sample(faces, rng.randint(0, len(faces))) + rng.sample(strangers, 20)),
+            ):
+                for j in range(-1, c.dim + 2):
+                    at = mats.index[j] if 0 <= j <= mats.top else {}
+                    assert mats.columns_outside(j, kept) == sum(1 << at[w] for w in at.keys() - kept)
+            assert all(mats.columns_outside(j, None) == 0 for j in range(-1, c.dim + 2))
+
+
 def test_gf2_rank_packed():
     assert sk.gf2_rank([]) == 0
     assert sk.gf2_rank([0b101, 0b011, 0b110]) == 2
@@ -357,6 +389,17 @@ def test_relative_profile_requires_subcomplex():
         sk.relative_profile(c, sk.full_cube(2), sk.GF2)
     with pytest.raises(sk.StructuralError):
         sk.relative_profile(c, sk.CubicalComplex(3, frozenset()), sk.GF2)
+
+
+@pytest.mark.parametrize("ring", [sk.GF2, sk.INTEGER])
+def test_relative_profile_refuses_a_second_member_that_is_not_closed(ring):
+    # an edge without its vertices: the faces outside it are not closed
+    # upward, and slicing there once gave Betti numbers (1, -1, 0)
+    square = sk.full_cube(2)
+    for faces in ({"0*"}, {"0*", "00"}, {"**", "0*", "00", "01"}):
+        with pytest.raises(sk.StructuralError):
+            sk.relative_profile(square, sk.CubicalComplex(2, frozenset(faces)), ring)
+    assert sk.relative_profile(square, sk.closure(2, ["0*"]), ring).betti == (0, 0, 0)
 
 
 def test_restricted_matrices_equal_the_quotient_matrices_built_from_words():

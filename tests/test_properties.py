@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 import skelcube as sk
 from skelcube.io import parse_complex, serialize_complex
 
-from helpers import TORUS7_TRIANGLES, all_words, assert_criterion_matches_oracle, projective_plane, relabel
+from helpers import (
+    TORUS7_TRIANGLES,
+    all_words,
+    assert_criterion_matches_oracle,
+    projective_plane,
+    reconstruct_checking_the_carry,
+    relabel,
+)
 
 WORDS = [list(all_words(n)) for n in range(6)]
 
@@ -118,8 +125,22 @@ def test_middle_skeleton_rebuilds_the_manifold(name, rng):
     m = relabel(m, rng)
     k = d // 2 + 1
     skel = sk.skeleton(m, k)
-    assert sk.reconstruct(skel, sk.ReconstructionConfig(k, d)) == m
+    steps = reconstruct_checking_the_carry(skel, sk.ReconstructionConfig(k, d))
+    assert steps[-1].complex_after == m
     assert (d, m) in sk.reconstruct_auto(skel, k, d)
+
+
+def test_a_step_that_accepts_nothing_keeps_the_complex():
+    # one dimension above each manifold nothing may be added, so the step
+    # hands on the complex it judged, with its own matrices and index
+    rejected = 0
+    for name, m, d, _ in MANIFOLDS:
+        k = max(2, d)
+        (step,) = sk.reconstruct_steps(m, sk.ReconstructionConfig(k, k + 1))
+        assert not any(v.accepted for v in step.verdicts)
+        assert step.complex_after is m
+        rejected += len(step.verdicts)
+    assert rejected > 0
 
 
 # the largest entries have over a hundred candidates, each judged in four
@@ -144,7 +165,8 @@ def test_criterion_matches_delete_and_recompute_oracle(name):
 def test_tight_modes_rebuild_the_four_sphere_from_its_two_skeleton(mode, rng):
     # H_2(S^4) = 0, so the middle-homology hypothesis of both tight modes holds
     m = relabel(_sphere(4), rng)
-    assert sk.reconstruct(sk.skeleton(m, 2), sk.ReconstructionConfig(2, 4, mode)) == m
+    steps = reconstruct_checking_the_carry(sk.skeleton(m, 2), sk.ReconstructionConfig(2, 4, mode))
+    assert steps[-1].complex_after == m
 
 
 @PLACED

@@ -310,14 +310,15 @@ def test_reconstruction_builds_one_chain_complex_per_degree(monkeypatch, skel, c
     monkeypatch.setattr(homology, "_matrices_over", counting)
     skel = sk.CubicalComplex(skel.ambient_dim, skel.faces)  # a fresh instance, nothing built yet
     steps = list(sk.reconstruct_steps(skel, cfg))
-    bases = [skel.faces] + [step.complex_after.faces for step in steps[:-1]]
     assert len(steps) == cfg.d - cfg.k
-    assert built == bases
+    # the input's matrices only: each later degree carries them up by one level
+    assert built == [skel.faces]
 
 
 @_COST_CASES
 def test_reconstruction_builds_one_vertex_index_per_degree(monkeypatch, skel, cfg):
-    # the index expands each face of a base into its vertices once; the
+    # the index expands each face into its vertices once per reconstruction:
+    # a later degree's index is the last one plus the added faces, and the
     # candidates' deletions only read it
     expanded = []
     real = sk.complex.word_vertices
@@ -329,14 +330,15 @@ def test_reconstruction_builds_one_vertex_index_per_degree(monkeypatch, skel, cf
     monkeypatch.setattr(sk.complex, "word_vertices", counting)
     skel = sk.CubicalComplex(skel.ambient_dim, skel.faces)  # a fresh instance, no index yet
     steps = list(sk.reconstruct_steps(skel, cfg))
-    bases = [skel.faces] + [step.complex_after.faces for step in steps[:-1]]
-    assert sorted(expanded) == sorted(w for faces in bases for w in faces)
-    assert sum(len(step.verdicts) for step in steps) > len(bases)
+    assert sorted(expanded) == sorted(steps[-1].complex_after.faces)
+    assert sum(len(step.verdicts) for step in steps) > len(steps)
 
 
 @_COST_CASES
 def test_reconstruction_eliminates_each_gf2_map_once_per_degree(monkeypatch, skel, cfg):
-    # every candidate reads the base's elimination of D_1..D_dim; none reduces its own columns
+    # every candidate reads the base's elimination of D_1..D_dim, none reduces
+    # its own columns, and a later degree keeps the eliminations of the maps
+    # it carries, so each map is eliminated once per reconstruction
     eliminated = []
     real = homology._gf2_eliminate
 
@@ -348,6 +350,6 @@ def test_reconstruction_eliminates_each_gf2_map_once_per_degree(monkeypatch, ske
     homology.betti_gf2.cache_clear()  # an equal base memoized earlier would skip its profile
     skel = sk.CubicalComplex(skel.ambient_dim, skel.faces)
     steps = list(sk.reconstruct_steps(skel, cfg))
-    bases = [skel] + [step.complex_after for step in steps[:-1]]
-    assert eliminated == [base.chains.num_faces(j) for base in bases for j in range(1, base.dim + 1)]
+    last = steps[-2].complex_after if len(steps) > 1 else skel  # the base of the last degree
+    assert eliminated == [last.chains.num_faces(j) for j in range(1, last.dim + 1)]
     assert sum(len(step.verdicts) for step in steps) > len(eliminated)
