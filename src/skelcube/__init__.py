@@ -8,7 +8,6 @@ skeleton, and embeddability of graphs into hypercube graphs.
 
 from .complex import (
     CubicalComplex,
-    ambient_faces,
     closure,
     cube_boundary,
     delete,

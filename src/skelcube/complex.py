@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
 
 from .errors import ContractError, StructuralError
 from .words import (
@@ -32,13 +31,14 @@ __all__ = [
     "face_boundary",
     "is_face_like",
     "product_complex",
-    "ambient_faces",
 ]
 
-# Most faces a closure may hold.  A generator with d stars has 3**d
-# subfaces, so one long word in a complex file could exhaust memory;
-# full_cube(13) is the largest cube within the bound.
-MAX_CLOSURE_FACES = 3**13
+# Most letters (faces times ambient dimension) a built complex may hold:
+# what full_cube(13) holds.  A word with d stars has 3**d subfaces and a
+# product as many faces as its factors' counts multiplied, so a small
+# input could otherwise exhaust memory.  I^n has 3**n faces, so no
+# complex within the bound has more than 3**13.
+MAX_LETTERS = 13 * 3**13
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,7 @@ class CubicalComplex:
         One pass over the sum of 2**dim(w) vertex incidences; tuples keep
         the index small, as it lives as long as the complex.
         """
-        at: dict[str, list[str]] = {}
-        for w in self.faces:
-            for v in word_vertices(w):
-                at.setdefault(v, []).append(w)
-        return {v: tuple(ws) for v, ws in at.items()}
+        return _vertex_index_plus({}, self.faces)
 
     def __contains__(self, w: str) -> bool:
         return w in self.faces
@@ -141,24 +137,29 @@ def _derived(ambient_dim: int, faces: frozenset) -> CubicalComplex:
 def _grown(c: CubicalComplex, added) -> CubicalComplex:
     """c with faces one dimension above its top added, c itself when none are.
 
-    The grown complex's chains are c's with one level added
-    (`BoundaryMatrices.extended`), and its vertex index is c's plus the
-    added faces, so neither is rebuilt from the whole face set.
+    Its chains are c's with one level added (`BoundaryMatrices.extended`)
+    and its vertex index a copy of c's plus the added faces: the builders
+    of a fresh complex, started from c's tables, which stay as they are.
     """
     if not added:
         return c
     grown = _derived(c.ambient_dim, c.faces.union(added))
     # cached properties, set ahead of their first use
     grown.__dict__["chains"] = c.chains.extended(added)
-    at = dict(c.faces_by_vertex)
+    grown.__dict__["faces_by_vertex"] = _vertex_index_plus(c.faces_by_vertex, added)
+    return grown
+
+
+def _vertex_index_plus(at: dict[str, tuple[str, ...]], words) -> dict[str, tuple[str, ...]]:
+    """A copy of the vertex index `at` with each word added under each of its vertices; `at` is not changed."""
     new: dict[str, list[str]] = {}
-    for w in added:
+    for w in words:
         for v in word_vertices(w):
             new.setdefault(v, []).append(w)
+    out = dict(at)
     for v, ws in new.items():
-        at[v] = at.get(v, ()) + tuple(ws)
-    grown.__dict__["faces_by_vertex"] = at
-    return grown
+        out[v] = at.get(v, ()) + tuple(ws)
+    return out
 
 
 def closure(ambient_dim: int, generators) -> CubicalComplex:
@@ -167,14 +168,15 @@ def closure(ambient_dim: int, generators) -> CubicalComplex:
     for g in generators:
         validate_word(g, ambient_dim)
         if g not in out:
-            _check_closure_size(len(out), g)
+            _check_size(f"closure of {g!r}", len(out) + 3 ** word_dim(g), ambient_dim)
             out.update(subwords(g))
     return CubicalComplex(ambient_dim, frozenset(out))
 
 
-def _check_closure_size(known: int, g: str) -> None:
-    if known + 3 ** word_dim(g) > MAX_CLOSURE_FACES:
-        raise ContractError(f"closure of {g!r} would exceed {MAX_CLOSURE_FACES} faces")
+def _check_size(what: str, faces: int, ambient_dim: int) -> None:
+    """Refuse to build `what`, up to `faces` faces of I^ambient_dim, when they exceed MAX_LETTERS letters."""
+    if faces * ambient_dim > MAX_LETTERS:
+        raise ContractError(f"{what} would exceed {MAX_LETTERS} letters (up to {faces} faces of I^{ambient_dim})")
 
 
 def full_cube(n: int) -> CubicalComplex:
@@ -189,7 +191,7 @@ def cube_boundary(n: int) -> CubicalComplex:
     if n < 1:
         raise StructuralError("boundary of I^n needs n >= 1")
     top = STAR * n
-    _check_closure_size(0, top)
+    _check_size(f"closure of {top!r}", 3**n, n)
     return CubicalComplex(n, frozenset(s for s in subwords(top) if s != top))
 
 
@@ -272,20 +274,7 @@ def is_face_like(c: CubicalComplex, g: CubicalComplex) -> bool:
 
 def product_complex(a: CubicalComplex, b: CubicalComplex) -> CubicalComplex:
     """Concatenate face words; realizes the product in I^(m+n)."""
+    _check_size("product", len(a.faces) * len(b.faces), a.ambient_dim + b.ambient_dim)
     faces = frozenset(wa + wb for wa in a.faces for wb in b.faces)
     return _derived(a.ambient_dim + b.ambient_dim, faces)
 
-
-def ambient_faces(n: int, k: int):
-    """All k-faces of I^n (unsorted; callers sort when order matters)."""
-    if not 0 <= k <= n:
-        return
-    fixed_positions = list(range(n))
-    for stars in combinations(range(n), k):
-        star_set = set(stars)
-        free = [i for i in fixed_positions if i not in star_set]
-        for bits in product("01", repeat=n - k):
-            w = [STAR] * n
-            for i, b in zip(free, bits):
-                w[i] = b
-            yield "".join(w)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complex import CubicalComplex, cube_boundary, full_cube, product_complex, skeleton
+from .complex import CubicalComplex, _check_size, cube_boundary, full_cube, product_complex, skeleton
 from .embedding import SimpleGraph
 from .errors import StructuralError
 from .words import ONE, STAR, ZERO
@@ -99,21 +99,23 @@ def cubical_barycentric_subdivision(simplices) -> CubicalComplex:
     A simplex is a set of vertex indices; the input is closed downward
     here for convenience.  The interval [sigma, tau] embeds into the
     cube on the vertex set as the word with ones on sigma, stars on
-    tau minus sigma and zeros elsewhere.
+    tau minus sigma and zeros elsewhere.  A simplex s holds 3**|s| -
+    2**|s| such intervals, which bound the size before anything is built.
     """
+    given = {frozenset(s) for s in simplices}
+    if frozenset() in given:
+        raise StructuralError("simplices must be nonempty vertex sets")
+    if any(v < 0 for s in given for v in s):
+        raise StructuralError("vertex indices must be nonnegative")
+    if not given:
+        raise StructuralError("cubical barycentric subdivision of an empty complex is undefined")
+    n = max(max(s) for s in given) + 1
+    _check_size("cubical barycentric subdivision", sum(3 ** len(s) - 2 ** len(s) for s in given), n)
     closed: set[frozenset[int]] = set()
-    for s in simplices:
-        s = frozenset(s)
-        if not s:
-            raise StructuralError("simplices must be nonempty vertex sets")
-        if any(v < 0 for v in s):
-            raise StructuralError("vertex indices must be nonnegative")
+    for s in given:
         for r in range(1, len(s) + 1):
             for sub in combinations(sorted(s), r):
                 closed.add(frozenset(sub))
-    if not closed:
-        raise StructuralError("cubical barycentric subdivision of an empty complex is undefined")
-    n = max(max(s) for s in closed) + 1
     faces = set()
     for tau in closed:
         members = sorted(tau)
@@ -145,6 +147,7 @@ def _disjoint_union(a: CubicalComplex, b: CubicalComplex) -> CubicalComplex:
     # one extra splitting coordinate keeps the copies vertex-disjoint
     # even when both operands use all corners of their blocks
     na, nb = a.ambient_dim, b.ambient_dim
+    _check_size("disjoint union", len(a.faces) + len(b.faces), na + nb + 1)
     faces = {w + ZERO * nb + ZERO for w in a.faces}
     faces.update(ZERO * na + w + ONE for w in b.faces)
     return CubicalComplex(na + nb + 1, frozenset(faces))

@@ -25,9 +25,10 @@ set costs one `gf2_rank` of the kernel restricted to S.  S is the
 level's cached set minus K (`columns_outside`), a C-level pass over the
 level however large K is, and its mask is summed from a cached table of
 column bits.  With nothing deleted the correction is zero, and the same
-route serves absolute and relative homology.  A complex grown by one
-level shares the matrices, tables and eliminations below it
-(`BoundaryMatrices.extended`).
+route serves absolute and relative homology.  `BoundaryMatrices.extended`
+adds one level of columns on top: a fresh build folds it over the
+levels, and a complex grown by one level shares the levels, index and
+eliminations below it.  Level sets and bits are built on first use.
 
 Over Z a kept set reduces its own columns: the integer reconstruction
 mode compares torsion, which ranks do not give.  Every integer
@@ -47,7 +48,7 @@ precision and there is no overflow path to detect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .complex import CubicalComplex, _require_subcomplex
 from .errors import ContractError, StructuralError
@@ -166,7 +167,7 @@ class BoundaryMatrices:
             return 0, ()
         got = self._eliminated.get(j)
         if got is None:
-            got = self._eliminated[j] = _gf2_eliminate([_pack_gf2(col) for col in self.columns[j]])
+            got = self._eliminated[j] = _gf2_eliminate([sum(1 << r for r, _ in col) for col in self.columns[j]])
         return got
 
     def columns_outside(self, j: int, kept) -> int:
@@ -184,15 +185,15 @@ class BoundaryMatrices:
     def extended(self, words) -> "BoundaryMatrices":
         """These matrices with one level added on top: `words`, faces one dimension above the top.
 
-        The lower levels, their index, level sets, bits and GF(2)
-        eliminations are shared, so only the new level's are built.
+        Rows are the top level's faces, and a facet outside it gets none.
+        The lower levels, their index and GF(2) eliminations are shared;
+        only the index is seeded, as the rows of a level above need it.
         """
         level = sort_words(words)
-        grown = BoundaryMatrices(self.levels + [level], self.columns + [_columns_over(self.index[-1], level)])
-        # cached properties, set ahead of their first use
-        grown.index = self.index + [{w: i for i, w in enumerate(level)}]
-        grown.level_sets = self.level_sets + [frozenset(level)]
-        grown.bits = self.bits + [{w: 1 << i for i, w in enumerate(level)}]
+        below = self.index[-1] if self.levels else {}
+        columns = [[(below[f], s) for f, s in signed_facets(w) if f in below] for w in level]
+        grown = BoundaryMatrices(self.levels + [level], self.columns + [columns])
+        grown.index = self.index + [{w: i for i, w in enumerate(level)}]  # the cached property, set ahead of use
         grown._eliminated.update(self._eliminated)
         return grown
 
@@ -208,20 +209,12 @@ class BoundaryMatrices:
 
 
 def _matrices_over(face_set) -> BoundaryMatrices:
-    """The matrices of face_set built from its words; facets outside face_set get no row."""
+    """The matrices of face_set, one `extended` per level from none; facets outside face_set get no row."""
     top = max((word_dim(w) for w in face_set), default=-1)
     levels = [[] for _ in range(top + 1)]
     for w in face_set:
         levels[word_dim(w)].append(w)
-    mats = BoundaryMatrices([sort_words(level) for level in levels], [[] for _ in range(top + 1)])
-    for j in range(1, top + 1):
-        mats.columns[j] = _columns_over(mats.index[j - 1], mats.levels[j])
-    return mats
-
-
-def _columns_over(below: dict[str, int], level) -> list[list[tuple[int, int]]]:
-    """The signed columns of the faces in level; `below` indexes the rows, and a facet outside it gets none."""
-    return [[(below[f], s) for f, s in signed_facets(w) if f in below] for w in level]
+    return reduce(BoundaryMatrices.extended, levels, BoundaryMatrices([], []))
 
 
 def gf2_rank(vectors) -> int:
@@ -238,11 +231,6 @@ def gf2_rank(vectors) -> int:
                 break
             v ^= b
     return rank
-
-
-def _pack_gf2(vector) -> int:
-    """A sparse (index, value) vector over GF(2) as an int, bit i for index i."""
-    return sum(1 << i for i, _ in vector)
 
 
 def _gf2_eliminate(columns) -> tuple[int, tuple[int, ...]]:

@@ -33,6 +33,14 @@ def all_words(n: int):
         yield "".join(combo)
 
 
+def words_by_stars(n: int) -> dict[int, list[str]]:
+    """Every word of length n, grouped by its number of stars; each group sorted."""
+    groups: dict[int, list[str]] = {k: [] for k in range(n + 1)}
+    for w in all_words(n):
+        groups[w.count("*")].append(w)
+    return {k: sorted(ws) for k, ws in groups.items()}
+
+
 def proper_subfaces_of(w: str):
     for cand in all_words(len(w)):
         if cand != w and oracle_is_subface(cand, w):
@@ -336,21 +344,29 @@ def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.Reconstructi
     equal what `_matrices_over` and a new complex build from the grown
     faces: levels, signed columns, tables, and the rank and kernel of
     every elimination carried.  The vertex index is compared as sets.
+    After the last step the input and every grown complex are checked
+    again, as a later carry must not change the complex it grew from.
     """
     steps = []
     for step in sk.reconstruct_steps(skel, cfg):
-        after = step.complex_after
-        carried, fresh = after.chains, _matrices_over(after.faces)
-        assert carried.levels == fresh.levels
-        assert carried.columns[1:] == fresh.columns[1:]
-        assert (carried.index, carried.level_sets, carried.bits) == (fresh.index, fresh.level_sets, fresh.bits)
-        for j, got in carried._eliminated.items():
-            assert got == fresh.gf2_elimination(j), j
-        index = sk.CubicalComplex(after.ambient_dim, after.faces).faces_by_vertex
-        assert {v: set(ws) for v, ws in after.faces_by_vertex.items()} == {v: set(ws) for v, ws in index.items()}
-        assert sum(map(len, after.faces_by_vertex.values())) == sum(map(len, index.values()))
+        _assert_tables_fresh(step.complex_after)
         steps.append(step)
+    for c in [skel] + [step.complex_after for step in steps]:
+        _assert_tables_fresh(c)
     return steps
+
+
+def _assert_tables_fresh(c: sk.CubicalComplex) -> None:
+    """Assert c's chains and vertex index equal those built anew from its faces."""
+    carried, fresh = c.chains, _matrices_over(c.faces)
+    assert carried.levels == fresh.levels
+    assert carried.columns[1:] == fresh.columns[1:]
+    assert (carried.index, carried.level_sets, carried.bits) == (fresh.index, fresh.level_sets, fresh.bits)
+    for j, got in carried._eliminated.items():
+        assert got == fresh.gf2_elimination(j), j
+    index = sk.CubicalComplex(c.ambient_dim, c.faces).faces_by_vertex
+    assert {v: set(ws) for v, ws in c.faces_by_vertex.items()} == {v: set(ws) for v, ws in index.items()}
+    assert sum(map(len, c.faces_by_vertex.values())) == sum(map(len, index.values()))
 
 
 def random_subcomplex(rng, base: sk.CubicalComplex, max_generators: int = 6) -> sk.CubicalComplex:

@@ -43,6 +43,7 @@ class Mutant:
     survives: bool = False
 
 
+COMPLEX = "src/skelcube/complex.py"
 HOMOLOGY = "src/skelcube/homology.py"
 RECONSTRUCT = "src/skelcube/reconstruct.py"
 EMBEDDING = "src/skelcube/embedding.py"
@@ -84,11 +85,23 @@ MUTANTS = (
             "tests/test_homology.py::test_rank_nullity_matches_the_kept_column_reduction",
         ),
     ),
+    # every level's columns, built fresh or carried up a degree, come from this line
     Mutant(
-        "carried-level-signs-all-positive",
+        "level-signs-all-positive",
         HOMOLOGY,
-        "self.columns + [_columns_over(self.index[-1], level)]",
-        "self.columns + [[[(r, 1) for r, _ in col] for col in _columns_over(self.index[-1], level)]]",
+        "columns = [[(below[f], s) for f, s in signed_facets(w) if f in below] for w in level]",
+        "columns = [[(below[f], 1) for f, s in signed_facets(w) if f in below] for w in level]",
+        (
+            "tests/test_homology.py::test_boundary_of_boundary_vanishes",
+            "tests/test_homology.py::test_integer_homology_frozen_values",
+        ),
+    ),
+    # the grown complex's vertex index written into its parent's
+    Mutant(
+        "carried-vertex-index-not-copied",
+        COMPLEX,
+        "    out = dict(at)\n",
+        "    out = at\n",
         ("tests/test_properties.py::test_middle_skeleton_rebuilds_the_manifold",),
     ),
     Mutant(

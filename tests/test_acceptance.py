@@ -14,7 +14,7 @@ from skelcube.cli import main as cli_main
 from skelcube.io import serialize_complex
 from skelcube.words import proper_subwords, word_dim
 
-from helpers import assert_chain_identity, snf_oracle
+from helpers import assert_chain_identity, snf_oracle, words_by_stars
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -147,8 +147,9 @@ def test_criterion_6_facelike_characterization_everywhere():
 def facelike_sphere_subcomplexes(m: sk.CubicalComplex, cap: int) -> list[sk.CubicalComplex]:
     """All face-like boundary-of-a-face subcomplexes of m, up to cap many."""
     out = []
+    by_stars = words_by_stars(m.ambient_dim)
     for k in range(1, m.ambient_dim + 1):
-        for g in sorted(sk.ambient_faces(m.ambient_dim, k)):
+        for g in by_stars[k]:
             if g in m.faces:
                 continue
             sub = frozenset(proper_subwords(g))

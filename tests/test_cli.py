@@ -313,14 +313,32 @@ def test_generate_command_refuses_deep_specs(tmp_path, capsys):
 
 
 def test_commands_refuse_closures_over_the_bound(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("skelcube.complex.MAX_CLOSURE_FACES", 3**4)
+    monkeypatch.setattr("skelcube.complex.MAX_LETTERS", 5 * 3**4)
     dst = str(tmp_path / "x.cplx")
     assert main(["generate", "cube", "5", "-o", dst]) == 3
     assert main(["generate", "boundary-cube", "5", "-o", dst]) == 3
     (tmp_path / "big.cplx").write_text("ambient 5\n*****\n")
     assert main(["homology", str(tmp_path / "big.cplx")]) == 3
     err = capsys.readouterr().err
-    assert err.count("contract violation: closure of '*****' would exceed 81 faces") == 3
+    assert err.count("contract violation: closure of '*****' would exceed 405 letters") == 3
+    assert not (tmp_path / "x.cplx").exists()
+
+
+def test_commands_refuse_long_words_products_and_subdivisions_over_the_bound(tmp_path, capsys, monkeypatch):
+    # 5 * 3**4 letters: 3**4 faces fit in I^5 but not in I^6
+    monkeypatch.setattr("skelcube.complex.MAX_LETTERS", 5 * 3**4)
+    dst = str(tmp_path / "x.cplx")
+    (tmp_path / "fits.cplx").write_text("ambient 5\n****0\n")
+    assert main(["homology", str(tmp_path / "fits.cplx")]) == 0
+    (tmp_path / "long.cplx").write_text("ambient 6\n****00\n")
+    assert main(["homology", str(tmp_path / "long.cplx")]) == 3
+    assert main(["generate", "product", "boundary-cube(2)", "boundary-cube(3)", "-o", dst]) == 3
+    assert main(["generate", "disjoint-union", "boundary-cube(3)", "boundary-cube(4)", "-o", dst]) == 3
+    assert main(["generate", "cbs", "30", "-o", dst]) == 3
+    err = capsys.readouterr().err
+    assert err.count("contract violation: ") == 4
+    for what in ("closure of '****00'", "product", "disjoint union", "cubical barycentric subdivision"):
+        assert f"contract violation: {what} would exceed 405 letters" in err
     assert not (tmp_path / "x.cplx").exists()
 
 

@@ -215,8 +215,9 @@ def test_dim_is_computed_once(monkeypatch):
 
 
 def test_closure_refuses_more_faces_than_the_bound(monkeypatch):
-    # the check counts 3**dim subfaces per new generator, overlaps included
-    monkeypatch.setattr("skelcube.complex.MAX_CLOSURE_FACES", 3**4 + 3)
+    # the check counts 3**dim subfaces per new generator, overlaps included;
+    # in I^5 the bound is 3**4 + 3 faces of 5 letters
+    monkeypatch.setattr("skelcube.complex.MAX_LETTERS", 5 * (3**4 + 3))
     assert len(sk.full_cube(4).faces) == 3**4
     assert len(sk.cube_boundary(4).faces) == 3**4 - 1
     assert len(sk.closure(5, ["****0", "0000*", "00*00"]).faces) == 3**4 + 2
@@ -225,6 +226,33 @@ def test_closure_refuses_more_faces_than_the_bound(monkeypatch):
         lambda: sk.cube_boundary(5),
         lambda: sk.closure(5, ["*****"]),
         lambda: sk.closure(5, ["****0", "****1"]),
+    ):
+        with pytest.raises(sk.ContractError, match="would exceed 420 letters"):
+            build()
+
+
+def test_size_bound_counts_letters_not_faces(monkeypatch):
+    # 3**4 faces of 5 letters fill the bound; as many faces of 6 letters,
+    # and products over it, are refused before they are built
+    monkeypatch.setattr("skelcube.complex.MAX_LETTERS", 5 * 3**4)
+    assert len(sk.closure(5, ["****0"])) == 3**4
+    assert len(sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(2))) == 64
+    for build in (
+        lambda: sk.closure(6, ["****00"]),
+        lambda: sk.closure(406, ["0" * 406]),
+        lambda: sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(3)),
+    ):
+        with pytest.raises(sk.ContractError, match="would exceed 405 letters"):
+            build()
+
+
+def test_size_bound_holds_cube_13_and_refuses_small_inputs_with_large_results():
+    # full_cube(13) is the largest cube within the bound
+    assert sk.complex.MAX_LETTERS == 13 * 3**13
+    for build in (
+        lambda: sk.closure(600, ["*" * 13 + "0" * 587]),
+        lambda: sk.full_cube(14),
+        lambda: sk.product_complex(sk.cube_boundary(9), sk.cube_boundary(9)),
     ):
         with pytest.raises(sk.ContractError):
             build()
@@ -353,13 +381,6 @@ def test_vertices_and_euler():
     assert s2.euler_characteristic() == 2
     t = sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(2))
     assert t.euler_characteristic() == 0
-
-
-def test_ambient_faces_counts():
-    assert len(list(sk.ambient_faces(4, 3))) == 8
-    assert len(list(sk.ambient_faces(5, 3))) == 40
-    assert list(sk.ambient_faces(2, 5)) == []
-    assert sorted(sk.ambient_faces(1, 0)) == ["0", "1"]
 
 
 def test_vertices_of_face_cover_expected_box():

@@ -114,6 +114,33 @@ def test_cbs_general_subdivision_of_a_triangle_fan():
         sk.cubical_barycentric_subdivision([set()])
 
 
+def test_subdivisions_and_disjoint_unions_over_the_size_bound_are_refused(monkeypatch):
+    # 5 * 3**4 letters; cbs(m) is counted as 5 faces per edge (shared
+    # vertices twice) of m letters, a simplex on s vertices as 3**s - 2**s
+    # faces of s letters
+    monkeypatch.setattr("skelcube.complex.MAX_LETTERS", 5 * 3**4)
+    assert len(sk.generate("cbs(5)")) == 20
+    assert len(sk.cubical_barycentric_subdivision([range(4)])) == 3**4 - 2**4
+    assert len(sk.generate("disjoint-union(boundary-cube(3), boundary-cube(3))")) == 52
+    for build in (
+        lambda: sk.generate("cbs(30)"),
+        lambda: sk.cubical_barycentric_subdivision([range(5)]),
+        lambda: sk.cubical_barycentric_subdivision([{405}]),
+        lambda: sk.generate("disjoint-union(boundary-cube(3), boundary-cube(4))"),
+    ):
+        with pytest.raises(sk.ContractError, match="would exceed 405 letters"):
+            build()
+
+
+def test_subdivision_of_a_large_simplex_is_refused_before_its_faces_are_listed():
+    # 2**40 faces of the simplex would be closed first without the bound
+    assert sk.complex.MAX_LETTERS == 13 * 3**13
+    with pytest.raises(sk.ContractError, match="cubical barycentric subdivision would exceed"):
+        sk.cubical_barycentric_subdivision([range(40)])
+    with pytest.raises(sk.ContractError):
+        sk.generate("cbs(20000)")
+
+
 def test_cbs_embeds_in_cube_on_vertex_count():
     c = sk.generate("cbs(4)")
     assert c.is_subcomplex_of(sk.full_cube(4))
