@@ -21,27 +21,27 @@ Over GF(2) each matrix is eliminated once (`gf2_elimination`): column
 reduction packs each column into an int and records rank D_j and a
 kernel basis Z_j.  Keeping only the columns K of D_j, with S the rest,
 rank(D_j|K) = rank D_j - |S| + rank(Z_j|S) by rank-nullity, so a kept
-set costs one `gf2_rank` of the kernel restricted to S.  S is the
-level's cached set minus K (`columns_outside`), a C-level pass over the
-level however large K is, and its mask is summed from a cached table of
-column bits.  With nothing deleted the correction is zero, and the same
-route serves absolute and relative homology.  `BoundaryMatrices.extended`
-adds one level of columns on top: a fresh build folds it over the
-levels, and a complex grown by one level shares the levels, index and
-eliminations below it.  Level sets and bits are built on first use.
+set costs one `gf2_rank` of the kernel restricted to S.  With nothing
+deleted the correction is zero, and the same route serves absolute and
+relative homology.  `BoundaryMatrices.extended` adds one level of
+columns on top: a fresh build folds it over the levels, and a complex
+grown by one level shares the levels, index and eliminations below it.
 
-Over Z a kept set reduces its own columns: the integer reconstruction
-mode compares torsion, which ranks do not give.  Every integer
-elimination (homology, relative homology and `integer_rank`) goes
-through one sparse reducer, `_invariant_factors`.  It first eliminates
-unit (+-1) pivots: each one is a unimodular row and column operation
-that contributes an invariant factor 1 and leaves the Schur complement,
-one row and one column smaller.  Only the remainder without unit
-entries, which is small on boundary matrices, is densified and handed
-to `smith_normal_form`, one loop over least-absolute-value pivots (cf.
-Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004;
-Dumas-Saunders-Villard on sparse integer Smith forms).  Arithmetic is
-exact Python integers, so entry growth is handled by arbitrary
+Only `_homology` reads a kept set: per map it takes the mask of S
+(`columns_outside`, a C-level pass over the level) and counts faces
+from it, and either ring reads the map through that mask.  Over Z the
+masked columns are dropped and the rest reduced, as the integer
+reconstruction mode compares torsion, which ranks do not give.
+Every integer elimination (homology, relative homology and
+`integer_rank`) goes through one sparse reducer, `_invariant_factors`.
+It first eliminates unit (+-1) pivots: each one is a unimodular row and
+column operation that contributes an invariant factor 1 and leaves the
+Schur complement, one row and one column smaller.  Only the remainder
+without unit entries, which is small on boundary matrices, is densified
+and handed to `smith_normal_form`, one loop over least-absolute-value
+pivots (cf. Kaczynski-Mischaikow-Mrozek, *Computational Homology*,
+2004; Dumas-Saunders-Villard on sparse integer Smith forms).  Arithmetic
+is exact Python integers, so entry growth is handled by arbitrary
 precision and there is no overflow path to detect.
 """
 
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import filterfalse
 
 from .complex import CubicalComplex, _require_subcomplex
 from .errors import ContractError, StructuralError
@@ -119,11 +120,6 @@ class BoundaryMatrices:
         """bits[j][w]: 1 << index[j][w], built on first use."""
         return [{w: 1 << i for w, i in at.items()} for at in self.index]
 
-    @cached_property
-    def level_sets(self) -> list[frozenset[str]]:
-        """level_sets[j]: the j-faces as a set, built on first use."""
-        return [frozenset(level) for level in self.levels]
-
     @property
     def top(self) -> int:
         return len(self.levels) - 1
@@ -173,14 +169,13 @@ class BoundaryMatrices:
     def columns_outside(self, j: int, kept) -> int:
         """The j-faces not in kept, as a mask over column indices; none when kept is None.
 
-        The complement is the level's set minus kept: CPython walks the
-        level and looks each face up in kept, rather than copying the
-        level and discarding every kept face.  The faces left are summed
-        from the level's table of bits, so no Python loop runs either.
+        CPython walks the level, skips each face found in kept and sums
+        the faces left from the level's table of bits: no Python loop
+        runs, however large kept is.
         """
         if kept is None or not 0 <= j <= self.top:
             return 0
-        return sum(map(self.bits[j].__getitem__, self.level_sets[j] - kept))
+        return sum(map(self.bits[j].__getitem__, filterfalse(kept.__contains__, self.levels[j])))
 
     def extended(self, words) -> "BoundaryMatrices":
         """These matrices with one level added on top: `words`, faces one dimension above the top.
@@ -368,38 +363,30 @@ def integer_rank(matrix) -> int:
     return len(_invariant_factors([[(i, int(v)) for i, v in enumerate(col) if v] for col in zip(*rows)]))
 
 
-def _gf2_map(mats: BoundaryMatrices, i: int, kept) -> tuple[int, int, tuple[int, ...]]:
-    """(i-faces, rank of D_i, torsion) over GF(2) for the kept faces, by rank-nullity.
+def _gf2_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[int, ...]]:
+    """(rank of D_i, torsion) over GF(2) without the columns in the mask `deleted`, by rank-nullity.
 
     With S the deleted columns of D_i and Z a basis of its kernel,
     rank(D_i|K) = rank D_i - |S| + rank(Z|S): the kernel of D_i|K is the
-    part of ker D_i vanishing on S.  So every kept set reads mats' one
+    part of ker D_i vanishing on S.  So every mask reads mats' one
     elimination of D_i, and only the kernel restricted to S is reduced.
     """
     rank, kernel = mats.gf2_elimination(i)
-    faces = mats.num_faces(i)
-    deleted = mats.columns_outside(i, kept)
-    if deleted:
-        size = deleted.bit_count()
-        faces -= size
-        if i >= 1:  # D_0 is the zero map whatever is kept
-            rank += gf2_rank([z & deleted for z in kernel]) - size
-    return faces, rank, ()
+    if deleted and i >= 1:  # D_0 is the zero map whatever is deleted
+        rank += gf2_rank([z & deleted for z in kernel]) - deleted.bit_count()
+    return rank, ()
 
 
-def _integer_map(mats: BoundaryMatrices, i: int, kept) -> tuple[int, int, tuple[int, ...]]:
-    """(i-faces, rank of D_i, invariant factors above 1) over Z for the kept faces, on their columns."""
-    faces = mats.num_faces(i)
+def _integer_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[int, ...]]:
+    """(rank of D_i, invariant factors above 1) over Z without the columns in the mask `deleted`."""
     columns = mats.columns[i] if 1 <= i <= mats.top else []
-    if kept is not None and 0 <= i <= mats.top:
-        at = [c for c, w in enumerate(mats.levels[i]) if w in kept]
-        faces = len(at)
-        columns = [columns[c] for c in at] if columns else []
+    if deleted:
+        columns = [col for c, col in enumerate(columns) if not deleted >> c & 1]
     factors = _invariant_factors(columns)
-    return faces, len(factors), tuple(d for d in factors if d > 1)
+    return len(factors), tuple(d for d in factors if d > 1)
 
 
-# the ring picks the routine that reads one boundary map on the kept faces
+# the ring picks the routine that reads one boundary map through a mask of deleted columns
 _RINGS = {GF2: _gf2_map, INTEGER: _integer_map}
 
 
@@ -411,14 +398,17 @@ def _homology(mats: BoundaryMatrices, ring: str, degrees, kept=None) -> dict[int
     facet of its faces: its D_j is mats' D_j restricted to the kept
     j-faces, columns only, as the rows those columns reach are kept
     faces and every other row is zero there.  Without it every face is
-    kept.  Each map is read once, also when two degrees share it.
+    kept.  Each map is read once, also when two degrees share it, and
+    the ring's reader sees only the mask of its deleted columns.
     """
     read = _RINGS[ring]
     faces: dict[int, int] = {}
     rank: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     for i in sorted({i for j in degrees for i in (j, j + 1)}):
-        faces[i], rank[i], torsion[i] = read(mats, i, kept)
+        deleted = mats.columns_outside(i, kept)
+        faces[i] = mats.num_faces(i) - deleted.bit_count()
+        rank[i], torsion[i] = read(mats, i, deleted)
     return {j: (faces[j] - rank[j] - rank[j + 1], torsion[j + 1]) for j in degrees}
 
 

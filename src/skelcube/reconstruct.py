@@ -24,11 +24,11 @@ current one plus the added faces; the current complex is left as it
 is.  A step that accepts nothing keeps the current complex.
 So each map is built and eliminated over GF(2) once per
 reconstruction, and a candidate's deleted star is a few index lookups.
-Over GF(2) a candidate then costs a few C-level set passes (the copy in
-`delete`, the complement of the kept faces per compared level) and one
-rank of the base's kernel basis restricted to the deleted columns, by
-rank-nullity (see homology); TIGHT_INTEGER compares torsion and reduces
-the kept columns over Z.
+A candidate then costs a few C-level passes (the copy in `delete`, the
+mask of deleted columns per compared map) and, over GF(2), one rank of
+the base's kernel basis restricted to that mask, by rank-nullity (see
+homology); TIGHT_INTEGER compares torsion and reduces the columns
+outside the mask over Z.
 
 A tight mode (even target dimension d = 2k) is the same test at the
 first degree with degree d-k dropped, the middle degree whose homology
@@ -155,13 +155,21 @@ def face_criterion(skel: CubicalComplex, f: str, k: int, d: int, mode: str = STA
 
 
 def reconstruct_steps(skel: CubicalComplex, cfg: ReconstructionConfig):
-    """Yield one ReconstructionStep per degree from k up to d-1.
+    """An iterator over one ReconstructionStep per degree from k up to d-1.
 
     The configured mode judges degree k; every later degree is standard.
+    The contract is checked here, before any step: no face of I^n has
+    dimension above n, so a target d above the ambient n is refused.
     """
     cfg.validate()
     if skel.dim > cfg.k:
         raise ContractError(f"input dimension {skel.dim} exceeds k={cfg.k}")
+    if cfg.d > skel.ambient_dim:
+        raise ContractError(f"target dimension d={cfg.d} exceeds the ambient dimension {skel.ambient_dim}")
+    return _steps(skel, cfg)
+
+
+def _steps(skel: CubicalComplex, cfg: ReconstructionConfig):
     current = skel
     for degree in range(cfg.k, cfg.d):
         mode = cfg.mode if degree == cfg.k else STANDARD
@@ -189,10 +197,11 @@ def reconstruct_auto(
 ) -> list[tuple[int, CubicalComplex]]:
     """Try every admissible target dimension and keep verified manifolds.
 
-    For d in k..min(d_max, 2k) the standard loop runs below d = 2k, where
-    k >= floor(d/2)+1 holds; the boundary case d = 2k runs only in a
-    tight mode, which the caller enables only when its hypothesis is
-    trusted.  No mode admits d > 2k.
+    For d in k..min(d_max, 2k, n) the standard loop runs below d = 2k,
+    where k >= floor(d/2)+1 holds; the boundary case d = 2k runs only in
+    a tight mode, which the caller enables only when its hypothesis is
+    trusted.  No mode admits d > 2k, and no d-manifold lies in I^n for
+    d > n, the ambient dimension.
     A result is kept iff it passes is_homology_manifold at dimension d.
     The input itself is reported when it is already a manifold, covering
     skeletons below the search range.  Whenever a d is tried, its
@@ -206,7 +215,7 @@ def reconstruct_auto(
     if own.is_manifold:
         results.append((own.dimension, skel))
     top = 2 * k if mode != STANDARD else 2 * k - 1
-    for d in range(k, min(d_max, top) + 1):
+    for d in range(k, min(d_max, top, skel.ambient_dim) + 1):
         built = reconstruct(skel, ReconstructionConfig(k, d, mode if d == 2 * k else STANDARD))
         report = is_homology_manifold(built)
         if report.is_manifold and report.dimension == d and (d, built) not in results:

@@ -71,17 +71,28 @@ MUTANTS = (
     Mutant(
         "rank-nullity-drops-size",
         HOMOLOGY,
-        "rank += gf2_rank([z & deleted for z in kernel]) - size",
+        "rank += gf2_rank([z & deleted for z in kernel]) - deleted.bit_count()",
         "rank += gf2_rank([z & deleted for z in kernel])",
         ("tests/test_homology.py::test_rank_nullity_matches_the_kept_column_reduction",),
     ),
     Mutant(
         "complement-taken-as-intersection",
         HOMOLOGY,
-        "self.level_sets[j] - kept",
-        "self.level_sets[j] & kept",
+        "filterfalse(kept.__contains__, self.levels[j])",
+        "filter(kept.__contains__, self.levels[j])",
         (
             "tests/test_homology.py::test_columns_outside_is_the_mask_of_the_level_minus_kept",
+            "tests/test_homology.py::test_rank_nullity_matches_the_kept_column_reduction",
+        ),
+    ),
+    # over Z the mask is the only trace of the kept set
+    Mutant(
+        "integer-reader-ignores-mask",
+        HOMOLOGY,
+        "    if deleted:\n        columns = ",
+        "    if False:\n        columns = ",
+        (
+            "tests/test_reconstruct.py::test_tight_criterion_compares_only_degree_d_minus_k_minus_1",
             "tests/test_homology.py::test_rank_nullity_matches_the_kept_column_reduction",
         ),
     ),

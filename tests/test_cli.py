@@ -202,6 +202,22 @@ def test_reconstruct_auto_command(tmp_path, capsys):
         assert rebuilt == sk.cube_boundary(3)
 
 
+def test_reconstruct_refuses_a_target_above_the_ambient_dimension(tmp_path, capsys):
+    src = write_complex(tmp_path, "skel.cplx", sk.skeleton(sk.cube_boundary(4), 2))
+    dst = tmp_path / "out.cplx"
+    for k, d in (("5", "9"), ("20000", "39999")):
+        assert main(["reconstruct", src, "-k", k, "-d", d, "-o", str(dst)]) == 3
+        out, err = capsys.readouterr()
+        assert out.endswith(f"mode standard k={k} d={d}\n")
+        assert f"d={d} exceeds the ambient dimension 4" in err
+        assert not dst.exists()
+    # --auto stops its d range at 4 too: no degree above it is run
+    start = time.process_time()
+    assert main(["reconstruct", src, "-k", "800", "--auto", "--dmax", "1000000", "-o", str(dst)]) == 1
+    assert time.process_time() - start <= 0.5
+    assert capsys.readouterr().out.endswith("auto k=800 dmax=1000000 tight=off\nno manifold found\n")
+
+
 def test_reconstruct_auto_without_result(tmp_path, capsys):
     src = write_complex(tmp_path, "disc.cplx", sk.full_cube(2))
     dst = str(tmp_path / "none.cplx")

@@ -313,27 +313,32 @@ def test_gf2_elimination_gives_the_rank_and_a_kernel_basis():
 
 
 def test_rank_nullity_matches_the_kept_column_reduction():
-    # kept sets: none, all, a vertex deletion, a skeleton and any subcomplex
+    # kept sets: none, all, a vertex deletion, a skeleton and any subcomplex,
+    # of random complexes and of RP^2, whose H_1 has torsion; over Z the
+    # answer is compared with matrices built anew from the kept words
     rng = random.Random(59)
-    emptied = 0
-    for n in range(1, 6):
-        base = sk.full_cube(n)
-        for _ in range(16):
-            c = random_subcomplex(rng, base)
-            mats = c.chains
-            degrees = range(-1, c.dim + 2)
-            deleted = sk.delete(c, random_subcomplex(rng, c, max_generators=2)).faces
-            for kept in (
-                frozenset(),
-                c.faces,
-                deleted,
-                sk.skeleton(c, rng.randint(-1, c.dim)).faces,
-                random_subcomplex(rng, c).faces,
-            ):
-                got = _homology(mats, sk.GF2, degrees, kept)
-                assert got == kept_homology_gf2_oracle(mats, degrees, kept), (sorted(c.faces), sorted(kept))
-            emptied += any(level and deleted.isdisjoint(level) for level in mats.levels)
+    hosts = [random_subcomplex(rng, sk.full_cube(n)) for n in range(1, 6) for _ in range(16)]
+    hosts += [projective_plane()] * 4
+    emptied = torsion = 0
+    for c in hosts:
+        mats = c.chains
+        degrees = range(-1, c.dim + 2)
+        deleted = sk.delete(c, random_subcomplex(rng, c, max_generators=2)).faces
+        for kept in (
+            frozenset(),
+            c.faces,
+            deleted,
+            sk.skeleton(c, rng.randint(-1, c.dim)).faces,
+            random_subcomplex(rng, c).faces,
+        ):
+            got = _homology(mats, sk.GF2, degrees, kept)
+            assert got == kept_homology_gf2_oracle(mats, degrees, kept), (sorted(c.faces), sorted(kept))
+            got = _homology(mats, sk.INTEGER, degrees, kept)
+            assert got == _homology(_matrices_over(kept), sk.INTEGER, degrees), (sorted(c.faces), sorted(kept))
+            torsion += any(factors for _, factors in got.values())
+        emptied += any(level and deleted.isdisjoint(level) for level in mats.levels)
     assert emptied > 10
+    assert torsion >= 4
 
 
 def test_columns_outside_is_the_mask_of_the_level_minus_kept():

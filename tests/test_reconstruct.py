@@ -1,3 +1,4 @@
+import importlib
 import random
 import time
 
@@ -214,6 +215,42 @@ def test_accepted_faces_imply_boundary_present():
 def test_reconstruct_rejects_oversized_input():
     with pytest.raises(sk.ContractError):
         sk.reconstruct(sk.cube_boundary(4), sk.ReconstructionConfig(2, 3))
+
+
+def test_reconstruct_steps_checks_its_contract_at_the_call():
+    # each call raises before any step is asked for: a bad k, an input
+    # above k, and targets above the ambient I^4 (no face has dimension > 4)
+    skel = sk.skeleton(sk.cube_boundary(4), 2)
+    for c, cfg in (
+        (skel, sk.ReconstructionConfig(1, 3)),
+        (sk.cube_boundary(4), sk.ReconstructionConfig(2, 3)),
+        (skel, sk.ReconstructionConfig(20000, 39999)),
+    ):
+        with pytest.raises(sk.ContractError):
+            sk.reconstruct_steps(c, cfg)
+    with pytest.raises(sk.ContractError, match=r"d=5 exceeds the ambient dimension 4"):
+        sk.reconstruct_steps(skel, sk.ReconstructionConfig(3, 5))
+    # d = 4 itself fits: one step, without candidates on a 2-complex
+    (step,) = sk.reconstruct_steps(skel, sk.ReconstructionConfig(3, 4))
+    assert step.degree == 3 and not step.verdicts
+
+
+def test_auto_tries_no_target_above_the_ambient_dimension(monkeypatch):
+    # d runs up to min(dmax, 2k - 1, 4) on a complex in I^4, never past 4
+    module = importlib.import_module("skelcube.reconstruct")  # the package's name is the function
+    tried = []
+    real = module.reconstruct
+
+    def spy(c, cfg):
+        assert cfg.d <= c.ambient_dim, cfg
+        tried.append(cfg.d)
+        return real(c, cfg)
+
+    monkeypatch.setattr(module, "reconstruct", spy)
+    for k in (2, 3, 800):
+        found = sk.reconstruct_auto(sk.skeleton(sk.cube_boundary(4), 2), k, 10**6)
+        assert [(d, cx == sk.cube_boundary(4)) for d, cx in found] == ([(3, True)] if k == 2 else [])
+    assert tried == [2, 3, 3, 4]
 
 
 def test_auto_finds_sphere_and_nothing_else():
