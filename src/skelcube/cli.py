@@ -32,6 +32,7 @@ from .reconstruct import (
     reconstruct_auto,
     reconstruct_steps,
 )
+from .words import mask_word
 
 
 def _load_complex(path: str) -> CubicalComplex:
@@ -134,10 +135,6 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _code_word(code: int, n: int) -> str:
-    return "".join("1" if code >> i & 1 else "0" for i in range(n))
-
-
 def _cmd_embed(args) -> int:
     g = parse_graph(Path(args.file).read_text())
     emb = find_graph_embedding(g, args.nmax)
@@ -152,7 +149,7 @@ def _cmd_embed(args) -> int:
         return 1
     print(f"embedding found n={emb.n}")
     for i, code in enumerate(emb.codes):
-        print(f"vertex {i} {_code_word(code, emb.n)}")
+        print(f"vertex {i} {mask_word(emb.n, code, 0)}")
     labels = labelling_from_embedding(emb, g)
     for (u, v), lab in sorted(labels.items()):
         print(f"edge {u} {v} label {lab}")

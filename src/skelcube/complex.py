@@ -192,7 +192,7 @@ def cube_boundary(n: int) -> CubicalComplex:
         raise StructuralError("boundary of I^n needs n >= 1")
     top = STAR * n
     _check_size(f"closure of {top!r}", 3**n, n)
-    return CubicalComplex(n, frozenset(s for s in subwords(top) if s != top))
+    return CubicalComplex(n, frozenset(proper_subwords(top)))
 
 
 def skeleton(c: CubicalComplex, k: int) -> CubicalComplex:

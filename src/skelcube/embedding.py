@@ -27,7 +27,7 @@ from itertools import chain, count, takewhile
 
 from .complex import CubicalComplex, _derived
 from .errors import ContractError, ContradictionError, StructuralError
-from .words import STAR, ZERO, ONE, sort_words, word_dim, word_vertices
+from .words import mask_word, sort_words, word_dim, word_vertices
 
 __all__ = [
     "SimpleGraph",
@@ -271,39 +271,39 @@ def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | Non
             if _search(order[lo:hi], adj, n_max) is None:
                 return None
     found = _search(order, adj, n_max)
-    return None if found is None else HypercubeEmbedding(found[0], tuple(found[1]))
+    return None if found is None else HypercubeEmbedding(found[0], tuple(map(found[1].__getitem__, range(len(adj)))))
 
 
-def _search(order: list[int], adj: list[list[int]], n_max: int) -> tuple[int, list[int]] | None:
+def _search(order: list[int], adj: list[list[int]], n_max: int) -> tuple[int, dict[int, int]] | None:
     """Backtrack codes for the vertices in `order`, each after a neighbour unless it starts a component.
 
     order must hold every neighbour of its vertices.  Returns the width
-    used and the codes by vertex (-1 off the order), or None.
+    used and a dict from each vertex of order to its code, or None.
     """
     pos = {v: i for i, v in enumerate(order)}
     earlier = [[u for u in adj[v] if pos[u] < i] for i, v in enumerate(order)]
-    code = [-1] * len(adj)
+    code: dict[int, int] = {}
     used_codes: set[int] = set()
 
-    def candidates(i: int, used_coords: int):
+    def candidates(i: int, used_coords: int, floor: int):
         if not earlier[i]:
-            # roots of later components float freely over the codes below
-            # 2^n_max, counted without building 2^n_max itself
-            return iter([0]) if i == 0 else takewhile(lambda x: x.bit_length() <= n_max, count())
+            # roots of later components float freely over the free codes
+            # below 2^n_max, counted from the floor without building
+            # 2^n_max itself
+            return iter([0]) if i == 0 else takewhile(lambda x: x.bit_length() <= n_max, count(floor))
         base = code[earlier[i][0]]
         return (base ^ (1 << b) for b in range(min(used_coords + 1, n_max)))
 
-    # one frame per level placed so far: its candidate iterator and the
-    # coordinates used before it; a loop, not recursion, since a long
-    # path would otherwise exceed the interpreter's recursion limit
-    stack = [(candidates(0, 0), 0)]
+    # one frame per level placed so far: its candidate iterator, the
+    # coordinates used before it and its floor, below which every code is
+    # held by the vertices placed before it; a loop, not recursion, since
+    # a long path would otherwise exceed the interpreter's recursion limit
+    stack = [(candidates(0, 0, 0), 0, 0)]
     while stack:
         i = len(stack) - 1
         v = order[i]
-        cands, used_coords = stack[-1]
-        if code[v] >= 0:
-            used_codes.discard(code[v])
-            code[v] = -1
+        cands, used_coords, floor = stack[-1]
+        used_codes.discard(code.pop(v, -1))
         for cand in cands:
             if cand in used_codes:
                 continue
@@ -314,7 +314,10 @@ def _search(order: list[int], adj: list[list[int]], n_max: int) -> tuple[int, li
             grown = max(used_coords, cand.bit_length())
             if i + 1 == len(order):
                 return grown, code
-            stack.append((candidates(i + 1, grown), grown))
+            if not earlier[i + 1]:
+                while floor in used_codes:
+                    floor += 1
+            stack.append((candidates(i + 1, grown, floor), grown, floor))
             break
         else:
             stack.pop()
@@ -360,11 +363,5 @@ def lift_to_complex_embedding(c: CubicalComplex, emb: HypercubeEmbedding) -> Cub
         varying = hi & ~lo
         if varying.bit_count() != word_dim(w) or len(set(codes)) != 1 << word_dim(w):
             raise ContradictionError(f"image of face {w!r} does not span a face")
-        letters = []
-        for i in range(n):
-            if varying >> i & 1:
-                letters.append(STAR)
-            else:
-                letters.append(ONE if lo >> i & 1 else ZERO)
-        out.add("".join(letters))
+        out.add(mask_word(n, lo, varying))
     return CubicalComplex(n, frozenset(out))

@@ -10,12 +10,11 @@ passed to; the builders check the ranges of their own arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .complex import CubicalComplex, _check_size, cube_boundary, full_cube, product_complex, skeleton
+from .complex import CubicalComplex, _check_size, _derived, cube_boundary, full_cube, product_complex, skeleton
 from .embedding import SimpleGraph
 from .errors import StructuralError
-from .words import ONE, STAR, ZERO
+from .words import ONE, STAR, ZERO, subwords
 
 __all__ = [
     "GeneratorSpec",
@@ -96,11 +95,13 @@ def _parse_spec(text: str, i: int, depth: int = 1) -> tuple[GeneratorSpec, int]:
 def cubical_barycentric_subdivision(simplices) -> CubicalComplex:
     """Cubes are intervals [sigma, tau] of the simplex poset.
 
-    A simplex is a set of vertex indices; the input is closed downward
-    here for convenience.  The interval [sigma, tau] embeds into the
-    cube on the vertex set as the word with ones on sigma, stars on
-    tau minus sigma and zeros elsewhere.  A simplex s holds 3**|s| -
-    2**|s| such intervals, which bound the size before anything is built.
+    A simplex is a set of vertex indices, and the input need not be
+    closed downward.  The interval [sigma, tau] embeds into the cube on
+    the vertex set as the word with ones on sigma, stars on tau minus
+    sigma and zeros elsewhere, so the intervals below a simplex s are the
+    subwords of its cube that hold a ONE: 3**|s| - 2**|s| of them, which
+    bound the size before anything is built.  Each is spelt on the span
+    of s and padded with zeros.
     """
     given = {frozenset(s) for s in simplices}
     if frozenset() in given:
@@ -111,23 +112,13 @@ def cubical_barycentric_subdivision(simplices) -> CubicalComplex:
         raise StructuralError("cubical barycentric subdivision of an empty complex is undefined")
     n = max(max(s) for s in given) + 1
     _check_size("cubical barycentric subdivision", sum(3 ** len(s) - 2 ** len(s) for s in given), n)
-    closed: set[frozenset[int]] = set()
-    for s in given:
-        for r in range(1, len(s) + 1):
-            for sub in combinations(sorted(s), r):
-                closed.add(frozenset(sub))
     faces = set()
-    for tau in closed:
-        members = sorted(tau)
-        for r in range(1, len(members) + 1):
-            for sigma in combinations(members, r):
-                word = [ZERO] * n
-                for v in tau:
-                    word[v] = STAR
-                for v in sigma:
-                    word[v] = ONE
-                faces.add("".join(word))
-    return CubicalComplex(n, frozenset(faces))
+    for s in given:
+        lo, hi = min(s), max(s)
+        span = "".join(STAR if v in s else ZERO for v in range(lo, hi + 1))
+        head, tail = ZERO * lo, ZERO * (n - 1 - hi)
+        faces.update(head + w + tail for w in subwords(span) if ONE in w)
+    return _derived(n, frozenset(faces))
 
 
 def _cbs_polygon(m: int) -> CubicalComplex:

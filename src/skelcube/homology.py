@@ -28,10 +28,10 @@ columns on top: a fresh build folds it over the levels, and a complex
 grown by one level shares the levels, index and eliminations below it.
 
 Only `_homology` reads a kept set: per map it takes the mask of S
-(`columns_outside`, a C-level pass over the level) and counts faces
-from it, and either ring reads the map through that mask.  Over Z the
-masked columns are dropped and the rest reduced, as the integer
-reconstruction mode compares torsion, which ranks do not give.
+(`columns_outside`: one byte per face, read in C with no table) and
+counts faces from it, and either ring reads the map through that
+mask.  Over Z the masked columns are dropped and the rest reduced, as
+the integer reconstruction mode compares torsion, which ranks do not give.
 Every integer elimination (homology, relative homology and
 `integer_rank`) goes through one sparse reducer, `_invariant_factors`.
 It first eliminates unit (+-1) pivots: each one is a unimodular row and
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import filterfalse
 
 from .complex import CubicalComplex, _require_subcomplex
 from .errors import ContractError, StructuralError
@@ -72,6 +71,10 @@ __all__ = [
 
 GF2 = "gf2"
 INTEGER = "int"
+
+# columns_outside reads membership in kept as bytes 1 and 0; this table
+# spells them as binary digits of the deleted columns, 0 and 1
+_OUTSIDE = bytes.maketrans(b"\x00\x01", b"10")
 
 
 def _check_ring(ring: str) -> None:
@@ -114,11 +117,6 @@ class BoundaryMatrices:
     def index(self) -> list[dict[str, int]]:
         """index[j][w]: the column of the j-face w, built on first use."""
         return [{w: i for i, w in enumerate(level)} for level in self.levels]
-
-    @cached_property
-    def bits(self) -> list[dict[str, int]]:
-        """bits[j][w]: 1 << index[j][w], built on first use."""
-        return [{w: 1 << i for w, i in at.items()} for at in self.index]
 
     @property
     def top(self) -> int:
@@ -169,13 +167,13 @@ class BoundaryMatrices:
     def columns_outside(self, j: int, kept) -> int:
         """The j-faces not in kept, as a mask over column indices; none when kept is None.
 
-        CPython walks the level, skips each face found in kept and sums
-        the faces left from the level's table of bits: no Python loop
-        runs, however large kept is.
+        One byte per face of the level, 0 or 1 for its membership in
+        kept, spelt as a binary numeral and read by `int`: every pass
+        runs in C, and no table of bits is kept.
         """
-        if kept is None or not 0 <= j <= self.top:
+        if kept is None or not self.num_faces(j):
             return 0
-        return sum(map(self.bits[j].__getitem__, filterfalse(kept.__contains__, self.levels[j])))
+        return int(bytes(map(kept.__contains__, self.levels[j])).translate(_OUTSIDE)[::-1], 2)
 
     def extended(self, words) -> "BoundaryMatrices":
         """These matrices with one level added on top: `words`, faces one dimension above the top.

@@ -31,28 +31,34 @@ def _content_lines(text: str):
         yield lineno, line
 
 
-def parse_complex(text: str) -> tuple[CubicalComplex, int]:
-    """Parse a complex file; returns (complex, number of faces added by closure)."""
+def _header(text: str, keyword: str, what: str, empty: str) -> tuple[list[tuple[int, str]], int, int]:
+    """The content lines after a '<keyword> <n>' header, the header's line number and n; `what` names n."""
     lines = list(_content_lines(text))
     if not lines:
-        raise StructuralError("empty complex file, expected an 'ambient <n>' header")
+        raise StructuralError(empty)
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "ambient":
-        raise StructuralError(f"line {lineno}: expected 'ambient <n>', got {header!r}")
+    if len(parts) != 2 or parts[0] != keyword:
+        raise StructuralError(f"line {lineno}: expected '{keyword} <n>', got {header!r}")
     try:
-        n = int(parts[1])
+        return lines[1:], lineno, int(parts[1])
     except ValueError:
-        raise StructuralError(f"line {lineno}: ambient dimension {parts[1]!r} is not an integer") from None
+        raise StructuralError(f"line {lineno}: {what} {parts[1]!r} is not an integer") from None
+
+
+def parse_complex(text: str) -> tuple[CubicalComplex, int]:
+    """Parse a complex file; returns (complex, number of faces added by closure)."""
+    empty = "empty complex file, expected an 'ambient <n>' header"
+    lines, head, n = _header(text, "ambient", "ambient dimension", empty)
     if n < 0:
-        raise StructuralError(f"line {lineno}: ambient dimension must be nonnegative")
+        raise StructuralError(f"line {head}: ambient dimension must be nonnegative")
     generators = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         if len(line.split()) != 1:
             raise StructuralError(f"line {lineno}: expected a single face word, got {line!r}")
         generators.append(line)
     # the empty word, the one face of I^0, serializes as a blank line
-    if n == 0 and any(not raw.strip() for raw in text.splitlines()[lines[0][0] :]):
+    if n == 0 and any(not raw.strip() for raw in text.splitlines()[head:]):
         generators.append("")
     try:
         c = closure(n, generators)
@@ -68,21 +74,12 @@ def serialize_complex(c: CubicalComplex) -> str:
 
 
 def parse_graph(text: str) -> SimpleGraph:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise StructuralError("empty graph file, expected a 'vertices <n>' header")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "vertices":
-        raise StructuralError(f"line {lineno}: expected 'vertices <n>', got {header!r}")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise StructuralError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
+    empty = "empty graph file, expected a 'vertices <n>' header"
+    lines, head, n = _header(text, "vertices", "vertex count", empty)
     if n > MAX_GRAPH_VERTICES:
-        raise StructuralError(f"line {lineno}: vertex count {n} exceeds the bound {MAX_GRAPH_VERTICES}")
+        raise StructuralError(f"line {head}: vertex count {n} exceeds the bound {MAX_GRAPH_VERTICES}")
     edges = set()
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise StructuralError(f"line {lineno}: expected 'u v', got {line!r}")

@@ -27,6 +27,7 @@ __all__ = [
     "word_vertices",
     "one_step_cofaces",
     "span_word",
+    "mask_word",
 ]
 
 ZERO = "0"
@@ -123,3 +124,8 @@ def span_word(words) -> str:
         else:
             cols.append(STAR)
     return "".join(cols)
+
+
+def mask_word(n: int, ones: int, stars: int) -> str:
+    """The face of I^n whose letter i is STAR where bit i of stars is set, else bit i of ones."""
+    return "".join(STAR if stars >> i & 1 else ONE if ones >> i & 1 else ZERO for i in range(n))

@@ -48,6 +48,7 @@ HOMOLOGY = "src/skelcube/homology.py"
 RECONSTRUCT = "src/skelcube/reconstruct.py"
 EMBEDDING = "src/skelcube/embedding.py"
 WORDS = "src/skelcube/words.py"
+GENERATORS = "src/skelcube/generators.py"
 
 MUTANTS = (
     Mutant(
@@ -78,8 +79,8 @@ MUTANTS = (
     Mutant(
         "complement-taken-as-intersection",
         HOMOLOGY,
-        "filterfalse(kept.__contains__, self.levels[j])",
-        "filter(kept.__contains__, self.levels[j])",
+        'b"10")',
+        'b"01")',
         (
             "tests/test_homology.py::test_columns_outside_is_the_mask_of_the_level_minus_kept",
             "tests/test_homology.py::test_rank_nullity_matches_the_kept_column_reduction",
@@ -142,6 +143,37 @@ MUTANTS = (
         "(g.num_vertices - 1).bit_length() > n_max",
         "g.num_vertices.bit_length() > n_max",
         ("tests/test_embedding.py::test_find_embedding_cube_graph",),
+    ),
+    # free roots counted from the least free code, all of which must be tried
+    Mutant(
+        "root-floor-one-too-high",
+        EMBEDDING,
+        "count(floor))",
+        "count(floor + 1))",
+        ("tests/test_embedding.py::test_many_components_embed_in_linear_time",),
+    ),
+    # the subwords of a simplex's cube holding no ONE are not intervals
+    Mutant(
+        "subdivision-keeps-words-without-a-one",
+        GENERATORS,
+        "for w in subwords(span) if ONE in w)",
+        "for w in subwords(span))",
+        (
+            "tests/test_generators.py::test_cbs_matches_the_interval_poset_oracle_on_random_inputs",
+            "tests/test_cli_golden.py::test_cli_output_matches_the_golden_transcript",
+        ),
+    ),
+    # a mirrored word is still a face, so only spelt words catch it
+    Mutant(
+        "mask-word-reads-bits-high-first",
+        WORDS,
+        "STAR if stars >> i & 1 else ONE if ones >> i & 1 else ZERO",
+        "STAR if stars >> (n - 1 - i) & 1 else ONE if ones >> (n - 1 - i) & 1 else ZERO",
+        (
+            "tests/test_words.py::test_mask_word_spells_the_face_of_its_codes",
+            "tests/test_embedding.py::test_lift_spells_bit_i_as_letter_i",
+            "tests/test_cli_golden.py::test_cli_output_matches_the_golden_transcript",
+        ),
     ),
     Mutant(
         "signs-ignore-star-index",

@@ -279,6 +279,22 @@ def test_later_component_root_allocates_no_code_table():
         assert peak - before < 1 << 20
 
 
+def test_many_components_embed_in_linear_time():
+    # each later root starts from the least free code, not from 0, so
+    # 8,192 isolated vertices fill I^13 in order; at 8,000 vertices the
+    # count from 0 took about 4 s
+    assert sk.find_graph_embedding(sk.SimpleGraph(5, frozenset()), 3).codes == (0, 1, 2, 3, 4)
+    isolated = sk.SimpleGraph(8192, frozenset())
+    matching = sk.SimpleGraph.from_edges(8192, [(2 * i, 2 * i + 1) for i in range(4096)])
+    t0 = time.process_time()
+    assert sk.find_graph_embedding(isolated, 13).codes == tuple(range(8192))
+    assert time.process_time() - t0 < 1.0
+    t0 = time.process_time()
+    emb = sk.find_graph_embedding(matching, 13)
+    assert time.process_time() - t0 < 1.0
+    assert emb is not None and emb.is_valid_for(matching)
+
+
 def test_component_that_cannot_embed_is_refuted_alone():
     # an edge plus a disjoint Heawood graph, which passes every certificate
     # but never embeds: the search must not try all 2^10 codes for the
@@ -366,6 +382,12 @@ def test_lift_sphere_round_trip():
     assert lifted.ambient_dim == 3
     assert len(lifted.faces) == len(s2.faces)
     assert sk.is_homology_manifold(lifted).is_manifold
+
+
+def test_lift_spells_bit_i_as_letter_i():
+    edge = sk.closure(2, ["*0"])
+    lifted = sk.lift_to_complex_embedding(edge, sk.HypercubeEmbedding(3, (0b001, 0b011)))
+    assert lifted.faces == {"100", "110", "1*0"}
 
 
 def test_lift_rejects_mismatched_embedding():

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 import skelcube as sk
 from skelcube.generators import MAX_SPEC_DEPTH
+
+from helpers import cbs_oracle
 
 
 def test_parse_round_trips():
@@ -114,7 +118,30 @@ def test_cbs_general_subdivision_of_a_triangle_fan():
         sk.cubical_barycentric_subdivision([set()])
 
 
+def test_cbs_matches_the_interval_poset_oracle_on_random_inputs():
+    # inputs need not be closed downward and may repeat a simplex; vertex
+    # gaps such as {0, 5} leave letters outside every span
+    rng = random.Random(17)
+    for _ in range(240):
+        top = rng.randint(0, 9)
+        simplices = [
+            rng.sample(range(top + 1), rng.randint(1, min(4, top + 1))) for _ in range(rng.randint(1, 4))
+        ]
+        if rng.random() < 0.3:
+            simplices.append(rng.choice(simplices))
+        c = sk.cubical_barycentric_subdivision(simplices)
+        assert c.ambient_dim == max(map(max, simplices)) + 1
+        assert c.faces == cbs_oracle(simplices), simplices
+        c.validate()
+    assert sk.cubical_barycentric_subdivision([{0, 5}]).faces == {"*00001", "100001", "100000", "000001", "10000*"}
+
+
 def test_subdivisions_and_disjoint_unions_over_the_size_bound_are_refused(monkeypatch):
+    # a simplex on s vertices holds exactly 3**s - 2**s intervals,
+    # wherever its vertices sit
+    for s in range(1, 7):
+        assert len(sk.cubical_barycentric_subdivision([range(s)])) == 3**s - 2**s
+        assert len(sk.cubical_barycentric_subdivision([range(3, 3 + 2 * s, 2)])) == 3**s - 2**s
     # 5 * 3**4 letters; cbs(m) is counted as 5 faces per edge (shared
     # vertices twice) of m letters, a simplex on s vertices as 3**s - 2**s
     # faces of s letters

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 import skelcube as sk
 from skelcube.words import (
     canon_key,
     facets,
+    mask_word,
     one_step_cofaces,
     proper_subwords,
     signed_facets,
@@ -70,3 +73,20 @@ def test_span_word():
     assert span_word(["01*", "000"]) == "0**"
     with pytest.raises(sk.StructuralError):
         span_word([])
+
+
+def test_mask_word_spells_the_face_of_its_codes():
+    # letter i is bit i: the vertices of mask_word(n, ones, stars) are the
+    # codes that agree with ones off stars, spelt low bit first
+    def spelt(n: int, code: int) -> str:
+        return "".join(str(code >> i & 1) for i in range(n))
+
+    assert mask_word(3, 0b001, 0b100) == "10*"
+    assert mask_word(0, 0, 0) == ""
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        ones, stars = rng.randrange(1 << n), rng.randrange(1 << n)
+        subs = [sub for sub in range(1 << n) if sub & ~stars == 0]
+        want = {spelt(n, (ones & ~stars) | sub) for sub in subs}
+        assert set(word_vertices(mask_word(n, ones, stars))) == want
