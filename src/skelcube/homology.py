@@ -11,11 +11,13 @@ reads a map.  A complex builds the matrices of its whole face set once
 (`CubicalComplex.chains`), and every other chain complex is read off
 them.  A subcomplex's homology in a few degrees uses the subcomplex's
 columns.  The faces of c outside a subcomplex are closed upward, so the
-quotient matrices of a pair (`relative_profile`) and of an open star
-(`manifold.local_profile`) are c.chains sliced to those faces
-(`BoundaryMatrices.restricted_to`): their columns, with the rows
-outside dropped.  `_homology` is the one ranks-to-Betti routine, and
-cohomology follows from homology by universal coefficients.
+quotient matrices of a pair (`relative_profile`) are c.chains sliced to
+those faces (`BoundaryMatrices.restricted_to`): their columns, with the
+rows outside dropped.  The quotient at an open star is the chain
+complex of a link, which `manifold.local_profile` builds on its own.
+`_groups` is the one ranks-to-Betti formula, read by `_homology` and by
+the link, and cohomology follows from homology by universal
+coefficients.
 
 Over GF(2) each matrix is eliminated once (`gf2_elimination`): column
 reduction packs each column into an int and records rank D_j and a
@@ -104,8 +106,8 @@ class BoundaryMatrices:
     """Signed boundary matrices over a set of faces, one per degree.
 
     A complex builds the matrices of its own faces once
-    (`CubicalComplex.chains`).  The quotient matrices of a pair, and of
-    an open star, are sliced from them by `restricted_to`.
+    (`CubicalComplex.chains`).  The quotient matrices of a pair are
+    sliced from them by `restricted_to`.
     """
 
     def __init__(self, levels, columns):
@@ -407,13 +409,26 @@ def _homology(mats: BoundaryMatrices, ring: str, degrees, kept=None) -> dict[int
         deleted = mats.columns_outside(i, kept)
         faces[i] = mats.num_faces(i) - deleted.bit_count()
         rank[i], torsion[i] = read(mats, i, deleted)
+    return _groups(faces, rank, torsion, degrees)
+
+
+def _groups(faces, rank, torsion, degrees) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """The one ranks-to-Betti formula: (faces_j - rank D_j - rank D_(j+1), torsion of D_(j+1)) per degree j.
+
+    faces, rank and torsion are indexed by degree and hold j and j+1
+    for every j in degrees.
+    """
     return {j: (faces[j] - rank[j] - rank[j + 1], torsion[j + 1]) for j in degrees}
+
+
+def _as_profile(groups: dict[int, tuple[int, tuple[int, ...]]]) -> HomologyProfile:
+    """The profile of (Betti number, torsion) groups given for degrees 0, 1, ... in order."""
+    return HomologyProfile(tuple(betti for betti, _ in groups.values()), tuple(t for _, t in groups.values()))
 
 
 def _profile(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile:
     """The homology of every face of mats in degrees 0..length-1."""
-    groups = _homology(mats, ring, range(length)).values()
-    return HomologyProfile(tuple(betti for betti, _ in groups), tuple(torsion for _, torsion in groups))
+    return _as_profile(_homology(mats, ring, range(length)))
 
 
 # Reconstruction asks for the base profile of the same skeleton once per

@@ -18,8 +18,9 @@ from .errors import StructuralError
 __all__ = ["parse_complex", "serialize_complex", "parse_graph", "serialize_graph"]
 
 # Most vertices a graph file may declare.  The header alone makes the
-# embedding search allocate per vertex (about 0.16 KB each), so a huge
-# count could exhaust memory; 2^20 is the vertex count of Q_20.
+# embedding search allocate per vertex (a peak of about 0.8 KB each
+# under tracemalloc, so about 0.8 GB at the bound), so a huge count
+# could exhaust memory; 2^20 is the vertex count of Q_20.
 MAX_GRAPH_VERTICES = 1 << 20
 
 

@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from .complex import CubicalComplex, _require_subcomplex, is_face_like, star
 from .embedding import components
 from .errors import ContractError, ContradictionError, StructuralError
-from .homology import GF2, HomologyProfile, _check_ring, _profile, integer_rank, relative_profile
+from .homology import (
+    GF2,
+    INTEGER,
+    HomologyProfile,
+    _as_profile,
+    _check_ring,
+    _groups,
+    _invariant_factors,
+    gf2_rank,
+    integer_rank,
+    relative_profile,
+)
 from .words import proper_subwords, span_word, word_dim
 
 # relative_profile is re-exported, not called: perfbench/traced.py wraps
@@ -44,19 +56,87 @@ class ManifoldReport:
     failing_profile: Optional[HomologyProfile] = None
 
 
-def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile:
-    """Homology of the pair (c, faces not containing f), in degrees 0..dim c.
+# a face word spelt as the binary numeral of its free coordinates
+_FREE = str.maketrans("01*", "001")
 
-    The quotient basis is the open star of f, the faces having f as a
-    subface, read from c's vertex index (see star).  The star is closed
-    upward, so the quotient matrices are c's own (`c.chains`) sliced to
-    the star's columns and rows (`BoundaryMatrices.restricted_to`), over
-    either ring.  Per face only the star's own columns are built.
+
+def _link(c: CubicalComplex, f: str) -> list[list[int]]:
+    """The link of f in c by number of vertices, each simplex a mask of f's fixed coordinates.
+
+    A face g containing f frees a set A_g of f's fixed coordinates; the
+    A_g are the simplices, f's own the empty one.  One `translate`
+    spells the whole open star as numerals, each led by a "0" so that
+    the empty word of I^0 is one too.
+    """
+    own = int("0" + f.translate(_FREE), 2)
+    levels: list[list[int]] = [[] for _ in range(c.dim - word_dim(f) + 1)]
+    for free in map(int, ("0" + " 0".join(star(c, (f,)))).translate(_FREE).split(), repeat(2)):
+        a = free ^ own
+        levels[a.bit_count()].append(a)
+    return levels
+
+
+def _link_map_gf2(below: list[int], level: list[int]) -> tuple[int, tuple[int, ...]]:
+    """(rank, no torsion) of the link's boundary from level to below over GF(2), columns packed as ints."""
+    row = {a: 1 << r for r, a in enumerate(below)}
+    columns = []
+    for a in level:
+        column, rest = 0, a
+        while rest:
+            low = rest & -rest
+            column |= row[a ^ low]
+            rest ^= low
+        columns.append(column)
+    return gf2_rank(columns), ()
+
+
+def _link_map_integer(below: list[int], level: list[int]) -> tuple[int, tuple[int, ...]]:
+    """(rank, invariant factors above 1) of the link's boundary over Z, rows named by their masks.
+
+    Dropping vertex a of simplex A has the sign (-1)**(bits of A below a).
+    """
+    columns = []
+    for a in level:
+        column, rest, sign = [], a, 1
+        while rest:
+            low = rest & -rest
+            column.append((a ^ low, sign))
+            rest ^= low
+            sign = -sign
+        columns.append(column)
+    factors = _invariant_factors(columns)
+    return len(factors), tuple(d for d in factors if d > 1)
+
+
+_LINK_MAPS = {GF2: _link_map_gf2, INTEGER: _link_map_integer}
+
+
+def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile:
+    """Homology of the pair (c, faces not containing f), in degrees 0..dim c, read from the link of f.
+
+    The quotient basis is the open star of f (see star).  The facets of
+    a star face g that stay in the star put f's letter back at one
+    coordinate of A_g (see `_link`), so the quotient is the augmented
+    chain complex of the link shifted up by p = dim f: H_j of the pair
+    is the reduced H_(j-p-1) of the link (Munkres, *Elements of
+    Algebraic Topology*, 1984, section 63).  The link's simplicial
+    signs differ from the cubical ones of `signed_facets` by a sign per
+    face, a change of basis, so the invariant factors agree with those
+    of c's quotient matrices, which are never built.
     """
     if f not in c.faces:
         raise StructuralError(f"face {f!r} is not in the complex")
     _check_ring(ring)
-    return _profile(c.chains.restricted_to(star(c, (f,))), c.dim + 1, ring)
+    read = _LINK_MAPS[ring]
+    p, length = word_dim(f), c.dim + 1
+    faces, rank = [0] * (length + 1), [0] * (length + 1)
+    torsion: list[tuple[int, ...]] = [()] * (length + 1)
+    levels = _link(c, f)
+    for k, level in enumerate(levels):
+        faces[p + k] = len(level)
+        if k:
+            rank[p + k], torsion[p + k] = read(levels[k - 1], level)
+    return _as_profile(_groups(faces, rank, torsion, range(length)))
 
 
 def _top_free_rank(comp: CubicalComplex) -> int:

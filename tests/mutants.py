@@ -49,6 +49,7 @@ RECONSTRUCT = "src/skelcube/reconstruct.py"
 EMBEDDING = "src/skelcube/embedding.py"
 WORDS = "src/skelcube/words.py"
 GENERATORS = "src/skelcube/generators.py"
+MANIFOLD = "src/skelcube/manifold.py"
 
 MUTANTS = (
     Mutant(
@@ -115,6 +116,29 @@ MUTANTS = (
         "    out = dict(at)\n",
         "    out = at\n",
         ("tests/test_properties.py::test_middle_skeleton_rebuilds_the_manifold",),
+    ),
+    # the link's integer boundary with every sign +1: D o D no longer vanishes
+    Mutant(
+        "link-signs-never-alternate",
+        MANIFOLD,
+        "            sign = -sign\n",
+        "",
+        (
+            "tests/test_manifold.py::test_local_profile_matches_subface_scan_oracle",
+            "tests/test_manifold.py::test_local_profile_interior_and_top_faces",
+        ),
+    ),
+    # each link simplex loses the facet that drops its lowest vertex
+    Mutant(
+        "link-column-drops-lowest-facet",
+        MANIFOLD,
+        "column, rest = 0, a\n",
+        "column, rest = 0, a & (a - 1)\n",
+        (
+            "tests/test_manifold.py::test_local_profile_interior_and_top_faces",
+            "tests/test_manifold.py::test_sphere_is_manifold",
+            "tests/test_manifold.py::test_local_profile_matches_subface_scan_oracle",
+        ),
     ),
     Mutant(
         "cohomology-torsion-from-same-degree",

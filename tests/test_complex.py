@@ -78,8 +78,8 @@ def test_derived_complexes_equal_validated_ones():
 
 
 def test_local_profile_complement_is_a_valid_complex():
-    # the local profile slices c.chains to the open star: the star must be
-    # closed upward (its complement a complex) and every star face a column of c
+    # the local profile reads the link of f off the open star: the star must be
+    # closed upward (its complement a complex) and every star face a face of c
     torus = sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(2))
     for c in (torus, projective_plane()):
         for f in sorted(c.faces):

@@ -295,6 +295,23 @@ def test_many_components_embed_in_linear_time():
     assert emb is not None and emb.is_valid_for(matching)
 
 
+def test_search_peak_memory_per_isolated_vertex():
+    # the bound on a graph file's vertex count (io.MAX_GRAPH_VERTICES)
+    # rests on this figure: about 0.8 KB per vertex at the peak, for
+    # 4,096 to 65,536 isolated vertices alike
+    isolated = sk.SimpleGraph(16384, frozenset())
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        emb = sk.find_graph_embedding(isolated, 14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert emb is not None and emb.n == 14
+    assert peak - before < 16384 * 1024
+
+
 def test_component_that_cannot_embed_is_refuted_alone():
     # an edge plus a disjoint Heawood graph, which passes every certificate
     # but never embeds: the search must not try all 2^10 codes for the

@@ -4,7 +4,7 @@ import pytest
 
 import skelcube as sk
 
-from helpers import local_profile_oracle, projective_plane, random_subcomplex, relabel
+from helpers import cube_symmetry, local_profile_oracle, projective_plane, random_subcomplex, relabel
 from test_properties import BY_NAME, MANIFOLDS
 
 
@@ -44,8 +44,15 @@ def test_local_profile_matches_subface_scan_oracle():
     inputs.append(sk.product_complex(projective_plane(), sk.closure(1, ["*"])))
     triangles = ["012", "023", "034", "045", "015", "124", "235", "134", "245", "135"]
     cone = sk.closure(6, ["".join("*" if str(i) in t else "0" for i in range(6)) for t in triangles])
-    assert sk.local_profile(cone, "000000", sk.INTEGER) == sk.HomologyProfile((0, 0, 0, 0), ((), (), (2,), ()))
+    torsion_at_apex = sk.HomologyProfile((0, 0, 0, 0), ((), (), (2,), ()))
+    assert sk.local_profile(cone, "000000", sk.INTEGER) == torsion_at_apex
     inputs.append(cone)
+    # the link's simplicial signs stand in for the cubical ones: letter flips and
+    # coordinate permutations must leave the Z/2 at the apex, wherever it lands
+    for seed in range(8):
+        apply = cube_symmetry(random.Random(seed), 6)
+        placed = sk.CubicalComplex(6, frozenset(map(apply, cone.faces)))
+        assert sk.local_profile(placed, apply("000000"), sk.INTEGER) == torsion_at_apex, seed
     checked = 0
     for c in inputs:
         for f in sorted(c.faces):
@@ -65,7 +72,8 @@ def test_local_profile_matches_oracle_on_every_face_of_a_placed_manifold(name):
 
 
 def test_manifold_check_builds_the_matrices_once_per_component(monkeypatch):
-    # the local profiles slice each component's own chains instead of rebuilding a quotient per face
+    # the local profiles read each face's link and build no matrices; the
+    # orientability check builds each component's own chains once
     calls = []
     real = sk.homology._matrices_over
     monkeypatch.setattr("skelcube.homology._matrices_over", lambda faces: calls.append(len(faces)) or real(faces))
@@ -77,6 +85,27 @@ def test_manifold_check_builds_the_matrices_once_per_component(monkeypatch):
     two = sk.closure(5, gens)
     assert sk.is_homology_manifold(two, check_orientability=True).is_manifold
     assert len(calls) == len(sk.components(two)) == 2
+
+
+def test_manifold_check_without_orientability_builds_no_matrices(monkeypatch):
+    calls = []
+    real = sk.homology._matrices_over
+    monkeypatch.setattr("skelcube.homology._matrices_over", lambda faces: calls.append(len(faces)) or real(faces))
+    torus = sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(2))
+    assert sk.is_homology_manifold(torus).is_manifold
+    assert not sk.is_homology_manifold(sk.full_cube(2)).is_manifold
+    assert calls == []
+
+
+def test_local_profile_reads_the_link_not_sliced_matrices(monkeypatch):
+    def refuse(self, faces):
+        raise AssertionError("local_profile sliced boundary matrices")
+
+    monkeypatch.setattr(sk.BoundaryMatrices, "restricted_to", refuse)
+    c = sk.product_complex(projective_plane(), sk.closure(1, ["*"]))
+    for f in sorted(c.faces):
+        for ring in (sk.GF2, sk.INTEGER):
+            sk.local_profile(c, f, ring)
 
 
 def test_local_profile_requires_membership():
