@@ -266,9 +266,10 @@ def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | Non
     starts = [i for i, v in enumerate(order) if parent[v] < 0]
     if len(starts) > 1:
         # a graph embeds only if every component does; refuting one alone
-        # spares trying every code at the roots of the others
+        # spares trying every code at the roots of the others, and a lone
+        # vertex always embeds
         for lo, hi in zip(starts, starts[1:] + [len(order)]):
-            if _search(order[lo:hi], adj, n_max) is None:
+            if hi - lo > 1 and _search(order[lo:hi], adj, n_max) is None:
                 return None
     found = _search(order, adj, n_max)
     return None if found is None else HypercubeEmbedding(found[0], tuple(map(found[1].__getitem__, range(len(adj)))))

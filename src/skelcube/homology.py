@@ -7,17 +7,18 @@ contributes (-1)**(i+1) on its ONE facet and (-1)**i on its ZERO facet.
 
 The matrices carry no ring: they are the same sparse (index, sign)
 vectors over GF(2) and over Z, and the ring only picks the routine that
-reads a map.  A complex builds the matrices of its whole face set once
-(`CubicalComplex.chains`), and every other chain complex is read off
-them.  A subcomplex's homology in a few degrees uses the subcomplex's
-columns.  The faces of c outside a subcomplex are closed upward, so the
-quotient matrices of a pair (`relative_profile`) are c.chains sliced to
-those faces (`BoundaryMatrices.restricted_to`): their columns, with the
-rows outside dropped.  The quotient at an open star is the chain
-complex of a link, which `manifold.local_profile` builds on its own.
-`_groups` is the one ranks-to-Betti formula, read by `_homology` and by
-the link, and cohomology follows from homology by universal
-coefficients.
+reads a map.  One builder makes them all: `BoundaryMatrices.extended`
+adds a level of columns on top, and `_matrices_over` folds it over the
+levels of a face set, giving a facet outside the set no row.  A complex
+builds the matrices of its whole face set once (`CubicalComplex.chains`),
+and a complex grown by one level extends them.  A subcomplex's homology
+in a few degrees uses the subcomplex's columns.  The faces of c outside
+a subcomplex are closed upward, so the quotient matrices of a pair
+(`relative_profile`) are the matrices built over those faces.  The
+quotient at an open star is the chain complex of a link, which
+`manifold.local_profile` builds on its own.  `_groups` is the one
+ranks-to-Betti formula, read by `_homology` and by the link, and
+cohomology follows from homology by universal coefficients.
 
 Over GF(2) each matrix is eliminated once (`gf2_elimination`): column
 reduction packs each column into an int and records rank D_j and a
@@ -25,9 +26,8 @@ kernel basis Z_j.  Keeping only the columns K of D_j, with S the rest,
 rank(D_j|K) = rank D_j - |S| + rank(Z_j|S) by rank-nullity, so a kept
 set costs one `gf2_rank` of the kernel restricted to S.  With nothing
 deleted the correction is zero, and the same route serves absolute and
-relative homology.  `BoundaryMatrices.extended` adds one level of
-columns on top: a fresh build folds it over the levels, and a complex
-grown by one level shares the levels, index and eliminations below it.
+relative homology.  A complex grown by one level shares the levels
+and eliminations below it.
 
 Only `_homology` reads a kept set: per map it takes the mask of S
 (`columns_outside`: one byte per face, read in C with no table) and
@@ -50,7 +50,7 @@ precision and there is no overflow path to detect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 from .complex import CubicalComplex, _require_subcomplex
 from .errors import ContractError, StructuralError
@@ -105,20 +105,15 @@ class HomologyProfile:
 class BoundaryMatrices:
     """Signed boundary matrices over a set of faces, one per degree.
 
-    A complex builds the matrices of its own faces once
-    (`CubicalComplex.chains`).  The quotient matrices of a pair are
-    sliced from them by `restricted_to`.
+    Built only by `extended`, one level at a time (`_matrices_over`),
+    for a complex (`CubicalComplex.chains`), a grown complex and the
+    quotient of a pair alike.
     """
 
     def __init__(self, levels, columns):
         self.levels = levels        # levels[j]: j-faces, canonical order
         self.columns = columns      # columns[j][c]: list of (row, sign), j >= 1
         self._eliminated: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    @cached_property
-    def index(self) -> list[dict[str, int]]:
-        """index[j][w]: the column of the j-face w, built on first use."""
-        return [{w: i for i, w in enumerate(level)} for level in self.levels]
 
     @property
     def top(self) -> int:
@@ -128,30 +123,6 @@ class BoundaryMatrices:
         if 0 <= j <= self.top:
             return len(self.levels[j])
         return 0
-
-    def restricted_to(self, faces) -> "BoundaryMatrices":
-        """The quotient matrices on `faces`, a subset of these faces closed upward.
-
-        The faces outside `faces` are then a subcomplex, so the quotient
-        D_j is this D_j on the j-faces of `faces` as columns, with the
-        rows of the (j-1)-faces outside dropped.  Faces keep their
-        canonical order and the degrees stay 0..top.  The cost is that
-        of the columns taken, not of the whole matrices.
-        """
-        index = self.index
-        taken: list[list[int]] = [[] for _ in self.levels]
-        for w in faces:
-            j = word_dim(w)
-            taken[j].append(index[j][w])
-        for cols in taken:
-            cols.sort()
-        levels = [[self.levels[j][c] for c in cols] for j, cols in enumerate(taken)]
-        columns: list[list[list[tuple[int, int]]]] = [[] for _ in self.levels]
-        for j in range(1, len(self.levels)):
-            rows = {c: i for i, c in enumerate(taken[j - 1])}
-            own = self.columns[j]
-            columns[j] = [[(rows[r], s) for r, s in own[c] if r in rows] for c in taken[j]]
-        return BoundaryMatrices(levels, columns)
 
     def gf2_elimination(self, j: int) -> tuple[int, tuple[int, ...]]:
         """Rank of D_j over GF(2) and a basis of its kernel, from one column reduction per matrix.
@@ -180,15 +151,14 @@ class BoundaryMatrices:
     def extended(self, words) -> "BoundaryMatrices":
         """These matrices with one level added on top: `words`, faces one dimension above the top.
 
-        Rows are the top level's faces, and a facet outside it gets none.
-        The lower levels, their index and GF(2) eliminations are shared;
-        only the index is seeded, as the rows of a level above need it.
+        Rows are the top level's faces, looked up in a dict of that level
+        built here, and a facet outside it gets none.  The lower levels
+        and their GF(2) eliminations are shared.
         """
         level = sort_words(words)
-        below = self.index[-1] if self.levels else {}
+        below = {w: i for i, w in enumerate(self.levels[-1])} if self.levels else {}
         columns = [[(below[f], s) for f, s in signed_facets(w) if f in below] for w in level]
         grown = BoundaryMatrices(self.levels + [level], self.columns + [columns])
-        grown.index = self.index + [{w: i for i, w in enumerate(level)}]  # the cached property, set ahead of use
         grown._eliminated.update(self._eliminated)
         return grown
 
@@ -436,7 +406,7 @@ def _profile(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile:
 # (the candidates' deleted complexes are judged by _homology over the
 # base's own matrices).  They stay because perfbench/traced.py reads
 # their cache_info() for homology.memo_hit_ratio until the benchmark
-# records spans itself (ROADMAP item 1).  Cohomology reads them too.
+# records spans itself (ROADMAP item 2).  Cohomology reads them too.
 @lru_cache(maxsize=256)
 def betti_gf2(c: CubicalComplex) -> HomologyProfile:
     """Non-reduced GF(2) Betti numbers in degrees 0..dim."""
@@ -471,11 +441,11 @@ def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> H
     """Homology of the pair (c, a) via the quotient chain complex, in degrees 0..dim(c).
 
     The faces of c outside the subcomplex a are closed upward, so the
-    quotient matrices are c's own sliced to them (`restricted_to`).  A
-    set a that is not downward closed would leave no chain complex
-    there, so it is refused.
+    quotient matrices are those built over them, where a facet in a
+    gets no row.  A set a that is not downward closed would leave no
+    chain complex there, so it is refused.
     """
     _check_ring(ring)
     _require_subcomplex(c, a, "second member of the pair")
     a.validate()
-    return _profile(c.chains.restricted_to(c.faces - a.faces), c.dim + 1, ring)
+    return _profile(_matrices_over(c.faces - a.faces), c.dim + 1, ring)

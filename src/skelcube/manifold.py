@@ -25,7 +25,7 @@ from .words import proper_subwords, span_word, word_dim
 
 # relative_profile is re-exported, not called: perfbench/traced.py wraps
 # skelcube.manifold.relative_profile as its homology.relative span, which
-# the next benchmark change retires (ROADMAP item 1).
+# the next benchmark change retires (ROADMAP item 2).
 __all__ = [
     "ManifoldReport",
     "local_profile",

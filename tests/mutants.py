@@ -63,12 +63,18 @@ MUTANTS = (
             "tests/test_homology.py::test_invariant_factors_vs_oracle_random",
         ),
     ),
+    # the quotient built over every face of c, the subcomplex's too
     Mutant(
-        "slice-keeps-outside-rows",
+        "quotient-keeps-the-subcomplex",
         HOMOLOGY,
-        "[[(rows[r], s) for r, s in own[c] if r in rows] for c in taken[j]]",
-        "[[(rows.get(r, len(rows) + r), s) for r, s in own[c]] for c in taken[j]]",
-        ("tests/test_homology.py::test_restricted_matrices_equal_the_quotient_matrices_built_from_words",),
+        "_matrices_over(c.faces - a.faces)",
+        "_matrices_over(c.faces)",
+        (
+            "tests/test_homology.py::test_relative_profile_extremes",
+            "tests/test_homology.py::test_relative_profile_sphere_minus_vertex_star",
+            "tests/test_homology.py::test_long_exact_sequence_euler_check",
+            "tests/test_homology.py::test_relative_profile_builds_no_matrices_of_either_member",
+        ),
     ),
     Mutant(
         "rank-nullity-drops-size",

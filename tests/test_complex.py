@@ -85,7 +85,7 @@ def test_local_profile_complement_is_a_valid_complex():
         for f in sorted(c.faces):
             open_star = sk.star(c, (f,))
             _assert_revalidates(_derived(c.ambient_dim, c.faces - open_star))
-            assert all(w in c.chains.index[word_dim(w)] for w in open_star)
+            assert open_star <= c.faces
 
 
 def test_validate_detects_missing_facet():

@@ -324,6 +324,18 @@ def test_component_that_cannot_embed_is_refuted_alone():
     assert time.process_time() - t0 < 0.5
 
 
+def test_lone_vertices_are_not_searched_alone(monkeypatch):
+    # each component of two or more vertices is searched alone, then the
+    # whole graph once; a lone vertex always embeds and is not searched
+    calls = []
+    real = sk.embedding._search
+    monkeypatch.setattr("skelcube.embedding._search", lambda order, *rest: calls.append(len(order)) or real(order, *rest))
+    g = sk.SimpleGraph.from_edges(4098, [(0, 1), (2, 3)])
+    emb = sk.find_graph_embedding(g, 13)
+    assert emb is not None and emb.is_valid_for(g)
+    assert calls == [2, 2, 4098]
+
+
 def test_k23_refutes_before_the_search():
     # the search starts at vertex 0, the far end of the path, and needs
     # seconds to refute this graph; the K_{2,3} certificate needs none

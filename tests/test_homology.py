@@ -17,6 +17,7 @@ from helpers import (
     kept_homology_gf2_oracle,
     projective_plane,
     random_subcomplex,
+    sliced_chains,
     snf_oracle,
     transposed_columns,
 )
@@ -343,7 +344,7 @@ def test_rank_nullity_matches_the_kept_column_reduction():
 
 def test_columns_outside_is_the_mask_of_the_level_minus_kept():
     # random kept sets: closed or not, with words of other levels and of
-    # no face of c; compared with the mask built from the index alone
+    # no face of c; compared with the mask built from the level alone
     rng = random.Random(71)
     strangers = [w for n in range(1, 6) for w in all_words(n)]
     for n in range(1, 6):
@@ -360,7 +361,7 @@ def test_columns_outside_is_the_mask_of_the_level_minus_kept():
                 frozenset(rng.sample(faces, rng.randint(0, len(faces))) + rng.sample(strangers, 20)),
             ):
                 for j in range(-1, c.dim + 2):
-                    at = mats.index[j] if 0 <= j <= mats.top else {}
+                    at = {w: i for i, w in enumerate(mats.levels[j])} if 0 <= j <= mats.top else {}
                     assert mats.columns_outside(j, kept) == sum(1 << at[w] for w in at.keys() - kept)
             assert all(mats.columns_outside(j, None) == 0 for j in range(-1, c.dim + 2))
 
@@ -408,8 +409,9 @@ def test_relative_profile_refuses_a_second_member_that_is_not_closed(ring):
 
 
 def test_restricted_matrices_equal_the_quotient_matrices_built_from_words():
-    # slicing c.chains to the faces outside a subcomplex gives the quotient
-    # matrices of the pair, in canonical order, with the degrees of c
+    # the matrices built over the faces outside a subcomplex equal c.chains
+    # sliced to them (the oracle): columns in canonical order, facets in
+    # the subcomplex dropped as rows, the degrees of c
     rng = random.Random(67)
     for n in range(1, 6):
         base = sk.full_cube(n)
@@ -417,14 +419,22 @@ def test_restricted_matrices_equal_the_quotient_matrices_built_from_words():
             c = random_subcomplex(rng, base)
             a = random_subcomplex(rng, c)
             for away in (c.faces - a.faces, c.faces):
-                sliced = c.chains.restricted_to(away)
+                sliced = sliced_chains(c.chains, away)
                 built = _matrices_over(away)
                 assert sliced.top == c.dim
                 for j in range(c.dim + 1):
                     assert sliced.levels[j] == (built.levels[j] if j <= built.top else [])
-                    assert sliced.index[j] == (built.index[j] if j <= built.top else {})
                     if j >= 1:
                         assert sliced.columns[j] == (built.columns[j] if j <= built.top else [])
+
+
+@pytest.mark.parametrize("ring", [sk.GF2, sk.INTEGER])
+def test_relative_profile_builds_no_matrices_of_either_member(ring):
+    # the quotient is built over the faces outside a, not sliced from c's own
+    c = sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(2))
+    a = sk.delete(c, sk.closure(4, ["0000"]))
+    assert sk.relative_profile(c, a, ring).betti == (0, 0, 1)
+    assert "chains" not in c.__dict__ and "chains" not in a.__dict__
 
 
 def test_long_exact_sequence_euler_check():

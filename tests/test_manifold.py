@@ -98,10 +98,10 @@ def test_manifold_check_without_orientability_builds_no_matrices(monkeypatch):
 
 
 def test_local_profile_reads_the_link_not_sliced_matrices(monkeypatch):
-    def refuse(self, faces):
-        raise AssertionError("local_profile sliced boundary matrices")
+    def refuse(faces):
+        raise AssertionError("local_profile built boundary matrices")
 
-    monkeypatch.setattr(sk.BoundaryMatrices, "restricted_to", refuse)
+    monkeypatch.setattr("skelcube.homology._matrices_over", refuse)
     c = sk.product_complex(projective_plane(), sk.closure(1, ["*"]))
     for f in sorted(c.faces):
         for ring in (sk.GF2, sk.INTEGER):
