@@ -11,6 +11,7 @@ from .words import (
     STAR,
     ZERO,
     facets,
+    free_masks,
     proper_subwords,
     sort_words,
     subwords,
@@ -49,6 +50,11 @@ class CubicalComplex:
     constructor only checks word shape, closure is asserted separately
     by validate().  Complexes derived from valid ones are made by
     `_derived`, which skips that check.
+
+    Tables read from the faces are cached per instance on first use:
+    `dim`, the boundary matrices `chains`, the vertex index
+    `faces_by_vertex` and, built from it, the masks of each vertex's
+    link, `vertex_links`.
     """
 
     ambient_dim: int
@@ -82,6 +88,19 @@ class CubicalComplex:
         the index small, as it lives as long as the complex.
         """
         return _vertex_index_plus({}, self.faces)
+
+    @cached_property
+    def vertex_links(self) -> dict[str, tuple[int, ...]]:
+        """Each vertex mapped to the free-coordinate masks of the faces containing it, built once per instance.
+
+        A face containing vertex v is v with the coordinates of its mask
+        freed, so the masks are the simplices of v's link.  Each face is
+        parsed once (`free_masks`) and its mask looked up under each
+        entry of `faces_by_vertex`; the link of any face is read from its
+        low corner's entry (`manifold._link`).
+        """
+        mask = dict(zip(self.faces, free_masks(tuple(self.faces))))
+        return {v: tuple(map(mask.__getitem__, ws)) for v, ws in self.faces_by_vertex.items()}
 
     def __contains__(self, w: str) -> bool:
         return w in self.faces

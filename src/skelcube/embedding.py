@@ -27,7 +27,7 @@ from itertools import chain, count, takewhile
 
 from .complex import CubicalComplex, _derived
 from .errors import ContractError, ContradictionError, StructuralError
-from .words import mask_word, sort_words, word_dim, word_vertices
+from .words import ONE, STAR, ZERO, mask_word, sort_words, word_dim, word_vertices
 
 __all__ = [
     "SimpleGraph",
@@ -105,28 +105,40 @@ class HypercubeEmbedding:
 
 
 def graph_of(c: CubicalComplex) -> SimpleGraph:
-    """The 1-skeleton as a graph; vertices are numbered in canonical word order."""
+    """The 1-skeleton as a graph; vertices are numbered in canonical word order.
+
+    An edge's two ends are its two corners, its star set to 0 and to 1.
+    """
     verts = sort_words(c.vertices())
     index = {v: i for i, v in enumerate(verts)}
     edges = set()
-    for w in c.faces:
-        if word_dim(w) == 1:
-            a, b = word_vertices(w)
-            edges.add(_normalize_edge(index[a], index[b]))
+    try:
+        for w in c.faces:
+            if word_dim(w) == 1:
+                edges.add(_normalize_edge(index[w.replace(STAR, ZERO)], index[w.replace(STAR, ONE)]))
+    except KeyError as missing:
+        raise _not_closed(w, "corner", missing) from None
     return SimpleGraph(len(verts), frozenset(edges))
 
 
 def components(c: CubicalComplex) -> list[CubicalComplex]:
-    """Connected components, ordered by their smallest vertex."""
+    """Connected components, ordered by their smallest vertex; each face goes with its low corner."""
     index = {v: i for i, v in enumerate(sort_words(c.vertices()))}
     order, parent = bfs_forest(graph_of(c).adjacency())
     root = [-1] * len(order)
     for v in order:
         root[v] = v if parent[v] < 0 else root[parent[v]]
     buckets: list[set[str]] = [set() for _ in order]
-    for w in c.faces:
-        buckets[root[index[next(word_vertices(w))]]].add(w)
+    try:
+        for w in c.faces:
+            buckets[root[index[w.replace(STAR, ZERO)]]].add(w)
+    except KeyError as missing:
+        raise _not_closed(w, "low corner", missing) from None
     return [_derived(c.ambient_dim, frozenset(b)) for b in buckets if b]
+
+
+def _not_closed(w: str, corner: str, missing: KeyError) -> StructuralError:
+    return StructuralError(f"face {w!r} lacks its {corner} {missing.args[0]!r}: the face set is not downward closed")
 
 
 def bfs_forest(adj: list[list[int]]) -> tuple[list[int], list[int]]:

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import compress, count
 
 from .complex import CubicalComplex, _require_subcomplex
 from .errors import ContractError, StructuralError
@@ -330,7 +331,8 @@ def integer_rank(matrix) -> int:
     n = len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
         raise StructuralError("ragged matrix")
-    return len(_invariant_factors([[(i, int(v)) for i, v in enumerate(col) if v] for col in zip(*rows)]))
+    # compress picks each column's nonzero rows in C
+    return len(_invariant_factors([[(i, int(col[i])) for i in compress(count(), col)] for col in zip(*rows)]))
 
 
 def _gf2_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[int, ...]]:

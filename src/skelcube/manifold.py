@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
-from .complex import CubicalComplex, _require_subcomplex, is_face_like, star
+from .complex import CubicalComplex, _require_subcomplex, is_face_like
 from .embedding import components
 from .errors import ContractError, ContradictionError, StructuralError
 from .homology import (
@@ -17,11 +16,12 @@ from .homology import (
     _check_ring,
     _groups,
     _invariant_factors,
+    _matrices_over,
     gf2_rank,
     integer_rank,
     relative_profile,
 )
-from .words import proper_subwords, span_word, word_dim
+from .words import STAR, ZERO, free_masks, proper_subwords, span_word, word_dim
 
 # relative_profile is re-exported, not called: perfbench/traced.py wraps
 # skelcube.manifold.relative_profile as its homology.relative span, which
@@ -56,23 +56,22 @@ class ManifoldReport:
     failing_profile: Optional[HomologyProfile] = None
 
 
-# a face word spelt as the binary numeral of its free coordinates
-_FREE = str.maketrans("01*", "001")
-
-
 def _link(c: CubicalComplex, f: str) -> list[list[int]]:
     """The link of f in c by number of vertices, each simplex a mask of f's fixed coordinates.
 
     A face g containing f frees a set A_g of f's fixed coordinates; the
-    A_g are the simplices, f's own the empty one.  One `translate`
-    spells the whole open star as numerals, each led by a "0" so that
-    the empty word of I^0 is one too.
+    A_g are the simplices, f's own the empty one.  g contains f exactly
+    when it contains f's low corner (every star of f set to 0) and frees
+    every coordinate f frees, so the link is read from that corner's
+    entry in `vertex_links`: the masks covering f's, less f's.  Exact on
+    any face set, downward closed or not.
     """
-    own = int("0" + f.translate(_FREE), 2)
+    (own,) = free_masks((f,))
     levels: list[list[int]] = [[] for _ in range(c.dim - word_dim(f) + 1)]
-    for free in map(int, ("0" + " 0".join(star(c, (f,)))).translate(_FREE).split(), repeat(2)):
-        a = free ^ own
-        levels[a.bit_count()].append(a)
+    for a in c.vertex_links[f.replace(STAR, ZERO)]:
+        if a & own == own:
+            a ^= own
+            levels[a.bit_count()].append(a)
     return levels
 
 
@@ -114,10 +113,11 @@ _LINK_MAPS = {GF2: _link_map_gf2, INTEGER: _link_map_integer}
 def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile:
     """Homology of the pair (c, faces not containing f), in degrees 0..dim c, read from the link of f.
 
-    The quotient basis is the open star of f (see star).  The facets of
+    The quotient basis is the open star of f, the faces containing f,
+    read from the masks of f's low corner (see `_link`).  The facets of
     a star face g that stay in the star put f's letter back at one
-    coordinate of A_g (see `_link`), so the quotient is the augmented
-    chain complex of the link shifted up by p = dim f: H_j of the pair
+    coordinate of A_g, so the quotient is the augmented chain complex
+    of the link shifted up by p = dim f: H_j of the pair
     is the reduced H_(j-p-1) of the link (Munkres, *Elements of
     Algebraic Topology*, 1984, section 63).  The link's simplicial
     signs differ from the cubical ones of `signed_facets` by a sign per
@@ -140,9 +140,10 @@ def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile
 
 
 def _top_free_rank(comp: CubicalComplex) -> int:
-    # integer H_top is free (no higher faces), so a rank suffices
+    # integer H_top is free (no higher faces), so a rank suffices; D_d
+    # needs only the faces of the top two dimensions
     d = comp.dim
-    mats = comp.chains
+    mats = _matrices_over([w for w in comp.faces if word_dim(w) >= d - 1])
     return mats.num_faces(d) - integer_rank(mats.dense(d))
 
 

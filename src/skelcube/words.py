@@ -8,7 +8,7 @@ iff at every position q has '*' or the letters agree.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
 
 from .errors import StructuralError
 
@@ -28,6 +28,7 @@ __all__ = [
     "one_step_cofaces",
     "span_word",
     "mask_word",
+    "free_masks",
 ]
 
 ZERO = "0"
@@ -35,6 +36,9 @@ ONE = "1"
 STAR = "*"
 
 _LETTERS = frozenset("01*")
+
+# a face word spelt as the binary numeral of its free coordinates
+_FREE = str.maketrans("01*", "001")
 
 # canonical letter order is ZERO < ONE < STAR, which is not ASCII order;
 # translating '*' to '2' makes plain string comparison agree with it
@@ -129,3 +133,14 @@ def span_word(words) -> str:
 def mask_word(n: int, ones: int, stars: int) -> str:
     """The face of I^n whose letter i is STAR where bit i of stars is set, else bit i of ones."""
     return "".join(STAR if stars >> i & 1 else ONE if ones >> i & 1 else ZERO for i in range(n))
+
+
+def free_masks(words: tuple[str, ...]) -> tuple[int, ...]:
+    """Each word's free coordinates as a mask, letter 0 the highest bit.
+
+    One `translate` spells all the words as binary numerals, each led by
+    a "0" so that the empty word of I^0 is one too.
+    """
+    if not words:
+        return ()
+    return tuple(map(int, ("0" + " 0".join(words)).translate(_FREE).split(), repeat(2)))

@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import skelcube as sk
 from skelcube.homology import _invariant_factors, _matrices_over, _profile
-from skelcube.words import one_step_cofaces, word_dim
+from skelcube.words import one_step_cofaces, sort_words, word_dim, word_vertices
 
 
 def oracle_is_subface(p: str, q: str) -> bool:
@@ -334,6 +334,25 @@ def local_profile_oracle(c: sk.CubicalComplex, f: str, ring: str) -> sk.Homology
     return _profile(_matrices_over(above), c.dim + 1, ring)
 
 
+def link_by_star_oracle(c: sk.CubicalComplex, f: str) -> list[list[int]]:
+    """The link of f in c by number of vertices, each simplex a mask of f's fixed coordinates, from `star`.
+
+    The open star is the intersection of the vertex-index entries of f's
+    two extreme corners, and each of its faces g is parsed on its own
+    into A_g, its free coordinates less f's; the library filters the
+    masks of f's low corner instead.
+    """
+
+    def free(w: str) -> int:
+        return int("0" + w.translate(str.maketrans("01*", "001")), 2)
+
+    levels: list[list[int]] = [[] for _ in range(c.dim - word_dim(f) + 1)]
+    for g in sk.star(c, (f,)):
+        a = free(g) ^ free(f)
+        levels[a.bit_count()].append(a)
+    return levels
+
+
 def face_criterion_oracle(
     skel: sk.CubicalComplex, f: str, k: int, d: int, mode: str = sk.STANDARD
 ) -> sk.CandidateVerdict:
@@ -501,6 +520,30 @@ def components_oracle(c: sk.CubicalComplex) -> list[frozenset[str]]:
     for w in c.faces:
         groups.setdefault(find(next(vertices_of(w))), set()).add(w)
     return sorted((frozenset(g) for g in groups.values()), key=lambda g: min(w for w in g if "*" not in w))
+
+
+def graph_of_by_vertices(c: sk.CubicalComplex) -> sk.SimpleGraph:
+    """`graph_of` with each edge's ends listed by `word_vertices`, not spelt as its two corners."""
+    index = {v: i for i, v in enumerate(sort_words(c.vertices()))}
+    edges = set()
+    for w in c.faces:
+        if word_dim(w) == 1:
+            a, b = word_vertices(w)
+            edges.add((min(index[a], index[b]), max(index[a], index[b])))
+    return sk.SimpleGraph(len(index), frozenset(edges))
+
+
+def components_by_vertices(c: sk.CubicalComplex) -> list[frozenset[str]]:
+    """The face sets of `components`, each face bucketed by the first vertex `word_vertices` yields, not by its low corner."""
+    index = {v: i for i, v in enumerate(sort_words(c.vertices()))}
+    order, parent = sk.bfs_forest(graph_of_by_vertices(c).adjacency())
+    root = [-1] * len(order)
+    for v in order:
+        root[v] = v if parent[v] < 0 else root[parent[v]]
+    buckets: list[set[str]] = [set() for _ in order]
+    for w in c.faces:
+        buckets[root[index[next(word_vertices(w))]]].add(w)
+    return [frozenset(b) for b in buckets if b]
 
 
 def heawood_graph() -> sk.SimpleGraph:

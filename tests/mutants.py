@@ -146,6 +146,23 @@ MUTANTS = (
             "tests/test_manifold.py::test_local_profile_matches_subface_scan_oracle",
         ),
     ),
+    # the link keeps every face of the low corner that frees some coordinate
+    # f frees, not all of them, and at a vertex keeps none; each test alone
+    # catches it.  Reading the high corner's entry instead is no mutant: g
+    # contains f also exactly when it contains that corner and frees f's
+    # free coordinates.
+    Mutant(
+        "link-filter-any-shared-free-coordinate",
+        MANIFOLD,
+        "if a & own == own:",
+        "if a & own:",
+        (
+            "tests/test_manifold.py::test_local_profile_interior_and_top_faces",
+            "tests/test_manifold.py::test_link_matches_the_star_intersection_oracle",
+            "tests/test_manifold.py::test_sphere_is_manifold",
+            "tests/test_manifold.py::test_local_profile_matches_subface_scan_oracle",
+        ),
+    ),
     Mutant(
         "cohomology-torsion-from-same-degree",
         HOMOLOGY,

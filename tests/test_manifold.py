@@ -3,8 +3,20 @@ import random
 import pytest
 
 import skelcube as sk
+from skelcube.manifold import _link
+from skelcube.words import facets, word_dim
 
-from helpers import cube_symmetry, local_profile_oracle, projective_plane, random_subcomplex, relabel
+from helpers import (
+    all_words,
+    components_by_vertices,
+    cube_symmetry,
+    graph_of_by_vertices,
+    link_by_star_oracle,
+    local_profile_oracle,
+    projective_plane,
+    random_subcomplex,
+    relabel,
+)
 from test_properties import BY_NAME, MANIFOLDS
 
 
@@ -71,41 +83,101 @@ def test_local_profile_matches_oracle_on_every_face_of_a_placed_manifold(name):
             assert sk.local_profile(c, f, ring) == local_profile_oracle(c, f, ring), (f, ring)
 
 
-def test_manifold_check_builds_the_matrices_once_per_component(monkeypatch):
-    # the local profiles read each face's link and build no matrices; the
-    # orientability check builds each component's own chains once
-    calls = []
+@pytest.fixture
+def builds(monkeypatch):
+    """The face sets handed to `_matrices_over`, through the homology module or the name manifold imports."""
+    seen = []
     real = sk.homology._matrices_over
-    monkeypatch.setattr("skelcube.homology._matrices_over", lambda faces: calls.append(len(faces)) or real(faces))
+
+    def spy(faces):
+        seen.append(frozenset(faces))
+        return real(faces)
+
+    monkeypatch.setattr("skelcube.homology._matrices_over", spy)
+    monkeypatch.setattr("skelcube.manifold._matrices_over", spy)
+    return seen
+
+
+def test_manifold_check_builds_the_matrices_once_per_component(builds):
+    # the local profiles read each face's link and build no matrices; the
+    # orientability check builds D_d of each component once, from its faces
+    # of the top two dimensions
     torus = sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(2))
-    assert sk.is_homology_manifold(torus, check_orientability=True).is_manifold
-    assert len(calls) == 1
-    calls.clear()
     gens = [w + b + b for w in sk.cube_boundary(3).maximal_faces() for b in "01"]
     two = sk.closure(5, gens)
-    assert sk.is_homology_manifold(two, check_orientability=True).is_manifold
-    assert len(calls) == len(sk.components(two)) == 2
+    for c, parts in ((torus, 1), (two, 2)):
+        builds.clear()
+        assert sk.is_homology_manifold(c, check_orientability=True).is_manifold
+        comps = sk.components(c)
+        assert len(builds) == len(comps) == parts
+        for faces, comp in zip(builds, comps):
+            assert faces == {w for w in comp.faces if word_dim(w) >= comp.dim - 1}
+    builds.clear()
+    assert sk.is_orientable(two)
+    assert len(builds) == 2 and all(min(map(word_dim, faces)) == 1 for faces in builds)
 
 
-def test_manifold_check_without_orientability_builds_no_matrices(monkeypatch):
-    calls = []
-    real = sk.homology._matrices_over
-    monkeypatch.setattr("skelcube.homology._matrices_over", lambda faces: calls.append(len(faces)) or real(faces))
+def test_manifold_check_without_orientability_builds_no_matrices(builds):
     torus = sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(2))
     assert sk.is_homology_manifold(torus).is_manifold
     assert not sk.is_homology_manifold(sk.full_cube(2)).is_manifold
-    assert calls == []
+    assert builds == []
 
 
-def test_local_profile_reads_the_link_not_sliced_matrices(monkeypatch):
-    def refuse(faces):
-        raise AssertionError("local_profile built boundary matrices")
-
-    monkeypatch.setattr("skelcube.homology._matrices_over", refuse)
+def test_local_profile_reads_the_link_not_sliced_matrices(builds):
     c = sk.product_complex(projective_plane(), sk.closure(1, ["*"]))
     for f in sorted(c.faces):
         for ring in (sk.GF2, sk.INTEGER):
             sk.local_profile(c, f, ring)
+    assert builds == []
+
+
+def test_local_profile_builds_the_vertex_links_once():
+    c = sk.product_complex(projective_plane(), sk.closure(1, ["*"]))
+    assert "vertex_links" not in c.__dict__
+    first, second = sorted(c.faces)[:2]
+    sk.local_profile(c, first)
+    table = c.__dict__["vertex_links"]
+    sk.local_profile(c, second, sk.INTEGER)
+    assert c.__dict__["vertex_links"] is table
+
+
+def test_link_matches_the_star_intersection_oracle():
+    # random face sets in I^2 to I^4, nearly all not downward closed, random
+    # subcomplexes of I^0 to I^4 and the point I^0: the low corner's masks
+    # give the star exactly where star's two corners do
+    rng = random.Random(53)
+    inputs = [sk.full_cube(0)]
+    for _ in range(240):
+        words = list(all_words(rng.randint(2, 4)))
+        inputs.append(sk.CubicalComplex(len(words[0]), frozenset(rng.sample(words, rng.randint(1, len(words))))))
+    inputs += [random_subcomplex(rng, sk.full_cube(rng.randint(0, 4))) for _ in range(80)]
+    not_closed = checked = 0
+    for c in inputs:
+        not_closed += any(w not in c.faces for f in c.faces for w in facets(f))
+        for f in c.faces:
+            assert [sorted(level) for level in _link(c, f)] == [sorted(level) for level in link_by_star_oracle(c, f)]
+            checked += 1
+    assert not_closed > 200 and checked > 3000
+
+
+def test_graph_and_components_match_their_vertex_list_forms():
+    rng = random.Random(59)
+    for n in range(0, 6):
+        for _ in range(12):
+            c = random_subcomplex(rng, sk.full_cube(n), max_generators=5)
+            assert sk.graph_of(c) == graph_of_by_vertices(c)
+            assert [p.faces for p in sk.components(c)] == components_by_vertices(c)
+
+
+@pytest.mark.parametrize("check", [sk.components, sk.is_homology_manifold, sk.is_orientable])
+def test_a_face_set_that_is_not_downward_closed_is_refused(check):
+    # the square's corners are missing, so it has no vertex to be bucketed by
+    with pytest.raises(sk.StructuralError, match=r"'\*\*'.*'00'"):
+        check(sk.CubicalComplex(2, frozenset({"**"})))
+    # an edge whose high end is missing has no place in the 1-skeleton
+    with pytest.raises(sk.StructuralError, match=r"'0\*'.*'01'"):
+        check(sk.CubicalComplex(2, frozenset({"0*", "00"})))
 
 
 def test_local_profile_requires_membership():
