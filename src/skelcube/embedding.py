@@ -134,7 +134,9 @@ def components(c: CubicalComplex) -> list[CubicalComplex]:
             buckets[root[index[w.replace(STAR, ZERO)]]].add(w)
     except KeyError as missing:
         raise _not_closed(w, "low corner", missing) from None
-    return [_derived(c.ambient_dim, frozenset(b)) for b in buckets if b]
+    parts = [b for b in buckets if b]
+    # a connected c is its own component, with the tables it carries
+    return [c] if len(parts) == 1 else [_derived(c.ambient_dim, frozenset(b)) for b in parts]
 
 
 def _not_closed(w: str, corner: str, missing: KeyError) -> StructuralError:
@@ -241,6 +243,8 @@ def embedding_obstruction(g: SimpleGraph, n_max: int) -> tuple[str, tuple[int, .
     if g.num_vertices > 1 and (g.num_vertices - 1).bit_length() > n_max:
         return "size", ()
     for u, near in enumerate(adj):
+        if len(near) < 3:  # u shares three neighbours with no vertex
+            continue
         # walks u - w - v count the neighbours u and v share
         shared = Counter(chain.from_iterable(adj[w] for w in near))
         over = [v for v, k in shared.items() if k >= 3 and v > u]

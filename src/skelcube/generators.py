@@ -70,11 +70,11 @@ def _parse_spec(text: str, i: int, depth: int = 1) -> tuple[GeneratorSpec, int]:
         if i < len(text) and text[i] == ")":
             i += 1
             break
-        if i < len(text) and (text[i].isdigit() or (text[i] == "-" and text[i + 1 : i + 2].isdigit())):
+        if i < len(text) and (text[i].isdecimal() or (text[i] == "-" and text[i + 1 : i + 2].isdecimal())):
             start = i
             if text[i] == "-":
                 i += 1
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
             args.append(int(text[start:i]))
         else:

@@ -14,11 +14,12 @@ builds the matrices of its whole face set once (`CubicalComplex.chains`),
 and a complex grown by one level extends them.  A subcomplex's homology
 in a few degrees uses the subcomplex's columns.  The faces of c outside
 a subcomplex are closed upward, so the quotient matrices of a pair
-(`relative_profile`) are the matrices built over those faces.  The
-quotient at an open star is the chain complex of a link, which
-`manifold.local_profile` builds on its own.  `_groups` is the one
-ranks-to-Betti formula, read by `_homology` and by the link, and
-cohomology follows from homology by universal coefficients.
+(`relative_profile`) are the matrices built over those faces, and so
+are the integer ones at an open star (`manifold.local_profile`); over
+GF(2) that quotient is read as the chain complex of a link, with no
+matrix built.  `_groups` is the one ranks-to-Betti formula, read by
+`_homology` and by the link, and cohomology follows from homology by
+universal coefficients.
 
 Over GF(2) each matrix is eliminated once (`gf2_elimination`): column
 reduction packs each column into an int and records rank D_j and a

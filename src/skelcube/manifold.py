@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complex import CubicalComplex, _require_subcomplex, is_face_like
+from .complex import CubicalComplex, _require_subcomplex, is_face_like, star
 from .embedding import components
 from .errors import ContractError, ContradictionError, StructuralError
 from .homology import (
@@ -15,8 +15,8 @@ from .homology import (
     _as_profile,
     _check_ring,
     _groups,
-    _invariant_factors,
     _matrices_over,
+    _profile,
     gf2_rank,
     integer_rank,
     relative_profile,
@@ -75,8 +75,11 @@ def _link(c: CubicalComplex, f: str) -> list[list[int]]:
     return levels
 
 
-def _link_map_gf2(below: list[int], level: list[int]) -> tuple[int, tuple[int, ...]]:
-    """(rank, no torsion) of the link's boundary from level to below over GF(2), columns packed as ints."""
+def _link_rank(below: list[int], level: list[int]) -> int:
+    """Rank over GF(2) of the link's boundary from level to below, columns packed as ints.
+
+    A KeyError means a simplex of level has a facet that below lacks.
+    """
     row = {a: 1 << r for r, a in enumerate(below)}
     columns = []
     for a in level:
@@ -86,57 +89,46 @@ def _link_map_gf2(below: list[int], level: list[int]) -> tuple[int, tuple[int, .
             column |= row[a ^ low]
             rest ^= low
         columns.append(column)
-    return gf2_rank(columns), ()
-
-
-def _link_map_integer(below: list[int], level: list[int]) -> tuple[int, tuple[int, ...]]:
-    """(rank, invariant factors above 1) of the link's boundary over Z, rows named by their masks.
-
-    Dropping vertex a of simplex A has the sign (-1)**(bits of A below a).
-    """
-    columns = []
-    for a in level:
-        column, rest, sign = [], a, 1
-        while rest:
-            low = rest & -rest
-            column.append((a ^ low, sign))
-            rest ^= low
-            sign = -sign
-        columns.append(column)
-    factors = _invariant_factors(columns)
-    return len(factors), tuple(d for d in factors if d > 1)
-
-
-_LINK_MAPS = {GF2: _link_map_gf2, INTEGER: _link_map_integer}
+    return gf2_rank(columns)
 
 
 def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile:
-    """Homology of the pair (c, faces not containing f), in degrees 0..dim c, read from the link of f.
+    """Homology of the pair (c, faces not containing f), in degrees 0..dim c.
 
-    The quotient basis is the open star of f, the faces containing f,
-    read from the masks of f's low corner (see `_link`).  The facets of
-    a star face g that stay in the star put f's letter back at one
-    coordinate of A_g, so the quotient is the augmented chain complex
-    of the link shifted up by p = dim f: H_j of the pair
-    is the reduced H_(j-p-1) of the link (Munkres, *Elements of
-    Algebraic Topology*, 1984, section 63).  The link's simplicial
-    signs differ from the cubical ones of `signed_facets` by a sign per
-    face, a change of basis, so the invariant factors agree with those
-    of c's quotient matrices, which are never built.
+    The quotient basis is the open star of f.  Over Z its matrices are
+    built over the star, as `relative_profile` builds any pair's.  Over
+    GF(2), which the manifold check reads at every face, none is built:
+    the facets of a star face g that stay in the star put f's letter
+    back at one coordinate of A_g (see `_link`), so the quotient is the
+    augmented chain complex of the link shifted up by p = dim f, and
+    H_j of the pair is the reduced H_(j-p-1) of the link (Munkres,
+    *Elements of Algebraic Topology*, 1984, section 63).  On a downward
+    closed c a star face of dimension p + k has k facets in the star; a
+    face set where one lacks such a facet is refused over either ring.
     """
     if f not in c.faces:
         raise StructuralError(f"face {f!r} is not in the complex")
     _check_ring(ring)
-    read = _LINK_MAPS[ring]
     p, length = word_dim(f), c.dim + 1
+    if ring == INTEGER:
+        mats = _matrices_over(star(c, (f,)))
+        if any(len(col) < j - p for j in range(p + 1, mats.top + 1) for col in mats.columns[j]):
+            raise _not_closed_at(f)
+        return _profile(mats, length, INTEGER)
     faces, rank = [0] * (length + 1), [0] * (length + 1)
-    torsion: list[tuple[int, ...]] = [()] * (length + 1)
     levels = _link(c, f)
-    for k, level in enumerate(levels):
-        faces[p + k] = len(level)
-        if k:
-            rank[p + k], torsion[p + k] = read(levels[k - 1], level)
-    return _as_profile(_groups(faces, rank, torsion, range(length)))
+    try:
+        for k, level in enumerate(levels):
+            faces[p + k] = len(level)
+            if k:
+                rank[p + k] = _link_rank(levels[k - 1], level)
+    except KeyError:
+        raise _not_closed_at(f) from None
+    return _as_profile(_groups(faces, rank, [()] * (length + 1), range(length)))
+
+
+def _not_closed_at(f: str) -> StructuralError:
+    return StructuralError(f"a face containing {f!r} lacks a facet containing it: the face set is not downward closed")
 
 
 def _top_free_rank(comp: CubicalComplex) -> int:

@@ -8,6 +8,7 @@ import pytest
 
 import skelcube as sk
 from skelcube.cli import main
+from skelcube.generators import _disjoint_union
 from skelcube.io import parse_complex, parse_graph, serialize_complex, serialize_graph
 
 from helpers import heawood_graph, path_joined_to_k23, projective_plane
@@ -226,6 +227,21 @@ def test_reconstruct_auto_without_result(tmp_path, capsys):
     assert "no manifold found" in out
 
 
+def test_reconstruct_verdict_lines_print_torsion(tmp_path, capsys):
+    # RP^2 next to the 2-sphere: the one candidate fills the sphere, and the
+    # tight integer mode compares H_1, which is Z/2 before and after
+    c = _disjoint_union(projective_plane(), sk.cube_boundary(3))
+    src = write_complex(tmp_path, "pair.cplx", c)
+    dst = str(tmp_path / "out.cplx")
+    assert main(["reconstruct", src, "-k", "2", "-d", "4", "--mode", "tight-int", "-o", dst]) == 0
+    out = body_lines(capsys.readouterr().out)
+    assert out[:3] == [
+        "mode tight-int k=2 d=4",
+        "step degree=2 candidates=1 accepted=1",
+        "candidate 000000***1 boundary=present accepted=yes j=1 deleted=0[2] base=0[2]",
+    ]
+
+
 def test_reconstruct_command_input_errors(tmp_path, capsys):
     src = write_complex(tmp_path, "skel.cplx", sk.skeleton(sk.cube_boundary(3), 2))
     dst = str(tmp_path / "x.cplx")
@@ -235,6 +251,16 @@ def test_reconstruct_command_input_errors(tmp_path, capsys):
     assert "contract violation" in capsys.readouterr().err
     assert main(["reconstruct", str(tmp_path / "missing.cplx"), "-k", "2", "-d", "3", "-o", dst]) == 2
     assert "io error" in capsys.readouterr().err
+    assert main(["reconstruct", src, "-k", "2", "--auto", "-o", dst]) == 2
+    assert "--auto requires --dmax" in capsys.readouterr().err
+    assert not (tmp_path / "x.cplx").exists()
+
+
+def test_embed_command_names_the_line_of_a_non_integer_endpoint(tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_text("vertices 3\n0 1\n1 x\n")
+    assert main(["embed", str(path), "--nmax", "2"]) == 2
+    assert "input error: line 3: endpoints must be integers" in capsys.readouterr().err
 
 
 def test_embed_command_positive(tmp_path, capsys):
@@ -318,6 +344,12 @@ def test_generate_command_graph(tmp_path, capsys):
 def test_generate_command_unknown_family(tmp_path, capsys):
     assert main(["generate", "moebius", "2", "-o", str(tmp_path / "x")]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_generate_command_refuses_digits_int_cannot_read(tmp_path, capsys):
+    assert main(["generate", "cube(²)", "-o", str(tmp_path / "x")]) == 2
+    assert "unknown generator family '²'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_generate_command_refuses_deep_specs(tmp_path, capsys):

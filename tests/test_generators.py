@@ -37,6 +37,16 @@ def test_parse_rejects_malformed_specs():
         sk.parse_generator_spec("   cube(3)x")
 
 
+def test_parse_reads_as_integers_only_decimal_digits():
+    # '²' is a digit to str.isdigit, but int cannot read it
+    with pytest.raises(sk.StructuralError, match=r"expected ',' or '\)' at position 6"):
+        sk.parse_generator_spec("cube(1²)")
+    spec = sk.parse_generator_spec("cube(²)")
+    assert [a.family for a in spec.args] == ["²"]
+    with pytest.raises(ValueError, match="unknown generator family '²'"):
+        sk.generate(spec)
+
+
 def test_parse_bounds_the_nesting_depth():
     def nested(levels: int) -> str:
         return "skeleton-of(" * (levels - 1) + "cube(1)" + ", 1)" * (levels - 1)

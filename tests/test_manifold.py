@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -18,6 +19,11 @@ from helpers import (
     relabel,
 )
 from test_properties import BY_NAME, MANIFOLDS
+
+
+def contains(g: str, f: str) -> bool:
+    """Whether face g contains face f: each letter of g is f's or a star."""
+    return all(b in (a, "*") for a, b in zip(f, g))
 
 
 def test_local_profile_interior_and_top_faces():
@@ -59,8 +65,8 @@ def test_local_profile_matches_subface_scan_oracle():
     torsion_at_apex = sk.HomologyProfile((0, 0, 0, 0), ((), (), (2,), ()))
     assert sk.local_profile(cone, "000000", sk.INTEGER) == torsion_at_apex
     inputs.append(cone)
-    # the link's simplicial signs stand in for the cubical ones: letter flips and
-    # coordinate permutations must leave the Z/2 at the apex, wherever it lands
+    # letter flips and coordinate permutations change the cubical signs of the
+    # star's quotient matrices but must leave the Z/2 at the apex, wherever it lands
     for seed in range(8):
         apply = cube_symmetry(random.Random(seed), 6)
         placed = sk.CubicalComplex(6, frozenset(map(apply, cone.faces)))
@@ -124,12 +130,17 @@ def test_manifold_check_without_orientability_builds_no_matrices(builds):
     assert builds == []
 
 
-def test_local_profile_reads_the_link_not_sliced_matrices(builds):
+def test_local_profile_builds_the_open_star_over_z_and_nothing_over_gf2(builds):
+    # GF(2) reads the link; Z builds the quotient matrices once, over exactly
+    # the faces containing f
     c = sk.product_complex(projective_plane(), sk.closure(1, ["*"]))
     for f in sorted(c.faces):
-        for ring in (sk.GF2, sk.INTEGER):
-            sk.local_profile(c, f, ring)
+        sk.local_profile(c, f, sk.GF2)
     assert builds == []
+    for f in sorted(c.faces):
+        sk.local_profile(c, f, sk.INTEGER)
+        assert builds == [{g for g in c.faces if contains(g, f)}], f
+        builds.clear()
 
 
 def test_local_profile_builds_the_vertex_links_once():
@@ -138,7 +149,7 @@ def test_local_profile_builds_the_vertex_links_once():
     first, second = sorted(c.faces)[:2]
     sk.local_profile(c, first)
     table = c.__dict__["vertex_links"]
-    sk.local_profile(c, second, sk.INTEGER)
+    sk.local_profile(c, second)
     assert c.__dict__["vertex_links"] is table
 
 
@@ -170,6 +181,18 @@ def test_graph_and_components_match_their_vertex_list_forms():
             assert [p.faces for p in sk.components(c)] == components_by_vertices(c)
 
 
+def test_a_connected_complex_is_its_own_component(monkeypatch):
+    # a rebuilt complex carries the vertex index it was grown with, and its
+    # manifold check reads its links from that index, building none
+    built = sk.reconstruct(sk.skeleton(sk.cube_boundary(4), 2), sk.ReconstructionConfig(2, 3))
+    assert sk.components(built)[0] is built
+    calls = []
+    real = sk.complex._vertex_index_plus
+    monkeypatch.setattr("skelcube.complex._vertex_index_plus", lambda *a: calls.append(a) or real(*a))
+    assert sk.is_homology_manifold(built).is_manifold
+    assert calls == []
+
+
 @pytest.mark.parametrize("check", [sk.components, sk.is_homology_manifold, sk.is_orientable])
 def test_a_face_set_that_is_not_downward_closed_is_refused(check):
     # the square's corners are missing, so it has no vertex to be bucketed by
@@ -178,6 +201,32 @@ def test_a_face_set_that_is_not_downward_closed_is_refused(check):
     # an edge whose high end is missing has no place in the 1-skeleton
     with pytest.raises(sk.StructuralError, match=r"'0\*'.*'01'"):
         check(sk.CubicalComplex(2, frozenset({"0*", "00"})))
+
+
+def test_a_face_whose_star_lacks_a_facet_containing_it_is_refused_over_both_rings():
+    # "00" is in the star of "**", whose facets "0*" and "*0" would be too;
+    # read as they stand, GF(2) has no row for them and Z gives a Betti number -1
+    for ring in (sk.GF2, sk.INTEGER):
+        with pytest.raises(sk.StructuralError, match="'00'"):
+            sk.local_profile(sk.CubicalComplex(2, frozenset({"**", "00"})), "00", ring)
+    # random face sets in I^2 and I^3: refused exactly where some face containing
+    # f lacks a facet containing f, else the quotient's homology
+    rng = random.Random(61)
+    refused = kept = 0
+    for _ in range(60):
+        words = list(all_words(rng.randint(2, 3)))
+        c = sk.CubicalComplex(len(words[0]), frozenset(rng.sample(words, rng.randint(1, len(words)))))
+        for f in sorted(c.faces):
+            closed = all(h in c.faces for g in c.faces if contains(g, f) for h in facets(g) if contains(h, f))
+            for ring in (sk.GF2, sk.INTEGER):
+                if closed:
+                    assert sk.local_profile(c, f, ring) == local_profile_oracle(c, f, ring), (sorted(c.faces), f)
+                    kept += 1
+                else:
+                    with pytest.raises(sk.StructuralError, match=re.escape(repr(f))):
+                        sk.local_profile(c, f, ring)
+                    refused += 1
+    assert refused > 200 and kept > 200
 
 
 def test_local_profile_requires_membership():
