@@ -46,10 +46,14 @@ MAX_LETTERS = 13 * 3**13
 class CubicalComplex:
     """Immutable set of face words of I^ambient_dim.
 
-    Operations in this module keep the face set downward closed; the
-    constructor only checks word shape, closure is asserted separately
-    by validate().  Complexes derived from valid ones are made by
-    `_derived`, which skips that check.
+    The constructor checks word shape only.  Every answer is defined on
+    downward-closed sets alone, so each reader that relies on closure
+    detects a gap in its own way and refuses it with `_not_closed`:
+    validate() by facet lookups, `chains` (and so homology, cohomology
+    and the reconstruction criterion) by short columns, the 1-skeleton
+    and components by corner lookups, and local homology by the link.
+    The library's own builders make closed sets by construction and
+    build through `_derived`, which skips the word check.
 
     Tables read from the faces are cached per instance on first use:
     `dim`, the boundary matrices `chains`, the vertex index
@@ -75,10 +79,21 @@ class CubicalComplex:
 
     @cached_property
     def chains(self):
-        """Signed boundary matrices of the whole complex (a homology.BoundaryMatrices), built once per instance."""
+        """Signed boundary matrices of the whole complex (a homology.BoundaryMatrices), built once per instance.
+
+        A face set lacking a facet of one of its faces is refused (`_not_closed`).
+        """
         from . import homology  # homology imports this module
 
-        return homology._matrices_over(self.faces)
+        mats = homology._matrices_over(self.faces)
+        # a j-face has 2j facets and each one in the set is a row of its
+        # column, so a column short of 2j rows names a facet the set lacks
+        for j in range(1, mats.top + 1):
+            columns = mats.columns[j]
+            if sum(map(len, columns)) != 2 * j * len(columns):
+                w = next(w for w, col in zip(mats.levels[j], columns) if len(col) < 2 * j)
+                raise _not_closed(w, next(f for f in facets(w) if f not in self.faces))
+        return mats
 
     @cached_property
     def faces_by_vertex(self) -> dict[str, tuple[str, ...]]:
@@ -142,11 +157,25 @@ class CubicalComplex:
         for w in self.faces:
             for f in facets(w):
                 if f not in self.faces:
-                    raise StructuralError(f"complex is not closed: {w!r} present, facet {f!r} missing")
+                    raise _not_closed(w, f)
+
+
+def _not_closed(at: str, missing: str) -> StructuralError:
+    """The one refusal of a face set that is not downward closed: face `at` is in it, its subface `missing` is not."""
+    return StructuralError(f"the face set is not downward closed: at {at!r}, face {missing!r} is missing")
 
 
 def _derived(ambient_dim: int, faces: frozenset) -> CubicalComplex:
-    """A complex whose words come from valid complexes, built without re-validating them."""
+    """A complex built without the constructor's word check, for faces the library made.
+
+    Its words come from valid complexes or are spelt by a builder, and
+    the set is closed by construction, so `_not_closed` never applies to
+    it.  The builders: `closure` (once it has checked each generator),
+    `cube_boundary`, `skeleton`, `delete`, `face_subcomplex`,
+    `face_boundary`, `product_complex`, `components`, the generators'
+    disjoint union and subdivision, `lift_to_complex_embedding` and
+    `_grown`.
+    """
     c = object.__new__(CubicalComplex)
     object.__setattr__(c, "ambient_dim", ambient_dim)
     object.__setattr__(c, "faces", faces)
@@ -183,13 +212,15 @@ def _vertex_index_plus(at: dict[str, tuple[str, ...]], words) -> dict[str, tuple
 
 def closure(ambient_dim: int, generators) -> CubicalComplex:
     """Downward closure of a set of face words inside I^ambient_dim."""
+    if ambient_dim < 0:
+        raise StructuralError("ambient_dim must be nonnegative")
     out: set[str] = set()
     for g in generators:
         validate_word(g, ambient_dim)
         if g not in out:
             _check_size(f"closure of {g!r}", len(out) + 3 ** word_dim(g), ambient_dim)
             out.update(subwords(g))
-    return CubicalComplex(ambient_dim, frozenset(out))
+    return _derived(ambient_dim, frozenset(out))
 
 
 def _check_size(what: str, faces: int, ambient_dim: int) -> None:
@@ -211,7 +242,7 @@ def cube_boundary(n: int) -> CubicalComplex:
         raise StructuralError("boundary of I^n needs n >= 1")
     top = STAR * n
     _check_size(f"closure of {top!r}", 3**n, n)
-    return CubicalComplex(n, frozenset(proper_subwords(top)))
+    return _derived(n, frozenset(proper_subwords(top)))
 
 
 def skeleton(c: CubicalComplex, k: int) -> CubicalComplex:
@@ -264,14 +295,14 @@ def face_subcomplex(c: CubicalComplex, f: str) -> CubicalComplex:
     """The subcomplex of all subfaces of a single face of c."""
     if f not in c.faces:
         raise StructuralError(f"face {f!r} is not in the complex")
-    return CubicalComplex(c.ambient_dim, frozenset(subwords(f)))
+    return _derived(c.ambient_dim, frozenset(subwords(f)))
 
 
 def face_boundary(c: CubicalComplex, f: str) -> CubicalComplex:
     """Proper subfaces of a face of c."""
     if f not in c.faces:
         raise StructuralError(f"face {f!r} is not in the complex")
-    return CubicalComplex(c.ambient_dim, frozenset(proper_subwords(f)))
+    return _derived(c.ambient_dim, frozenset(proper_subwords(f)))
 
 
 def is_face_like(c: CubicalComplex, g: CubicalComplex) -> bool:

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count, takewhile
 
-from .complex import CubicalComplex, _derived
+from .complex import CubicalComplex, _derived, _not_closed
 from .errors import ContractError, ContradictionError, StructuralError
 from .words import ONE, STAR, ZERO, mask_word, sort_words, word_dim, word_vertices
 
@@ -117,7 +117,7 @@ def graph_of(c: CubicalComplex) -> SimpleGraph:
             if word_dim(w) == 1:
                 edges.add(_normalize_edge(index[w.replace(STAR, ZERO)], index[w.replace(STAR, ONE)]))
     except KeyError as missing:
-        raise _not_closed(w, "corner", missing) from None
+        raise _not_closed(w, missing.args[0]) from None
     return SimpleGraph(len(verts), frozenset(edges))
 
 
@@ -133,14 +133,10 @@ def components(c: CubicalComplex) -> list[CubicalComplex]:
         for w in c.faces:
             buckets[root[index[w.replace(STAR, ZERO)]]].add(w)
     except KeyError as missing:
-        raise _not_closed(w, "low corner", missing) from None
+        raise _not_closed(w, missing.args[0]) from None
     parts = [b for b in buckets if b]
     # a connected c is its own component, with the tables it carries
     return [c] if len(parts) == 1 else [_derived(c.ambient_dim, frozenset(b)) for b in parts]
-
-
-def _not_closed(w: str, corner: str, missing: KeyError) -> StructuralError:
-    return StructuralError(f"face {w!r} lacks its {corner} {missing.args[0]!r}: the face set is not downward closed")
 
 
 def bfs_forest(adj: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -381,4 +377,4 @@ def lift_to_complex_embedding(c: CubicalComplex, emb: HypercubeEmbedding) -> Cub
         if varying.bit_count() != word_dim(w) or len(set(codes)) != 1 << word_dim(w):
             raise ContradictionError(f"image of face {w!r} does not span a face")
         out.add(mask_word(n, lo, varying))
-    return CubicalComplex(n, frozenset(out))
+    return _derived(n, frozenset(out))

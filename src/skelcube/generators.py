@@ -141,7 +141,7 @@ def _disjoint_union(a: CubicalComplex, b: CubicalComplex) -> CubicalComplex:
     _check_size("disjoint union", len(a.faces) + len(b.faces), na + nb + 1)
     faces = {w + ZERO * nb + ZERO for w in a.faces}
     faces.update(ZERO * na + w + ONE for w in b.faces)
-    return CubicalComplex(na + nb + 1, frozenset(faces))
+    return _derived(na + nb + 1, frozenset(faces))
 
 
 # name -> (argument kinds, builder); a nested spec is built before the check

@@ -445,10 +445,11 @@ def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> H
 
     The faces of c outside the subcomplex a are closed upward, so the
     quotient matrices are those built over them, where a facet in a
-    gets no row.  A set a that is not downward closed would leave no
-    chain complex there, so it is refused.
+    gets no row.  Either member lacking a facet of one of its faces
+    would leave no chain complex there, so both are validated.
     """
     _check_ring(ring)
     _require_subcomplex(c, a, "second member of the pair")
+    c.validate()
     a.validate()
     return _profile(_matrices_over(c.faces - a.faces), c.dim + 1, ring)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complex import CubicalComplex, _require_subcomplex, is_face_like, star
+from .complex import CubicalComplex, _not_closed, _require_subcomplex, is_face_like, star
 from .embedding import components
 from .errors import ContractError, ContradictionError, StructuralError
 from .homology import (
@@ -21,7 +21,7 @@ from .homology import (
     integer_rank,
     relative_profile,
 )
-from .words import STAR, ZERO, free_masks, proper_subwords, span_word, word_dim
+from .words import STAR, ZERO, free_masks, proper_subwords, sort_words, span_word, word_dim
 
 # relative_profile is re-exported, not called: perfbench/traced.py wraps
 # skelcube.manifold.relative_profile as its homology.relative span, which
@@ -113,7 +113,7 @@ def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile
     if ring == INTEGER:
         mats = _matrices_over(star(c, (f,)))
         if any(len(col) < j - p for j in range(p + 1, mats.top + 1) for col in mats.columns[j]):
-            raise _not_closed_at(f)
+            raise _gap_in_star(c, f)
         return _profile(mats, length, INTEGER)
     faces, rank = [0] * (length + 1), [0] * (length + 1)
     levels = _link(c, f)
@@ -123,12 +123,22 @@ def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile
             if k:
                 rank[p + k] = _link_rank(levels[k - 1], level)
     except KeyError:
-        raise _not_closed_at(f) from None
+        raise _gap_in_star(c, f) from None
     return _as_profile(_groups(faces, rank, [()] * (length + 1), range(length)))
 
 
-def _not_closed_at(f: str) -> StructuralError:
-    return StructuralError(f"a face containing {f!r} lacks a facet containing it: the face set is not downward closed")
+def _gap_in_star(c: CubicalComplex, f: str) -> StructuralError:
+    """The refusal naming the first face g of f's open star, in canonical order, that lacks a facet containing f.
+
+    Such a facet puts f's letter back at one of g's stars that f fixes.
+    """
+    gaps = (
+        (g, h)
+        for g in sort_words(star(c, (f,)))
+        for h in (g[:i] + a + g[i + 1 :] for i, a in enumerate(f) if a != STAR and g[i] == STAR)
+        if h not in c.faces
+    )
+    return _not_closed(*next(gaps))
 
 
 def _top_free_rank(comp: CubicalComplex) -> int:
@@ -181,12 +191,14 @@ def is_orientable(c: CubicalComplex) -> bool:
     """Whether each component carries an integer fundamental class.
 
     The caller is expected to have verified the homology-manifold
-    property; only purity is re-checked here.  Degree-d torsion cannot
-    occur (there are no (d+1)-faces), so the test is a rank condition.
+    property; only closure and purity are re-checked here.  Degree-d
+    torsion cannot occur (there are no (d+1)-faces), so the test is a
+    rank condition.
     """
     parts = components(c)
     if not parts:
         raise ContractError("orientability needs a nonempty homology manifold")
+    c.validate()
     impure = _impure_face(c)
     if impure is not None:
         raise ContractError(f"complex is not pure: maximal face {impure!r} has dimension {word_dim(impure)}")

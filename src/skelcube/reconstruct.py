@@ -141,12 +141,12 @@ def face_criterion(skel: CubicalComplex, f: str, k: int, d: int, mode: str = STA
     if word_dim(f) != k + 1:
         raise ContractError(f"candidate {f!r} has dimension {word_dim(f)}, expected {k + 1}")
     validate_word(f, skel.ambient_dim)
+    ring = INTEGER if mode == TIGHT_INTEGER else GF2
+    base = homology_profile(skel, ring)  # refuses a skel lacking a facet of one of its faces
     if not _boundary_present(skel, f):
         return CandidateVerdict(f, False, False)
     degrees = (d - k, d - k - 1) if mode == STANDARD else (d - k - 1,)
-    ring = INTEGER if mode == TIGHT_INTEGER else GF2
     kept = delete(skel, _derived(skel.ambient_dim, frozenset(word_vertices(f)))).faces
-    base = homology_profile(skel, ring)
     deleted = _homology(skel.chains, ring, degrees, kept)
     profiles = tuple((j, deleted[j], base.degree(j)) for j in degrees)
     accepted = all(left == right for _, left, right in profiles)
@@ -158,13 +158,16 @@ def reconstruct_steps(skel: CubicalComplex, cfg: ReconstructionConfig):
 
     The configured mode judges degree k; every later degree is standard.
     The contract is checked here, before any step: no face of I^n has
-    dimension above n, so a target d above the ambient n is refused.
+    dimension above n, so a target d above the ambient n is refused,
+    and building skel's boundary matrices, which the criterion reads,
+    refuses a face set lacking a facet of one of its faces.
     """
     cfg.validate()
     if skel.dim > cfg.k:
         raise ContractError(f"input dimension {skel.dim} exceeds k={cfg.k}")
     if cfg.d > skel.ambient_dim:
         raise ContractError(f"target dimension d={cfg.d} exceeds the ambient dimension {skel.ambient_dim}")
+    skel.chains  # built now, so that a gap is refused before the first step
     return _steps(skel, cfg)
 
 

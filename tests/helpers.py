@@ -7,6 +7,7 @@ algorithm than the library, so agreement is meaningful.
 from __future__ import annotations
 
 import math
+import re
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -20,6 +21,19 @@ def oracle_is_subface(p: str, q: str) -> bool:
     vp = set(vertices_of(p))
     vq = set(vertices_of(q))
     return vp <= vq
+
+
+NOT_CLOSED = re.compile(r"the face set is not downward closed: at '([01*]*)', face '([01*]*)' is missing")
+
+
+def gap_named_by(err: Exception, c: sk.CubicalComplex) -> tuple[str, str]:
+    """The faces named by a refusal of c as not downward closed: one in c and a proper subface of it that c lacks."""
+    m = NOT_CLOSED.fullmatch(str(err))
+    assert m, str(err)
+    at, missing = m.groups()
+    assert at in c.faces and missing not in c.faces, (at, missing)
+    assert missing != at and oracle_is_subface(missing, at), (at, missing)
+    return at, missing
 
 
 def vertices_of(w: str):

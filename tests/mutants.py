@@ -115,6 +115,25 @@ MUTANTS = (
             "tests/test_homology.py::test_integer_homology_frozen_values",
         ),
     ),
+    # a face set short of a facet read as it stands: the square without
+    # its edge 0* gets Betti numbers (1, -1, 0)
+    Mutant(
+        "chains-accepts-a-short-column",
+        COMPLEX,
+        "if sum(map(len, columns)) != 2 * j * len(columns):",
+        "if sum(map(len, columns)) > 2 * j * len(columns):",
+        ("tests/test_complex.py::test_no_reader_answers_on_a_face_set_that_is_not_downward_closed",),
+    ),
+    Mutant(
+        "relative-validates-only-the-second-member",
+        HOMOLOGY,
+        "    c.validate()\n    a.validate()\n",
+        "    a.validate()\n",
+        (
+            "tests/test_homology.py::test_relative_profile_refuses_a_first_member_that_is_not_closed",
+            "tests/test_complex.py::test_no_reader_answers_on_a_face_set_that_is_not_downward_closed",
+        ),
+    ),
     # the grown complex's vertex index written into its parent's
     Mutant(
         "carried-vertex-index-not-copied",
@@ -147,8 +166,8 @@ MUTANTS = (
     Mutant(
         "gf2-refusal-catches-the-wrong-exception",
         MANIFOLD,
-        "    except KeyError:\n        raise _not_closed_at(f)",
-        "    except IndexError:\n        raise _not_closed_at(f)",
+        "    except KeyError:\n        raise _gap_in_star(c, f)",
+        "    except IndexError:\n        raise _gap_in_star(c, f)",
         ("tests/test_manifold.py::test_a_face_whose_star_lacks_a_facet_containing_it_is_refused_over_both_rings",),
     ),
     # each link simplex loses the facet that drops its lowest vertex

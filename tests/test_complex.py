@@ -10,6 +10,7 @@ from helpers import (
     all_words,
     components_oracle,
     delete_oracle,
+    gap_named_by,
     is_face_like_oracle,
     is_full_subcomplex,
     oracle_is_subface,
@@ -33,6 +34,8 @@ def test_closure_idempotent_and_validates_words():
     assert again == c
     with pytest.raises(sk.StructuralError):
         sk.closure(2, ["0*1"])
+    with pytest.raises(sk.StructuralError, match="ambient_dim must be nonnegative"):
+        sk.closure(-1, [])
 
 
 def test_constructor_rejects_bad_words():
@@ -77,6 +80,20 @@ def test_derived_complexes_equal_validated_ones():
         _assert_revalidates(step.complex_after)
 
 
+def test_builders_that_skip_the_word_check_make_valid_closed_complexes():
+    rng = random.Random(73)
+    for n in range(0, 5):
+        for _ in range(4):
+            c = random_subcomplex(rng, sk.full_cube(n))
+            _assert_revalidates(c)
+            for f in rng.sample(sorted(c.faces), min(3, len(c.faces))):
+                _assert_revalidates(sk.face_subcomplex(c, f))
+                _assert_revalidates(sk.face_boundary(c, f))
+        if n:
+            _assert_revalidates(sk.cube_boundary(n))
+    _assert_revalidates(sk.generate("disjoint-union(boundary-cube(3), cube(2))"))
+
+
 def test_local_profile_complement_is_a_valid_complex():
     # the local profile reads the link of f off the open star: the star must be
     # closed upward (its complement a complex) and every star face a face of c
@@ -92,6 +109,77 @@ def test_validate_detects_missing_facet():
     broken = sk.CubicalComplex(2, frozenset(["**"]))
     with pytest.raises(sk.StructuralError):
         broken.validate()
+
+
+def _not_closed_sets() -> list[sk.CubicalComplex]:
+    """Face sets that are not downward closed, each of dimension at most 2.
+
+    First the square without its edge 0*, the 2-skeleton of the boundary
+    of I^4 without its edge 00*0 and an edge without its high end; then
+    24 seeded subcomplexes of I^2 to I^4 with a face below the top taken out.
+    """
+    sets = [
+        sk.CubicalComplex(2, sk.full_cube(2).faces - {"0*"}),
+        sk.CubicalComplex(4, sk.skeleton(sk.cube_boundary(4), 2).faces - {"00*0"}),
+        sk.CubicalComplex(2, frozenset({"0*", "00"})),
+    ]
+    rng = random.Random(71)
+    while len(sets) < 27:
+        n = rng.randint(2, 4)
+        c = random_subcomplex(rng, sk.skeleton(sk.full_cube(n), 2))
+        below_top = sorted(c.faces - set(c.maximal_faces()))
+        if below_top:
+            sets.append(sk.CubicalComplex(n, c.faces - {rng.choice(below_top)}))
+    return sets
+
+
+def _reader_calls(c: sk.CubicalComplex):
+    """Every reader that needs a downward-closed set, each as (name, call) on c."""
+    n = c.ambient_dim
+    for ring in (sk.GF2, sk.INTEGER):
+        yield f"homology_profile {ring}", lambda ring=ring: sk.homology_profile(c, ring)
+        yield f"cohomology_profile {ring}", lambda ring=ring: sk.cohomology_profile(c, ring)
+        yield f"relative_profile (c, empty) {ring}", lambda ring=ring: sk.relative_profile(c, sk.CubicalComplex(n), ring)
+        yield f"relative_profile (cube, c) {ring}", lambda ring=ring: sk.relative_profile(sk.full_cube(n), c, ring)
+    yield "betti_gf2", lambda: sk.betti_gf2(c)
+    yield "homology_integer", lambda: sk.homology_integer(c)
+    yield "validate", c.validate
+    yield "is_orientable", lambda: sk.is_orientable(c)
+    yield "reconstruct", lambda: sk.reconstruct(c, sk.ReconstructionConfig(2, min(3, n)))
+    if n >= 3:  # a candidate of the criterion at k = 2 is a 3-face
+        f = "***" + "0" * (n - 3)
+        yield "face_criterion", lambda: sk.face_criterion(c, f, 2, 3)
+        yield "face_criterion tight-int", lambda: sk.face_criterion(c, f, 2, 4, sk.TIGHT_INTEGER)
+
+
+def test_no_reader_answers_on_a_face_set_that_is_not_downward_closed():
+    # each refusal names a face of the set and a subface that it lacks;
+    # read as they stand, the square without 0* has Betti numbers (1, -1, 0)
+    sets = _not_closed_sets()
+    for c in sets:
+        for name, call in _reader_calls(c):
+            try:
+                call()
+            except sk.StructuralError as refused:
+                gap_named_by(refused, c)
+            else:
+                pytest.fail(f"{name} answered on {sorted(c.faces)}")
+    # the readers that find a gap in their own way word it the same way
+    square, skeleton, edge = sets[:3]
+    refusals = [
+        (edge, sk.graph_of, ("0*", "01")),
+        (edge, sk.components, ("0*", "01")),
+        (edge, sk.is_homology_manifold, ("0*", "01")),
+        (square, sk.is_homology_manifold, ("**", "0*")),
+        (skeleton, sk.is_homology_manifold, ("00**", "00*0")),
+    ]
+    for ring in (sk.GF2, sk.INTEGER):
+        refusals.append((square, lambda c, ring=ring: sk.local_profile(c, "00", ring), ("**", "0*")))
+        refusals.append((skeleton, lambda c, ring=ring: sk.local_profile(c, "0000", ring), ("00**", "00*0")))
+    for c, check, named in refusals:
+        with pytest.raises(sk.StructuralError) as refused:
+            check(c)
+        assert gap_named_by(refused.value, c) == named
 
 
 def test_empty_complex():
@@ -268,6 +356,8 @@ def test_face_subcomplex_and_boundary():
     bd.validate()
     with pytest.raises(sk.StructuralError):
         sk.face_boundary(c, "***0")
+    with pytest.raises(sk.StructuralError, match="is not in the complex"):
+        sk.face_subcomplex(sk.cube_boundary(3), "***")
     with pytest.raises(sk.StructuralError):
         sk.face_boundary(sk.cube_boundary(3), "***")
 

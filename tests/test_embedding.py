@@ -87,8 +87,11 @@ def test_graph_construction_rejects_bad_edges():
         sk.SimpleGraph(3, frozenset([(0, 5)]))
     with pytest.raises(sk.StructuralError):
         sk.SimpleGraph(3, frozenset([(2, 1)]))
+    with pytest.raises(sk.StructuralError, match="vertex count must be nonnegative"):
+        sk.SimpleGraph(-1, frozenset())
     g = sk.SimpleGraph.from_edges(3, [(2, 1)])
     assert g.edges == frozenset([(1, 2)])
+    assert sk.SimpleGraph(3, [(1, 2)]) == g  # a list of edges is frozen
 
 
 def test_graph_of_circle():
@@ -373,6 +376,11 @@ def test_embedding_code_validation():
         sk.HypercubeEmbedding(1, (0, 2))
     with pytest.raises(sk.StructuralError):
         sk.HypercubeEmbedding(2, (1, 1))
+    with pytest.raises(sk.StructuralError, match="hypercube dimension must be nonnegative"):
+        sk.HypercubeEmbedding(-1, ())
+    assert not sk.HypercubeEmbedding(1, (0, 1)).is_valid_for(sk.SimpleGraph(3, frozenset()))
+    with pytest.raises(sk.ContractError, match="n_max >= 0 required"):
+        sk.find_graph_embedding(sk.SimpleGraph(1, frozenset()), -1)
 
 
 def test_labelling_from_embedding_rejects_non_embeddings():

@@ -74,6 +74,10 @@ def test_generate_rejects_bad_arguments():
         sk.generate("product(graph-c3, cube(1))")
     with pytest.raises(ValueError, match=r"^skeleton-of takes \(complex, integer\), got skeleton-of\(2\)$"):
         sk.generate("skeleton-of(2)")
+    with pytest.raises(ValueError, match="polygon size >= 3"):
+        sk.generate("cbs(2)")
+    with pytest.raises(sk.StructuralError, match="vertex indices must be nonnegative"):
+        sk.cubical_barycentric_subdivision([{-1, 0}])
 
 
 def test_even_cycle_complexes():

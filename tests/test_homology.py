@@ -201,6 +201,8 @@ def test_integer_rank_matches_snf_length():
     for ragged in ([[1, 2], [3]], [[], [1]], [[0], [0, 0]]):
         with pytest.raises(sk.StructuralError):
             sk.integer_rank(ragged)
+        with pytest.raises(sk.StructuralError, match="ragged matrix"):
+            sk.smith_normal_form(ragged)
 
 
 def sparse_columns(mat, cols: int) -> list[list[tuple[int, int]]]:
@@ -406,6 +408,14 @@ def test_relative_profile_refuses_a_second_member_that_is_not_closed(ring):
         with pytest.raises(sk.StructuralError):
             sk.relative_profile(square, sk.CubicalComplex(2, frozenset(faces)), ring)
     assert sk.relative_profile(square, sk.closure(2, ["0*"]), ring).betti == (0, 0, 0)
+
+
+@pytest.mark.parametrize("ring", [sk.GF2, sk.INTEGER])
+def test_relative_profile_refuses_a_first_member_that_is_not_closed(ring):
+    # the square without its edge 0*: read as it stands, (1, -1, 0)
+    square = sk.CubicalComplex(2, sk.full_cube(2).faces - {"0*"})
+    with pytest.raises(sk.StructuralError, match=r"at '\*\*', face '0\*' is missing"):
+        sk.relative_profile(square, sk.CubicalComplex(2), ring)
 
 
 def test_restricted_matrices_equal_the_quotient_matrices_built_from_words():
