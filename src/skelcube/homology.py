@@ -23,12 +23,18 @@ universal coefficients.
 
 Over GF(2) each matrix is eliminated once (`gf2_elimination`): column
 reduction packs each column into an int and records rank D_j and a
-kernel basis Z_j.  Keeping only the columns K of D_j, with S the rest,
-rank(D_j|K) = rank D_j - |S| + rank(Z_j|S) by rank-nullity, so a kept
-set costs one `gf2_rank` of the kernel restricted to S.  With nothing
-deleted the correction is zero, and the same route serves absolute and
-relative homology.  A complex grown by one level shares the levels
-and eliminations below it.
+kernel basis Z_j, fully reduced as it comes: the top bit of each
+vector, its pivot, lies in no other vector.  Keeping only the columns
+K of D_j, with S the rest, rank(D_j|K) = rank D_j - |S| + rank(Z_j|S)
+by rank-nullity.  With P the pivots, each pivot in S is a unit column
+of Z_j|S, so rank(Z_j|S) = |S & P| + rank(Y), where Y holds, for each
+non-pivot column in S, the pivots outside S of the vectors holding it.
+The first mask read of a map builds its table of those pivots by
+column (`gf2_reduced_kernel`), so a kept set costs one pass over its
+non-pivot columns and one `gf2_rank` of Y, which is small when S is a
+local deletion.  With nothing deleted the correction is zero, and the
+same route serves absolute and relative homology.  A complex grown by
+one level carries up the levels, eliminations and tables below it.
 
 Only `_homology` reads a kept set: per map it takes the mask of S
 (`columns_outside`: one byte per face, read in C with no table) and
@@ -54,7 +60,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress, count
 
-from .complex import CubicalComplex, _require_subcomplex
+from .complex import CubicalComplex, _check_facets, _require_subcomplex
 from .errors import ContractError, StructuralError
 from .words import signed_facets, sort_words, word_dim
 
@@ -116,6 +122,7 @@ class BoundaryMatrices:
         self.levels = levels        # levels[j]: j-faces, canonical order
         self.columns = columns      # columns[j][c]: list of (row, sign), j >= 1
         self._eliminated: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._covers: dict[int, tuple[int, list[int]]] = {}
 
     @property
     def top(self) -> int:
@@ -129,7 +136,8 @@ class BoundaryMatrices:
     def gf2_elimination(self, j: int) -> tuple[int, tuple[int, ...]]:
         """Rank of D_j over GF(2) and a basis of its kernel, from one column reduction per matrix.
 
-        Kernel vectors are ints over column indices, bit c for column c.
+        Kernel vectors are ints over column indices, bit c for column c;
+        the basis is fully reduced (`_gf2_eliminate`).
         Outside degrees 1..top there is no matrix: rank 0, no basis.
         """
         if not 1 <= j <= self.top:
@@ -137,6 +145,22 @@ class BoundaryMatrices:
         got = self._eliminated.get(j)
         if got is None:
             got = self._eliminated[j] = _gf2_eliminate([sum(1 << r for r, _ in col) for col in self.columns[j]])
+        return got
+
+    def gf2_reduced_kernel(self, j: int) -> tuple[int, list[int]]:
+        """The fully reduced kernel basis of D_j read by column, as (pivots, cover), built once per matrix.
+
+        pivots is the mask of the basis vectors' top bits, each of which
+        lies in its own vector only (`gf2_elimination`).  cover[q] is the
+        mask of the pivots of the vectors holding the non-pivot column q:
+        0 when none does, and at a pivot.  Outside degrees 1..top there
+        is no kernel.
+        """
+        if not 1 <= j <= self.top:
+            return 0, []
+        got = self._covers.get(j)
+        if got is None:
+            got = self._covers[j] = _kernel_cover(self.gf2_elimination(j)[1], len(self.levels[j]))
         return got
 
     def columns_outside(self, j: int, kept) -> int:
@@ -154,14 +178,15 @@ class BoundaryMatrices:
         """These matrices with one level added on top: `words`, faces one dimension above the top.
 
         Rows are the top level's faces, looked up in a dict of that level
-        built here, and a facet outside it gets none.  The lower levels
-        and their GF(2) eliminations are shared.
+        built here, and a facet outside it gets none.  The lower levels,
+        their GF(2) eliminations and their reduced kernels are shared.
         """
         level = sort_words(words)
         below = {w: i for i, w in enumerate(self.levels[-1])} if self.levels else {}
         columns = [[(below[f], s) for f, s in signed_facets(w) if f in below] for w in level]
         grown = BoundaryMatrices(self.levels + [level], self.columns + [columns])
         grown._eliminated.update(self._eliminated)
+        grown._covers.update(self._covers)
         return grown
 
     def dense(self, j: int) -> list[list[int]]:
@@ -207,7 +232,10 @@ def _gf2_eliminate(columns) -> tuple[int, tuple[int, ...]]:
     reduced column is the sum of: a column reducing to zero names a
     kernel vector (Edelsbrunner-Harer, *Computational Topology*, 2010,
     ch. VII).  The kernel vectors are independent, as the one of column
-    c is the only one whose highest bit is c.
+    c is the only one whose highest bit is c, its pivot.  The basis is
+    fully reduced as it comes: a reduced column is summed only with
+    columns that stayed nonzero, whose masks hold such columns alone,
+    so no pivot lies in another kernel vector.
     """
     pivots: dict[int, tuple[int, int]] = {}
     kernel = []
@@ -224,6 +252,21 @@ def _gf2_eliminate(columns) -> tuple[int, tuple[int, ...]]:
         else:
             kernel.append(sums)
     return len(pivots), tuple(kernel)
+
+
+def _kernel_cover(kernel, width: int) -> tuple[int, list[int]]:
+    """(pivots, cover) of a kernel basis from `_gf2_eliminate` over `width` columns (see `gf2_reduced_kernel`)."""
+    pivots = 0
+    cover = [0] * width
+    for z in kernel:
+        bit = 1 << (z.bit_length() - 1)
+        pivots |= bit
+        rest = z ^ bit
+        while rest:
+            q = rest.bit_length() - 1
+            cover[q] |= bit
+            rest ^= 1 << q
+    return pivots, cover
 
 
 def smith_normal_form(matrix) -> tuple[int, ...]:
@@ -341,12 +384,24 @@ def _gf2_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[i
 
     With S the deleted columns of D_i and Z a basis of its kernel,
     rank(D_i|K) = rank D_i - |S| + rank(Z|S): the kernel of D_i|K is the
-    part of ker D_i vanishing on S.  So every mask reads mats' one
-    elimination of D_i, and only the kernel restricted to S is reduced.
+    part of ker D_i vanishing on S.  Z is mats' fully reduced basis, with
+    P the mask of its pivots.  A pivot in S is a unit column of Z|S, and
+    the other columns of S count only on the vectors whose pivot is not
+    in S, so rank(Z|S) = |S & P| + rank(Y), where Y holds for each
+    non-pivot q in S the pivots outside S of the vectors holding q.
     """
-    rank, kernel = mats.gf2_elimination(i)
+    rank = mats.gf2_elimination(i)[0]
     if deleted and i >= 1:  # D_0 is the zero map whatever is deleted
-        rank += gf2_rank([z & deleted for z in kernel]) - deleted.bit_count()
+        pivots, cover = mats.gf2_reduced_kernel(i)
+        outside = pivots & ~deleted
+        # the deleted non-pivot columns, read off the binary numeral of
+        # their mask written backwards, so that index q is bit q
+        digits, y = bin(deleted & ~pivots)[:1:-1], []
+        q = digits.find("1")
+        while q >= 0:
+            y.append(cover[q] & outside)
+            q = digits.find("1", q + 1)
+        rank += (deleted & pivots).bit_count() + gf2_rank(y) - deleted.bit_count()
     return rank, ()
 
 
@@ -446,10 +501,12 @@ def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> H
     The faces of c outside the subcomplex a are closed upward, so the
     quotient matrices are those built over them, where a facet in a
     gets no row.  Either member lacking a facet of one of its faces
-    would leave no chain complex there, so both are validated.
+    would leave no chain complex there, so a is validated, and then
+    only the faces of c outside it can lack a facet in c.
     """
     _check_ring(ring)
     _require_subcomplex(c, a, "second member of the pair")
-    c.validate()
     a.validate()
-    return _profile(_matrices_over(c.faces - a.faces), c.dim + 1, ring)
+    quotient = c.faces - a.faces
+    _check_facets(c.faces, quotient)
+    return _profile(_matrices_over(quotient), c.dim + 1, ring)

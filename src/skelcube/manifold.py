@@ -156,13 +156,19 @@ def _impure_face(c: CubicalComplex) -> Optional[str]:
 
 def _component_report(comp: CubicalComplex, with_orientability: bool) -> ManifoldReport:
     d = comp.dim
+    # A local profile refuses a gap in its face's star, so a manifold
+    # verdict, which reads them all, is never given on a face set that is
+    # not downward closed.  A negative one can come before the profile
+    # that would meet the gap, so only it checks closure.
     impure = _impure_face(comp)
     if impure is not None:
+        comp.validate()
         return ManifoldReport(False, None, None, impure, reason="impure")
     sphere = (0,) * d + (1,)
     for w in comp.sorted_faces():
         seen = local_profile(comp, w, GF2)
         if seen.betti != sphere:
+            comp.validate()
             return ManifoldReport(False, None, None, w, reason="local-homology", failing_profile=seen)
     orientable = _top_free_rank(comp) == 1 if with_orientability else None
     return ManifoldReport(True, d, orientable, None)

@@ -67,7 +67,7 @@ MUTANTS = (
     Mutant(
         "quotient-keeps-the-subcomplex",
         HOMOLOGY,
-        "_matrices_over(c.faces - a.faces)",
+        "_matrices_over(quotient)",
         "_matrices_over(c.faces)",
         (
             "tests/test_homology.py::test_relative_profile_extremes",
@@ -79,9 +79,24 @@ MUTANTS = (
     Mutant(
         "rank-nullity-drops-size",
         HOMOLOGY,
-        "rank += gf2_rank([z & deleted for z in kernel]) - deleted.bit_count()",
-        "rank += gf2_rank([z & deleted for z in kernel])",
-        ("tests/test_homology.py::test_rank_nullity_matches_the_kept_column_reduction",),
+        "rank += (deleted & pivots).bit_count() + gf2_rank(y) - deleted.bit_count()",
+        "rank += (deleted & pivots).bit_count() + gf2_rank(y)",
+        (
+            "tests/test_homology.py::test_rank_nullity_matches_the_kept_column_reduction",
+            "tests/test_homology.py::test_masked_gf2_rank_matches_the_dense_rank_of_the_kept_columns",
+        ),
+    ),
+    # the deleted pivots, each a unit column of the kernel restricted to
+    # the mask, no longer counted: only rank(Y) is left of rank(Z|S)
+    Mutant(
+        "masked-rank-drops-the-deleted-pivots",
+        HOMOLOGY,
+        "rank += (deleted & pivots).bit_count() + gf2_rank(y) - deleted.bit_count()",
+        "rank += gf2_rank(y) - deleted.bit_count()",
+        (
+            "tests/test_homology.py::test_rank_nullity_matches_the_kept_column_reduction",
+            "tests/test_homology.py::test_masked_gf2_rank_matches_the_dense_rank_of_the_kept_columns",
+        ),
     ),
     Mutant(
         "complement-taken-as-intersection",
@@ -124,14 +139,27 @@ MUTANTS = (
         "if sum(map(len, columns)) > 2 * j * len(columns):",
         ("tests/test_complex.py::test_no_reader_answers_on_a_face_set_that_is_not_downward_closed",),
     ),
+    # the faces of c outside a go unchecked, so a first member that is
+    # not closed is read as it stands
     Mutant(
         "relative-validates-only-the-second-member",
         HOMOLOGY,
-        "    c.validate()\n    a.validate()\n",
-        "    a.validate()\n",
+        "    _check_facets(c.faces, quotient)\n",
+        "",
         (
             "tests/test_homology.py::test_relative_profile_refuses_a_first_member_that_is_not_closed",
             "tests/test_complex.py::test_no_reader_answers_on_a_face_set_that_is_not_downward_closed",
+        ),
+    ),
+    # the star of g's first vertex (in canonical order) is kept
+    Mutant(
+        "delete-skips-a-vertex",
+        COMPLEX,
+        "at.get(v, ()) for v in g.vertices()",
+        "at.get(v, ()) for v in sorted(g.vertices())[1:]",
+        (
+            "tests/test_complex.py::test_delete_and_face_likeness_match_vertex_scan_oracles",
+            "tests/test_complex.py::test_delete_matches_the_oracle_and_hashes_alike",
         ),
     ),
     # the grown complex's vertex index written into its parent's
@@ -169,6 +197,14 @@ MUTANTS = (
         "    except KeyError:\n        raise _gap_in_star(c, f)",
         "    except IndexError:\n        raise _gap_in_star(c, f)",
         ("tests/test_manifold.py::test_a_face_whose_star_lacks_a_facet_containing_it_is_refused_over_both_rings",),
+    ),
+    # an impure verdict given on a face set that is not downward closed
+    Mutant(
+        "impure-verdict-skips-closure",
+        MANIFOLD,
+        "        comp.validate()\n        return ManifoldReport(False, None, None, impure",
+        "        return ManifoldReport(False, None, None, impure",
+        ("tests/test_manifold.py::test_no_negative_verdict_on_a_face_set_that_is_not_downward_closed",),
     ),
     # each link simplex loses the facet that drops its lowest vertex
     Mutant(

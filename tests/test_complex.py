@@ -144,6 +144,7 @@ def _reader_calls(c: sk.CubicalComplex):
     yield "betti_gf2", lambda: sk.betti_gf2(c)
     yield "homology_integer", lambda: sk.homology_integer(c)
     yield "validate", c.validate
+    yield "is_homology_manifold", lambda: sk.is_homology_manifold(c)
     yield "is_orientable", lambda: sk.is_orientable(c)
     yield "reconstruct", lambda: sk.reconstruct(c, sk.ReconstructionConfig(2, min(3, n)))
     if n >= 3:  # a candidate of the criterion at k = 2 is a 3-face
@@ -285,6 +286,22 @@ def test_delete_and_face_likeness_match_vertex_scan_oracles():
             g = random_subcomplex(rng, c, max_generators=2)
             assert sk.delete(c, g) == delete_oracle(c, g)
             assert sk.is_face_like(c, g) == is_face_like_oracle(c, g)
+
+
+def test_delete_matches_the_oracle_and_hashes_alike():
+    # g holding edges and squares, g = c and g empty.  The homology memos
+    # key on complexes, so the result must also hash as the oracle's does.
+    rng = random.Random(89)
+    for n in range(2, 6):
+        base = sk.full_cube(n)
+        for _ in range(12):
+            c = random_subcomplex(rng, base)
+            cells = sorted(w for w in c.faces if 1 <= word_dim(w) <= 2)
+            cells = sk.closure(n, rng.sample(cells, min(len(cells), rng.randint(1, 3))))
+            for g in (cells, c, sk.CubicalComplex(n)):
+                got, expected = sk.delete(c, g), delete_oracle(c, g)
+                assert got == expected and hash(got) == hash(expected), (sorted(c.faces), sorted(g.faces))
+                assert type(got.faces) is frozenset
 
 
 def test_dim_is_computed_once(monkeypatch):

@@ -1,10 +1,12 @@
 import math
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
 import skelcube as sk
-from skelcube.homology import _homology, _invariant_factors, _matrices_over
+from skelcube.homology import _gf2_map, _homology, _invariant_factors, _matrices_over
 
 from helpers import (
     all_words,
@@ -342,6 +344,59 @@ def test_rank_nullity_matches_the_kept_column_reduction():
         emptied += any(level and deleted.isdisjoint(level) for level in mats.levels)
     assert emptied > 10
     assert torsion >= 4
+
+
+def test_masked_gf2_rank_matches_the_dense_rank_of_the_kept_columns():
+    # masks: random ones (not stars), none, all, exactly the pivots of the
+    # reduced kernel and exactly the other columns; D_0 and the map above
+    # the top are zero whatever the mask
+    rng = random.Random(83)
+    hosts = [random_subcomplex(rng, sk.full_cube(n)) for n in range(2, 6) for _ in range(6)]
+    hosts.append(projective_plane())
+    for c in hosts:
+        mats = c.chains
+        for i in range(mats.top + 2):
+            width = mats.num_faces(i)
+            pivots, cover = mats.gf2_reduced_kernel(i)
+            if 1 <= i <= mats.top:
+                kernel = mats.gf2_elimination(i)[1]
+                tops = [1 << (z.bit_length() - 1) for z in kernel]
+                # fully reduced: each pivot lies in its own vector alone
+                assert pivots == sum(tops) and all(z & pivots == top for z, top in zip(kernel, tops))
+                held = [sum(top for z, top in zip(kernel, tops) if z >> q & 1) for q in range(width)]
+                assert cover == [0 if pivots >> q & 1 else h for q, h in enumerate(held)]
+            every = (1 << width) - 1
+            dense = [[v % 2 for v in row] for row in mats.dense(i)]
+            for deleted in (0, every, pivots, every & ~pivots, *(rng.getrandbits(width) for _ in range(4))):
+                kept = [[v for q, v in enumerate(row) if not deleted >> q & 1] for row in dense]
+                assert _gf2_map(mats, i, deleted) == (gf2_rank_dense(kept), ()), (sorted(c.faces), i, deleted)
+
+
+def test_reduced_kernel_tables_stay_within_five_times_their_kernel_basis():
+    # the tables a reconstruction from the middle skeleton reads, D_1 to
+    # D_ceil(d/2).  Tracing the build itself would trace every temporary
+    # int and run some 25 times slower, so tracemalloc weighs a copy of
+    # each table and of each basis, loaded from pickle: the same objects,
+    # allocated once each.
+    def traced_bytes(blob: bytes) -> int:
+        tracemalloc.start()
+        try:
+            loaded = pickle.loads(blob)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del loaded
+        return size
+
+    s3_times_s3 = sk.product_complex(sk.cube_boundary(4), sk.cube_boundary(4))
+    c200_times_s2 = sk.product_complex(sk.generate("even-cycle(200)"), sk.cube_boundary(3))
+    for host in (s3_times_s3, c200_times_s2):
+        top = (host.dim + 1) // 2
+        mats = sk.skeleton(host, top).chains
+        for j in range(1, top + 1):
+            kernel = traced_bytes(pickle.dumps(mats.gf2_elimination(j)[1]))
+            table = traced_bytes(pickle.dumps(mats.gf2_reduced_kernel(j)))
+            assert table <= 5 * kernel, (host.dim, j, table, kernel)
 
 
 def test_columns_outside_is_the_mask_of_the_level_minus_kept():

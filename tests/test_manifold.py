@@ -288,6 +288,18 @@ def test_impure_complex_fails_with_witness():
     assert rep.per_component[0].reason == "impure"
 
 
+def test_no_negative_verdict_on_a_face_set_that_is_not_downward_closed():
+    # read as they stand, the first looks impure at 10* and the second
+    # fails the local homology at 000, before any local profile meets the gap
+    impure = sk.CubicalComplex(3, sk.closure(3, ["**0", "1*1", "10*"]).faces - {"0*0"})
+    bent = sk.CubicalComplex(3, sk.closure(3, ["0**", "11*"]).faces - {"01*", "0*1"})
+    for c, at in ((impure, "**0"), (bent, "0**")):
+        for orientability in (False, True):
+            with pytest.raises(sk.StructuralError) as refused:
+                sk.is_homology_manifold(c, orientability)
+            assert gap_named_by(refused.value, c)[0] == at
+
+
 def test_mixed_component_dimensions_fail():
     c = sk.closure(4, [w + "0" for w in sk.cube_boundary(3).maximal_faces()] + ["1111"])
     rep = sk.is_homology_manifold(c)
