@@ -11,6 +11,7 @@ from .words import (
     ONE,
     STAR,
     ZERO,
+    canon_key,
     facets,
     free_masks,
     proper_subwords,
@@ -42,19 +43,23 @@ __all__ = [
 # complex within the bound has more than 3**13.
 MAX_LETTERS = 13 * 3**13
 
+# the key in a complex's __dict__ marking its face set as checked closed
+_CLOSED = "_closed"
+
 
 @dataclass(frozen=True)
 class CubicalComplex:
     """Immutable set of face words of I^ambient_dim.
 
     The constructor checks word shape only.  Every answer is defined on
-    downward-closed sets alone, so each reader that relies on closure
-    detects a gap in its own way and refuses it with `_not_closed`:
-    validate() by facet lookups, `chains` (and so homology, cohomology
-    and the reconstruction criterion) by short columns, the 1-skeleton
-    and components by corner lookups, and local homology by the link.
-    The library's own builders make closed sets by construction and
-    build through `_derived`, which skips the word check.
+    downward-closed sets alone, and `validate` is the one check of that:
+    each reader calls it on entry (`chains`, and so homology, cohomology
+    and the reconstruction criterion; `graph_of`, and so components, the
+    manifold tests and the lift; `local_profile`; both members of
+    `relative_profile`).  A passed check is marked on the instance, so it
+    runs at most once per complex, and `closure`, which builds every
+    parsed file, marks its output.  The library's own builders build
+    through `_derived`, which skips the word check.
 
     Tables read from the faces are cached per instance on first use:
     `dim`, the boundary matrices `chains`, the vertex index
@@ -80,21 +85,11 @@ class CubicalComplex:
 
     @cached_property
     def chains(self):
-        """Signed boundary matrices of the whole complex (a homology.BoundaryMatrices), built once per instance.
-
-        A face set lacking a facet of one of its faces is refused (`_not_closed`).
-        """
+        """Signed boundary matrices of the whole complex (a homology.BoundaryMatrices), built once per instance after `validate`."""
         from . import homology  # homology imports this module
 
-        mats = homology._matrices_over(self.faces)
-        # a j-face has 2j facets and each one in the set is a row of its
-        # column, so a column short of 2j rows names a facet the set lacks
-        for j in range(1, mats.top + 1):
-            columns = mats.columns[j]
-            if sum(map(len, columns)) != 2 * j * len(columns):
-                w = next(w for w, col in zip(mats.levels[j], columns) if len(col) < 2 * j)
-                raise _not_closed(w, next(f for f in facets(w) if f not in self.faces))
-        return mats
+        self.validate()
+        return homology._matrices_over(self.faces)
 
     @cached_property
     def faces_by_vertex(self) -> dict[str, tuple[str, ...]]:
@@ -154,16 +149,22 @@ class CubicalComplex:
         return self.ambient_dim == other.ambient_dim and self.faces <= other.faces
 
     def validate(self) -> None:
-        """Assert downward closure; word shape was checked on construction."""
-        _check_facets(self.faces, self.faces)
+        """Refuse a face set that is not downward closed; word shape was checked on construction.
 
-
-def _check_facets(faces, words) -> None:
-    """Refuse (`_not_closed`) the first of `words` having a facet outside `faces`."""
-    for w in words:
-        for f in facets(w):
-            if f not in faces:
-                raise _not_closed(w, f)
+        The refusal (`_not_closed`) names the first face in canonical
+        order that lacks a facet, and the first facet it lacks in
+        `facets` order, so it does not depend on set iteration order.  A
+        passed check sets the mark `_CLOSED` on the instance, which later
+        calls read instead of scanning again.
+        """
+        if _CLOSED in self.__dict__:
+            return
+        faces = self.faces
+        gaps = [w for w in faces if not faces.issuperset(facets(w))]
+        if gaps:
+            w = min(gaps, key=canon_key)
+            raise _not_closed(w, next(f for f in facets(w) if f not in faces))
+        self.__dict__[_CLOSED] = True
 
 
 def _not_closed(at: str, missing: str) -> StructuralError:
@@ -171,25 +172,27 @@ def _not_closed(at: str, missing: str) -> StructuralError:
     return StructuralError(f"the face set is not downward closed: at {at!r}, face {missing!r} is missing")
 
 
-def _derived(ambient_dim: int, faces: frozenset) -> CubicalComplex:
+def _derived(ambient_dim: int, faces: frozenset, closed: bool = False) -> CubicalComplex:
     """A complex built without the constructor's word check, for faces the library made.
 
-    Its words come from valid complexes or are spelt by a builder, and
-    the set is closed by construction, so `_not_closed` never applies to
-    it.  The builders: `closure` (once it has checked each generator),
-    `cube_boundary`, `skeleton`, `delete`, `face_subcomplex`,
-    `face_boundary`, `product_complex`, `components`, the generators'
-    disjoint union and subdivision, `lift_to_complex_embedding` and
-    `_grown`.
+    Its words come from valid complexes or are spelt by a builder.  With
+    `closed` the builder marks the set as checked, so `validate` never
+    scans it.  A builder marks only what is closed whatever it was
+    given: `closure`, `components`, whose input has passed `validate`
+    by then, and `_grown`, which adds to a checked c faces whose facets
+    are in c.  Any other output, such as the skeleton, deletion or
+    product of an unchecked set, is checked by its first reader.
     """
     c = object.__new__(CubicalComplex)
     object.__setattr__(c, "ambient_dim", ambient_dim)
     object.__setattr__(c, "faces", faces)
+    if closed:
+        c.__dict__[_CLOSED] = True
     return c
 
 
 def _grown(c: CubicalComplex, added) -> CubicalComplex:
-    """c with faces one dimension above its top added, c itself when none are.
+    """c with faces one dimension above its top added, c itself when none are; their facets must be in c.
 
     Its chains are c's with one level added (`BoundaryMatrices.extended`)
     and its vertex index a copy of c's plus the added faces: the builders
@@ -197,8 +200,8 @@ def _grown(c: CubicalComplex, added) -> CubicalComplex:
     """
     if not added:
         return c
-    grown = _derived(c.ambient_dim, c.faces.union(added))
-    # cached properties, set ahead of their first use
+    grown = _derived(c.ambient_dim, c.faces.union(added), closed=True)
+    # cached properties, set ahead of their first use; reading c.chains validates c
     grown.__dict__["chains"] = c.chains.extended(added)
     grown.__dict__["faces_by_vertex"] = _vertex_index_plus(c.faces_by_vertex, added)
     return grown
@@ -226,7 +229,7 @@ def closure(ambient_dim: int, generators) -> CubicalComplex:
         if g not in out:
             _check_size(f"closure of {g!r}", len(out) + 3 ** word_dim(g), ambient_dim)
             out.update(subwords(g))
-    return _derived(ambient_dim, frozenset(out))
+    return _derived(ambient_dim, frozenset(out), closed=True)
 
 
 def _check_size(what: str, faces: int, ambient_dim: int) -> None:

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count, takewhile
 
-from .complex import CubicalComplex, _derived, _not_closed
+from .complex import CubicalComplex, _derived
 from .errors import ContractError, ContradictionError, StructuralError
 from .words import ONE, STAR, ZERO, mask_word, sort_words, word_dim, word_vertices
 
@@ -107,17 +107,16 @@ class HypercubeEmbedding:
 def graph_of(c: CubicalComplex) -> SimpleGraph:
     """The 1-skeleton as a graph; vertices are numbered in canonical word order.
 
-    An edge's two ends are its two corners, its star set to 0 and to 1.
+    An edge's two ends are its two corners, its star set to 0 and to 1,
+    which are vertices of c once it has passed `validate`.
     """
+    c.validate()
     verts = sort_words(c.vertices())
     index = {v: i for i, v in enumerate(verts)}
     edges = set()
-    try:
-        for w in c.faces:
-            if word_dim(w) == 1:
-                edges.add(_normalize_edge(index[w.replace(STAR, ZERO)], index[w.replace(STAR, ONE)]))
-    except KeyError as missing:
-        raise _not_closed(w, missing.args[0]) from None
+    for w in c.faces:
+        if word_dim(w) == 1:
+            edges.add(_normalize_edge(index[w.replace(STAR, ZERO)], index[w.replace(STAR, ONE)]))
     return SimpleGraph(len(verts), frozenset(edges))
 
 
@@ -129,14 +128,12 @@ def components(c: CubicalComplex) -> list[CubicalComplex]:
     for v in order:
         root[v] = v if parent[v] < 0 else root[parent[v]]
     buckets: list[set[str]] = [set() for _ in order]
-    try:
-        for w in c.faces:
-            buckets[root[index[w.replace(STAR, ZERO)]]].add(w)
-    except KeyError as missing:
-        raise _not_closed(w, missing.args[0]) from None
+    for w in c.faces:
+        buckets[root[index[w.replace(STAR, ZERO)]]].add(w)
     parts = [b for b in buckets if b]
-    # a connected c is its own component, with the tables it carries
-    return [c] if len(parts) == 1 else [_derived(c.ambient_dim, frozenset(b)) for b in parts]
+    # a connected c is its own component, with the tables it carries;
+    # graph_of has validated c, and each component of it is closed
+    return [c] if len(parts) == 1 else [_derived(c.ambient_dim, frozenset(b), closed=True) for b in parts]
 
 
 def bfs_forest(adj: list[list[int]]) -> tuple[list[int], list[int]]:

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress, count
 
-from .complex import CubicalComplex, _check_facets, _require_subcomplex
+from .complex import CubicalComplex, _require_subcomplex
 from .errors import ContractError, StructuralError
 from .words import signed_facets, sort_words, word_dim
 
@@ -464,7 +464,7 @@ def _profile(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile:
 # (the candidates' deleted complexes are judged by _homology over the
 # base's own matrices).  They stay because perfbench/traced.py reads
 # their cache_info() for homology.memo_hit_ratio until the benchmark
-# records spans itself (ROADMAP item 2).  Cohomology reads them too.
+# records spans itself (ROADMAP item 1).  Cohomology reads them too.
 @lru_cache(maxsize=256)
 def betti_gf2(c: CubicalComplex) -> HomologyProfile:
     """Non-reduced GF(2) Betti numbers in degrees 0..dim."""
@@ -501,12 +501,10 @@ def relative_profile(c: CubicalComplex, a: CubicalComplex, ring: str = GF2) -> H
     The faces of c outside the subcomplex a are closed upward, so the
     quotient matrices are those built over them, where a facet in a
     gets no row.  Either member lacking a facet of one of its faces
-    would leave no chain complex there, so a is validated, and then
-    only the faces of c outside it can lack a facet in c.
+    would leave no chain complex there, so both are validated.
     """
     _check_ring(ring)
     _require_subcomplex(c, a, "second member of the pair")
+    c.validate()
     a.validate()
-    quotient = c.faces - a.faces
-    _check_facets(c.faces, quotient)
-    return _profile(_matrices_over(quotient), c.dim + 1, ring)
+    return _profile(_matrices_over(c.faces - a.faces), c.dim + 1, ring)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complex import CubicalComplex, _not_closed, _require_subcomplex, is_face_like, star
+from .complex import CubicalComplex, _require_subcomplex, is_face_like, star
 from .embedding import components
 from .errors import ContractError, ContradictionError, StructuralError
 from .homology import (
@@ -21,11 +21,11 @@ from .homology import (
     integer_rank,
     relative_profile,
 )
-from .words import STAR, ZERO, free_masks, proper_subwords, sort_words, span_word, word_dim
+from .words import STAR, ZERO, free_masks, proper_subwords, span_word, word_dim
 
 # relative_profile is re-exported, not called: perfbench/traced.py wraps
 # skelcube.manifold.relative_profile as its homology.relative span, which
-# the next benchmark change retires (ROADMAP item 2).
+# the next benchmark change retires (ROADMAP item 1).
 __all__ = [
     "ManifoldReport",
     "local_profile",
@@ -78,7 +78,8 @@ def _link(c: CubicalComplex, f: str) -> list[list[int]]:
 def _link_rank(below: list[int], level: list[int]) -> int:
     """Rank over GF(2) of the link's boundary from level to below, columns packed as ints.
 
-    A KeyError means a simplex of level has a facet that below lacks.
+    The complex has passed `validate`, so below holds every facet of a
+    simplex of level.
     """
     row = {a: 1 << r for r, a in enumerate(below)}
     columns = []
@@ -102,43 +103,24 @@ def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile
     back at one coordinate of A_g (see `_link`), so the quotient is the
     augmented chain complex of the link shifted up by p = dim f, and
     H_j of the pair is the reduced H_(j-p-1) of the link (Munkres,
-    *Elements of Algebraic Topology*, 1984, section 63).  On a downward
-    closed c a star face of dimension p + k has k facets in the star; a
-    face set where one lacks such a facet is refused over either ring.
+    *Elements of Algebraic Topology*, 1984, section 63).  Either reading
+    needs a downward-closed c, where a star face of dimension p + k has
+    k facets in the star, so c is validated first.
     """
     if f not in c.faces:
         raise StructuralError(f"face {f!r} is not in the complex")
     _check_ring(ring)
+    c.validate()
     p, length = word_dim(f), c.dim + 1
     if ring == INTEGER:
-        mats = _matrices_over(star(c, (f,)))
-        if any(len(col) < j - p for j in range(p + 1, mats.top + 1) for col in mats.columns[j]):
-            raise _gap_in_star(c, f)
-        return _profile(mats, length, INTEGER)
+        return _profile(_matrices_over(star(c, (f,))), length, INTEGER)
     faces, rank = [0] * (length + 1), [0] * (length + 1)
     levels = _link(c, f)
-    try:
-        for k, level in enumerate(levels):
-            faces[p + k] = len(level)
-            if k:
-                rank[p + k] = _link_rank(levels[k - 1], level)
-    except KeyError:
-        raise _gap_in_star(c, f) from None
+    for k, level in enumerate(levels):
+        faces[p + k] = len(level)
+        if k:
+            rank[p + k] = _link_rank(levels[k - 1], level)
     return _as_profile(_groups(faces, rank, [()] * (length + 1), range(length)))
-
-
-def _gap_in_star(c: CubicalComplex, f: str) -> StructuralError:
-    """The refusal naming the first face g of f's open star, in canonical order, that lacks a facet containing f.
-
-    Such a facet puts f's letter back at one of g's stars that f fixes.
-    """
-    gaps = (
-        (g, h)
-        for g in sort_words(star(c, (f,)))
-        for h in (g[:i] + a + g[i + 1 :] for i, a in enumerate(f) if a != STAR and g[i] == STAR)
-        if h not in c.faces
-    )
-    return _not_closed(*next(gaps))
 
 
 def _top_free_rank(comp: CubicalComplex) -> int:
@@ -156,19 +138,13 @@ def _impure_face(c: CubicalComplex) -> Optional[str]:
 
 def _component_report(comp: CubicalComplex, with_orientability: bool) -> ManifoldReport:
     d = comp.dim
-    # A local profile refuses a gap in its face's star, so a manifold
-    # verdict, which reads them all, is never given on a face set that is
-    # not downward closed.  A negative one can come before the profile
-    # that would meet the gap, so only it checks closure.
     impure = _impure_face(comp)
     if impure is not None:
-        comp.validate()
         return ManifoldReport(False, None, None, impure, reason="impure")
     sphere = (0,) * d + (1,)
     for w in comp.sorted_faces():
         seen = local_profile(comp, w, GF2)
         if seen.betti != sphere:
-            comp.validate()
             return ManifoldReport(False, None, None, w, reason="local-homology", failing_profile=seen)
     orientable = _top_free_rank(comp) == 1 if with_orientability else None
     return ManifoldReport(True, d, orientable, None)
@@ -197,14 +173,13 @@ def is_orientable(c: CubicalComplex) -> bool:
     """Whether each component carries an integer fundamental class.
 
     The caller is expected to have verified the homology-manifold
-    property; only closure and purity are re-checked here.  Degree-d
-    torsion cannot occur (there are no (d+1)-faces), so the test is a
-    rank condition.
+    property; `components` validates c, and purity is re-checked here.
+    Degree-d torsion cannot occur (there are no (d+1)-faces), so the
+    test is a rank condition.
     """
     parts = components(c)
     if not parts:
         raise ContractError("orientability needs a nonempty homology manifold")
-    c.validate()
     impure = _impure_face(c)
     if impure is not None:
         raise ContractError(f"complex is not pure: maximal face {impure!r} has dimension {word_dim(impure)}")

@@ -36,6 +36,23 @@ def gap_named_by(err: Exception, c: sk.CubicalComplex) -> tuple[str, str]:
     return at, missing
 
 
+def first_gap_oracle(c: sk.CubicalComplex) -> tuple[str, str] | None:
+    """The gap every refusal of c names, None when c is closed.
+
+    It is the first face in canonical order (0 < 1 < *) lacking a facet,
+    with the first facet it lacks, taking stars left to right and each
+    star as 1 before 0 (the order of `facets`).
+    """
+    order = {"0": 0, "1": 1, "*": 2}
+    for w in sorted(c.faces, key=lambda w: [order[a] for a in w]):
+        for i, letter in enumerate(w):
+            if letter == "*":
+                for f in (w[:i] + "1" + w[i + 1 :], w[:i] + "0" + w[i + 1 :]):
+                    if f not in c.faces:
+                        return w, f
+    return None
+
+
 def vertices_of(w: str):
     options = [("01" if ch == "*" else ch) for ch in w]
     for combo in product(*options):

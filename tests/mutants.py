@@ -67,7 +67,7 @@ MUTANTS = (
     Mutant(
         "quotient-keeps-the-subcomplex",
         HOMOLOGY,
-        "_matrices_over(quotient)",
+        "_matrices_over(c.faces - a.faces)",
         "_matrices_over(c.faces)",
         (
             "tests/test_homology.py::test_relative_profile_extremes",
@@ -130,26 +130,25 @@ MUTANTS = (
             "tests/test_homology.py::test_integer_homology_frozen_values",
         ),
     ),
-    # a face set short of a facet read as it stands: the square without
-    # its edge 0* gets Betti numbers (1, -1, 0)
+    # the closure mark set before the scan: a reader after a refused one
+    # reads the mark and answers
     Mutant(
-        "chains-accepts-a-short-column",
+        "closure-marked-before-the-check",
         COMPLEX,
-        "if sum(map(len, columns)) != 2 * j * len(columns):",
-        "if sum(map(len, columns)) > 2 * j * len(columns):",
-        ("tests/test_complex.py::test_no_reader_answers_on_a_face_set_that_is_not_downward_closed",),
-    ),
-    # the faces of c outside a go unchecked, so a first member that is
-    # not closed is read as it stands
-    Mutant(
-        "relative-validates-only-the-second-member",
-        HOMOLOGY,
-        "    _check_facets(c.faces, quotient)\n",
-        "",
+        "        faces = self.faces\n        gaps = ",
+        "        self.__dict__[_CLOSED] = True\n        faces = self.faces\n        gaps = ",
         (
-            "tests/test_homology.py::test_relative_profile_refuses_a_first_member_that_is_not_closed",
             "tests/test_complex.py::test_no_reader_answers_on_a_face_set_that_is_not_downward_closed",
+            "tests/test_cli.py::test_parsed_inputs_are_never_scanned_and_a_constructed_complex_once",
         ),
+    ),
+    # a parsed file is scanned again by its first reader
+    Mutant(
+        "closure-leaves-its-output-unmarked",
+        COMPLEX,
+        "return _derived(ambient_dim, frozenset(out), closed=True)",
+        "return _derived(ambient_dim, frozenset(out))",
+        ("tests/test_cli.py::test_parsed_inputs_are_never_scanned_and_a_constructed_complex_once",),
     ),
     # the star of g's first vertex (in canonical order) is kept
     Mutant(
@@ -183,28 +182,17 @@ MUTANTS = (
             "tests/test_manifold.py::test_local_profile_builds_the_open_star_over_z_and_nothing_over_gf2",
         ),
     ),
-    # a star face short of a facet read as it stands: Betti numbers can go negative
+    # a local profile read on a face set that is not closed: over GF(2) a
+    # link facet has no row (KeyError), over Z a Betti number can go negative
     Mutant(
-        "integer-refusal-disabled",
+        "local-profile-skips-validate",
         MANIFOLD,
-        "if any(len(col) < j - p",
-        "if False and any(len(col) < j - p",
-        ("tests/test_manifold.py::test_a_face_whose_star_lacks_a_facet_containing_it_is_refused_over_both_rings",),
-    ),
-    Mutant(
-        "gf2-refusal-catches-the-wrong-exception",
-        MANIFOLD,
-        "    except KeyError:\n        raise _gap_in_star(c, f)",
-        "    except IndexError:\n        raise _gap_in_star(c, f)",
-        ("tests/test_manifold.py::test_a_face_whose_star_lacks_a_facet_containing_it_is_refused_over_both_rings",),
-    ),
-    # an impure verdict given on a face set that is not downward closed
-    Mutant(
-        "impure-verdict-skips-closure",
-        MANIFOLD,
-        "        comp.validate()\n        return ManifoldReport(False, None, None, impure",
-        "        return ManifoldReport(False, None, None, impure",
-        ("tests/test_manifold.py::test_no_negative_verdict_on_a_face_set_that_is_not_downward_closed",),
+        "    c.validate()\n    p, length = word_dim(f), c.dim + 1\n",
+        "    p, length = word_dim(f), c.dim + 1\n",
+        (
+            "tests/test_manifold.py::test_a_face_whose_star_lacks_a_facet_containing_it_is_refused_over_both_rings",
+            "tests/test_complex.py::test_no_reader_answers_on_a_face_set_that_is_not_downward_closed",
+        ),
     ),
     # each link simplex loses the facet that drops its lowest vertex
     Mutant(

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -418,3 +419,125 @@ def test_cli_import_loads_no_process_machinery():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _count_validation_passes(monkeypatch) -> list[int]:
+    """The face count of each full validation pass from now on: a validate() call that looks up a facet."""
+    passes, looked = [], []
+    real_facets, real_validate = sk.complex.facets, sk.CubicalComplex.validate
+
+    def facets(w):
+        looked.append(w)
+        return real_facets(w)
+
+    def validate(self):
+        before = len(looked)
+        try:
+            real_validate(self)
+        finally:
+            if len(looked) > before:
+                passes.append(len(self.faces))
+
+    monkeypatch.setattr("skelcube.complex.facets", facets)
+    monkeypatch.setattr(sk.CubicalComplex, "validate", validate)
+    return passes
+
+
+def test_parsed_inputs_are_never_scanned_and_a_constructed_complex_once(tmp_path, capsys, monkeypatch):
+    passes = _count_validation_passes(monkeypatch)
+    # the smoke-sized inputs of the reconstruct, manifold-check and homology-int workloads
+    skel = write_complex(tmp_path, "skel.cplx", sk.skeleton(sk.cube_boundary(4), 2))
+    rp2 = write_complex(tmp_path, "rp2.cplx", projective_plane())
+    assert main(["reconstruct", skel, "-k", "2", "-d", "3", "-o", str(tmp_path / "out.cplx")]) == 0
+    assert main(["manifold-check", rp2]) == 0
+    assert main(["homology", rp2, "--ring", "int"]) == 0
+    capsys.readouterr()
+    assert passes == []
+    # a complex from the public constructor is scanned by its first reader alone
+    torus = sk.CubicalComplex(4, sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(2)).faces)
+    for ring in (sk.GF2, sk.INTEGER):
+        sk.homology_profile(torus, ring)
+        sk.local_profile(torus, min(torus.faces), ring)
+    assert sk.is_homology_manifold(torus, check_orientability=True).is_manifold
+    assert passes == [len(torus.faces)]
+    # a refused set is refused again by the next reader
+    broken = sk.CubicalComplex(2, frozenset({"**"}))
+    for reader in (sk.homology_profile, sk.graph_of, sk.components):
+        with pytest.raises(sk.StructuralError, match="not downward closed"):
+            reader(broken)
+
+
+def _mutated(rng, text: str) -> str:
+    """text with one seeded edit: a line dropped, repeated, cut short, given a wrong letter or a stray line, or the header's count moved."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    edit = rng.randrange(6)
+    if edit == 0:
+        del lines[i]
+    elif edit == 1:
+        lines.insert(i, rng.choice(lines))
+    elif edit == 2:
+        lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
+    elif edit == 3 and lines[i]:
+        j = rng.randrange(len(lines[i]))
+        lines[i] = lines[i][:j] + rng.choice("01*x9- ") + lines[i][j + 1 :]
+    elif edit == 4:
+        keyword, n = lines[0].split()
+        lines[0] = f"{keyword} {int(n) + rng.choice((-2, -1, 1, 2))}"
+    else:
+        lines.insert(i, rng.choice(["", "# note", "ambient", "ambient 2", "0 0", "***", "vertices 3", "1 2 3"]))
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_ends_every_run_on_mutated_inputs_with_an_exit_code(tmp_path, capsys):
+    # 60 seeded runs over the six subcommands; argparse refusing an argument exits 2
+    rng = random.Random(89)
+    complexes = [
+        serialize_complex(c)
+        for c in (
+            sk.cube_boundary(3),
+            sk.skeleton(sk.cube_boundary(4), 2),
+            sk.closure(3, ["0**", "11*"]),
+            sk.generate("even-cycle(6)"),
+        )
+    ]
+    graphs = [
+        serialize_graph(g)
+        for g in (
+            sk.graph_of(sk.cube_boundary(3)),
+            sk.SimpleGraph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]),
+            sk.SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]),
+        )
+    ]
+    specs = ["cube(2)", "boundary-cube(3)", "even-cycle(6)", "product(boundary-cube(2), cbs(3))", "skeleton-of(cube(3), 2)"]
+    out = str(tmp_path / "out")
+    for run in range(60):
+        path = tmp_path / f"input{run}"
+        if run % 3 == 0:
+            path.write_text(_mutated(rng, rng.choice(complexes)))
+            k = str(rng.randint(-1, 3))
+            argv = rng.choice(
+                [
+                    ["homology", str(path), "--ring", rng.choice(["gf2", "int", "z"])],
+                    ["homology", str(path), "--cohomology"],
+                    ["manifold-check", str(path)],
+                    ["skeleton", str(path), "-k", k, "-o", out],
+                    ["reconstruct", str(path), "-k", k, "-d", str(rng.randint(1, 4)), "-o", out],
+                    ["reconstruct", str(path), "-k", k, "--auto", "--dmax", "4", "-o", out],
+                ]
+            )
+        elif run % 3 == 1:
+            path.write_text(_mutated(rng, rng.choice(graphs)))
+            argv = ["embed", str(path), "--nmax", str(rng.randint(-1, 4))]
+        else:
+            spec = rng.choice(specs)
+            # mostly an edit of the arguments, as a misspelt family is refused at once
+            j = rng.choice([j for j, a in enumerate(spec) if not a.isalpha() or rng.random() < 0.1])
+            spec = spec[:j] + rng.choice(["", "(", ")", ",", "0", "3", "x", spec[j] * 2]) + spec[j + 1 :]
+            argv = ["generate", spec, "-o", out]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2, 3), (argv, path.read_text() if path.exists() else None)
+        assert "Traceback" not in capsys.readouterr().err
