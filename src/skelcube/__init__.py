@@ -4,76 +4,111 @@ Core objects are face words over '01*' and immutable downward-closed
 complexes.  On top of these sit GF(2) and integer homology, local
 homology manifold checks, reconstruction of a manifold from a middle
 skeleton, and embeddability of graphs into hypercube graphs.
+
+The namespace is lazy: `import skelcube` loads no layer, and the first
+read of an exported name imports the submodule that defines it.  So a
+command line run loads only the layers its command uses.  The name
+`reconstruct` is always the function, never the submodule of that
+name; reach the submodule through `sys.modules` or `importlib`.
 """
 
-from .complex import (
-    CubicalComplex,
-    closure,
-    cube_boundary,
-    delete,
-    face_boundary,
-    face_subcomplex,
-    full_cube,
-    is_face_like,
-    product_complex,
-    skeleton,
-    star,
-)
-from .embedding import (
-    HypercubeEmbedding,
-    SimpleGraph,
-    bfs_forest,
-    bipartition_or_odd_cycle,
-    components,
-    embedding_obstruction,
-    find_graph_embedding,
-    graph_of,
-    labelling_from_embedding,
-    lift_to_complex_embedding,
-    verify_labelling,
-)
-from .errors import ContractError, ContradictionError, StructuralError
-from .generators import (
-    GeneratorSpec,
-    corpus,
-    cubical_barycentric_subdivision,
-    generate,
-    parse_generator_spec,
-)
-from .homology import (
-    GF2,
-    INTEGER,
-    BoundaryMatrices,
-    HomologyProfile,
-    betti_gf2,
-    cohomology_profile,
-    gf2_rank,
-    homology_integer,
-    homology_profile,
-    integer_rank,
-    relative_profile,
-    smith_normal_form,
-)
-from .io import parse_complex, parse_graph, serialize_complex, serialize_graph
-from .manifold import (
-    ManifoldReport,
-    facelike_characterization,
-    is_homology_manifold,
-    is_orientable,
-    local_profile,
-)
-from .reconstruct import (
-    STANDARD,
-    TIGHT_GF2,
-    TIGHT_INTEGER,
-    CandidateVerdict,
-    ReconstructionConfig,
-    ReconstructionStep,
-    enumerate_candidates,
-    face_criterion,
-    reconstruct,
-    reconstruct_auto,
-    reconstruct_steps,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
+
+# each exported name and the submodule that defines it
+_EXPORTS = {
+    "CubicalComplex": "complex",
+    "closure": "complex",
+    "cube_boundary": "complex",
+    "delete": "complex",
+    "face_boundary": "complex",
+    "face_subcomplex": "complex",
+    "full_cube": "complex",
+    "is_face_like": "complex",
+    "product_complex": "complex",
+    "skeleton": "complex",
+    "star": "complex",
+    "HypercubeEmbedding": "embedding",
+    "SimpleGraph": "embedding",
+    "bfs_forest": "embedding",
+    "bipartition_or_odd_cycle": "embedding",
+    "components": "embedding",
+    "embedding_obstruction": "embedding",
+    "find_graph_embedding": "embedding",
+    "graph_of": "embedding",
+    "labelling_from_embedding": "embedding",
+    "lift_to_complex_embedding": "embedding",
+    "verify_labelling": "embedding",
+    "ContractError": "errors",
+    "ContradictionError": "errors",
+    "StructuralError": "errors",
+    "GeneratorSpec": "generators",
+    "corpus": "generators",
+    "cubical_barycentric_subdivision": "generators",
+    "generate": "generators",
+    "parse_generator_spec": "generators",
+    "GF2": "homology",
+    "INTEGER": "homology",
+    "BoundaryMatrices": "homology",
+    "HomologyProfile": "homology",
+    "betti_gf2": "homology",
+    "cohomology_profile": "homology",
+    "gf2_rank": "homology",
+    "homology_integer": "homology",
+    "homology_profile": "homology",
+    "integer_rank": "homology",
+    "relative_profile": "homology",
+    "smith_normal_form": "homology",
+    "parse_complex": "io",
+    "parse_graph": "io",
+    "serialize_complex": "io",
+    "serialize_graph": "io",
+    "ManifoldReport": "manifold",
+    "facelike_characterization": "manifold",
+    "is_homology_manifold": "manifold",
+    "is_orientable": "manifold",
+    "local_profile": "manifold",
+    "STANDARD": "reconstruct",
+    "TIGHT_GF2": "reconstruct",
+    "TIGHT_INTEGER": "reconstruct",
+    "CandidateVerdict": "reconstruct",
+    "ReconstructionConfig": "reconstruct",
+    "ReconstructionStep": "reconstruct",
+    "enumerate_candidates": "reconstruct",
+    "face_criterion": "reconstruct",
+    "reconstruct": "reconstruct",
+    "reconstruct_steps": "reconstruct",
+    "reconstruct_auto": "reconstruct",
+}
+
+# submodules read as attributes (`skelcube.homology`), imported on first read
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"words"}
+
+
+class _Namespace(types.ModuleType):
+    def __setattr__(self, name, value):
+        # the import system binds every submodule it loads on the package;
+        # the submodule `reconstruct` must not hide the function
+        if name in _EXPORTS and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _EXPORTS.keys())
+
+
+sys.modules[__name__].__class__ = _Namespace

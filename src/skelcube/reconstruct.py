@@ -20,15 +20,16 @@ complex carries both up (`complex._grown`) with the builders a fresh
 complex starts from nothing: its matrices are the current ones plus
 one level (`BoundaryMatrices.extended`), sharing D_1..D_k with their
 GF(2) eliminations, and its vertex index is a copy of the current one
-plus the added faces; the current complex is left as it is.  A step that accepts nothing keeps the current complex.
-So each map is built and eliminated over GF(2) once per
-reconstruction, and a candidate's deleted star is a few index lookups.
-A candidate then costs a few C-level passes (the copy in `delete`, a
-frozenset difference with its vertices' index entries, and the mask
-of deleted columns per compared map) and, over GF(2), a pass over the
-mask's non-pivot columns in the base's reduced kernel and one small
-rank, by rank-nullity (see homology); TIGHT_INTEGER compares torsion
-and reduces the columns outside the mask over Z.
+plus the added faces; the current complex is left as it is.  A step
+that accepts nothing keeps the current complex.  So each map is built
+and eliminated over GF(2) once per reconstruction, and a candidate's
+deleted star is a few index lookups.  A candidate then costs a few
+C-level passes (`delete`, which is one frozenset difference with its
+vertices' index entries, and the mask of deleted columns per compared
+map) and, over GF(2), a pass over the mask's non-pivot columns in the
+base's reduced kernel and one small rank, by rank-nullity (see
+homology); TIGHT_INTEGER compares torsion and reduces the columns
+outside the mask over Z.
 
 A tight mode (even target dimension d = 2k) is the same test at the
 first degree with degree d-k dropped, the middle degree whose homology

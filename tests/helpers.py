@@ -1,15 +1,21 @@
 """Independent oracles and shared inputs for the test suite.
 
 Everything here recomputes results by brute force or by a different
-algorithm than the library, so agreement is meaningful.
+algorithm than the library, so agreement is meaningful.  One runner
+starts fresh interpreters, for what a single process cannot show: which
+modules a run loads first.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations, product
+from pathlib import Path
 
 import skelcube as sk
 from skelcube.homology import _invariant_factors, _matrices_over, _profile
@@ -588,3 +594,24 @@ def path_joined_to_k23() -> sk.SimpleGraph:
     """The path 0-1-...-10 joined at 10 to K_{2,3} with parts {10, 11}, {12, 13, 14}."""
     path = [(i, i + 1) for i in range(10)]
     return sk.SimpleGraph.from_edges(15, path + [(u, v) for u in (10, 11) for v in (12, 13, 14)])
+
+
+def run_in_fresh_interpreters(programs: list[str]) -> list[list[str]]:
+    """The lines each program prints, each run at once in its own interpreter with this skelcube on the path."""
+    src = str(Path(sk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    children = [
+        subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for code in programs
+    ]
+    printed = []
+    try:
+        for code, child in zip(programs, children):
+            out, err = child.communicate(timeout=5)
+            assert child.returncode == 0, f"{code!r} exited {child.returncode}: {err}"
+            printed.append(out.splitlines())
+    finally:
+        for child in children:
+            child.kill()  # nothing to do for a child that has exited
+            child.wait()
+    return printed

@@ -50,6 +50,7 @@ EMBEDDING = "src/skelcube/embedding.py"
 WORDS = "src/skelcube/words.py"
 GENERATORS = "src/skelcube/generators.py"
 MANIFOLD = "src/skelcube/manifold.py"
+PACKAGE = "src/skelcube/__init__.py"
 
 MUTANTS = (
     Mutant(
@@ -290,6 +291,15 @@ MUTANTS = (
         "sign = -1 if i % 2 == 0 else 1",
         "sign = 1",
         ("tests/test_homology.py::test_boundary_of_boundary_vanishes",),
+    ),
+    # the package takes the submodule the import system binds on it, so
+    # `skelcube.reconstruct` is the module once anything has loaded it
+    Mutant(
+        "package-binds-the-reconstruct-submodule",
+        PACKAGE,
+        "        if name in _EXPORTS and isinstance(value, types.ModuleType):\n            return\n",
+        "",
+        ("tests/test_imports.py::test_reconstruct_is_the_function_whatever_loads_its_module_first",),
     ),
     # Both facets of a star with the same sign: w -> (-1)^(number of ONEs in w) w
     # carries this boundary to -D, so every homology answer is unchanged.

@@ -1,18 +1,15 @@
-import os
+import argparse
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
 import skelcube as sk
-from skelcube.cli import main
-from skelcube.generators import _disjoint_union
+from skelcube.cli import build_parser, main
+from skelcube.generators import FAMILIES, _disjoint_union
 from skelcube.io import parse_complex, parse_graph, serialize_complex, serialize_graph
 
-from helpers import heawood_graph, path_joined_to_k23, projective_plane
+from helpers import heawood_graph, path_joined_to_k23, projective_plane, run_in_fresh_interpreters
 
 
 def write_complex(tmp_path, name, c):
@@ -410,15 +407,57 @@ def test_embed_command_long_path(tmp_path, capsys):
     assert out[-1] == "labelling verified"
 
 
-def test_cli_import_loads_no_process_machinery():
-    src = str(Path(sk.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, skelcube.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+# the skelcube modules each run loads: `import skelcube` loads no layer,
+# and a command loads the CLI's own layers plus the ones it runs
+CLI_LAYERS = {"skelcube", "skelcube.cli", "skelcube.complex", "skelcube.embedding", "skelcube.errors", "skelcube.io", "skelcube.words"}
+FOOTPRINTS = (
+    ("import skelcube", (), {"skelcube"}),
+    ("import skelcube.cli", (), CLI_LAYERS),
+    ("embed, skeleton", (["embed", "{graph}", "--nmax", "3"], ["skeleton", "{cplx}", "-k", "1", "-o", "{out}"]), CLI_LAYERS),
+    ("homology", (["homology", "{cplx}"],), CLI_LAYERS | {"skelcube.homology"}),
+    ("manifold-check", (["manifold-check", "{cplx}"],), CLI_LAYERS | {"skelcube.homology", "skelcube.manifold"}),
+    (
+        "reconstruct",
+        (["reconstruct", "{skel}", "-k", "2", "-d", "3", "-o", "{out}"],),
+        CLI_LAYERS | {"skelcube.homology", "skelcube.manifold", "skelcube.reconstruct"},
+    ),
+    ("generate", (["generate", "cube", "2", "-o", "{out}"],), CLI_LAYERS | {"skelcube.generators"}),
+)
+
+
+def test_cli_import_loads_no_process_machinery(tmp_path):
+    # each row in a fresh interpreter; the import rows share one, read
+    # before and after the embed and skeleton commands
+    paths = {
+        "graph": write_graph(tmp_path, "c4.graph", sk.SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])),
+        "cplx": write_complex(tmp_path, "sphere.cplx", sk.cube_boundary(3)),
+        "skel": write_complex(tmp_path, "skel.cplx", sk.skeleton(sk.cube_boundary(4), 2)),
+    }
+    report = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('skelcube', 'concurrent', 'multiprocessing')))"
+    programs = [f"import sys, skelcube; {report}; import skelcube.cli; {report}"]
+    for i, (_, commands, _) in enumerate(FOOTPRINTS[2:]):
+        out = str(tmp_path / f"out{i}")  # one output per child: they run at once
+        runs = "; ".join(f"assert main({[a.format(out=out, **paths) for a in argv]!r}) == 0" for argv in commands)
+        programs.append(f"import sys; from skelcube.cli import main; {runs}; {report}")
+    first, *rest = run_in_fresh_interpreters(programs)
+    loaded = first + [lines[-1] for lines in rest]
+    assert dict(zip((run for run, _, _ in FOOTPRINTS), loaded)) == {
+        run: repr(sorted(modules)) for run, _, modules in FOOTPRINTS
+    }
+
+
+def test_parser_spells_the_library_names():
+    # build_parser writes these names out so that it loads no layer
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def option(command, dest):
+        return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+    ring, mode = option("homology", "ring"), option("reconstruct", "mode")
+    assert (ring.choices, ring.default) == (sorted([sk.GF2, sk.INTEGER]), sk.GF2)
+    assert (mode.choices, mode.default) == (sorted([sk.STANDARD, sk.TIGHT_GF2, sk.TIGHT_INTEGER]), sk.STANDARD)
+    generate_help = next(a.help for a in sub._choices_actions if a.dest == "generate")
+    assert generate_help == f"write a named complex or graph ({', '.join(FAMILIES)})"
 
 
 def _count_validation_passes(monkeypatch) -> list[int]:

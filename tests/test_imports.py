@@ -1,10 +1,16 @@
 """Every name a library module imports is used there or re-exported in __all__,
-and every name in __all__ is defined in its module."""
+and every name in __all__ is defined in its module.  The package's lazy
+namespace gives each exported name its submodule's object."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import skelcube as sk
+
+from helpers import run_in_fresh_interpreters
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "skelcube"
 
@@ -50,3 +56,28 @@ def undefined_exports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_all_names_are_defined(path):
     assert undefined_exports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_every_exported_name_is_its_submodules_object():
+    assert len(sk._EXPORTS) == 62  # the whole public API: no name dropped from the table
+    for name, module in sk._EXPORTS.items():
+        assert getattr(sk, name) is getattr(importlib.import_module(f"skelcube.{module}"), name), name
+        assert name in dir(sk)
+    for module in ("complex", "homology", "words"):
+        assert getattr(sk, module) is importlib.import_module(f"skelcube.{module}")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sk.no_such_name
+    assert not hasattr(sk, "no_such_name")
+
+
+def test_reconstruct_is_the_function_whatever_loads_its_module_first(tmp_path):
+    skel = tmp_path / "skel.cplx"
+    skel.write_text(sk.serialize_complex(sk.skeleton(sk.cube_boundary(4), 2)))
+    first_loads = (
+        "import skelcube.reconstruct",
+        f"import skelcube.cli; assert skelcube.cli.main(['reconstruct', {str(skel)!r}, '-k', '2', '-d', '3', '-o', {str(tmp_path / 'out')!r}]) == 0",
+        "import skelcube; skelcube.reconstruct_steps",
+    )
+    check = "import sys, skelcube; print(skelcube.reconstruct is sys.modules['skelcube.reconstruct'].reconstruct)"
+    printed = run_in_fresh_interpreters([f"{load}; {check}" for load in first_loads])
+    assert [lines[-1] for lines in printed] == ["True"] * len(first_loads)
