@@ -10,6 +10,8 @@ read of an exported name imports the submodule that defines it.  So a
 command line run loads only the layers its command uses.  The name
 `reconstruct` is always the function, never the submodule of that
 name; reach the submodule through `sys.modules` or `importlib`.
+`from skelcube import *` binds exactly the exported names, loading
+every layer.
 """
 
 import importlib
@@ -24,10 +26,7 @@ _EXPORTS = {
     "closure": "complex",
     "cube_boundary": "complex",
     "delete": "complex",
-    "face_boundary": "complex",
-    "face_subcomplex": "complex",
     "full_cube": "complex",
-    "is_face_like": "complex",
     "product_complex": "complex",
     "skeleton": "complex",
     "star": "complex",
@@ -40,13 +39,11 @@ _EXPORTS = {
     "find_graph_embedding": "embedding",
     "graph_of": "embedding",
     "labelling_from_embedding": "embedding",
-    "lift_to_complex_embedding": "embedding",
     "verify_labelling": "embedding",
     "ContractError": "errors",
     "ContradictionError": "errors",
     "StructuralError": "errors",
     "GeneratorSpec": "generators",
-    "corpus": "generators",
     "cubical_barycentric_subdivision": "generators",
     "generate": "generators",
     "parse_generator_spec": "generators",
@@ -67,7 +64,6 @@ _EXPORTS = {
     "serialize_complex": "io",
     "serialize_graph": "io",
     "ManifoldReport": "manifold",
-    "facelike_characterization": "manifold",
     "is_homology_manifold": "manifold",
     "is_orientable": "manifold",
     "local_profile": "manifold",
@@ -83,6 +79,8 @@ _EXPORTS = {
     "reconstruct_steps": "reconstruct",
     "reconstruct_auto": "reconstruct",
 }
+
+__all__ = list(_EXPORTS)
 
 # submodules read as attributes (`skelcube.homology`), imported on first read
 _SUBMODULES = frozenset(_EXPORTS.values()) | {"words"}

@@ -2,7 +2,7 @@
 
 Exit status: 0 success, 1 negative domain answer (not a manifold, no
 embedding, empty auto reconstruction), 2 input error, 3 violated
-contract or failed internal verification.
+contract, failed internal verification or memory exhausted.
 """
 
 from __future__ import annotations
@@ -100,10 +100,17 @@ def _print_verdicts(step) -> None:
 def _cmd_reconstruct(args) -> int:
     from .reconstruct import STANDARD, ReconstructionConfig, reconstruct_auto, reconstruct_steps
 
+    # each range option belongs to one search; refuse one that would go unread
+    if args.auto and args.dmax is None:
+        raise StructuralError("--auto requires --dmax")
+    if args.auto and args.d is not None:
+        raise StructuralError("-d does not apply with --auto, which tries each d up to --dmax")
+    if not args.auto and args.dmax is not None:
+        raise StructuralError("--dmax applies only with --auto")
+    if not args.auto and args.d is None:
+        raise StructuralError("reconstruct requires -d or --auto")
     c = _load_complex(args.file)
     if args.auto:
-        if args.dmax is None:
-            raise StructuralError("--auto requires --dmax")
         print(f"auto k={args.k} dmax={args.dmax} tight={'off' if args.mode == STANDARD else args.mode}")
         results = reconstruct_auto(c, args.k, args.dmax, args.mode)
         for d, cx in results:
@@ -115,8 +122,6 @@ def _cmd_reconstruct(args) -> int:
         Path(args.output).write_text(serialize_complex(cx))
         print(f"wrote {args.output} (d={d})")
         return 0
-    if args.d is None:
-        raise StructuralError("reconstruct requires -d or --auto")
     cfg = ReconstructionConfig(args.k, args.d, args.mode)
     print(f"mode {args.mode} k={args.k} d={args.d}")
     current = c
@@ -242,6 +247,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("out of memory: the input is too large for this computation", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

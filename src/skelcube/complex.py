@@ -30,9 +30,6 @@ __all__ = [
     "skeleton",
     "star",
     "delete",
-    "face_subcomplex",
-    "face_boundary",
-    "is_face_like",
     "product_complex",
 ]
 
@@ -54,8 +51,8 @@ class CubicalComplex:
     The constructor checks word shape only.  Every answer is defined on
     downward-closed sets alone, and `validate` is the one check of that:
     each reader calls it on entry (`chains`, and so homology, cohomology
-    and the reconstruction criterion; `graph_of`, and so components, the
-    manifold tests and the lift; `local_profile`; both members of
+    and the reconstruction criterion; `graph_of`, and so components and
+    the manifold tests; `local_profile`; both members of
     `relative_profile`).  A passed check is marked on the instance, so it
     runs at most once per complex, and `closure`, which builds every
     parsed file, marks its output.  The library's own builders build
@@ -299,40 +296,8 @@ def delete(c: CubicalComplex, g: CubicalComplex) -> CubicalComplex:
     return _derived(c.ambient_dim, c.faces.difference(chain.from_iterable(at.get(v, ()) for v in g.vertices())))
 
 
-def face_subcomplex(c: CubicalComplex, f: str) -> CubicalComplex:
-    """The subcomplex of all subfaces of a single face of c."""
-    if f not in c.faces:
-        raise StructuralError(f"face {f!r} is not in the complex")
-    return _derived(c.ambient_dim, frozenset(subwords(f)))
-
-
-def face_boundary(c: CubicalComplex, f: str) -> CubicalComplex:
-    """Proper subfaces of a face of c."""
-    if f not in c.faces:
-        raise StructuralError(f"face {f!r} is not in the complex")
-    return _derived(c.ambient_dim, frozenset(proper_subwords(f)))
-
-
-def is_face_like(c: CubicalComplex, g: CubicalComplex) -> bool:
-    """Whether every face of c meets the vertices of g in nothing or in a face of g.
-
-    The test is purely combinatorial: intersect each face's vertex set
-    with V(g) and look the result up among vertex sets of faces of g.
-    Only the open star of V(g) meets V(g) at all, so only its faces,
-    read from the vertex index, are checked.
-    """
-    _require_subcomplex(c, g, "face-likeness argument")
-    gverts = g.vertices()
-    gface_vertex_sets = {frozenset(word_vertices(w)) for w in g.faces}
-    for w in star(c, gverts):
-        if frozenset(v for v in word_vertices(w) if v in gverts) not in gface_vertex_sets:
-            return False
-    return True
-
-
 def product_complex(a: CubicalComplex, b: CubicalComplex) -> CubicalComplex:
     """Concatenate face words; realizes the product in I^(m+n)."""
     _check_size("product", len(a.faces) * len(b.faces), a.ambient_dim + b.ambient_dim)
     faces = frozenset(wa + wb for wa in a.faces for wb in b.faces)
     return _derived(a.ambient_dim + b.ambient_dim, faces)
-

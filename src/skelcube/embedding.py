@@ -1,4 +1,4 @@
-"""Embedding graphs into hypercube graphs and lifting complexes along them.
+"""Embedding graphs into hypercube graphs.
 
 `bfs_forest` is the one graph traversal: a breadth-first forest with
 roots in index order.  Connectivity, the bipartition, the labelling
@@ -27,7 +27,7 @@ from itertools import chain, count, takewhile
 
 from .complex import CubicalComplex, _derived
 from .errors import ContractError, ContradictionError, StructuralError
-from .words import ONE, STAR, ZERO, mask_word, sort_words, word_dim, word_vertices
+from .words import ONE, STAR, ZERO, sort_words, word_dim
 
 __all__ = [
     "SimpleGraph",
@@ -40,7 +40,6 @@ __all__ = [
     "embedding_obstruction",
     "find_graph_embedding",
     "labelling_from_embedding",
-    "lift_to_complex_embedding",
 ]
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -346,32 +345,3 @@ def labelling_from_embedding(emb: HypercubeEmbedding, g: SimpleGraph) -> dict[tu
             raise ContradictionError(f"edge {e} maps to codes differing in {x.bit_count()} coordinates")
         out[e] = x.bit_length()
     return out
-
-
-def lift_to_complex_embedding(c: CubicalComplex, emb: HypercubeEmbedding) -> CubicalComplex:
-    """Transport a complex along a graph embedding of its 1-skeleton.
-
-    Vertex i of the graph is the i-th vertex of c in canonical order.
-    Each face must map onto the full vertex set of an ambient face of
-    I^n; any failure raises, since for complexes sitting in a cube the
-    image of a cube graph always spans a face.
-    """
-    verts = sort_words(c.vertices())
-    if len(verts) != len(emb.codes):
-        raise ContradictionError("embedding does not cover the vertex set of the complex")
-    if not emb.is_valid_for(graph_of(c)):
-        raise ContradictionError("not a graph embedding of the 1-skeleton")
-    code_of = {v: emb.codes[i] for i, v in enumerate(verts)}
-    n = emb.n
-    out = set()
-    for w in c.faces:
-        codes = [code_of[v] for v in word_vertices(w)]
-        lo = hi = codes[0]
-        for x in codes[1:]:
-            lo &= x
-            hi |= x
-        varying = hi & ~lo
-        if varying.bit_count() != word_dim(w) or len(set(codes)) != 1 << word_dim(w):
-            raise ContradictionError(f"image of face {w!r} does not span a face")
-        out.add(mask_word(n, lo, varying))
-    return _derived(n, frozenset(out))

@@ -21,7 +21,6 @@ __all__ = [
     "parse_generator_spec",
     "generate",
     "cubical_barycentric_subdivision",
-    "corpus",
     "FAMILIES",
 ]
 
@@ -39,7 +38,7 @@ class GeneratorSpec:
 
 # Deepest nesting of specs a parse accepts.  The parser recurses once per
 # level, so a very deep spec would exhaust the interpreter's stack; the
-# corpus nests 3 levels.
+# three-torus, product(product(boundary-cube(2), ...), ...), nests 3.
 MAX_SPEC_DEPTH = 32
 
 
@@ -172,23 +171,3 @@ def generate(spec: GeneratorSpec | str):
         expected = ", ".join(_KIND_NAMES[kind] for kind in kinds)
         raise ValueError(f"{spec.family} takes ({expected}), got {spec}")
     return build(*args)
-
-
-def corpus() -> list[tuple[str, CubicalComplex]]:
-    """Standard complexes used across the test suite."""
-    specs = [
-        ("point", "cube(0)"),
-        ("interval", "cube(1)"),
-        ("square", "cube(2)"),
-        ("solid-cube", "cube(3)"),
-        ("circle", "boundary-cube(2)"),
-        ("sphere-2", "boundary-cube(3)"),
-        ("sphere-3", "boundary-cube(4)"),
-        ("sphere-4", "boundary-cube(5)"),
-        ("hexagon", "cbs(3)"),
-        ("torus", "product(boundary-cube(2), boundary-cube(2))"),
-        ("three-torus", "product(product(boundary-cube(2), boundary-cube(2)), boundary-cube(2))"),
-        ("sphere-times-circle", "product(boundary-cube(3), boundary-cube(2))"),
-        ("two-spheres", "disjoint-union(boundary-cube(3), boundary-cube(3))"),
-    ]
-    return [(name, generate(text)) for name, text in specs]

@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complex import CubicalComplex, _require_subcomplex, is_face_like, star
+from .complex import CubicalComplex, star
 from .embedding import components
-from .errors import ContractError, ContradictionError, StructuralError
+from .errors import ContractError, StructuralError
 from .homology import (
     GF2,
     INTEGER,
@@ -21,7 +21,7 @@ from .homology import (
     integer_rank,
     relative_profile,
 )
-from .words import STAR, ZERO, free_masks, proper_subwords, span_word, word_dim
+from .words import STAR, ZERO, free_masks, word_dim
 
 # relative_profile is re-exported, not called: perfbench/traced.py wraps
 # skelcube.manifold.relative_profile as its homology.relative span, which
@@ -31,7 +31,6 @@ __all__ = [
     "local_profile",
     "is_homology_manifold",
     "is_orientable",
-    "facelike_characterization",
     "relative_profile",
 ]
 
@@ -184,28 +183,3 @@ def is_orientable(c: CubicalComplex) -> bool:
     if impure is not None:
         raise ContractError(f"complex is not pure: maximal face {impure!r} has dimension {word_dim(impure)}")
     return all(_top_free_rank(p) == 1 for p in parts)
-
-
-def facelike_characterization(c: CubicalComplex, s: CubicalComplex, k: int) -> bool:
-    """Face-likeness of a cube-boundary subcomplex, with the bounding cross-check.
-
-    s must be the full boundary of some (k+1)-face of the ambient cube,
-    given as a subcomplex of c.  The return value is is_face_like(c, s);
-    it must coincide with the absence of a face of c whose boundary is
-    exactly s, and ContradictionError is raised when it does not.
-    """
-    if k < 1:
-        raise ContractError(f"k >= 1 required, got {k}")
-    _require_subcomplex(c, s, "s")
-    if not s.faces:
-        raise StructuralError("s is empty")
-    spanning = span_word(s.maximal_faces())
-    if word_dim(spanning) != k + 1 or s.faces != frozenset(proper_subwords(spanning)):
-        raise StructuralError(f"s is not the boundary of a ({k + 1})-face")
-    facelike = is_face_like(c, s)
-    bounds = spanning in c.faces
-    if facelike == bounds:
-        raise ContradictionError(
-            f"face-likeness ({facelike}) disagrees with not-bounding ({not bounds}) for {spanning!r}"
-        )
-    return facelike

@@ -26,7 +26,6 @@ __all__ = [
     "proper_subwords",
     "word_vertices",
     "one_step_cofaces",
-    "span_word",
     "mask_word",
     "free_masks",
 ]
@@ -113,21 +112,6 @@ def one_step_cofaces(w: str):
     for i, letter in enumerate(w):
         if letter != STAR:
             yield w[:i] + STAR + w[i + 1 :]
-
-
-def span_word(words) -> str:
-    """Smallest ambient face containing every given word."""
-    words = list(words)
-    if not words:
-        raise StructuralError("span of an empty set of words is undefined")
-    cols = []
-    for i in range(len(words[0])):
-        letters = {w[i] for w in words}
-        if len(letters) == 1 and STAR not in letters:
-            cols.append(next(iter(letters)))
-        else:
-            cols.append(STAR)
-    return "".join(cols)
 
 
 def mask_word(n: int, ones: int, stars: int) -> str:

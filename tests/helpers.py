@@ -1,9 +1,12 @@
-"""Independent oracles and shared inputs for the test suite.
+"""Independent oracles, property checks and shared inputs for the test suite.
 
 Everything here recomputes results by brute force or by a different
-algorithm than the library, so agreement is meaningful.  One runner
-starts fresh interpreters, for what a single process cannot show: which
-modules a run loads first.
+algorithm than the library, so agreement is meaningful.  Two checks
+test statements of the paper on library output: a face's boundary is
+face-like exactly when the face is missing, and a graph embedding of a
+complex's 1-skeleton transports the complex.  One runner starts fresh
+interpreters, for what a single process cannot show: which modules a
+run loads first.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import skelcube as sk
 from skelcube.homology import _invariant_factors, _matrices_over, _profile
-from skelcube.words import one_step_cofaces, sort_words, word_dim, word_vertices
+from skelcube.words import mask_word, one_step_cofaces, proper_subwords, sort_words, word_dim, word_vertices
 
 
 def oracle_is_subface(p: str, q: str) -> bool:
@@ -322,6 +325,26 @@ def is_face_like_oracle(c: sk.CubicalComplex, g: sk.CubicalComplex) -> bool:
     return True
 
 
+def is_face_like(c: sk.CubicalComplex, g: sk.CubicalComplex) -> bool:
+    """Whether every face of c meets V(g) in nothing or in the vertex set of a face of g, scanning only the open star of V(g)."""
+    gverts = g.vertices()
+    gface_vertex_sets = {frozenset(word_vertices(w)) for w in g.faces}
+    return all(frozenset(v for v in word_vertices(w) if v in gverts) in gface_vertex_sets for w in sk.star(c, gverts))
+
+
+def assert_facelike_iff_not_bounding(c: sk.CubicalComplex, f: str) -> bool:
+    """Assert that the boundary of the face word f, a subcomplex of c, is face-like in c exactly when f is not a face of c.
+
+    This is the characterization of face-like cube boundaries (Dancis
+    1984) the reconstruction rests on.  Returns the face-likeness.
+    """
+    boundary = sk.CubicalComplex(c.ambient_dim, frozenset(proper_subwords(f)))
+    assert boundary.faces <= c.faces, f
+    facelike = is_face_like(c, boundary)
+    assert facelike == (f not in c.faces), (f, facelike)
+    return facelike
+
+
 def star_walk_oracle(c: sk.CubicalComplex, faces) -> frozenset[str]:
     """Open star by walking up one coface at a time inside c.faces.
 
@@ -511,6 +534,54 @@ TORUS7_TRIANGLES = [
 
 def projective_plane() -> sk.CubicalComplex:
     return sk.cubical_barycentric_subdivision(RP2_TRIANGLES)
+
+
+def corpus() -> list[tuple[str, sk.CubicalComplex]]:
+    """Standard complexes used across the test suite, by name."""
+    specs = [
+        ("point", "cube(0)"),
+        ("interval", "cube(1)"),
+        ("square", "cube(2)"),
+        ("solid-cube", "cube(3)"),
+        ("circle", "boundary-cube(2)"),
+        ("sphere-2", "boundary-cube(3)"),
+        ("sphere-3", "boundary-cube(4)"),
+        ("sphere-4", "boundary-cube(5)"),
+        ("hexagon", "cbs(3)"),
+        ("torus", "product(boundary-cube(2), boundary-cube(2))"),
+        ("three-torus", "product(product(boundary-cube(2), boundary-cube(2)), boundary-cube(2))"),
+        ("sphere-times-circle", "product(boundary-cube(3), boundary-cube(2))"),
+        ("two-spheres", "disjoint-union(boundary-cube(3), boundary-cube(3))"),
+    ]
+    return [(name, sk.generate(text)) for name, text in specs]
+
+
+def lift_to_complex_embedding(c: sk.CubicalComplex, emb: sk.HypercubeEmbedding) -> sk.CubicalComplex:
+    """Transport a complex along a graph embedding of its 1-skeleton.
+
+    Vertex i of the graph is the i-th vertex of c in canonical order.
+    Each face must map onto the full vertex set of an ambient face of
+    I^n; any failure raises, since for complexes sitting in a cube the
+    image of a cube graph always spans a face.
+    """
+    verts = sort_words(c.vertices())
+    if len(verts) != len(emb.codes):
+        raise sk.ContradictionError("embedding does not cover the vertex set of the complex")
+    if not emb.is_valid_for(sk.graph_of(c)):
+        raise sk.ContradictionError("not a graph embedding of the 1-skeleton")
+    code_of = {v: emb.codes[i] for i, v in enumerate(verts)}
+    out = set()
+    for w in c.faces:
+        codes = [code_of[v] for v in word_vertices(w)]
+        lo = hi = codes[0]
+        for x in codes[1:]:
+            lo &= x
+            hi |= x
+        varying = hi & ~lo
+        if varying.bit_count() != word_dim(w) or len(set(codes)) != 1 << word_dim(w):
+            raise sk.ContradictionError(f"image of face {w!r} does not span a face")
+        out.add(mask_word(emb.n, lo, varying))
+    return sk.CubicalComplex(emb.n, frozenset(out))
 
 
 def cube_symmetry(rng, n: int):

@@ -51,6 +51,7 @@ WORDS = "src/skelcube/words.py"
 GENERATORS = "src/skelcube/generators.py"
 MANIFOLD = "src/skelcube/manifold.py"
 PACKAGE = "src/skelcube/__init__.py"
+CLI = "src/skelcube/cli.py"
 
 MUTANTS = (
     Mutant(
@@ -300,6 +301,26 @@ MUTANTS = (
         "        if name in _EXPORTS and isinstance(value, types.ModuleType):\n            return\n",
         "",
         ("tests/test_imports.py::test_reconstruct_is_the_function_whatever_loads_its_module_first",),
+    ),
+    # without __all__, a star import binds importlib, sys, types and every
+    # submodule loaded so far, `complex` among them
+    Mutant(
+        "package-drops-all",
+        PACKAGE,
+        "__all__ = list(_EXPORTS)\n",
+        "",
+        (
+            "tests/test_imports.py::test_star_import_binds_exactly_the_exported_names",
+            "tests/test_imports.py::test_all_names_are_defined",
+        ),
+    ),
+    # running out of memory read as a negative answer
+    Mutant(
+        "memory-error-exits-1",
+        CLI,
+        'for this computation", file=sys.stderr)\n        return 3\n',
+        'for this computation", file=sys.stderr)\n        return 1\n',
+        ("tests/test_cli.py::test_running_out_of_memory_exits_3_with_one_line",),
     ),
     # Both facets of a star with the same sign: w -> (-1)^(number of ONEs in w) w
     # carries this boundary to -D, so every homology answer is unchanged.

@@ -14,7 +14,7 @@ from skelcube.cli import main as cli_main
 from skelcube.io import serialize_complex
 from skelcube.words import proper_subwords, word_dim
 
-from helpers import assert_chain_identity, snf_oracle, words_by_stars
+from helpers import assert_chain_identity, assert_facelike_iff_not_bounding, corpus, snf_oracle, words_by_stars
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -129,16 +129,14 @@ def test_criterion_6_facelike_characterization_everywhere():
             for v in step.verdicts:
                 if not v.boundary_present:
                     continue
-                s = sk.CubicalComplex(current.ambient_dim, frozenset(proper_subwords(v.face)))
-                assert sk.facelike_characterization(current, s, word_dim(v.face) - 1) is True
+                assert assert_facelike_iff_not_bounding(current, v.face) is True
                 checked += 1
             current = step.complex_after
         # boundaries of faces present in the final complex all bound
         final = steps[-1].complex_after
         for f in final.sorted_faces():
             if word_dim(f) >= 2:
-                s = sk.face_boundary(final, f)
-                assert sk.facelike_characterization(final, s, word_dim(f) - 1) is False
+                assert assert_facelike_iff_not_bounding(final, f) is False
                 checked += 1
     ok = checked >= 200
     report(6, ok, f"face-like equals not-bounding on {checked} sphere subcomplexes, zero exceptions")
@@ -168,7 +166,7 @@ def test_criterion_7_duality_suite():
     for m in members:
         assert sk.is_orientable(m)
         d = m.dim
-        gammas = [sk.face_subcomplex(m, f) for f in m.sorted_faces()]
+        gammas = [sk.closure(m.ambient_dim, [f]) for f in m.sorted_faces()]
         found = facelike_sphere_subcomplexes(m, 20)
         spheres += len(found)
         gammas.extend(found)
@@ -195,7 +193,7 @@ def test_criterion_8_homology_engine():
         (three_torus(), (1, 3, 3, 1)),
     ]
     betti_ok = all(sk.betti_gf2(c).betti == want for c, want in expected)
-    for _, c in sk.corpus():
+    for _, c in corpus():
         assert_chain_identity(c.chains)
     rng = random.Random(2024)
     snf_ok = True
@@ -225,7 +223,7 @@ def test_criterion_9_embeddability():
         accepted = accepted and sk.verify_labelling(g, sk.labelling_from_embedding(emb, g))
 
     corpus_ok = True
-    for _, c in sk.corpus():
+    for _, c in corpus():
         g = sk.graph_of(c)
         emb = sk.find_graph_embedding(g, c.ambient_dim)
         corpus_ok = corpus_ok and emb is not None and emb.is_valid_for(g)
@@ -267,7 +265,7 @@ def test_criterion_10_manifold_checks():
 
     orient_ok = True
     manifolds = 0
-    for _, c in sk.corpus():
+    for _, c in corpus():
         if sk.is_homology_manifold(c).is_manifold:
             manifolds += 1
             orient_ok = orient_ok and sk.is_orientable(c)

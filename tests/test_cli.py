@@ -254,6 +254,37 @@ def test_reconstruct_command_input_errors(tmp_path, capsys):
     assert not (tmp_path / "x.cplx").exists()
 
 
+def test_reconstruct_refuses_d_under_auto(tmp_path, capsys):
+    src = write_complex(tmp_path, "skel.cplx", sk.skeleton(sk.cube_boundary(3), 2))
+    dst = tmp_path / "x.cplx"
+    assert main(["reconstruct", src, "-k", "2", "-d", "3", "--auto", "--dmax", "2", "-o", str(dst)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "input error: -d does not apply with --auto, which tries each d up to --dmax\n")
+    assert not dst.exists()
+
+
+def test_reconstruct_refuses_dmax_without_auto(tmp_path, capsys):
+    src = write_complex(tmp_path, "skel.cplx", sk.skeleton(sk.cube_boundary(3), 2))
+    dst = tmp_path / "x.cplx"
+    assert main(["reconstruct", src, "-k", "2", "-d", "3", "--dmax", "4", "-o", str(dst)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "input error: --dmax applies only with --auto\n")
+    assert not dst.exists()
+
+
+def test_running_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # GF(2) homology of cube(12) runs out of memory in the elimination; here
+    # the elimination raises at once, and the memo is bypassed so that it runs
+    def exhausted(columns):
+        raise MemoryError
+
+    monkeypatch.setattr(sk.homology, "_gf2_eliminate", exhausted)
+    monkeypatch.setattr(sk.homology, "betti_gf2", sk.homology.betti_gf2.__wrapped__)
+    src = write_complex(tmp_path, "square.cplx", sk.full_cube(2))
+    assert main(["homology", src]) == 3
+    assert capsys.readouterr().err == "out of memory: the input is too large for this computation\n"
+
+
 def test_embed_command_names_the_line_of_a_non_integer_endpoint(tmp_path, capsys):
     path = tmp_path / "bad.graph"
     path.write_text("vertices 3\n0 1\n1 x\n")

@@ -19,7 +19,7 @@ import skelcube as sk
 from skelcube.cli import main
 from skelcube.io import serialize_complex, serialize_graph
 
-from helpers import heawood_graph, projective_plane
+from helpers import corpus, heawood_graph, projective_plane
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
 
@@ -38,14 +38,15 @@ def _run(out: list[str], argv: list[str], writes: str | None = None) -> None:
 def transcript() -> str:
     """Run every pinned command in the current directory and return what they printed and wrote."""
     out: list[str] = []
-    corpus = [name for name, _ in sk.corpus()]
-    for name, c in sk.corpus() + [("rp2", projective_plane())]:
+    members = corpus()
+    names = [name for name, _ in members]
+    for name, c in members + [("rp2", projective_plane())]:
         Path(f"{name}.cplx").write_text(serialize_complex(c))
-    for name in corpus + ["rp2"]:
+    for name in names + ["rp2"]:
         for ring in (sk.GF2, sk.INTEGER):
             _run(out, ["homology", f"{name}.cplx", "--ring", ring])
             _run(out, ["homology", f"{name}.cplx", "--ring", ring, "--cohomology"])
-    for name in corpus:
+    for name in names:
         _run(out, ["manifold-check", f"{name}.cplx"])
     _run(out, ["skeleton", "sphere-3.cplx", "-k", "2", "-o", "s3-k2.cplx"], "s3-k2.cplx")
     _run(out, ["reconstruct", "s3-k2.cplx", "-k", "2", "-d", "3", "-o", "s3.cplx"], "s3.cplx")

@@ -4,7 +4,7 @@ import pytest
 
 import skelcube as sk
 from skelcube.complex import _derived
-from skelcube.words import word_dim
+from skelcube.words import proper_subwords, word_dim
 
 from helpers import (
     all_words,
@@ -12,6 +12,7 @@ from helpers import (
     delete_oracle,
     first_gap_oracle,
     gap_named_by,
+    is_face_like,
     is_face_like_oracle,
     is_full_subcomplex,
     oracle_is_subface,
@@ -87,9 +88,6 @@ def test_builders_that_skip_the_word_check_make_valid_closed_complexes():
         for _ in range(4):
             c = random_subcomplex(rng, sk.full_cube(n))
             _assert_revalidates(c)
-            for f in rng.sample(sorted(c.faces), min(3, len(c.faces))):
-                _assert_revalidates(sk.face_subcomplex(c, f))
-                _assert_revalidates(sk.face_boundary(c, f))
         if n:
             _assert_revalidates(sk.cube_boundary(n))
     _assert_revalidates(sk.generate("disjoint-union(boundary-cube(3), cube(2))"))
@@ -291,7 +289,7 @@ def test_delete_and_face_likeness_match_vertex_scan_oracles():
             c = random_subcomplex(rng, base)
             g = random_subcomplex(rng, c, max_generators=2)
             assert sk.delete(c, g) == delete_oracle(c, g)
-            assert sk.is_face_like(c, g) == is_face_like_oracle(c, g)
+            assert is_face_like(c, g) == is_face_like_oracle(c, g)
 
 
 def test_delete_matches_the_oracle_and_hashes_alike():
@@ -370,31 +368,21 @@ def test_size_bound_holds_cube_13_and_refuses_small_inputs_with_large_results():
 
 
 def test_face_subcomplex_and_boundary():
-    c = sk.full_cube(3)
-    hat = sk.face_subcomplex(c, "*1*")
+    # the closure of one face and its proper subwords, as the face-likeness checks spell them
+    hat = sk.closure(3, ["*1*"])
     assert len(hat.faces) == 9
-    bd = sk.face_boundary(c, "*1*")
+    bd = sk.CubicalComplex(3, frozenset(proper_subwords("*1*")))
     assert len(bd.faces) == 8
-    assert "*1*" not in bd.faces
+    assert bd.faces == hat.faces - {"*1*"}
     bd.validate()
-    with pytest.raises(sk.StructuralError):
-        sk.face_boundary(c, "***0")
-    with pytest.raises(sk.StructuralError, match="is not in the complex"):
-        sk.face_subcomplex(sk.cube_boundary(3), "***")
-    with pytest.raises(sk.StructuralError):
-        sk.face_boundary(sk.cube_boundary(3), "***")
-
-
-def test_face_boundary_of_square_in_plane():
-    c = sk.full_cube(2)
-    assert sk.face_boundary(c, "**").faces == sk.cube_boundary(2).faces
+    assert sk.CubicalComplex(2, frozenset(proper_subwords("**"))) == sk.cube_boundary(2)
 
 
 def test_is_face_like_diagonal_vertices():
     # full pair of opposite corners is not face-like in the square
     c = sk.full_cube(2)
     diag = sk.CubicalComplex(2, frozenset(["00", "11"]))
-    assert not sk.is_face_like(c, diag)
+    assert not is_face_like(c, diag)
 
 
 def test_face_subcomplexes_are_face_like():
@@ -403,7 +391,7 @@ def test_face_subcomplexes_are_face_like():
     for _ in range(15):
         c = random_subcomplex(rng, base)
         for f in sorted(c.faces)[:10]:
-            assert sk.is_face_like(c, sk.face_subcomplex(c, f))
+            assert is_face_like(c, sk.closure(c.ambient_dim, [f]))
 
 
 def test_face_like_implies_full():
@@ -415,7 +403,7 @@ def test_face_like_implies_full():
         g = random_subcomplex(rng, c)
         if not g.faces:
             continue
-        if sk.is_face_like(c, g):
+        if is_face_like(c, g):
             hits += 1
             assert is_full_subcomplex(c, g)
     assert hits > 5

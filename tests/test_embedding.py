@@ -7,7 +7,7 @@ import pytest
 
 import skelcube as sk
 
-from helpers import heawood_graph, path_joined_to_k23
+from helpers import heawood_graph, lift_to_complex_embedding, path_joined_to_k23
 
 
 def cycle_graph(m: int) -> sk.SimpleGraph:
@@ -395,7 +395,7 @@ def test_lift_circle_into_plane():
     circle = sk.cube_boundary(2)
     g = sk.graph_of(circle)
     emb = sk.find_graph_embedding(g, 2)
-    lifted = sk.lift_to_complex_embedding(circle, emb)
+    lifted = lift_to_complex_embedding(circle, emb)
     assert lifted.ambient_dim == 2
     assert lifted.f_vector() == (4, 4)
     assert sk.betti_gf2(lifted).betti == (1, 1)
@@ -405,7 +405,7 @@ def test_lift_octagon_compresses_ambient_dimension():
     octagon = sk.generate("even-cycle(8)")
     assert octagon.ambient_dim == 4
     emb = sk.find_graph_embedding(sk.graph_of(octagon), 3)
-    lifted = sk.lift_to_complex_embedding(octagon, emb)
+    lifted = lift_to_complex_embedding(octagon, emb)
     assert lifted.ambient_dim == 3
     assert lifted.f_vector() == (8, 8)
     assert sk.betti_gf2(lifted).betti == (1, 1)
@@ -415,7 +415,7 @@ def test_lift_octagon_compresses_ambient_dimension():
 def test_lift_sphere_round_trip():
     s2 = sk.cube_boundary(3)
     emb = sk.find_graph_embedding(sk.graph_of(s2), 3)
-    lifted = sk.lift_to_complex_embedding(s2, emb)
+    lifted = lift_to_complex_embedding(s2, emb)
     assert lifted.ambient_dim == 3
     assert len(lifted.faces) == len(s2.faces)
     assert sk.is_homology_manifold(lifted).is_manifold
@@ -423,14 +423,14 @@ def test_lift_sphere_round_trip():
 
 def test_lift_spells_bit_i_as_letter_i():
     edge = sk.closure(2, ["*0"])
-    lifted = sk.lift_to_complex_embedding(edge, sk.HypercubeEmbedding(3, (0b001, 0b011)))
+    lifted = lift_to_complex_embedding(edge, sk.HypercubeEmbedding(3, (0b001, 0b011)))
     assert lifted.faces == {"100", "110", "1*0"}
 
 
 def test_lift_rejects_mismatched_embedding():
     circle = sk.cube_boundary(2)
     with pytest.raises(sk.ContradictionError):
-        sk.lift_to_complex_embedding(circle, sk.HypercubeEmbedding(2, (0, 1, 2)))
+        lift_to_complex_embedding(circle, sk.HypercubeEmbedding(2, (0, 1, 2)))
     with pytest.raises(sk.ContradictionError):
         # injective on vertices but tears one edge apart
-        sk.lift_to_complex_embedding(circle, sk.HypercubeEmbedding(3, (0, 1, 2, 7)))
+        lift_to_complex_embedding(circle, sk.HypercubeEmbedding(3, (0, 1, 2, 7)))

@@ -5,7 +5,7 @@ import pytest
 import skelcube as sk
 from skelcube.generators import MAX_SPEC_DEPTH
 
-from helpers import cbs_oracle
+from helpers import cbs_oracle, corpus
 
 
 def test_parse_round_trips():
@@ -205,7 +205,7 @@ def test_product_family_kunneth_ranks():
 
 
 def test_corpus_members_are_valid_and_stable():
-    items = sk.corpus()
+    items = corpus()
     names = [name for name, _ in items]
     assert len(names) == len(set(names))
     by_name = dict(items)

@@ -15,6 +15,7 @@ from helpers import (
     bareiss_rank,
     betti_oracle_gf2,
     cohomology_oracle,
+    corpus,
     gf2_rank_dense,
     kept_homology_gf2_oracle,
     projective_plane,
@@ -146,7 +147,7 @@ def test_euler_characteristic_consistency():
 
 def test_corpus_is_torsion_free_and_mod2_consistent():
     # with no torsion anywhere, GF(2) and integer Betti vectors must agree
-    for name, c in sk.corpus():
+    for name, c in corpus():
         integral = sk.homology_integer(c)
         assert all(t == () for t in integral.torsion), name
         assert sk.betti_gf2(c).betti == integral.betti, name

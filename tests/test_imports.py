@@ -55,11 +55,17 @@ def undefined_exports(tree: ast.Module) -> list[str]:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_all_names_are_defined(path):
+    if path.name == "__init__.py":
+        # the package's __all__ is its lazy table, each name exported by its submodule
+        assert sk.__all__ == list(sk._EXPORTS)
+        for name, module in sk._EXPORTS.items():
+            assert name in importlib.import_module(f"skelcube.{module}").__all__, name
+        return
     assert undefined_exports(ast.parse(path.read_text(), filename=str(path))) == []
 
 
 def test_every_exported_name_is_its_submodules_object():
-    assert len(sk._EXPORTS) == 62  # the whole public API: no name dropped from the table
+    assert len(sk._EXPORTS) == 56  # the whole public API: no name dropped from the table
     for name, module in sk._EXPORTS.items():
         assert getattr(sk, name) is getattr(importlib.import_module(f"skelcube.{module}"), name), name
         assert name in dir(sk)
@@ -81,3 +87,13 @@ def test_reconstruct_is_the_function_whatever_loads_its_module_first(tmp_path):
     check = "import sys, skelcube; print(skelcube.reconstruct is sys.modules['skelcube.reconstruct'].reconstruct)"
     printed = run_in_fresh_interpreters([f"{load}; {check}" for load in first_loads])
     assert [lines[-1] for lines in printed] == ["True"] * len(first_loads)
+
+
+def test_star_import_binds_exactly_the_exported_names():
+    # the submodule `complex` must not hide the builtin of that name
+    check = (
+        "import builtins, sys; before = set(dir()); from skelcube import *; "
+        "bound = set(dir()) - before - {'before'}; "
+        "print(bound == sys.modules['skelcube']._EXPORTS.keys(), complex is builtins.complex)"
+    )
+    assert run_in_fresh_interpreters([check]) == [["True True"]]

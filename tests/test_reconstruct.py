@@ -10,6 +10,7 @@ from skelcube import homology
 from helpers import (
     assert_criterion_matches_oracle,
     candidate_oracle,
+    corpus,
     delete_oracle,
     projective_plane,
     random_subcomplex,
@@ -294,7 +295,7 @@ def test_tight_mode_misuse_is_caught_by_manifold_check():
 
 def test_criterion_matches_delete_and_recompute_oracle_on_the_corpus():
     compared = 0
-    for _, c in sk.corpus():
+    for _, c in corpus():
         for k in range(2, c.dim):
             skel = sk.skeleton(c, k)
             compared += assert_criterion_matches_oracle(skel, k, sk.enumerate_candidates(skel, k))

@@ -11,7 +11,6 @@ from skelcube.words import (
     proper_subwords,
     signed_facets,
     sort_words,
-    span_word,
     subwords,
     validate_word,
     word_dim,
@@ -65,14 +64,6 @@ def test_word_vertices():
 def test_one_step_cofaces():
     assert sorted(one_step_cofaces("01")) == ["*1", "0*"]
     assert list(one_step_cofaces("**")) == []
-
-
-def test_span_word():
-    assert span_word(["000", "110"]) == "**0"
-    assert span_word(["0*0"]) == "0*0"
-    assert span_word(["01*", "000"]) == "0**"
-    with pytest.raises(sk.StructuralError):
-        span_word([])
 
 
 def test_mask_word_spells_the_face_of_its_codes():
