@@ -375,7 +375,14 @@ def test_face_subcomplex_and_boundary():
     assert len(bd.faces) == 8
     assert bd.faces == hat.faces - {"*1*"}
     bd.validate()
-    assert sk.CubicalComplex(2, frozenset(proper_subwords("**"))) == sk.cube_boundary(2)
+
+
+def test_face_boundary_of_square_in_plane():
+    # the proper faces of ** inside the full square are its boundary
+    c = sk.full_cube(2)
+    bd = sk.CubicalComplex(2, frozenset(proper_subwords("**")))
+    assert bd.faces == c.faces - {"**"}
+    assert bd == sk.cube_boundary(2)
 
 
 def test_is_face_like_diagonal_vertices():
