@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .complex import CubicalComplex, skeleton
+# `complex` loads in `_cmd_skeleton` alone; annotations naming CubicalComplex are never evaluated
 from .embedding import (
     SimpleGraph,
     embedding_obstruction,
@@ -24,8 +23,18 @@ from .io import parse_complex, parse_graph, serialize_complex, serialize_graph
 from .words import mask_word
 
 
+def _read(path: str) -> str:
+    with open(path) as f:  # not pathlib, which no command then loads
+        return f.read()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _load_complex(path: str) -> CubicalComplex:
-    c, added = parse_complex(Path(path).read_text())
+    c, added = parse_complex(_read(path))
     if added:
         print(f"note closure added {added} faces while reading {path}")
     return c
@@ -74,9 +83,11 @@ def _cmd_manifold_check(args) -> int:
 
 
 def _cmd_skeleton(args) -> int:
+    from .complex import skeleton
+
     c = _load_complex(args.file)
     out = skeleton(c, args.k)
-    Path(args.output).write_text(serialize_complex(out))
+    _write(args.output, serialize_complex(out))
     print(f"faces {len(out.faces)}")
     print(f"dimension {out.dim}")
     print(f"wrote {args.output}")
@@ -119,7 +130,7 @@ def _cmd_reconstruct(args) -> int:
             print("no manifold found")
             return 1
         d, cx = results[0]
-        Path(args.output).write_text(serialize_complex(cx))
+        _write(args.output, serialize_complex(cx))
         print(f"wrote {args.output} (d={d})")
         return 0
     cfg = ReconstructionConfig(args.k, args.d, args.mode)
@@ -130,13 +141,13 @@ def _cmd_reconstruct(args) -> int:
         current = step.complex_after
     print(f"faces {len(current.faces)}")
     print(f"dimension {current.dim}")
-    Path(args.output).write_text(serialize_complex(current))
+    _write(args.output, serialize_complex(current))
     print(f"wrote {args.output}")
     return 0
 
 
 def _cmd_embed(args) -> int:
-    g = parse_graph(Path(args.file).read_text())
+    g = parse_graph(_read(args.file))
     emb = find_graph_embedding(g, args.nmax)
     if emb is None:
         print(f"no embedding with n <= {args.nmax}")
@@ -168,10 +179,10 @@ def _cmd_generate(args) -> int:
         text += "(" + ", ".join(args.params) + ")"
     obj = generate(parse_generator_spec(text))
     if isinstance(obj, SimpleGraph):
-        Path(args.output).write_text(serialize_graph(obj))
+        _write(args.output, serialize_graph(obj))
         print(f"graph vertices={obj.num_vertices} edges={len(obj.edges)}")
     else:
-        Path(args.output).write_text(serialize_complex(obj))
+        _write(args.output, serialize_complex(obj))
         print(f"complex ambient={obj.ambient_dim} faces={len(obj.faces)} dimension={obj.dim}")
     print(f"wrote {args.output}")
     return 0

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .errors import ContractError, StructuralError
+from .errors import ContractError, StructuralError, _Record
 from .words import (
     ONE,
     STAR,
@@ -44,8 +43,7 @@ MAX_LETTERS = 13 * 3**13
 _CLOSED = "_closed"
 
 
-@dataclass(frozen=True)
-class CubicalComplex:
+class CubicalComplex(_Record):
     """Immutable set of face words of I^ambient_dim.
 
     The constructor checks word shape only.  Every answer is defined on
@@ -58,22 +56,23 @@ class CubicalComplex:
     parsed file, marks its output.  The library's own builders build
     through `_derived`, which skips the word check.
 
-    Tables read from the faces are cached per instance on first use:
-    `dim`, the boundary matrices `chains`, the vertex index
-    `faces_by_vertex` and, built from it, the masks of each vertex's
-    link, `vertex_links`.
+    A `_Record` of `ambient_dim` and `faces`: equality, hash and repr
+    read those two alone.  Tables read from the faces are cached beside
+    them in the instance `__dict__` on first use: `dim`, the boundary
+    matrices `chains`, the vertex index `faces_by_vertex` and, built from
+    it, the masks of each vertex's link, `vertex_links`.
     """
 
-    ambient_dim: int
-    faces: frozenset[str] = field(default_factory=frozenset)
+    _fields = ("ambient_dim", "faces")
 
-    def __post_init__(self):
-        if self.ambient_dim < 0:
+    def __init__(self, ambient_dim: int, faces: frozenset[str] = frozenset()):
+        if ambient_dim < 0:
             raise StructuralError("ambient_dim must be nonnegative")
-        if not isinstance(self.faces, frozenset):
-            object.__setattr__(self, "faces", frozenset(self.faces))
-        for w in self.faces:
-            validate_word(w, self.ambient_dim)
+        if not isinstance(faces, frozenset):
+            faces = frozenset(faces)
+        for w in faces:
+            validate_word(w, ambient_dim)
+        self.__dict__.update(ambient_dim=ambient_dim, faces=faces)
 
     @cached_property
     def dim(self) -> int:
@@ -181,8 +180,7 @@ def _derived(ambient_dim: int, faces: frozenset, closed: bool = False) -> Cubica
     product of an unchecked set, is checked by its first reader.
     """
     c = object.__new__(CubicalComplex)
-    object.__setattr__(c, "ambient_dim", ambient_dim)
-    object.__setattr__(c, "faces", faces)
+    c.__dict__.update(ambient_dim=ambient_dim, faces=faces)
     if closed:
         c.__dict__[_CLOSED] = True
     return c

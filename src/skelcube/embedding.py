@@ -22,11 +22,10 @@ failed one says why.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, count, takewhile
 
-from .complex import CubicalComplex, _derived
-from .errors import ContractError, ContradictionError, StructuralError
+# `complex` loads in `components` alone; annotations naming CubicalComplex are never evaluated
+from .errors import ContractError, ContradictionError, StructuralError, _Record
 from .words import ONE, STAR, ZERO, sort_words, word_dim
 
 __all__ = [
@@ -46,24 +45,23 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    num_vertices: int
-    edges: frozenset[tuple[int, int]]
+class SimpleGraph(_Record):
+    _fields = ("num_vertices", "edges")
 
-    def __post_init__(self):
-        if self.num_vertices < 0:
+    def __init__(self, num_vertices: int, edges: frozenset[tuple[int, int]]):
+        if num_vertices < 0:
             raise StructuralError("vertex count must be nonnegative")
-        if not isinstance(self.edges, frozenset):
-            object.__setattr__(self, "edges", frozenset(self.edges))
-        for e in self.edges:
+        if not isinstance(edges, frozenset):
+            edges = frozenset(edges)
+        for e in edges:
             u, v = e
             if u == v:
                 raise StructuralError(f"loop at vertex {u}")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise StructuralError(f"edge {e} out of range")
             if u > v:
                 raise StructuralError(f"edge {e} not normalized (expected min first)")
+        self.__dict__.update(num_vertices=num_vertices, edges=edges)
 
     @classmethod
     def from_edges(cls, num_vertices: int, pairs) -> "SimpleGraph":
@@ -81,21 +79,20 @@ class SimpleGraph:
         return parent.count(-1) <= 1
 
 
-@dataclass(frozen=True)
-class HypercubeEmbedding:
+class HypercubeEmbedding(_Record):
     """Injective map into {0,1}^n; codes[i] is the image of vertex i as a bit mask."""
 
-    n: int
-    codes: tuple[int, ...]
+    _fields = ("n", "codes")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, codes: tuple[int, ...]):
+        if n < 0:
             raise StructuralError("hypercube dimension must be nonnegative")
-        for c in self.codes:
-            if not 0 <= c < (1 << self.n):
-                raise StructuralError(f"code {c} outside {{0,1}}^{self.n}")
-        if len(set(self.codes)) != len(self.codes):
+        for c in codes:
+            if not 0 <= c < (1 << n):
+                raise StructuralError(f"code {c} outside {{0,1}}^{n}")
+        if len(set(codes)) != len(codes):
             raise StructuralError("embedding is not injective")
+        self.__dict__.update(n=n, codes=codes)
 
     def is_valid_for(self, g: SimpleGraph) -> bool:
         if len(self.codes) != g.num_vertices:
@@ -121,6 +118,8 @@ def graph_of(c: CubicalComplex) -> SimpleGraph:
 
 def components(c: CubicalComplex) -> list[CubicalComplex]:
     """Connected components, ordered by their smallest vertex; each face goes with its low corner."""
+    from .complex import _derived
+
     index = {v: i for i, v in enumerate(sort_words(c.vertices()))}
     order, parent = bfs_forest(graph_of(c).adjacency())
     root = [-1] * len(order)

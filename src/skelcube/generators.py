@@ -9,11 +9,9 @@ passed to; the builders check the ranges of their own arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complex import CubicalComplex, _check_size, _derived, cube_boundary, full_cube, product_complex, skeleton
 from .embedding import SimpleGraph
-from .errors import StructuralError
+from .errors import StructuralError, _Record
 from .words import ONE, STAR, ZERO, subwords
 
 __all__ = [
@@ -25,10 +23,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    family: str
-    args: tuple = ()
+class GeneratorSpec(_Record):
+    _fields = ("family", "args")
+
+    def __init__(self, family: str, args: tuple = ()):
+        self.__dict__.update(family=family, args=args)
 
     def __str__(self) -> str:
         if not self.args:

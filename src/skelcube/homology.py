@@ -56,12 +56,11 @@ precision and there is no overflow path to detect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress, count
 
 from .complex import CubicalComplex, _require_subcomplex
-from .errors import ContractError, StructuralError
+from .errors import ContractError, StructuralError, _Record
 from .words import signed_facets, sort_words, word_dim
 
 __all__ = [
@@ -92,8 +91,7 @@ def _check_ring(ring: str) -> None:
         raise ContractError(f"ring must be {GF2!r} or {INTEGER!r}, got {ring!r}")
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(_Record):
     """Betti numbers and invariant factors per degree.
 
     betti[j] is the free rank over the chosen ring; torsion[j] lists the
@@ -101,8 +99,10 @@ class HomologyProfile:
     outside the stored range, including negative ones, are zero groups.
     """
 
-    betti: tuple[int, ...]
-    torsion: tuple[tuple[int, ...], ...]
+    _fields = ("betti", "torsion")
+
+    def __init__(self, betti: tuple[int, ...], torsion: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(betti=betti, torsion=torsion)
 
     def degree(self, j: int) -> tuple[int, tuple[int, ...]]:
         if 0 <= j < len(self.betti):

@@ -11,7 +11,7 @@ blank line after the header is the empty word, the one face of I^0.
 
 from __future__ import annotations
 
-from .complex import CubicalComplex, closure
+# `complex` loads in `parse_complex` alone; annotations naming CubicalComplex are never evaluated
 from .embedding import SimpleGraph, _normalize_edge
 from .errors import StructuralError
 
@@ -49,6 +49,8 @@ def _header(text: str, keyword: str, what: str, empty: str) -> tuple[list[tuple[
 
 def parse_complex(text: str) -> tuple[CubicalComplex, int]:
     """Parse a complex file; returns (complex, number of faces added by closure)."""
+    from .complex import closure
+
     empty = "empty complex file, expected an 'ambient <n>' header"
     lines, head, n = _header(text, "ambient", "ambient dimension", empty)
     if n < 0:

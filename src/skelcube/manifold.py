@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .complex import CubicalComplex, star
 from .embedding import components
-from .errors import ContractError, StructuralError
+from .errors import ContractError, StructuralError, _Record
 from .homology import (
     GF2,
     INTEGER,
@@ -35,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ManifoldReport:
+class ManifoldReport(_Record):
     """The verdict, and on a negative one why it came out so.
 
     reason is None on a manifold, else one of: `impure` (a
@@ -46,13 +42,20 @@ class ManifoldReport:
     dimensions) or `empty`.
     """
 
-    is_manifold: bool
-    dimension: Optional[int]
-    orientable: Optional[bool]
-    failing_face: Optional[str]
-    per_component: tuple["ManifoldReport", ...] = ()
-    reason: Optional[str] = None
-    failing_profile: Optional[HomologyProfile] = None
+    _fields = ("is_manifold", "dimension", "orientable", "failing_face", "per_component", "reason", "failing_profile")
+
+    def __init__(
+        self,
+        is_manifold: bool,
+        dimension: int | None,
+        orientable: bool | None,
+        failing_face: str | None,
+        per_component: tuple[ManifoldReport, ...] = (),
+        reason: str | None = None,
+        failing_profile: HomologyProfile | None = None,
+    ):
+        values = (is_manifold, dimension, orientable, failing_face, per_component, reason, failing_profile)
+        self.__dict__.update(zip(self._fields, values))
 
 
 def _link(c: CubicalComplex, f: str) -> list[list[int]]:
@@ -130,7 +133,7 @@ def _top_free_rank(comp: CubicalComplex) -> int:
     return mats.num_faces(d) - integer_rank(mats.dense(d))
 
 
-def _impure_face(c: CubicalComplex) -> Optional[str]:
+def _impure_face(c: CubicalComplex) -> str | None:
     """First maximal face below the top dimension, None when c is pure."""
     return next((w for w in c.maximal_faces() if word_dim(w) != c.dim), None)
 

@@ -41,12 +41,9 @@ produces a well-defined but possibly wrong complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complex import CubicalComplex, _derived, _grown, delete
-from .errors import ContractError
+from .errors import ContractError, _Record
 from .homology import GF2, INTEGER, _homology, homology_profile
-from .manifold import is_homology_manifold
 from .words import facets, one_step_cofaces, sort_words, validate_word, word_dim, word_vertices
 
 __all__ = [
@@ -70,11 +67,11 @@ TIGHT_INTEGER = "tight-int"
 _MODES = (STANDARD, TIGHT_GF2, TIGHT_INTEGER)
 
 
-@dataclass(frozen=True)
-class ReconstructionConfig:
-    k: int
-    d: int
-    mode: str = STANDARD
+class ReconstructionConfig(_Record):
+    _fields = ("k", "d", "mode")
+
+    def __init__(self, k: int, d: int, mode: str = STANDARD):
+        self.__dict__.update(k=k, d=d, mode=mode)
 
     def validate(self) -> None:
         _check_mode_and_k(self.mode, self.k)
@@ -92,20 +89,19 @@ def _check_mode_and_k(mode: str, k: int) -> None:
         raise ContractError(f"k >= 2 required, got k={k}")
 
 
-@dataclass(frozen=True)
-class CandidateVerdict:
-    face: str
-    boundary_present: bool
-    accepted: bool
-    # one entry per compared degree: (j, deleted-side degree, base-side degree)
-    profiles: tuple = ()
+class CandidateVerdict(_Record):
+    _fields = ("face", "boundary_present", "accepted", "profiles")
+
+    # profiles: one entry per compared degree, (j, deleted-side degree, base-side degree)
+    def __init__(self, face: str, boundary_present: bool, accepted: bool, profiles: tuple = ()):
+        self.__dict__.update(face=face, boundary_present=boundary_present, accepted=accepted, profiles=profiles)
 
 
-@dataclass(frozen=True)
-class ReconstructionStep:
-    degree: int
-    verdicts: tuple[CandidateVerdict, ...]
-    complex_after: CubicalComplex
+class ReconstructionStep(_Record):
+    _fields = ("degree", "verdicts", "complex_after")
+
+    def __init__(self, degree: int, verdicts: tuple[CandidateVerdict, ...], complex_after: CubicalComplex):
+        self.__dict__.update(degree=degree, verdicts=verdicts, complex_after=complex_after)
 
 
 def enumerate_candidates(skel: CubicalComplex, k: int) -> list[str]:
@@ -213,6 +209,8 @@ def reconstruct_auto(
     results come in ascending d, and it can only repeat as the result at
     d = k.
     """
+    from .manifold import is_homology_manifold  # a run without --auto does not load manifold
+
     _check_mode_and_k(mode, k)
     results: list[tuple[int, CubicalComplex]] = []
     own = is_homology_manifold(skel)

@@ -6,7 +6,8 @@ test statements of the paper on library output: a face's boundary is
 face-like exactly when the face is missing, and a graph embedding of a
 complex's 1-skeleton transports the complex.  One runner starts fresh
 interpreters, for what a single process cannot show: which modules a
-run loads first.
+run loads first.  Frozen dataclass twins of the library's records pin
+how the records behave.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import field, make_dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
@@ -667,12 +669,48 @@ def path_joined_to_k23() -> sk.SimpleGraph:
     return sk.SimpleGraph.from_edges(15, path + [(u, v) for u in (10, 11) for v in (12, 13, 14)])
 
 
+def _twin(record: type, *fields) -> type:
+    """A frozen dataclass named as `record`, with the given fields: a name, or a (name, default) pair."""
+    spec = [f if isinstance(f, str) else (f[0], object, field(default=f[1])) for f in fields]
+    return make_dataclass(record.__name__, spec, frozen=True)
+
+
+# Frozen dataclass twins of the library's records, as the records were
+# declared when they were dataclasses: the same names, fields and defaults,
+# without the constructors' checks.  A record must construct, compare,
+# hash and print as its twin does.
+RECORD_TWINS = {
+    sk.CubicalComplex: _twin(sk.CubicalComplex, "ambient_dim", ("faces", frozenset())),
+    sk.SimpleGraph: _twin(sk.SimpleGraph, "num_vertices", "edges"),
+    sk.HypercubeEmbedding: _twin(sk.HypercubeEmbedding, "n", "codes"),
+    sk.HomologyProfile: _twin(sk.HomologyProfile, "betti", "torsion"),
+    sk.ManifoldReport: _twin(
+        sk.ManifoldReport,
+        "is_manifold",
+        "dimension",
+        "orientable",
+        "failing_face",
+        ("per_component", ()),
+        ("reason", None),
+        ("failing_profile", None),
+    ),
+    sk.ReconstructionConfig: _twin(sk.ReconstructionConfig, "k", "d", ("mode", sk.STANDARD)),
+    sk.CandidateVerdict: _twin(sk.CandidateVerdict, "face", "boundary_present", "accepted", ("profiles", ())),
+    sk.ReconstructionStep: _twin(sk.ReconstructionStep, "degree", "verdicts", "complex_after"),
+    sk.GeneratorSpec: _twin(sk.GeneratorSpec, "family", ("args", ())),
+}
+
+
 def run_in_fresh_interpreters(programs: list[str]) -> list[list[str]]:
-    """The lines each program prints, each run at once in its own interpreter with this skelcube on the path."""
+    """The lines each program prints, each run at once in its own interpreter with this skelcube on the path.
+
+    The interpreters start with -S, so no site-packages hook (a `.pth`
+    file, say) loads modules that would hide what skelcube loads.
+    """
     src = str(Path(sk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     children = [
-        subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        subprocess.Popen([sys.executable, "-S", "-c", code], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         for code in programs
     ]
     printed = []

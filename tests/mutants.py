@@ -52,6 +52,7 @@ GENERATORS = "src/skelcube/generators.py"
 MANIFOLD = "src/skelcube/manifold.py"
 PACKAGE = "src/skelcube/__init__.py"
 CLI = "src/skelcube/cli.py"
+ERRORS = "src/skelcube/errors.py"
 
 MUTANTS = (
     Mutant(
@@ -321,6 +322,22 @@ MUTANTS = (
         'for this computation", file=sys.stderr)\n        return 3\n',
         'for this computation", file=sys.stderr)\n        return 1\n',
         ("tests/test_cli.py::test_running_out_of_memory_exits_3_with_one_line",),
+    ),
+    # a record equal to any record with equal fields, of whatever class
+    Mutant(
+        "record-eq-ignores-type",
+        ERRORS,
+        "        if other.__class__ is self.__class__:\n",
+        "        if isinstance(other, _Record):\n",
+        ("tests/test_records.py::test_record_behaves_as_its_dataclass_twin",),
+    ),
+    # `embed` and `import skelcube.cli` load the complex layer again
+    Mutant(
+        "embedding-imports-complex",
+        EMBEDDING,
+        "from .errors import ContractError, ContradictionError, StructuralError, _Record\n",
+        "from .complex import _derived\nfrom .errors import ContractError, ContradictionError, StructuralError, _Record\n",
+        ("tests/test_cli.py::test_cli_import_loads_no_process_machinery",),
     ),
     # Both facets of a star with the same sign: w -> (-1)^(number of ONEs in w) w
     # carries this boundary to -D, so every homology answer is unchanged.

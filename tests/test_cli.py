@@ -439,32 +439,40 @@ def test_embed_command_long_path(tmp_path, capsys):
 
 
 # the skelcube modules each run loads: `import skelcube` loads no layer,
-# and a command loads the CLI's own layers plus the ones it runs
-CLI_LAYERS = {"skelcube", "skelcube.cli", "skelcube.complex", "skelcube.embedding", "skelcube.errors", "skelcube.io", "skelcube.words"}
+# and a command loads the CLI's own layers plus the ones it runs.  Only
+# commands that build a complex load `complex`, and only `--auto` loads
+# `manifold` for `reconstruct`.
+CLI_LAYERS = {"skelcube", "skelcube.cli", "skelcube.embedding", "skelcube.errors", "skelcube.io", "skelcube.words"}
+COMPLEX_LAYERS = CLI_LAYERS | {"skelcube.complex"}
 FOOTPRINTS = (
     ("import skelcube", (), {"skelcube"}),
     ("import skelcube.cli", (), CLI_LAYERS),
-    ("embed, skeleton", (["embed", "{graph}", "--nmax", "3"], ["skeleton", "{cplx}", "-k", "1", "-o", "{out}"]), CLI_LAYERS),
-    ("homology", (["homology", "{cplx}"],), CLI_LAYERS | {"skelcube.homology"}),
-    ("manifold-check", (["manifold-check", "{cplx}"],), CLI_LAYERS | {"skelcube.homology", "skelcube.manifold"}),
+    ("embed", (["embed", "{graph}", "--nmax", "3"],), CLI_LAYERS),
+    ("skeleton", (["skeleton", "{cplx}", "-k", "1", "-o", "{out}"],), COMPLEX_LAYERS),
+    ("homology", (["homology", "{cplx}"],), COMPLEX_LAYERS | {"skelcube.homology"}),
+    ("manifold-check", (["manifold-check", "{cplx}"],), COMPLEX_LAYERS | {"skelcube.homology", "skelcube.manifold"}),
     (
         "reconstruct",
         (["reconstruct", "{skel}", "-k", "2", "-d", "3", "-o", "{out}"],),
-        CLI_LAYERS | {"skelcube.homology", "skelcube.manifold", "skelcube.reconstruct"},
+        COMPLEX_LAYERS | {"skelcube.homology", "skelcube.reconstruct"},
     ),
-    ("generate", (["generate", "cube", "2", "-o", "{out}"],), CLI_LAYERS | {"skelcube.generators"}),
+    ("generate", (["generate", "cube", "2", "-o", "{out}"],), COMPLEX_LAYERS | {"skelcube.generators"}),
 )
+# modules no run may load: the process machinery, and the standard library
+# modules whose import costs more than a command's own start-up
+# (`dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`)
+SHUNNED = ("concurrent", "multiprocessing", "dataclasses", "inspect", "typing", "pathlib")
 
 
 def test_cli_import_loads_no_process_machinery(tmp_path):
-    # each row in a fresh interpreter; the import rows share one, read
-    # before and after the embed and skeleton commands
+    # each row in a fresh interpreter started with -S, so no site hook
+    # loads a shunned module first; the two import rows share one
     paths = {
         "graph": write_graph(tmp_path, "c4.graph", sk.SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])),
         "cplx": write_complex(tmp_path, "sphere.cplx", sk.cube_boundary(3)),
         "skel": write_complex(tmp_path, "skel.cplx", sk.skeleton(sk.cube_boundary(4), 2)),
     }
-    report = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('skelcube', 'concurrent', 'multiprocessing')))"
+    report = f"print(sorted(m for m in sys.modules if m.split('.')[0] in {('skelcube', *SHUNNED)!r}))"
     programs = [f"import sys, skelcube; {report}; import skelcube.cli; {report}"]
     for i, (_, commands, _) in enumerate(FOOTPRINTS[2:]):
         out = str(tmp_path / f"out{i}")  # one output per child: they run at once
