@@ -222,7 +222,9 @@ def closure(ambient_dim: int, generators) -> CubicalComplex:
     for g in generators:
         validate_word(g, ambient_dim)
         if g not in out:
-            _check_size(f"closure of {g!r}", len(out) + 3 ** word_dim(g), ambient_dim)
+            d = word_dim(g)
+            _check_stars(d)
+            _check_size(f"closure of {g!r}", len(out) + 3**d, ambient_dim)
             out.update(subwords(g))
     return _derived(ambient_dim, frozenset(out), closed=True)
 
@@ -233,10 +235,22 @@ def _check_size(what: str, faces: int, ambient_dim: int) -> None:
         raise ContractError(f"{what} would exceed {MAX_LETTERS} letters (up to {faces} faces of I^{ambient_dim})")
 
 
+def _check_stars(stars: int) -> None:
+    """Refuse a word with so many stars that its 3**stars subfaces alone exceed MAX_LETTERS.
+
+    3**stars > 2**stars, so past the bit length of the bound this holds
+    without the power or the word being made; fewer stars are left to
+    `_check_size`.
+    """
+    if stars >= MAX_LETTERS.bit_length():
+        raise ContractError(f"a word with {stars} stars would exceed {MAX_LETTERS} letters")
+
+
 def full_cube(n: int) -> CubicalComplex:
     """All faces of I^n."""
     if n < 0:
         raise StructuralError("cube dimension must be nonnegative")
+    _check_stars(n)
     return closure(n, [STAR * n])
 
 
@@ -244,6 +258,7 @@ def cube_boundary(n: int) -> CubicalComplex:
     """All faces of I^n except the top one."""
     if n < 1:
         raise StructuralError("boundary of I^n needs n >= 1")
+    _check_stars(n)
     top = STAR * n
     _check_size(f"closure of {top!r}", 3**n, n)
     return _derived(n, frozenset(proper_subwords(top)))

@@ -123,6 +123,8 @@ def _cbs_polygon(m: int) -> CubicalComplex:
     """Subdivided boundary of an m-gon: a cycle of 2m edges in I^m."""
     if m < 3:
         raise ValueError(f"cbs takes a polygon size >= 3, got {m}")
+    # the count the subdivision checks, 3**2 - 2**2 intervals per edge, before the edges are listed
+    _check_size("cubical barycentric subdivision", 5 * m, m)
     return cubical_barycentric_subdivision([frozenset({i, (i + 1) % m}) for i in range(m)])
 
 

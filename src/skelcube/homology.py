@@ -21,20 +21,22 @@ matrix built.  `_groups` is the one ranks-to-Betti formula, read by
 `_homology` and by the link, and cohomology follows from homology by
 universal coefficients.
 
-Over GF(2) each matrix is eliminated once (`gf2_elimination`): column
-reduction packs each column into an int and records rank D_j and a
-kernel basis Z_j, fully reduced as it comes: the top bit of each
-vector, its pivot, lies in no other vector.  Keeping only the columns
-K of D_j, with S the rest, rank(D_j|K) = rank D_j - |S| + rank(Z_j|S)
-by rank-nullity.  With P the pivots, each pivot in S is a unit column
-of Z_j|S, so rank(Z_j|S) = |S & P| + rank(Y), where Y holds, for each
-non-pivot column in S, the pivots outside S of the vectors holding it.
-The first mask read of a map builds its table of those pivots by
-column (`gf2_reduced_kernel`), so a kept set costs one pass over its
-non-pivot columns and one `gf2_rank` of Y, which is small when S is a
-local deletion.  With nothing deleted the correction is zero, and the
-same route serves absolute and relative homology.  A complex grown by
-one level carries up the levels, eliminations and tables below it.
+Over GF(2) a map is read in one of two ways, each made at most once
+per matrix and carried up with the levels when a complex grows.  With
+nothing deleted only rank D_j is read: `gf2_rank` of the columns packed
+into ints (`BoundaryMatrices.gf2_rank`), which is all whole-complex and
+relative homology need.  Keeping only the columns K of D_j, with S the
+rest, rank(D_j|K) = rank D_j - |S| + rank(Z_j|S) by rank-nullity, for
+Z_j a kernel basis.  Column reduction finds Z_j fully reduced: the top
+bit of each vector, its pivot, lies in no other vector.  With P the
+pivots, each pivot in S is a unit column of Z_j|S, so rank(Z_j|S) =
+|S & P| + rank(Y), where Y holds, for each non-pivot column in S, the
+pivots outside S of the vectors holding it.  The first mask read of a
+map builds only that table of pivots by column (`gf2_reduced_kernel`),
+folding in each kernel vector as it is found, so no basis is kept; its
+nullity |P| gives the rank too.  A kept set then costs one pass over
+its non-pivot columns and one `gf2_rank` of Y, which is small when S is
+a local deletion.
 
 Only `_homology` reads a kept set: per map it takes the mask of S
 (`columns_outside`: one byte per face, read in C with no table) and
@@ -121,8 +123,8 @@ class BoundaryMatrices:
     def __init__(self, levels, columns):
         self.levels = levels        # levels[j]: j-faces, canonical order
         self.columns = columns      # columns[j][c]: list of (row, sign), j >= 1
-        self._eliminated: dict[int, tuple[int, tuple[int, ...]]] = {}
-        self._covers: dict[int, tuple[int, list[int]]] = {}
+        self._ranks: dict[int, int] = {}
+        self._tables: dict[int, tuple[int, list[int]]] = {}
 
     @property
     def top(self) -> int:
@@ -133,34 +135,34 @@ class BoundaryMatrices:
             return len(self.levels[j])
         return 0
 
-    def gf2_elimination(self, j: int) -> tuple[int, tuple[int, ...]]:
-        """Rank of D_j over GF(2) and a basis of its kernel, from one column reduction per matrix.
+    def gf2_rank(self, j: int) -> int:
+        """Rank of D_j over GF(2), from `gf2_rank` of its packed columns unless a table gave it; cached per level.
 
-        Kernel vectors are ints over column indices, bit c for column c;
-        the basis is fully reduced (`_gf2_eliminate`).
-        Outside degrees 1..top there is no matrix: rank 0, no basis.
+        Outside degrees 1..top there is no matrix: rank 0.
         """
         if not 1 <= j <= self.top:
-            return 0, ()
-        got = self._eliminated.get(j)
+            return 0
+        got = self._ranks.get(j)
         if got is None:
-            got = self._eliminated[j] = _gf2_eliminate([sum(1 << r for r, _ in col) for col in self.columns[j]])
+            got = self._ranks[j] = gf2_rank([sum(1 << r for r, _ in col) for col in self.columns[j]])
         return got
 
     def gf2_reduced_kernel(self, j: int) -> tuple[int, list[int]]:
-        """The fully reduced kernel basis of D_j read by column, as (pivots, cover), built once per matrix.
+        """A fully reduced kernel basis of D_j read by column, as (pivots, cover), built once per matrix.
 
         pivots is the mask of the basis vectors' top bits, each of which
-        lies in its own vector only (`gf2_elimination`).  cover[q] is the
-        mask of the pivots of the vectors holding the non-pivot column q:
-        0 when none does, and at a pivot.  Outside degrees 1..top there
-        is no kernel.
+        lies in its own vector only.  cover[q] is the mask of the pivots
+        of the vectors holding the non-pivot column q: 0 when none does,
+        and at a pivot.  The basis itself is not kept (`_gf2_table`), and
+        the nullity |pivots| gives rank D_j as well.  Outside degrees
+        1..top there is no kernel.
         """
         if not 1 <= j <= self.top:
             return 0, []
-        got = self._covers.get(j)
+        got = self._tables.get(j)
         if got is None:
-            got = self._covers[j] = _kernel_cover(self.gf2_elimination(j)[1], len(self.levels[j]))
+            got = self._tables[j] = _gf2_table(self.columns[j])
+            self._ranks.setdefault(j, len(got[1]) - got[0].bit_count())
         return got
 
     def columns_outside(self, j: int, kept) -> int:
@@ -179,14 +181,14 @@ class BoundaryMatrices:
 
         Rows are the top level's faces, looked up in a dict of that level
         built here, and a facet outside it gets none.  The lower levels,
-        their GF(2) eliminations and their reduced kernels are shared.
+        their GF(2) ranks and their reduced kernel tables are shared.
         """
         level = sort_words(words)
         below = {w: i for i, w in enumerate(self.levels[-1])} if self.levels else {}
         columns = [[(below[f], s) for f, s in signed_facets(w) if f in below] for w in level]
         grown = BoundaryMatrices(self.levels + [level], self.columns + [columns])
-        grown._eliminated.update(self._eliminated)
-        grown._covers.update(self._covers)
+        grown._ranks.update(self._ranks)
+        grown._tables.update(self._tables)
         return grown
 
     def dense(self, j: int) -> list[list[int]]:
@@ -225,47 +227,39 @@ def gf2_rank(vectors) -> int:
     return rank
 
 
-def _gf2_eliminate(columns) -> tuple[int, tuple[int, ...]]:
-    """Rank and a kernel basis of the GF(2) matrix whose columns are packed as ints.
+def _gf2_table(columns) -> tuple[int, list[int]]:
+    """(pivots, cover) of a fully reduced kernel basis of the GF(2) matrix with these (row, sign) columns.
 
     Column reduction that also tracks, as a mask, the columns each
     reduced column is the sum of: a column reducing to zero names a
     kernel vector (Edelsbrunner-Harer, *Computational Topology*, 2010,
-    ch. VII).  The kernel vectors are independent, as the one of column
-    c is the only one whose highest bit is c, its pivot.  The basis is
-    fully reduced as it comes: a reduced column is summed only with
-    columns that stayed nonzero, whose masks hold such columns alone,
-    so no pivot lies in another kernel vector.
+    ch. VII), whose top bit c, its pivot, is the column itself.  A
+    reduced column is summed only with columns that stayed nonzero,
+    whose masks hold such columns alone, so no pivot lies in another
+    kernel vector.  Each vector is folded into the table as it is found
+    and not kept (see `BoundaryMatrices.gf2_reduced_kernel`).
     """
-    pivots: dict[int, tuple[int, int]] = {}
-    kernel = []
-    for c, v in enumerate(columns):
-        sums = 1 << c
+    reduced: dict[int, tuple[int, int]] = {}
+    pivots = 0
+    cover = [0] * len(columns)
+    for c, col in enumerate(columns):
+        v, sums = sum(1 << r for r, _ in col), 1 << c
         while v:
             h = v.bit_length() - 1
-            hit = pivots.get(h)
+            hit = reduced.get(h)
             if hit is None:
-                pivots[h] = (v, sums)
+                reduced[h] = (v, sums)
                 break
             v ^= hit[0]
             sums ^= hit[1]
         else:
-            kernel.append(sums)
-    return len(pivots), tuple(kernel)
-
-
-def _kernel_cover(kernel, width: int) -> tuple[int, list[int]]:
-    """(pivots, cover) of a kernel basis from `_gf2_eliminate` over `width` columns (see `gf2_reduced_kernel`)."""
-    pivots = 0
-    cover = [0] * width
-    for z in kernel:
-        bit = 1 << (z.bit_length() - 1)
-        pivots |= bit
-        rest = z ^ bit
-        while rest:
-            q = rest.bit_length() - 1
-            cover[q] |= bit
-            rest ^= 1 << q
+            bit = 1 << c
+            pivots |= bit
+            rest = sums ^ bit
+            while rest:
+                q = rest.bit_length() - 1
+                cover[q] |= bit
+                rest ^= 1 << q
     return pivots, cover
 
 
@@ -389,19 +383,21 @@ def _gf2_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[i
     the other columns of S count only on the vectors whose pivot is not
     in S, so rank(Z|S) = |S & P| + rank(Y), where Y holds for each
     non-pivot q in S the pivots outside S of the vectors holding q.
+    With nothing deleted only the rank is read, and no table is built.
     """
-    rank = mats.gf2_elimination(i)[0]
-    if deleted and i >= 1:  # D_0 is the zero map whatever is deleted
-        pivots, cover = mats.gf2_reduced_kernel(i)
-        outside = pivots & ~deleted
-        # the deleted non-pivot columns, read off the binary numeral of
-        # their mask written backwards, so that index q is bit q
-        digits, y = bin(deleted & ~pivots)[:1:-1], []
-        q = digits.find("1")
-        while q >= 0:
-            y.append(cover[q] & outside)
-            q = digits.find("1", q + 1)
-        rank += (deleted & pivots).bit_count() + gf2_rank(y) - deleted.bit_count()
+    if not deleted or i < 1:  # D_0 is the zero map whatever is deleted
+        return mats.gf2_rank(i), ()
+    pivots, cover = mats.gf2_reduced_kernel(i)  # built before the rank, which it then gives
+    rank = mats.gf2_rank(i)
+    outside = pivots & ~deleted
+    # the deleted non-pivot columns, read off the binary numeral of
+    # their mask written backwards, so that index q is bit q
+    digits, y = bin(deleted & ~pivots)[:1:-1], []
+    q = digits.find("1")
+    while q >= 0:
+        y.append(cover[q] & outside)
+        q = digits.find("1", q + 1)
+    rank += (deleted & pivots).bit_count() + gf2_rank(y) - deleted.bit_count()
     return rank, ()
 
 

@@ -19,10 +19,11 @@ adds faces one dimension above the current complex, so the grown
 complex carries both up (`complex._grown`) with the builders a fresh
 complex starts from nothing: its matrices are the current ones plus
 one level (`BoundaryMatrices.extended`), sharing D_1..D_k with their
-GF(2) eliminations, and its vertex index is a copy of the current one
-plus the added faces; the current complex is left as it is.  A step
-that accepts nothing keeps the current complex.  So each map is built
-and eliminated over GF(2) once per reconstruction, and a candidate's
+GF(2) ranks and kernel tables, and its vertex index is a copy of the
+current one plus the added faces; the current complex is left as it
+is.  A step that accepts nothing keeps the current complex.  So each
+map is built, ranked over GF(2) and given its kernel table at most
+once per reconstruction, and a candidate's
 deleted star is a few index lookups.  A candidate then costs a few
 C-level passes (`delete`, which is one frozenset difference with its
 vertices' index entries, and the mask of deleted columns per compared

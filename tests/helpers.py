@@ -110,6 +110,51 @@ def gf2_rank_dense(rows) -> int:
     return rank
 
 
+def gf2_elimination_oracle(columns) -> tuple[int, tuple[int, ...]]:
+    """Rank and a kernel basis of the GF(2) matrix whose columns are packed as ints.
+
+    Column reduction that also tracks, as a mask, the columns each
+    reduced column is the sum of: a column reducing to zero names a
+    kernel vector, kept whole.  The basis is fully reduced as it comes:
+    the vector of column c is the only one whose top bit (its pivot) is
+    c, and it is summed only from columns that stayed nonzero, so no
+    pivot lies in another vector.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for c, v in enumerate(columns):
+        sums = 1 << c
+        while v:
+            h = v.bit_length() - 1
+            hit = pivots.get(h)
+            if hit is None:
+                pivots[h] = (v, sums)
+                break
+            v ^= hit[0]
+            sums ^= hit[1]
+        else:
+            kernel.append(sums)
+    return len(pivots), tuple(kernel)
+
+
+def packed_columns(mats: sk.BoundaryMatrices, j: int) -> list[int]:
+    """The columns of D_j packed as ints over rows, bit r for row r; none outside degrees 1..top."""
+    return [sum(1 << r for r, _ in col) for col in mats.columns[j]] if 1 <= j <= mats.top else []
+
+
+def gf2_table_oracle(mats: sk.BoundaryMatrices, j: int) -> tuple[int, tuple[int, list[int]]]:
+    """(rank D_j, (pivots, cover)) read off the kept kernel basis of `gf2_elimination_oracle`.
+
+    pivots holds each vector's top bit, and cover[q] the pivots of the
+    vectors holding the non-pivot column q (0 at a pivot).
+    """
+    rank, kernel = gf2_elimination_oracle(packed_columns(mats, j))
+    tops = [1 << (z.bit_length() - 1) for z in kernel]
+    pivots = sum(tops)
+    cover = [0 if pivots >> q & 1 else sum(t for z, t in zip(kernel, tops) if z >> q & 1) for q in range(mats.num_faces(j))]
+    return rank, (pivots, cover if 1 <= j <= mats.top else [])
+
+
 def betti_oracle_gf2(c: sk.CubicalComplex) -> tuple[int, ...]:
     """GF(2) Betti numbers from dense incidence matrices built by brute force."""
     levels: dict[int, list[str]] = {}
@@ -463,11 +508,11 @@ def assert_criterion_matches_oracle(skel: sk.CubicalComplex, k: int, faces) -> i
 def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.ReconstructionConfig) -> list:
     """The steps of reconstruct_steps, each grown complex checked against a fresh build.
 
-    A degree carries the previous complex's matrices, their GF(2)
-    eliminations and its vertex index up by the added faces; they must
-    equal what `_matrices_over` and a new complex build from the grown
-    faces: levels, signed columns, tables, and the rank and kernel of
-    every elimination carried.  The vertex index is compared as sets.
+    A degree carries the previous complex's matrices, their GF(2) ranks
+    and kernel tables and its vertex index up by the added faces; they
+    must equal what `_matrices_over` and a new complex build from the
+    grown faces: levels, signed columns, and every rank and table
+    carried.  The vertex index is compared as sets.
     After the last step the input and every grown complex are checked
     again, as a later carry must not change the complex it grew from.
     """
@@ -485,8 +530,10 @@ def _assert_tables_fresh(c: sk.CubicalComplex) -> None:
     carried, fresh = c.chains, _matrices_over(c.faces)
     assert carried.levels == fresh.levels
     assert carried.columns[1:] == fresh.columns[1:]
-    for j, got in carried._eliminated.items():
-        assert got == fresh.gf2_elimination(j), j
+    for j, got in carried._ranks.items():
+        assert got == fresh.gf2_rank(j), j
+    for j, got in carried._tables.items():
+        assert got == fresh.gf2_reduced_kernel(j), j
     index = sk.CubicalComplex(c.ambient_dim, c.faces).faces_by_vertex
     assert {v: set(ws) for v, ws in c.faces_by_vertex.items()} == {v: set(ws) for v, ws in index.items()}
     assert sum(map(len, c.faces_by_vertex.values())) == sum(map(len, index.values()))

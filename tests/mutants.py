@@ -79,6 +79,15 @@ MUTANTS = (
             "tests/test_homology.py::test_relative_profile_builds_no_matrices_of_either_member",
         ),
     ),
+    # the table a masked read builds gives the map's rank as its width
+    # minus the nullity; off by one, a map read masked first answers wrong
+    Mutant(
+        "table-rank-off-by-one",
+        HOMOLOGY,
+        "self._ranks.setdefault(j, len(got[1]) - got[0].bit_count())",
+        "self._ranks.setdefault(j, len(got[1]) - got[0].bit_count() + 1)",
+        ("tests/test_homology.py::test_gf2_rank_and_kernel_table_match_the_oracle_in_either_read_order",),
+    ),
     Mutant(
         "rank-nullity-drops-size",
         HOMOLOGY,

@@ -273,12 +273,12 @@ def test_reconstruct_refuses_dmax_without_auto(tmp_path, capsys):
 
 
 def test_running_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
-    # GF(2) homology of cube(12) runs out of memory in the elimination; here
-    # the elimination raises at once, and the memo is bypassed so that it runs
-    def exhausted(columns):
+    # whole-complex GF(2) homology reads only ranks; here the rank raises
+    # at once, and the memo is bypassed so that it runs
+    def exhausted(vectors):
         raise MemoryError
 
-    monkeypatch.setattr(sk.homology, "_gf2_eliminate", exhausted)
+    monkeypatch.setattr(sk.homology, "gf2_rank", exhausted)
     monkeypatch.setattr(sk.homology, "betti_gf2", sk.homology.betti_gf2.__wrapped__)
     src = write_complex(tmp_path, "square.cplx", sk.full_cube(2))
     assert main(["homology", src]) == 3
@@ -398,6 +398,19 @@ def test_commands_refuse_closures_over_the_bound(tmp_path, capsys, monkeypatch):
     assert main(["homology", str(tmp_path / "big.cplx")]) == 3
     err = capsys.readouterr().err
     assert err.count("contract violation: closure of '*****' would exceed 405 letters") == 3
+    assert not (tmp_path / "x.cplx").exists()
+
+
+def test_huge_cubes_are_refused_before_their_word_is_spelt(tmp_path, capsys):
+    # the star count is refused before '*' * n is spelt or 3**n computed:
+    # the power takes seconds at n = 10**7 and has too many digits to print
+    dst = str(tmp_path / "x.cplx")
+    start = time.perf_counter()
+    for family, n in (("cube", "1000000"), ("cube", "100000000"), ("boundary-cube", "100000000")):
+        assert main(["generate", family, n, "-o", dst]) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"contract violation: a word with {n} stars would exceed 20726199 letters" for n in (10**6, 10**8, 10**8)]
     assert not (tmp_path / "x.cplx").exists()
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import skelcube as sk
+from skelcube import generators
 from skelcube.generators import MAX_SPEC_DEPTH
 
 from helpers import cbs_oracle, corpus
@@ -180,6 +181,18 @@ def test_subdivision_of_a_large_simplex_is_refused_before_its_faces_are_listed()
         sk.cubical_barycentric_subdivision([range(40)])
     with pytest.raises(sk.ContractError):
         sk.generate("cbs(20000)")
+
+
+def test_cbs_and_even_cycle_check_the_bound_before_listing_their_edges(monkeypatch):
+    # cbs(m) holds 5 faces per edge of m letters; listing the m edges
+    # first would cost time and memory linear in the argument
+    def subdivided(simplices):
+        raise AssertionError("the edges were listed before the bound was checked")
+
+    monkeypatch.setattr(generators, "cubical_barycentric_subdivision", subdivided)
+    for spec in ("cbs(1000000)", "even-cycle(2000000)"):
+        with pytest.raises(sk.ContractError, match="cubical barycentric subdivision would exceed 20726199 letters"):
+            sk.generate(spec)
 
 
 def test_cbs_embeds_in_cube_on_vertex_count():

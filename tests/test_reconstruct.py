@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 import time
 
 import pytest
@@ -376,20 +377,31 @@ def test_reconstruction_builds_one_vertex_index_per_degree(monkeypatch, skel, cf
 
 @_COST_CASES
 def test_reconstruction_eliminates_each_gf2_map_once_per_degree(monkeypatch, skel, cfg):
-    # every candidate reads the base's elimination of D_1..D_dim, none reduces
-    # its own columns, and a later degree keeps the eliminations of the maps
-    # it carries, so each map is eliminated once per reconstruction
-    eliminated = []
-    real = homology._gf2_eliminate
+    # every candidate reads the base's rank and kernel table of a map, none
+    # reduces its own columns, and a later degree keeps the ranks and tables
+    # of the maps it carries: over the whole reconstruction each map gets
+    # one rank pass, from the base profile, and at most one table build
+    ranked, tabled = [], []
+    real_rank, real_table = homology.gf2_rank, homology._gf2_table
+    rank_read = homology.BoundaryMatrices.gf2_rank.__code__
 
-    def counting(columns):
-        eliminated.append(len(columns))
-        return real(columns)
+    def counting_rank(vectors):
+        if sys._getframe(1).f_code is rank_read:  # not the masked read's rank of Y
+            ranked.append(len(vectors))
+        return real_rank(vectors)
 
-    monkeypatch.setattr(homology, "_gf2_eliminate", counting)
+    def counting_table(columns):
+        tabled.append(columns)
+        return real_table(columns)
+
+    monkeypatch.setattr(homology, "gf2_rank", counting_rank)
+    monkeypatch.setattr(homology, "_gf2_table", counting_table)
     homology.betti_gf2.cache_clear()  # an equal base memoized earlier would skip its profile
     skel = sk.CubicalComplex(skel.ambient_dim, skel.faces)
     steps = list(sk.reconstruct_steps(skel, cfg))
     last = steps[-2].complex_after if len(steps) > 1 else skel  # the base of the last degree
-    assert eliminated == [last.chains.num_faces(j) for j in range(1, last.dim + 1)]
-    assert sum(len(step.verdicts) for step in steps) > len(eliminated)
+    assert ranked == [last.chains.num_faces(j) for j in range(1, last.dim + 1)]
+    maps = last.chains.columns[1:]
+    assert tabled and all(sum(t is m for m in maps) == 1 for t in tabled)
+    assert len({id(t) for t in tabled}) == len(tabled)
+    assert sum(len(step.verdicts) for step in steps) > len(ranked) + len(tabled)
