@@ -131,11 +131,21 @@ class CubicalComplex(_Record):
         return sort_words(self.faces)
 
     def maximal_faces(self) -> list[str]:
-        """Faces not properly contained in another face, canonical order."""
+        """Faces not properly contained in another face, canonical order.
+
+        In a downward-closed set a face lies in another only if it lies
+        in one a step up, which frees one of its fixed coordinates.  Only
+        the coordinates some face frees are tried, each found by one
+        strided slice of the words joined end to end: a complex padded
+        into a large cube costs no more than unpadded.
+        """
+        faces, n = self.faces, self.ambient_dim
+        joined = "".join(faces)
+        free = [i for i in range(n) if STAR in joined[i::n]]
         out = []
-        for w in self.faces:
-            for i, letter in enumerate(w):
-                if letter != STAR and w[:i] + STAR + w[i + 1 :] in self.faces:
+        for w in faces:
+            for i in free:
+                if w[i] != STAR and w[:i] + STAR + w[i + 1 :] in faces:
                     break
             else:
                 out.append(w)
@@ -175,9 +185,10 @@ def _derived(ambient_dim: int, faces: frozenset, closed: bool = False) -> Cubica
     `closed` the builder marks the set as checked, so `validate` never
     scans it.  A builder marks only what is closed whatever it was
     given: `closure`, `components`, whose input has passed `validate`
-    by then, and `_grown`, which adds to a checked c faces whose facets
-    are in c.  Any other output, such as the skeleton, deletion or
-    product of an unchecked set, is checked by its first reader.
+    by then, `_grown`, which adds to a checked c faces whose facets are
+    in c, and `delete` from a c whose matrices are built, so checked.
+    Any other output, such as the skeleton, deletion or product of an
+    unchecked set, is checked by its first reader.
     """
     c = object.__new__(CubicalComplex)
     c.__dict__.update(ambient_dim=ambient_dim, faces=faces)
@@ -224,9 +235,17 @@ def closure(ambient_dim: int, generators) -> CubicalComplex:
         if g not in out:
             d = word_dim(g)
             _check_stars(d)
-            _check_size(f"closure of {g!r}", len(out) + 3**d, ambient_dim)
+            _check_size(f"closure of {_named(g)}", len(out) + 3**d, ambient_dim)
             out.update(subwords(g))
     return _derived(ambient_dim, frozenset(out), closed=True)
+
+
+def _named(w: str) -> str:
+    """w quoted as a refusal names it; a word past 64 letters by its length and stars, so the line stays short."""
+    if len(w) <= 64:
+        return repr(w)
+    d = word_dim(w)
+    return f"a {len(w)}-letter word with {d} star{'s' * (d != 1)}"
 
 
 def _check_size(what: str, faces: int, ambient_dim: int) -> None:
@@ -302,11 +321,16 @@ def delete(c: CubicalComplex, g: CubicalComplex) -> CubicalComplex:
 
     The star of a vertex is its entry in `faces_by_vertex`, so the
     result is one C-level copy of c's faces with those entries
-    discarded, frozen as it is made.
+    discarded, frozen as it is made.  When c's boundary matrices are
+    built, the result's are a view of them without the deleted columns
+    (`BoundaryMatrices.without`), so its homology costs no new matrices.
     """
     _require_subcomplex(c, g, "deletion argument")
     at = c.faces_by_vertex
-    return _derived(c.ambient_dim, c.faces.difference(chain.from_iterable(at.get(v, ()) for v in g.vertices())))
+    out = _derived(c.ambient_dim, c.faces.difference(chain.from_iterable(at.get(v, ()) for v in g.vertices())))
+    if "chains" in c.__dict__:  # c has passed validate, and a closed set minus an open star is closed
+        out.__dict__.update({"chains": c.chains.without(g.vertices()), _CLOSED: True})
+    return out
 
 
 def product_complex(a: CubicalComplex, b: CubicalComplex) -> CubicalComplex:

@@ -11,8 +11,10 @@ reads a map.  One builder makes them all: `BoundaryMatrices.extended`
 adds a level of columns on top, and `_matrices_over` folds it over the
 levels of a face set, giving a facet outside the set no row.  A complex
 builds the matrices of its whole face set once (`CubicalComplex.chains`),
-and a complex grown by one level extends them.  A subcomplex's homology
-in a few degrees uses the subcomplex's columns.  The faces of c outside
+and a complex grown by one level extends them.  Deleting the open star
+of some vertices keeps a closed set whose matrices are the complex's
+restricted to the kept columns: `BoundaryMatrices.without` gives them
+as a view.  The faces of c outside
 a subcomplex are closed upward, so the quotient matrices of a pair
 (`relative_profile`) are the matrices built over those faces, and so
 are the integer ones at an open star (`manifold.local_profile`); over
@@ -34,15 +36,17 @@ pivots, each pivot in S is a unit column of Z_j|S, so rank(Z_j|S) =
 pivots outside S of the vectors holding it.  The first mask read of a
 map builds only that table of pivots by column (`gf2_reduced_kernel`),
 folding in each kernel vector as it is found, so no basis is kept; its
-nullity |P| gives the rank too.  A kept set then costs one pass over
-its non-pivot columns and one `gf2_rank` of Y, which is small when S is
-a local deletion.
+nullity |P| gives the rank too.  A view then costs a C-level pick of
+S's non-pivot columns and one `gf2_rank` of Y, small for a local S.
 
-Only `_homology` reads a kept set: per map it takes the mask of S
-(`columns_outside`: one byte per face, read in C with no table) and
-counts faces from it, and either ring reads the map through that
-mask.  Over Z the masked columns are dropped and the rest reduced, as
-the integer reconstruction mode compares torsion, which ranks do not give.
+A view finds S per level from the level's letter masks, built once
+(`words.letter_masks`): the faces with letter 0 and with letter 1 at
+each coordinate where the level's words differ.  A face misses a vertex
+where a coordinate holds the opposite letter, so the faces meeting a
+face's vertices are all but an OR of masks over its fixed coordinates
+(`words.meeting`).  `_homology` reads a view's maps through S
+(`BoundaryMatrices.source`); over Z the masked columns are dropped and
+the rest reduced, as the integer reconstruction mode compares torsion.
 Every integer elimination (homology, relative homology and
 `integer_rank`) goes through one sparse reducer, `_invariant_factors`.
 It first eliminates unit (+-1) pivots: each one is a unimodular row and
@@ -58,12 +62,12 @@ precision and there is no overflow path to detect.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import compress, count
 
 from .complex import CubicalComplex, _require_subcomplex
 from .errors import ContractError, StructuralError, _Record
-from .words import signed_facets, sort_words, word_dim
+from .words import letter_masks, meeting, signed_facets, sort_words, spanned_faces, word_dim
 
 __all__ = [
     "GF2",
@@ -83,9 +87,8 @@ __all__ = [
 GF2 = "gf2"
 INTEGER = "int"
 
-# columns_outside reads membership in kept as bytes 1 and 0; this table
-# spells them as binary digits of the deleted columns, 0 and 1
-_OUTSIDE = bytes.maketrans(b"\x00\x01", b"10")
+# a mask's binary digits as bytes 0 and 1, the selectors of itertools.compress
+_SELECT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _check_ring(ring: str) -> None:
@@ -125,6 +128,7 @@ class BoundaryMatrices:
         self.columns = columns      # columns[j][c]: list of (row, sign), j >= 1
         self._ranks: dict[int, int] = {}
         self._tables: dict[int, tuple[int, list[int]]] = {}
+        self._letters: dict[int, tuple] = {}
 
     @property
     def top(self) -> int:
@@ -165,23 +169,30 @@ class BoundaryMatrices:
             self._ranks.setdefault(j, len(got[1]) - got[0].bit_count())
         return got
 
-    def columns_outside(self, j: int, kept) -> int:
-        """The j-faces not in kept, as a mask over column indices; none when kept is None.
+    def source(self, j: int) -> tuple["BoundaryMatrices", int]:
+        """The matrices level j is read from and the mask of their columns left out: these and none."""
+        return self, 0
 
-        One byte per face of the level, 0 or 1 for its membership in
-        kept, spelt as a binary numeral and read by `int`: every pass
-        runs in C, and no table of bits is kept.
-        """
-        if kept is None or not self.num_faces(j):
+    def without(self, vertices) -> "BoundaryMatrices":
+        """A view of these matrices and their tables in which every reader sees only the faces holding none of `vertices`."""
+        return _Without(self, spanned_faces(vertices))
+
+    def _meeting(self, j: int, faces) -> int:
+        """The mask of the j-faces meeting one of `faces` (`words.meeting`), by the level's letter masks, built once."""
+        width = self.num_faces(j)
+        if not width or not faces:
             return 0
-        return int(bytes(map(kept.__contains__, self.levels[j])).translate(_OUTSIDE)[::-1], 2)
+        got = self._letters.get(j)
+        if got is None:
+            got = self._letters[j] = letter_masks(self.levels[j])
+        return meeting(got, faces) & ((1 << width) - 1)
 
     def extended(self, words) -> "BoundaryMatrices":
         """These matrices with one level added on top: `words`, faces one dimension above the top.
 
         Rows are the top level's faces, looked up in a dict of that level
         built here, and a facet outside it gets none.  The lower levels,
-        their GF(2) ranks and their reduced kernel tables are shared.
+        their GF(2) ranks, reduced kernel tables and letter masks are shared.
         """
         level = sort_words(words)
         below = {w: i for i, w in enumerate(self.levels[-1])} if self.levels else {}
@@ -189,6 +200,7 @@ class BoundaryMatrices:
         grown = BoundaryMatrices(self.levels + [level], self.columns + [columns])
         grown._ranks.update(self._ranks)
         grown._tables.update(self._tables)
+        grown._letters.update(self._letters)
         return grown
 
     def dense(self, j: int) -> list[list[int]]:
@@ -200,6 +212,60 @@ class BoundaryMatrices:
             for r, s in col:
                 out[r][ci] = s
         return out
+
+
+class _Without(BoundaryMatrices):
+    """`whole`'s matrices without the faces meeting one of `faces` (`BoundaryMatrices.without`).
+
+    A closed set minus an open star is closed, so the kept D_j is whole's
+    restricted to the kept columns.  Counts, GF(2) ranks (rank-nullity on
+    whole's table) and the ring readers (`source`) take each level's
+    deleted mask alone; levels and columns are built only when read.
+    """
+
+    def __init__(self, whole: BoundaryMatrices, faces):
+        self._whole, self._faces, self._deleted = whole, faces, {}
+        self._ranks, self._tables, self._letters = {}, {}, {}
+
+    def source(self, j: int) -> tuple[BoundaryMatrices, int]:
+        got = self._deleted.get(j)
+        if got is None:
+            got = self._deleted[j] = self._whole._meeting(j, self._faces)
+        return self._whole, got
+
+    def num_faces(self, j: int) -> int:
+        whole, deleted = self.source(j)
+        return whole.num_faces(j) - deleted.bit_count()
+
+    def gf2_rank(self, j: int) -> int:
+        whole, deleted = self.source(j)
+        return _gf2_map(whole, j, deleted)[0]
+
+    @cached_property
+    def levels(self) -> list[list[str]]:
+        """The kept faces per level, in whole's order, up to the top level holding one."""
+        kept = [list(compress(level, _selectors(self._kept(j)))) for j, level in enumerate(self._whole.levels)]
+        while kept and not kept[-1]:
+            kept.pop()
+        return kept
+
+    @cached_property
+    def columns(self) -> list[list[list[tuple[int, int]]]]:
+        """The kept columns of each level, their rows numbered among the kept faces below."""
+        out = []
+        for j in range(len(self.levels)):
+            renumber = dict(zip(compress(count(), _selectors(self._kept(j - 1))), count()))
+            kept = compress(self._whole.columns[j], _selectors(self._kept(j)))
+            out.append([[(renumber[r], s) for r, s in col] for col in kept])
+        return out
+
+    def _kept(self, j: int) -> int:
+        return ((1 << self._whole.num_faces(j)) - 1) & ~self.source(j)[1]
+
+
+def _selectors(mask: int) -> bytes:
+    """One byte per bit of a nonnegative mask, 1 where it is set, bit 0 first: selectors for itertools.compress."""
+    return bin(mask)[:1:-1].encode().translate(_SELECT)
 
 
 def _matrices_over(face_set) -> BoundaryMatrices:
@@ -390,13 +456,8 @@ def _gf2_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[i
     pivots, cover = mats.gf2_reduced_kernel(i)  # built before the rank, which it then gives
     rank = mats.gf2_rank(i)
     outside = pivots & ~deleted
-    # the deleted non-pivot columns, read off the binary numeral of
-    # their mask written backwards, so that index q is bit q
-    digits, y = bin(deleted & ~pivots)[:1:-1], []
-    q = digits.find("1")
-    while q >= 0:
-        y.append(cover[q] & outside)
-        q = digits.find("1", q + 1)
+    # the deleted non-pivot columns' pivots outside S, the zero ones dropped, picked in C
+    y = filter(None, map(outside.__and__, compress(cover, _selectors(deleted & ~pivots))))
     rank += (deleted & pivots).bit_count() + gf2_rank(y) - deleted.bit_count()
     return rank, ()
 
@@ -414,25 +475,23 @@ def _integer_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tup
 _RINGS = {GF2: _gf2_map, INTEGER: _integer_map}
 
 
-def _homology(mats: BoundaryMatrices, ring: str, degrees, kept=None) -> dict[int, tuple[int, tuple[int, ...]]]:
+def _homology(mats: BoundaryMatrices, ring: str, degrees) -> dict[int, tuple[int, tuple[int, ...]]]:
     """(Betti number, torsion) per degree j: faces_j - rank D_j - rank D_(j+1), factors above 1.
 
-    The torsion of degree j is that of D_(j+1).  With `kept` given, the
-    answer is for the faces of mats in `kept`, which must hold every
-    facet of its faces: its D_j is mats' D_j restricted to the kept
-    j-faces, columns only, as the rows those columns reach are kept
-    faces and every other row is zero there.  Without it every face is
-    kept.  Each map is read once, also when two degrees share it, and
-    the ring's reader sees only the mask of its deleted columns.
+    The torsion of degree j is that of D_(j+1).  Each map is read once,
+    also when two degrees share it, and the ring's reader sees the
+    matrices it is read from and the mask of their columns that mats
+    leaves out (`BoundaryMatrices.source`): none for whole matrices, the
+    deleted star's for a view made by `without`.
     """
     read = _RINGS[ring]
     faces: dict[int, int] = {}
     rank: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     for i in sorted({i for j in degrees for i in (j, j + 1)}):
-        deleted = mats.columns_outside(i, kept)
-        faces[i] = mats.num_faces(i) - deleted.bit_count()
-        rank[i], torsion[i] = read(mats, i, deleted)
+        whole, deleted = mats.source(i)
+        faces[i] = whole.num_faces(i) - deleted.bit_count()
+        rank[i], torsion[i] = read(whole, i, deleted)
     return _groups(faces, rank, torsion, degrees)
 
 

@@ -19,18 +19,19 @@ adds faces one dimension above the current complex, so the grown
 complex carries both up (`complex._grown`) with the builders a fresh
 complex starts from nothing: its matrices are the current ones plus
 one level (`BoundaryMatrices.extended`), sharing D_1..D_k with their
-GF(2) ranks and kernel tables, and its vertex index is a copy of the
-current one plus the added faces; the current complex is left as it
-is.  A step that accepts nothing keeps the current complex.  So each
-map is built, ranked over GF(2) and given its kernel table at most
-once per reconstruction, and a candidate's
-deleted star is a few index lookups.  A candidate then costs a few
-C-level passes (`delete`, which is one frozenset difference with its
-vertices' index entries, and the mask of deleted columns per compared
-map) and, over GF(2), a pass over the mask's non-pivot columns in the
-base's reduced kernel and one small rank, by rank-nullity (see
-homology); TIGHT_INTEGER compares torsion and reduces the columns
-outside the mask over Z.
+GF(2) ranks, kernel tables and letter masks, and its vertex index is a
+copy of the current one plus the added faces; the current complex is
+left as it is.  A step that accepts nothing keeps the current complex.
+So each map is built, ranked over GF(2) and given its kernel table and
+letter masks at most once per reconstruction.  A candidate then costs
+one C-level pass (`delete`, one frozenset difference with its vertices'
+index entries), whose result reads the current matrices through a view
+without the star (`BoundaryMatrices.without`).  Per compared map, the
+deleted columns are all but an OR of letter masks, one per fixed
+coordinate of the candidate where the level's words differ; over GF(2)
+a C-level pick of their non-pivot columns in the base's reduced kernel
+and one small rank follow, by rank-nullity (see homology).
+TIGHT_INTEGER compares torsion and reduces the kept columns over Z.
 
 A tight mode (even target dimension d = 2k) is the same test at the
 first degree with degree d-k dropped, the middle degree whose homology
@@ -45,7 +46,7 @@ from __future__ import annotations
 from .complex import CubicalComplex, _derived, _grown, delete
 from .errors import ContractError, _Record
 from .homology import GF2, INTEGER, _homology, homology_profile
-from .words import facets, one_step_cofaces, sort_words, validate_word, word_dim, word_vertices
+from .words import ONE, STAR, ZERO, facets, one_step_cofaces, sort_words, validate_word, word_dim, word_vertices
 
 __all__ = [
     "STANDARD",
@@ -110,14 +111,34 @@ def enumerate_candidates(skel: CubicalComplex, k: int) -> list[str]:
 
     Every such face has its k-dimensional facets in skel, so walking one
     step up from the k-faces of skel finds them all without scanning the
-    ambient cube; k < 0 yields none.  Checking the 2(k+1) facets
-    suffices: skel is downward closed, so deeper subfaces are then
-    present as well.
+    ambient cube; k < 0 yields none.  For k >= 1 it also holds the edge
+    along its new star from the low corner of each such facet, so a
+    k-face w is walked up only along the edges of skel at w's low corner
+    (`_edge_directions`), not along all n - k free coordinates.  Checking
+    the 2(k+1) facets suffices: skel is downward closed, so deeper
+    subfaces are then present as well.
     """
     if skel.dim > k:
         raise ContractError(f"skeleton dimension {skel.dim} exceeds k={k}")
-    above = {up for w in skel.faces if word_dim(w) == k for up in one_step_cofaces(w)}
+    edges = _edge_directions(skel.faces)
+    above = {
+        up
+        for w in skel.faces
+        if word_dim(w) == k
+        for up in one_step_cofaces(w, edges.get(w.replace(STAR, ZERO), ()) if k else None)
+    }
     return sort_words(w for w in above if _boundary_present(skel, w))
+
+
+def _edge_directions(faces) -> dict[str, list[int]]:
+    """Each vertex of the edges among faces mapped to the coordinates those edges free at it."""
+    out: dict[str, list[int]] = {}
+    for e in faces:
+        if e.count(STAR) == 1:
+            i = e.index(STAR)
+            out.setdefault(e.replace(STAR, ZERO), []).append(i)
+            out.setdefault(e.replace(STAR, ONE), []).append(i)
+    return out
 
 
 def _boundary_present(skel: CubicalComplex, w: str) -> bool:
@@ -132,8 +153,8 @@ def face_criterion(skel: CubicalComplex, f: str, k: int, d: int, mode: str = STA
     zero groups.  Homology is over GF(2) except in TIGHT_INTEGER.
     The boundary of f has the vertices of f, so the deletion is that of
     V(f).  It removes columns only (no kept face has a facet in the
-    deleted star), so the deleted side is computed from skel's own
-    boundary matrices restricted to the kept faces, in the compared
+    deleted star), so the deleted side reads skel's own boundary
+    matrices through the deletion's view of them, in the compared
     degrees alone.
     """
     ReconstructionConfig(k, d, mode).validate()
@@ -145,8 +166,9 @@ def face_criterion(skel: CubicalComplex, f: str, k: int, d: int, mode: str = STA
     if not _boundary_present(skel, f):
         return CandidateVerdict(f, False, False)
     degrees = (d - k, d - k - 1) if mode == STANDARD else (d - k - 1,)
-    kept = delete(skel, _derived(skel.ambient_dim, frozenset(word_vertices(f)))).faces
-    deleted = _homology(skel.chains, ring, degrees, kept)
+    skel.chains  # built before the deletion, which then reads skel's matrices without its star
+    kept = delete(skel, _derived(skel.ambient_dim, frozenset(word_vertices(f))))
+    deleted = _homology(kept.chains, ring, degrees)
     profiles = tuple((j, deleted[j], base.degree(j)) for j in degrees)
     accepted = all(left == right for _, left, right in profiles)
     return CandidateVerdict(f, True, accepted, profiles)

@@ -8,7 +8,9 @@ iff at every position q has '*' or the letters agree.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product, repeat
+from operator import itemgetter, or_
 
 from .errors import StructuralError
 
@@ -28,6 +30,10 @@ __all__ = [
     "one_step_cofaces",
     "mask_word",
     "free_masks",
+    "letter_bits",
+    "letter_masks",
+    "meeting",
+    "spanned_faces",
 ]
 
 ZERO = "0"
@@ -38,6 +44,10 @@ _LETTERS = frozenset("01*")
 
 # a face word spelt as the binary numeral of its free coordinates
 _FREE = str.maketrans("01*", "001")
+
+# a word spelt as the binary numeral of where it holds ZERO, and of where ONE
+_ZERO_AT = str.maketrans("01*", "100")
+_ONE_AT = str.maketrans("01*", "010")
 
 # canonical letter order is ZERO < ONE < STAR, which is not ASCII order;
 # translating '*' to '2' makes plain string comparison agree with it
@@ -107,10 +117,10 @@ def word_vertices(w: str):
         yield "".join(combo)
 
 
-def one_step_cofaces(w: str):
-    """Faces one dimension up that contain w."""
-    for i, letter in enumerate(w):
-        if letter != STAR:
+def one_step_cofaces(w: str, directions=None):
+    """Faces one dimension up that contain w; with `directions`, those starring one of these coordinates."""
+    for i in range(len(w)) if directions is None else directions:
+        if w[i] != STAR:
             yield w[:i] + STAR + w[i + 1 :]
 
 
@@ -128,3 +138,76 @@ def free_masks(words: tuple[str, ...]) -> tuple[int, ...]:
     if not words:
         return ()
     return tuple(map(int, ("0" + " 0".join(words)).translate(_FREE).split(), repeat(2)))
+
+
+def letter_bits(w: str) -> tuple[int, int]:
+    """(zeros, ones): the coordinates where w has letter 0 and letter 1, as masks with letter 0 the highest bit.
+
+    Each is one `translate` read by `int`, led by a "0" so that the
+    empty word is a numeral too.
+    """
+    return int("0" + w.translate(_ZERO_AT), 2), int("0" + w.translate(_ONE_AT), 2)
+
+
+def letter_masks(words) -> tuple[int, int, int, dict[int, tuple[int, int]]]:
+    """Where a nonempty list of words of one length differ, and which of them hold each letter there.
+
+    Returns (zeros, ones, differ, masks): `letter_bits` of words[0], the
+    coordinates (as bits, like theirs) where two words differ, and for
+    each such bit p the masks of the words with letter 0 and with letter
+    1 there, bit c standing for words[c].  Everywhere else every word has
+    the letter of words[0], so a long word with few differing letters
+    costs masks for those alone.  The letters at a coordinate are read
+    as one string of all the words' letters there.
+    """
+    zeros, ones = letter_bits(words[0])
+    differ = reduce(or_, (z ^ zeros | o ^ ones for z, o in map(letter_bits, words)))
+    n, masks, rest = len(words[0]), {}, differ
+    while rest:
+        p = rest.bit_length() - 1
+        rest ^= 1 << p
+        masks[p] = letter_bits("".join(map(itemgetter(n - 1 - p), reversed(words))))
+    return zeros, ones, differ, masks
+
+
+def meeting(letters, faces) -> int:
+    """The mask of the words meeting one of `faces`, from their `letter_masks` and the faces' `letter_bits`.
+
+    Two faces miss each other exactly where a coordinate fixed in both
+    holds opposite letters.  Where the words differ, the masks give the
+    words holding each letter; anywhere else the first word's letter
+    holds for all.  Bits past the last word may be set.
+    """
+    zeros, ones, differ, masks = letters
+    out = 0
+    for fz, fo in faces:
+        if (fz & ones | fo & zeros) & ~differ:
+            continue  # every word holds the other letter somewhere
+        miss = 0
+        for p, (z, o) in masks.items():
+            if fz >> p & 1:
+                miss |= o
+            elif fo >> p & 1:
+                miss |= z
+        out |= ~miss
+    return out
+
+
+def spanned_faces(vertices) -> list[tuple[int, int]]:
+    """`letter_bits` of faces whose vertices together are exactly the given ones.
+
+    The smallest face holding them all stars the coordinates where two
+    differ.  When they are all its vertices, 2**stars of them, it is the
+    one face; otherwise each vertex is its own.  No vertices, no face.
+    """
+    vertices = set(vertices)
+    if not vertices:
+        return []
+    ones = [int("0" + v, 2) for v in vertices]  # a vertex is the binary numeral of its ones
+    free = reduce(or_, (x ^ ones[0] for x in ones))
+    if len(ones) == 1 << free.bit_count():
+        ones = ones[:1]
+    else:
+        free = 0
+    fixed = ((1 << len(next(iter(vertices)))) - 1) & ~free
+    return [(fixed & ~x, fixed & x) for x in ones]

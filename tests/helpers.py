@@ -23,8 +23,16 @@ from itertools import combinations, product
 from pathlib import Path
 
 import skelcube as sk
-from skelcube.homology import _invariant_factors, _matrices_over, _profile
-from skelcube.words import mask_word, one_step_cofaces, proper_subwords, sort_words, word_dim, word_vertices
+from skelcube.homology import _RINGS, _groups, _invariant_factors, _matrices_over, _profile
+from skelcube.words import (
+    letter_masks,
+    mask_word,
+    one_step_cofaces,
+    proper_subwords,
+    sort_words,
+    word_dim,
+    word_vertices,
+)
 
 
 def oracle_is_subface(p: str, q: str) -> bool:
@@ -429,6 +437,29 @@ def kept_homology_gf2_oracle(mats: sk.BoundaryMatrices, degrees, kept) -> dict[i
     return {j: (len(kept_faces(j)) - rank(j) - rank(j + 1), ()) for j in degrees}
 
 
+def kept_homology(mats: sk.BoundaryMatrices, ring: str, degrees, kept) -> dict[int, tuple[int, tuple]]:
+    """Homology of the faces of mats in kept, which holds every facet of its faces, through the library's ring readers.
+
+    Each level's faces outside kept are found by a membership scan and
+    each map is read through their mask, as `_homology` reads a view
+    made by `BoundaryMatrices.without`, whose masks come from letters.
+    """
+    faces, rank, torsion = {}, {}, {}
+    for i in sorted({i for j in degrees for i in (j, j + 1)}):
+        level = mats.levels[i] if 0 <= i <= mats.top else []
+        deleted = sum(1 << c for c, w in enumerate(level) if w not in kept)
+        faces[i] = len(level) - deleted.bit_count()
+        rank[i], torsion[i] = _RINGS[ring](mats, i, deleted)
+    return _groups(faces, rank, torsion, degrees)
+
+
+def meeting_oracle(level, vertices) -> int:
+    """The mask of the words of level holding one of vertices, letter by letter."""
+    return sum(
+        1 << c for c, w in enumerate(level) if any(all(a in ("*", b) for a, b in zip(w, v)) for v in vertices)
+    )
+
+
 def local_profile_oracle(c: sk.CubicalComplex, f: str, ring: str) -> sk.HomologyProfile:
     """Homology of (c, faces not containing f) from quotient matrices rebuilt from words.
 
@@ -508,11 +539,11 @@ def assert_criterion_matches_oracle(skel: sk.CubicalComplex, k: int, faces) -> i
 def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.ReconstructionConfig) -> list:
     """The steps of reconstruct_steps, each grown complex checked against a fresh build.
 
-    A degree carries the previous complex's matrices, their GF(2) ranks
-    and kernel tables and its vertex index up by the added faces; they
-    must equal what `_matrices_over` and a new complex build from the
-    grown faces: levels, signed columns, and every rank and table
-    carried.  The vertex index is compared as sets.
+    A degree carries the previous complex's matrices, their GF(2) ranks,
+    kernel tables and letter masks and its vertex index up by the added
+    faces; they must equal what `_matrices_over` and a new complex build
+    from the grown faces: levels, signed columns, and every rank, table
+    and letter mask carried.  The vertex index is compared as sets.
     After the last step the input and every grown complex are checked
     again, as a later carry must not change the complex it grew from.
     """
@@ -526,7 +557,7 @@ def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.Reconstructi
 
 
 def _assert_tables_fresh(c: sk.CubicalComplex) -> None:
-    """Assert c's chains and vertex index equal those built anew from its faces."""
+    """Assert c's chains, with each rank, table and letter mask carried, and vertex index equal those built anew."""
     carried, fresh = c.chains, _matrices_over(c.faces)
     assert carried.levels == fresh.levels
     assert carried.columns[1:] == fresh.columns[1:]
@@ -534,6 +565,8 @@ def _assert_tables_fresh(c: sk.CubicalComplex) -> None:
         assert got == fresh.gf2_rank(j), j
     for j, got in carried._tables.items():
         assert got == fresh.gf2_reduced_kernel(j), j
+    for j, got in carried._letters.items():
+        assert got == letter_masks(fresh.levels[j]), j
     index = sk.CubicalComplex(c.ambient_dim, c.faces).faces_by_vertex
     assert {v: set(ws) for v, ws in c.faces_by_vertex.items()} == {v: set(ws) for v, ws in index.items()}
     assert sum(map(len, c.faces_by_vertex.values())) == sum(map(len, index.values()))

@@ -110,15 +110,47 @@ MUTANTS = (
             "tests/test_homology.py::test_masked_gf2_rank_matches_the_dense_rank_of_the_kept_columns",
         ),
     ),
+    # a face meets a j-face unless some coordinate holds opposite letters;
+    # each mutant below misreads the letter masks of a deletion view
     Mutant(
-        "complement-taken-as-intersection",
-        HOMOLOGY,
-        'b"10")',
-        'b"01")',
+        "letter-mask-drops-a-fixed-coordinate",
+        WORDS,
+        "for p, (z, o) in masks.items():",
+        "for p, (z, o) in list(masks.items())[1:]:",
         (
-            "tests/test_homology.py::test_columns_outside_is_the_mask_of_the_level_minus_kept",
-            "tests/test_homology.py::test_rank_nullity_matches_the_kept_column_reduction",
+            "tests/test_homology.py::test_a_view_leaves_out_the_columns_of_the_faces_meeting_its_vertices",
+            "tests/test_homology.py::test_every_reader_of_a_deletion_view_matches_matrices_built_anew",
         ),
+    ),
+    Mutant(
+        "letter-mask-reads-the-same-letter",
+        WORDS,
+        "                miss |= o\n",
+        "                miss |= z\n",
+        (
+            "tests/test_homology.py::test_a_view_leaves_out_the_columns_of_the_faces_meeting_its_vertices",
+            "tests/test_homology.py::test_every_reader_of_a_deletion_view_matches_matrices_built_anew",
+        ),
+    ),
+    # vertices that span no face are ORed one by one, here all but one
+    Mutant(
+        "vertex-terms-skip-one",
+        WORDS,
+        "        free = 0\n",
+        "        free, ones = 0, ones[1:]\n",
+        (
+            "tests/test_homology.py::test_a_view_leaves_out_the_columns_of_the_faces_meeting_its_vertices",
+            "tests/test_homology.py::test_every_reader_of_a_deletion_view_matches_matrices_built_anew",
+        ),
+    ),
+    # a vertex's one-step cofaces are edges, which are not yet in the
+    # skeleton to lend their directions
+    Mutant(
+        "candidates-walk-edges-at-degree-zero",
+        RECONSTRUCT,
+        "edges.get(w.replace(STAR, ZERO), ()) if k else None",
+        "edges.get(w.replace(STAR, ZERO), ())",
+        ("tests/test_reconstruct.py::test_enumerate_candidates_against_oracle",),
     ),
     # over Z the mask is the only trace of the kept set
     Mutant(

@@ -355,6 +355,16 @@ def test_size_bound_counts_letters_not_faces(monkeypatch):
             build()
 
 
+def test_a_long_word_past_the_bound_is_named_by_its_length_and_stars():
+    # one star in I^7000000 gives 3 faces of 7000000 letters, past the
+    # bound; the refusal names the word in one short line, not in full
+    n = 7_000_000
+    with pytest.raises(sk.ContractError) as err:
+        sk.closure(n, ["*" + "0" * (n - 1)])
+    assert str(err.value).startswith(f"closure of a {n}-letter word with 1 star would exceed 20726199 letters")
+    assert len(str(err.value)) < 200
+
+
 def test_size_bound_holds_cube_13_and_refuses_small_inputs_with_large_results():
     # full_cube(13) is the largest cube within the bound
     assert sk.complex.MAX_LETTERS == 13 * 3**13
@@ -481,6 +491,17 @@ def test_maximal_faces():
     assert c.maximal_faces() == ["**"]
     circle = sk.cube_boundary(2)
     assert circle.maximal_faces() == ["0*", "1*", "*0", "*1"]
+
+
+def test_maximal_faces_match_a_subface_scan():
+    # a face is maximal when no other face of the set holds it; the
+    # library tries only the directions of the edges at its low corner
+    rng = random.Random(97)
+    hosts = [random_subcomplex(rng, sk.full_cube(n), max_generators=8) for n in range(0, 6) for _ in range(10)]
+    hosts.append(projective_plane())
+    for c in hosts:
+        tops = [w for w in c.faces if not any(u != w and oracle_is_subface(w, u) for u in c.faces)]
+        assert c.maximal_faces() == sorted(tops, key=lambda w: w.translate(str.maketrans("01*", "012")))
 
 
 def test_vertices_and_euler():

@@ -7,6 +7,7 @@ import pytest
 
 import skelcube as sk
 from skelcube.homology import _gf2_map, _homology, _invariant_factors, _matrices_over
+from skelcube.words import letter_masks, word_vertices
 
 from helpers import (
     all_words,
@@ -19,7 +20,9 @@ from helpers import (
     gf2_elimination_oracle,
     gf2_rank_dense,
     gf2_table_oracle,
+    kept_homology,
     kept_homology_gf2_oracle,
+    meeting_oracle,
     packed_columns,
     projective_plane,
     random_subcomplex,
@@ -290,11 +293,14 @@ def test_kept_columns_give_the_homology_of_any_subcomplex():
         degrees = range(-1, c.dim + 2)
         for ring in (sk.GF2, sk.INTEGER):
             expected = sk.homology_profile(sub, ring)
-            assert _homology(c.chains, ring, degrees, sub.faces) == {j: expected.degree(j) for j in degrees}
+            assert kept_homology(c.chains, ring, degrees, sub.faces) == {j: expected.degree(j) for j in degrees}
     rp2_times_circle = sk.product_complex(projective_plane(), sk.cube_boundary(2))
     skel = sk.skeleton(rp2_times_circle, 2)
-    # the torsion of H_1 = Z + Z/2 shows up from the host's own integer matrices
-    assert _homology(rp2_times_circle.chains, sk.INTEGER, (1,), skel.faces) == {1: (1, (2,))}
+    # the torsion of H_1 = Z + Z/2 shows up from the host's own integer
+    # matrices, and so it does through a view without a vertex's star
+    assert kept_homology(rp2_times_circle.chains, sk.INTEGER, (1,), skel.faces) == {1: (1, (2,))}
+    vertex = min(rp2_times_circle.vertices())
+    assert _homology(rp2_times_circle.chains.without([vertex]), sk.INTEGER, (1,)) == {1: (1, (2,))}
 
 
 def test_gf2_elimination_gives_the_rank_and_a_kernel_basis():
@@ -351,20 +357,23 @@ def test_rank_nullity_matches_the_kept_column_reduction():
     for c in hosts:
         mats = c.chains
         degrees = range(-1, c.dim + 2)
-        deleted = sk.delete(c, random_subcomplex(rng, c, max_generators=2)).faces
+        deleted = sk.delete(c, random_subcomplex(rng, c, max_generators=2))
         for kept in (
             frozenset(),
             c.faces,
-            deleted,
+            deleted.faces,
             sk.skeleton(c, rng.randint(-1, c.dim)).faces,
             random_subcomplex(rng, c).faces,
         ):
-            got = _homology(mats, sk.GF2, degrees, kept)
+            got = kept_homology(mats, sk.GF2, degrees, kept)
             assert got == kept_homology_gf2_oracle(mats, degrees, kept), (sorted(c.faces), sorted(kept))
-            got = _homology(mats, sk.INTEGER, degrees, kept)
+            got = kept_homology(mats, sk.INTEGER, degrees, kept)
             assert got == _homology(_matrices_over(kept), sk.INTEGER, degrees), (sorted(c.faces), sorted(kept))
             torsion += any(factors for _, factors in got.values())
-        emptied += any(level and deleted.isdisjoint(level) for level in mats.levels)
+        # the deletion's own matrices are a view of c's, read the same way
+        assert _homology(deleted.chains, sk.GF2, degrees) == kept_homology_gf2_oracle(mats, degrees, deleted.faces)
+        assert _homology(deleted.chains, sk.INTEGER, degrees) == kept_homology(mats, sk.INTEGER, degrees, deleted.faces)
+        emptied += any(level and deleted.faces.isdisjoint(level) for level in mats.levels)
     assert emptied > 10
     assert torsion >= 4
 
@@ -432,28 +441,129 @@ def test_whole_complex_gf2_homology_reads_ranks_alone_in_little_memory():
     assert not c.chains._tables
 
 
-def test_columns_outside_is_the_mask_of_the_level_minus_kept():
-    # random kept sets: closed or not, with words of other levels and of
-    # no face of c; compared with the mask built from the level alone
+def test_a_view_leaves_out_the_columns_of_the_faces_meeting_its_vertices():
+    # vertex sets: none, a face's vertices (read as the one face), some of
+    # them, and random ones of c and of I^n; each level's mask from the
+    # letter masks is compared with a letter-by-letter scan
     rng = random.Random(71)
-    strangers = [w for n in range(1, 6) for w in all_words(n)]
     for n in range(1, 6):
         base = sk.full_cube(n)
+        everywhere = sorted(base.vertices())
         for _ in range(12):
             c = random_subcomplex(rng, base)
             mats = c.chains
-            faces = sorted(c.faces)
-            for kept in (
-                frozenset(),
-                c.faces,
-                random_subcomplex(rng, c).faces,
-                frozenset(rng.sample(faces, rng.randint(0, len(faces)))),
-                frozenset(rng.sample(faces, rng.randint(0, len(faces))) + rng.sample(strangers, 20)),
+            face = rng.choice(sorted(base.faces))
+            corners = sorted(word_vertices(face))
+            for vertices in (
+                [],
+                corners,
+                rng.sample(corners, rng.randint(1, len(corners))),
+                rng.sample(sorted(c.vertices()), min(len(c.vertices()), rng.randint(1, 4))),
+                rng.sample(everywhere, rng.randint(1, len(everywhere))),
             ):
+                view = mats.without(vertices)
                 for j in range(-1, c.dim + 2):
-                    at = {w: i for i, w in enumerate(mats.levels[j])} if 0 <= j <= mats.top else {}
-                    assert mats.columns_outside(j, kept) == sum(1 << at[w] for w in at.keys() - kept)
-            assert all(mats.columns_outside(j, None) == 0 for j in range(-1, c.dim + 2))
+                    level = mats.levels[j] if 0 <= j <= mats.top else []
+                    assert view.source(j) == (mats, meeting_oracle(level, vertices)), (sorted(c.faces), vertices, j)
+            assert all(mats.source(j) == (mats, 0) for j in range(-1, c.dim + 2))
+            for j in mats._letters:
+                assert mats._letters[j] == letter_masks(mats.levels[j])
+
+
+def test_every_reader_of_a_deletion_view_matches_matrices_built_anew():
+    # delete(c, g) on c with chains built hands on c's matrices without the
+    # deleted columns; levels, columns, counts, GF(2) ranks (rank-nullity
+    # from c's table), the view's own kernel tables, dense matrices and
+    # homology over both rings must be those of a fresh build over the
+    # kept faces.  g spans a face (one letter-mask term) or is arbitrary
+    # (a term per vertex); half the views are read rank first.  A deletion
+    # from a deletion reads a view of the first view.
+    def assert_fresh(cut: sk.CubicalComplex) -> None:
+        view, fresh = cut.chains, _matrices_over(cut.faces)
+        degrees = range(-1, fresh.top + 3)
+        if rng.random() < 0.5:
+            assert [view.gf2_rank(j) for j in degrees] == [fresh.gf2_rank(j) for j in degrees]
+        for ring in (sk.GF2, sk.INTEGER):
+            assert _homology(view, ring, degrees) == _homology(fresh, ring, degrees), (sorted(cut.faces), ring)
+        assert view.levels == fresh.levels and view.columns == fresh.columns and view.top == fresh.top
+        for j in degrees:
+            assert view.num_faces(j) == fresh.num_faces(j)
+            assert view.gf2_rank(j) == fresh.gf2_rank(j), (sorted(cut.faces), j)
+            assert view.gf2_reduced_kernel(j) == fresh.gf2_reduced_kernel(j)
+            assert view.dense(j) == fresh.dense(j)
+
+    rng = random.Random(67)
+    hosts = [c for _, c in corpus()] + [projective_plane()]
+    hosts += [random_subcomplex(rng, sk.full_cube(n)) for n in range(1, 6) for _ in range(8)]
+    shapes = twice = 0
+    for c in filter(len, hosts):
+        c.chains
+        faces = sorted(c.faces)
+        face = rng.choice(faces)
+        for g in (
+            sk.closure(c.ambient_dim, word_vertices(face)),
+            sk.closure(c.ambient_dim, [rng.choice(faces)]),
+            random_subcomplex(rng, c, max_generators=3),
+            c,
+        ):
+            cut = sk.delete(c, g)
+            assert cut.chains._whole is c.chains
+            shapes += len(cut.chains._faces) == 1 < len(g.vertices())
+            assert_fresh(cut)
+            if cut.vertices():
+                assert_fresh(sk.delete(cut, sk.closure(c.ambient_dim, [min(cut.vertices())])))
+                twice += 1
+    assert shapes > 20 and twice > 20
+
+
+def test_letter_masks_stay_within_twice_the_vertex_index_on_a_long_sparse_product():
+    # the 2-skeleton of even-cycle(200) x the 2-sphere lies in I^103 and
+    # its levels' words differ at nearly every coordinate, so each level
+    # keeps two masks per coordinate: about 0.24 MB, against about 0.5 MB
+    # for the vertex index that delete reads beyond the faces it lists,
+    # and 2.0 MB for a mask per vertex.  Tracing the builds would run
+    # some ten times slower, so tracemalloc weighs copies loaded from
+    # pickle, the faces' own strings taken off the index's weight.
+    def loaded_bytes(obj) -> int:
+        blob = pickle.dumps(obj)
+        tracemalloc.start()
+        try:
+            loaded = pickle.loads(blob)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del loaded
+        return size
+
+    c = sk.skeleton(sk.product_complex(sk.generate("even-cycle(200)"), sk.cube_boundary(3)), 2)
+    mats = c.chains
+    view = mats.without([min(c.vertices())])
+    assert [view.num_faces(j) for j in range(3)] == [1599, 3995, 3591]
+    assert sorted(mats._letters) == [0, 1, 2]
+    faces = list(c.faces)
+    index = loaded_bytes((faces, c.faces_by_vertex)) - loaded_bytes(faces)
+    letters = loaded_bytes(mats._letters)
+    assert letters <= 2 * index, (letters, index)
+
+
+def test_a_view_in_a_padded_cube_keeps_masks_for_the_differing_coordinates_alone():
+    # the 2-sphere padded with zeros into I^100000: its levels differ at
+    # three coordinates, so each vertex's view reads six masks per level.
+    # Masks for every coordinate took 44 MB and 5.8 s in I^200000, and a
+    # scan of each level by membership a 19.6 MB traced peak
+    n = 100_000
+    s2 = sk.product_complex(sk.cube_boundary(3), sk.closure(n - 3, ["0" * (n - 3)]))
+    mats = s2.chains
+    vertices = sorted(s2.vertices())
+    tracemalloc.start()
+    try:
+        got = [_homology(mats.without([v]), sk.GF2, range(3)) for v in vertices]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == [{0: (1, ()), 1: (0, ()), 2: (0, ())}] * 8
+    assert all(len(masks) == 3 for *_, masks in mats._letters.values())
+    assert peak <= 3_000_000, peak
 
 
 def test_gf2_rank_packed():
