@@ -29,7 +29,6 @@ _EXPORTS = {
     "full_cube": "complex",
     "product_complex": "complex",
     "skeleton": "complex",
-    "star": "complex",
     "HypercubeEmbedding": "embedding",
     "SimpleGraph": "embedding",
     "bfs_forest": "embedding",
@@ -65,7 +64,6 @@ _EXPORTS = {
     "serialize_graph": "io",
     "ManifoldReport": "manifold",
     "is_homology_manifold": "manifold",
-    "is_orientable": "manifold",
     "local_profile": "manifold",
     "STANDARD": "reconstruct",
     "TIGHT_GF2": "reconstruct",

@@ -7,9 +7,8 @@ from itertools import chain
 
 from .errors import ContractError, StructuralError, _Record
 from .words import (
-    ONE,
     STAR,
-    ZERO,
+    _named,
     canon_key,
     facets,
     free_masks,
@@ -27,7 +26,6 @@ __all__ = [
     "full_cube",
     "cube_boundary",
     "skeleton",
-    "star",
     "delete",
     "product_complex",
 ]
@@ -50,11 +48,13 @@ class CubicalComplex(_Record):
     downward-closed sets alone, and `validate` is the one check of that:
     each reader calls it on entry (`chains`, and so homology, cohomology
     and the reconstruction criterion; `graph_of`, and so components and
-    the manifold tests; `local_profile`; both members of
+    the manifold tests; the GF(2) `local_profile`; both members of
     `relative_profile`).  A passed check is marked on the instance, so it
     runs at most once per complex, and `closure`, which builds every
     parsed file, marks its output.  The library's own builders build
-    through `_derived`, which skips the word check.
+    through `_derived`, which skips the word check.  That one complex
+    lies in another is checked only where a pair is read (`delete`,
+    `relative_profile`), by `_require_subcomplex`.
 
     A `_Record` of `ambient_dim` and `faces`: equality, hash and repr
     read those two alone.  Tables read from the faces are cached beside
@@ -151,9 +151,6 @@ class CubicalComplex(_Record):
                 out.append(w)
         return sort_words(out)
 
-    def is_subcomplex_of(self, other: "CubicalComplex") -> bool:
-        return self.ambient_dim == other.ambient_dim and self.faces <= other.faces
-
     def validate(self) -> None:
         """Refuse a face set that is not downward closed; word shape was checked on construction.
 
@@ -175,7 +172,7 @@ class CubicalComplex(_Record):
 
 def _not_closed(at: str, missing: str) -> StructuralError:
     """The one refusal of a face set that is not downward closed: face `at` is in it, its subface `missing` is not."""
-    return StructuralError(f"the face set is not downward closed: at {at!r}, face {missing!r} is missing")
+    return StructuralError(f"the face set is not downward closed: at {_named(at)}, face {_named(missing)} is missing")
 
 
 def _derived(ambient_dim: int, faces: frozenset, closed: bool = False) -> CubicalComplex:
@@ -240,14 +237,6 @@ def closure(ambient_dim: int, generators) -> CubicalComplex:
     return _derived(ambient_dim, frozenset(out), closed=True)
 
 
-def _named(w: str) -> str:
-    """w quoted as a refusal names it; a word past 64 letters by its length and stars, so the line stays short."""
-    if len(w) <= 64:
-        return repr(w)
-    d = word_dim(w)
-    return f"a {len(w)}-letter word with {d} star{'s' * (d != 1)}"
-
-
 def _check_size(what: str, faces: int, ambient_dim: int) -> None:
     """Refuse to build `what`, up to `faces` faces of I^ambient_dim, when they exceed MAX_LETTERS letters."""
     if faces * ambient_dim > MAX_LETTERS:
@@ -279,7 +268,7 @@ def cube_boundary(n: int) -> CubicalComplex:
         raise StructuralError("boundary of I^n needs n >= 1")
     _check_stars(n)
     top = STAR * n
-    _check_size(f"closure of {top!r}", 3**n, n)
+    _check_size(f"closure of {_named(top)}", 3**n, n)
     return _derived(n, frozenset(proper_subwords(top)))
 
 
@@ -295,25 +284,6 @@ def _require_subcomplex(c: CubicalComplex, g: CubicalComplex, role: str) -> None
         raise StructuralError(f"{role} lives in I^{g.ambient_dim}, expected I^{c.ambient_dim}")
     if not g.faces <= c.faces:
         raise StructuralError(f"{role} is not a subcomplex: {len(g.faces - c.faces)} faces missing from the host")
-
-
-def star(c: CubicalComplex, faces) -> frozenset[str]:
-    """Faces of c having one of the given faces as a subface (their open star).
-
-    A face contains f exactly when it contains both extreme corners of
-    f, the vertices with every star of f set to 0 and to 1, so the star
-    of f is the intersection of their entries in `faces_by_vertex`.
-    Exact on any face set, downward closed or not, and for given words
-    outside c.
-    """
-    at = c.faces_by_vertex
-    found: set[str] = set()
-    for f in faces:
-        low = at.get(f.replace(STAR, ZERO), ())
-        high = at.get(f.replace(STAR, ONE), ())
-        # a vertex is both its corners: the same tuple, no intersection needed
-        found.update(low if low is high else set(low).intersection(high))
-    return frozenset(found)
 
 
 def delete(c: CubicalComplex, g: CubicalComplex) -> CubicalComplex:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .complex import CubicalComplex, _check_size, _derived, cube_boundary, full_cube, product_complex, skeleton
 from .embedding import SimpleGraph
 from .errors import StructuralError, _Record
-from .words import ONE, STAR, ZERO, subwords
+from .words import ONE, STAR, ZERO, _named, subwords
 
 __all__ = [
     "GeneratorSpec",
@@ -45,7 +45,7 @@ def parse_generator_spec(text: str) -> GeneratorSpec:
     text = text.strip()
     spec, rest = _parse_spec(text, 0)
     if rest != len(text):
-        raise StructuralError(f"trailing input in generator spec: {text[rest:]!r}")
+        raise StructuralError(f"trailing input in generator spec: {_named(text[rest:])}")
     return spec
 
 
@@ -57,7 +57,7 @@ def _parse_spec(text: str, i: int, depth: int = 1) -> tuple[GeneratorSpec, int]:
         i += 1
     name = text[start:i]
     if not name:
-        raise StructuralError(f"expected a family name at position {start} of {text!r}")
+        raise StructuralError(f"expected a family name at position {start} of {_named(text)}")
     if i == len(text) or text[i] != "(":
         return GeneratorSpec(name), i
     i += 1
@@ -86,7 +86,7 @@ def _parse_spec(text: str, i: int, depth: int = 1) -> tuple[GeneratorSpec, int]:
             i += 1
             break
         else:
-            raise StructuralError(f"expected ',' or ')' at position {i} of {text!r}")
+            raise StructuralError(f"expected ',' or ')' at position {i} of {_named(text)}")
     return GeneratorSpec(name, tuple(args)), i
 
 
@@ -165,7 +165,7 @@ def generate(spec: GeneratorSpec | str):
     if isinstance(spec, str):
         spec = parse_generator_spec(spec)
     if spec.family not in FAMILIES:
-        raise ValueError(f"unknown generator family {spec.family!r}")
+        raise ValueError(f"unknown generator family {_named(spec.family)}")
     kinds, build = FAMILIES[spec.family]
     args = [generate(a) if isinstance(a, GeneratorSpec) else a for a in spec.args]
     if len(args) != len(kinds) or not all(isinstance(a, kind) for a, kind in zip(args, kinds)):

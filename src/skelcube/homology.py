@@ -16,12 +16,12 @@ of some vertices keeps a closed set whose matrices are the complex's
 restricted to the kept columns: `BoundaryMatrices.without` gives them
 as a view.  The faces of c outside
 a subcomplex are closed upward, so the quotient matrices of a pair
-(`relative_profile`) are the matrices built over those faces, and so
-are the integer ones at an open star (`manifold.local_profile`); over
-GF(2) that quotient is read as the chain complex of a link, with no
-matrix built.  `_groups` is the one ranks-to-Betti formula, read by
-`_homology` and by the link, and cohomology follows from homology by
-universal coefficients.
+(`relative_profile`) are the matrices built over those faces.  The
+local GF(2) profile at a face, whose pair leaves out an open star, is
+read as the chain complex of a link instead (`manifold.local_profile`),
+with no matrix built.  `_groups` is the one ranks-to-Betti formula,
+read by `_homology` and by the link, and cohomology follows from
+homology by universal coefficients.
 
 Over GF(2) a map is read in one of two ways, each made at most once
 per matrix and carried up with the levels when a complex grows.  With

@@ -14,6 +14,7 @@ from __future__ import annotations
 # `complex` loads in `parse_complex` alone; annotations naming CubicalComplex are never evaluated
 from .embedding import SimpleGraph, _normalize_edge
 from .errors import StructuralError
+from .words import _named
 
 __all__ = ["parse_complex", "serialize_complex", "parse_graph", "serialize_graph"]
 
@@ -40,11 +41,11 @@ def _header(text: str, keyword: str, what: str, empty: str) -> tuple[list[tuple[
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] != keyword:
-        raise StructuralError(f"line {lineno}: expected '{keyword} <n>', got {header!r}")
+        raise StructuralError(f"line {lineno}: expected '{keyword} <n>', got {_named(header)}")
     try:
         return lines[1:], lineno, int(parts[1])
     except ValueError:
-        raise StructuralError(f"line {lineno}: {what} {parts[1]!r} is not an integer") from None
+        raise StructuralError(f"line {lineno}: {what} {_named(parts[1])} is not an integer") from None
 
 
 def parse_complex(text: str) -> tuple[CubicalComplex, int]:
@@ -58,7 +59,7 @@ def parse_complex(text: str) -> tuple[CubicalComplex, int]:
     generators = []
     for lineno, line in lines:
         if len(line.split()) != 1:
-            raise StructuralError(f"line {lineno}: expected a single face word, got {line!r}")
+            raise StructuralError(f"line {lineno}: expected a single face word, got {_named(line)}")
         generators.append(line)
     # the empty word, the one face of I^0, serializes as a blank line
     if n == 0 and any(not raw.strip() for raw in text.splitlines()[head:]):
@@ -85,7 +86,7 @@ def parse_graph(text: str) -> SimpleGraph:
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
-            raise StructuralError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise StructuralError(f"line {lineno}: expected 'u v', got {_named(line)}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:

@@ -2,23 +2,19 @@
 
 from __future__ import annotations
 
-from .complex import CubicalComplex, star
+from .complex import CubicalComplex
 from .embedding import components
-from .errors import ContractError, StructuralError, _Record
+from .errors import StructuralError, _Record
 from .homology import (
-    GF2,
-    INTEGER,
     HomologyProfile,
     _as_profile,
-    _check_ring,
     _groups,
     _matrices_over,
-    _profile,
     gf2_rank,
     integer_rank,
     relative_profile,
 )
-from .words import STAR, ZERO, free_masks, word_dim
+from .words import STAR, ZERO, _named, free_masks, word_dim
 
 # relative_profile is re-exported, not called: perfbench/traced.py wraps
 # skelcube.manifold.relative_profile as its homology.relative span, which
@@ -27,7 +23,6 @@ __all__ = [
     "ManifoldReport",
     "local_profile",
     "is_homology_manifold",
-    "is_orientable",
     "relative_profile",
 ]
 
@@ -95,27 +90,23 @@ def _link_rank(below: list[int], level: list[int]) -> int:
     return gf2_rank(columns)
 
 
-def local_profile(c: CubicalComplex, f: str, ring: str = GF2) -> HomologyProfile:
-    """Homology of the pair (c, faces not containing f), in degrees 0..dim c.
+def local_profile(c: CubicalComplex, f: str) -> HomologyProfile:
+    """GF(2) homology of the pair (c, faces not containing f), in degrees 0..dim c.
 
-    The quotient basis is the open star of f.  Over Z its matrices are
-    built over the star, as `relative_profile` builds any pair's.  Over
-    GF(2), which the manifold check reads at every face, none is built:
-    the facets of a star face g that stay in the star put f's letter
-    back at one coordinate of A_g (see `_link`), so the quotient is the
-    augmented chain complex of the link shifted up by p = dim f, and
-    H_j of the pair is the reduced H_(j-p-1) of the link (Munkres,
-    *Elements of Algebraic Topology*, 1984, section 63).  Either reading
+    The quotient basis is the open star of f, and no matrix is built
+    over it: the facets of a star face g that stay in the star put f's
+    letter back at one coordinate of A_g (see `_link`), so the quotient
+    is the augmented chain complex of the link shifted up by p = dim f,
+    and H_j of the pair is the reduced H_(j-p-1) of the link (Munkres,
+    *Elements of Algebraic Topology*, 1984, section 63).  That reading
     needs a downward-closed c, where a star face of dimension p + k has
-    k facets in the star, so c is validated first.
+    k facets in the star, so c is validated first.  Over Z the pair's
+    homology is `relative_profile` of c and its faces not containing f.
     """
     if f not in c.faces:
-        raise StructuralError(f"face {f!r} is not in the complex")
-    _check_ring(ring)
+        raise StructuralError(f"face {_named(f)} is not in the complex")
     c.validate()
     p, length = word_dim(f), c.dim + 1
-    if ring == INTEGER:
-        return _profile(_matrices_over(star(c, (f,))), length, INTEGER)
     faces, rank = [0] * (length + 1), [0] * (length + 1)
     levels = _link(c, f)
     for k, level in enumerate(levels):
@@ -145,7 +136,7 @@ def _component_report(comp: CubicalComplex, with_orientability: bool) -> Manifol
         return ManifoldReport(False, None, None, impure, reason="impure")
     sphere = (0,) * d + (1,)
     for w in comp.sorted_faces():
-        seen = local_profile(comp, w, GF2)
+        seen = local_profile(comp, w)
         if seen.betti != sphere:
             return ManifoldReport(False, None, None, w, reason="local-homology", failing_profile=seen)
     orientable = _top_free_rank(comp) == 1 if with_orientability else None
@@ -170,19 +161,3 @@ def is_homology_manifold(c: CubicalComplex, check_orientability: bool = False) -
     orientable = all(r.orientable for r in sub) if check_orientability else None
     return ManifoldReport(True, sub[0].dimension, orientable, None, sub)
 
-
-def is_orientable(c: CubicalComplex) -> bool:
-    """Whether each component carries an integer fundamental class.
-
-    The caller is expected to have verified the homology-manifold
-    property; `components` validates c, and purity is re-checked here.
-    Degree-d torsion cannot occur (there are no (d+1)-faces), so the
-    test is a rank condition.
-    """
-    parts = components(c)
-    if not parts:
-        raise ContractError("orientability needs a nonempty homology manifold")
-    impure = _impure_face(c)
-    if impure is not None:
-        raise ContractError(f"complex is not pure: maximal face {impure!r} has dimension {word_dim(impure)}")
-    return all(_top_free_rank(p) == 1 for p in parts)

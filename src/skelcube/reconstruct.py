@@ -46,7 +46,7 @@ from __future__ import annotations
 from .complex import CubicalComplex, _derived, _grown, delete
 from .errors import ContractError, _Record
 from .homology import GF2, INTEGER, _homology, homology_profile
-from .words import ONE, STAR, ZERO, facets, one_step_cofaces, sort_words, validate_word, word_dim, word_vertices
+from .words import ONE, STAR, ZERO, _named, facets, one_step_cofaces, sort_words, validate_word, word_dim, word_vertices
 
 __all__ = [
     "STANDARD",
@@ -159,7 +159,7 @@ def face_criterion(skel: CubicalComplex, f: str, k: int, d: int, mode: str = STA
     """
     ReconstructionConfig(k, d, mode).validate()
     if word_dim(f) != k + 1:
-        raise ContractError(f"candidate {f!r} has dimension {word_dim(f)}, expected {k + 1}")
+        raise ContractError(f"candidate {_named(f)} has dimension {word_dim(f)}, expected {k + 1}")
     validate_word(f, skel.ambient_dim)
     ring = INTEGER if mode == TIGHT_INTEGER else GF2
     base = homology_profile(skel, ring)  # refuses a skel lacking a facet of one of its faces

@@ -67,13 +67,21 @@ def word_dim(w: str) -> int:
     return w.count(STAR)
 
 
+def _named(w: str) -> str:
+    """w as a refusal names it: quoted, or past 64 letters by its length and stars, so the line stays short."""
+    if len(w) <= 64:
+        return repr(w)
+    d = word_dim(w)
+    return f"a {len(w)}-letter word with {d} star{'s' * (d != 1)}"
+
+
 def validate_word(w: str, ambient_dim: int) -> None:
     if not isinstance(w, str):
         raise StructuralError(f"face word must be a string, got {type(w).__name__}")
     if len(w) != ambient_dim:
-        raise StructuralError(f"face word {w!r} has length {len(w)}, expected {ambient_dim}")
+        raise StructuralError(f"face word {_named(w)} has length {len(w)}, expected {ambient_dim}")
     if not _LETTERS.issuperset(w):
-        raise StructuralError(f"face word {w!r} contains letters outside '01*'")
+        raise StructuralError(f"face word {_named(w)} contains letters outside '01*'")
 
 
 def facets(w: str):

@@ -23,6 +23,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import skelcube as sk
+from skelcube.complex import _derived
 from skelcube.homology import _RINGS, _groups, _invariant_factors, _matrices_over, _profile
 from skelcube.words import (
     letter_masks,
@@ -384,7 +385,7 @@ def is_face_like(c: sk.CubicalComplex, g: sk.CubicalComplex) -> bool:
     """Whether every face of c meets V(g) in nothing or in the vertex set of a face of g, scanning only the open star of V(g)."""
     gverts = g.vertices()
     gface_vertex_sets = {frozenset(word_vertices(w)) for w in g.faces}
-    return all(frozenset(v for v in word_vertices(w) if v in gverts) in gface_vertex_sets for w in sk.star(c, gverts))
+    return all(frozenset(v for v in word_vertices(w) if v in gverts) in gface_vertex_sets for w in star(c, gverts))
 
 
 def assert_facelike_iff_not_bounding(c: sk.CubicalComplex, f: str) -> bool:
@@ -398,6 +399,35 @@ def assert_facelike_iff_not_bounding(c: sk.CubicalComplex, f: str) -> bool:
     facelike = is_face_like(c, boundary)
     assert facelike == (f not in c.faces), (f, facelike)
     return facelike
+
+
+def star(c: sk.CubicalComplex, faces) -> frozenset[str]:
+    """Faces of c having one of the given faces as a subface (their open star).
+
+    A face contains f exactly when it contains both extreme corners of
+    f, the vertices with every star of f set to 0 and to 1, so the star
+    of f is the intersection of their entries in `faces_by_vertex`.
+    Exact on any face set, downward closed or not, and for given words
+    outside c.
+    """
+    at = c.faces_by_vertex
+    found: set[str] = set()
+    for f in faces:
+        low = at.get(f.replace("*", "0"), ())
+        high = at.get(f.replace("*", "1"), ())
+        # a vertex is both its corners: the same tuple, no intersection needed
+        found.update(low if low is high else set(low).intersection(high))
+    return frozenset(found)
+
+
+def integer_local_profile(c: sk.CubicalComplex, f: str) -> sk.HomologyProfile:
+    """Integer homology of the pair (c, faces not containing f), through `relative_profile`.
+
+    c minus an open star is closed whenever c is, and `relative_profile`
+    validates c before its second member, so that member is marked
+    closed rather than scanned again at every face.
+    """
+    return sk.relative_profile(c, _derived(c.ambient_dim, c.faces - star(c, (f,)), closed=True), sk.INTEGER)
 
 
 def star_walk_oracle(c: sk.CubicalComplex, faces) -> frozenset[str]:
@@ -485,7 +515,7 @@ def link_by_star_oracle(c: sk.CubicalComplex, f: str) -> list[list[int]]:
         return int("0" + w.translate(str.maketrans("01*", "001")), 2)
 
     levels: list[list[int]] = [[] for _ in range(c.dim - word_dim(f) + 1)]
-    for g in sk.star(c, (f,)):
+    for g in star(c, (f,)):
         a = free(g) ^ free(f)
         levels[a.bit_count()].append(a)
     return levels

@@ -213,21 +213,8 @@ MUTANTS = (
         "    out = at\n",
         ("tests/test_properties.py::test_middle_skeleton_rebuilds_the_manifold",),
     ),
-    # the integer quotient built over the star of f's low corner, which is
-    # f's own star only at a vertex.  On a manifold every face has the
-    # profile of a vertex, so only tests of higher faces elsewhere catch it.
-    Mutant(
-        "integer-star-of-the-low-corner",
-        MANIFOLD,
-        "_matrices_over(star(c, (f,)))",
-        "_matrices_over(star(c, (f.replace(STAR, ZERO),)))",
-        (
-            "tests/test_manifold.py::test_local_profile_matches_subface_scan_oracle",
-            "tests/test_manifold.py::test_local_profile_builds_the_open_star_over_z_and_nothing_over_gf2",
-        ),
-    ),
-    # a local profile read on a face set that is not closed: over GF(2) a
-    # link facet has no row (KeyError), over Z a Betti number can go negative
+    # a local profile read on a face set that is not closed: a link facet
+    # has no row (KeyError)
     Mutant(
         "local-profile-skips-validate",
         MANIFOLD,

@@ -164,7 +164,7 @@ def test_criterion_7_duality_suite():
     checked = 0
     spheres = 0
     for m in members:
-        assert sk.is_orientable(m)
+        assert sk.is_homology_manifold(m, check_orientability=True).orientable
         d = m.dim
         gammas = [sk.closure(m.ambient_dim, [f]) for f in m.sorted_faces()]
         found = facelike_sphere_subcomplexes(m, 20)
@@ -266,9 +266,10 @@ def test_criterion_10_manifold_checks():
     orient_ok = True
     manifolds = 0
     for _, c in corpus():
-        if sk.is_homology_manifold(c).is_manifold:
+        rep = sk.is_homology_manifold(c, check_orientability=True)
+        if rep.is_manifold:
             manifolds += 1
-            orient_ok = orient_ok and sk.is_orientable(c)
+            orient_ok = orient_ok and rep.orientable
 
     ok = pos_ok and neg_ok and orient_ok and manifolds >= 10
     report(10, ok, f"spheres through d=4, tori and the sphere-circle product pass; discs and the wedge fail; {manifolds} corpus manifolds orientable")

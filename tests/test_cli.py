@@ -548,7 +548,7 @@ def test_parsed_inputs_are_never_scanned_and_a_constructed_complex_once(tmp_path
     torus = sk.CubicalComplex(4, sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(2)).faces)
     for ring in (sk.GF2, sk.INTEGER):
         sk.homology_profile(torus, ring)
-        sk.local_profile(torus, min(torus.faces), ring)
+    sk.local_profile(torus, min(torus.faces))
     assert sk.is_homology_manifold(torus, check_orientability=True).is_manifold
     assert passes == [len(torus.faces)]
     # a refused set is refused again by the next reader
@@ -580,8 +580,32 @@ def _mutated(rng, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _long_inputs(rng, n: int):
+    """(subcommand, file text or spec) pairs whose refusals meet words and lines of about n letters.
+
+    The first is the 6,999,999-letter word in I^7000000.  The letters
+    that break each word sit at seeded places.
+    """
+    at = rng.randrange(n)
+    bad = "0" * at + "x" + "0" * (n - at - 1)
+    stars = "".join(rng.sample("*" * 12 + "0" * (n - 12), n))
+    complexes = [
+        f"ambient 7000000\n{'0' * 6_999_999}\n",
+        f"ambient {n}\n{bad}\n",
+        f"ambient {n}\n{stars}\n",
+        f"ambient {n}\n{'0' * n} {'1' * n}\n",
+        f"ambient 3 {bad}\n",
+        f"ambient {bad}\n",
+    ]
+    graphs = [f"vertices 3\n0 1 {' 2' * n}\n", f"vertices {bad}\n", f"{bad} 3\n"]
+    specs = ["cube(2)" + bad, bad, "cube(2 " + "0" * n, "(" + bad]
+    return [("complex", t) for t in complexes] + [("graph", t) for t in graphs] + [("spec", t) for t in specs]
+
+
 def test_cli_ends_every_run_on_mutated_inputs_with_an_exit_code(tmp_path, capsys):
-    # 60 seeded runs over the six subcommands; argparse refusing an argument exits 2
+    # 60 seeded runs over the six subcommands; argparse refusing an argument exits 2.
+    # Then every subcommand on long words, lines and specs: each refusal names
+    # a long word by its length and stars, so no run writes more than 1 KB to stderr.
     rng = random.Random(89)
     complexes = [
         serialize_complex(c)
@@ -602,6 +626,7 @@ def test_cli_ends_every_run_on_mutated_inputs_with_an_exit_code(tmp_path, capsys
     ]
     specs = ["cube(2)", "boundary-cube(3)", "even-cycle(6)", "product(boundary-cube(2), cbs(3))", "skeleton-of(cube(3), 2)"]
     out = str(tmp_path / "out")
+    runs = []
     for run in range(60):
         path = tmp_path / f"input{run}"
         if run % 3 == 0:
@@ -626,9 +651,34 @@ def test_cli_ends_every_run_on_mutated_inputs_with_an_exit_code(tmp_path, capsys
             j = rng.choice([j for j, a in enumerate(spec) if not a.isalpha() or rng.random() < 0.1])
             spec = spec[:j] + rng.choice(["", "(", ")", ",", "0", "3", "x", spec[j] * 2]) + spec[j + 1 :]
             argv = ["generate", spec, "-o", out]
+        runs.append(argv)
+    long_runs = []
+    for kind, text in _long_inputs(rng, 100_000):
+        if kind == "spec":
+            long_runs.append(["generate", text, "-o", out])
+            continue
+        path = tmp_path / f"long{len(long_runs)}"
+        path.write_text(text)
+        if kind == "graph":
+            long_runs.append(["embed", str(path), "--nmax", "3"])
+            continue
+        for command in (
+            ["homology", "--ring", "int"],
+            ["homology", "--cohomology"],
+            ["manifold-check"],
+            ["skeleton", "-k", "1", "-o", out],
+            ["reconstruct", "-k", "2", "-d", "3", "-o", out],
+            ["reconstruct", "-k", "2", "--auto", "--dmax", "4", "-o", out],
+        ):
+            long_runs.append([command[0], str(path), *command[1:]])
+    for argv in runs + long_runs:
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-        assert code in (0, 1, 2, 3), (argv, path.read_text() if path.exists() else None)
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err
+        assert len(err.encode()) <= 1024, (argv[0], err[:200])
+        if argv in long_runs:
+            assert code in (2, 3) and err.count("\n") == 1, (argv[0], err)

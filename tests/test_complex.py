@@ -18,6 +18,7 @@ from helpers import (
     oracle_is_subface,
     projective_plane,
     random_subcomplex,
+    star,
     star_walk_oracle,
     vertices_of,
 )
@@ -99,7 +100,7 @@ def test_local_profile_complement_is_a_valid_complex():
     torus = sk.product_complex(sk.cube_boundary(2), sk.cube_boundary(2))
     for c in (torus, projective_plane()):
         for f in sorted(c.faces):
-            open_star = sk.star(c, (f,))
+            open_star = star(c, (f,))
             _assert_revalidates(_derived(c.ambient_dim, c.faces - open_star))
             assert open_star <= c.faces
 
@@ -145,10 +146,9 @@ def _reader_calls(c: sk.CubicalComplex):
     yield "validate", c.validate
     yield "graph_of", lambda: sk.graph_of(c)
     yield "components", lambda: sk.components(c)
-    for ring in (sk.GF2, sk.INTEGER):
-        yield f"local_profile {ring}", lambda ring=ring: sk.local_profile(c, min(c.faces), ring)
+    yield "local_profile", lambda: sk.local_profile(c, min(c.faces))
     yield "is_homology_manifold", lambda: sk.is_homology_manifold(c)
-    yield "is_orientable", lambda: sk.is_orientable(c)
+    yield "is_homology_manifold with orientability", lambda: sk.is_homology_manifold(c, check_orientability=True)
     yield "reconstruct", lambda: sk.reconstruct(c, sk.ReconstructionConfig(2, min(3, n)))
     if n >= 3:  # a candidate of the criterion at k = 2 is a 3-face
         f = "***" + "0" * (n - 3)
@@ -178,9 +178,8 @@ def test_no_reader_answers_on_a_face_set_that_is_not_downward_closed():
         (square, sk.is_homology_manifold, ("**", "0*")),
         (skeleton, sk.is_homology_manifold, ("00**", "00*0")),
     ]
-    for ring in (sk.GF2, sk.INTEGER):
-        refusals.append((square, lambda c, ring=ring: sk.local_profile(c, "00", ring), ("**", "0*")))
-        refusals.append((skeleton, lambda c, ring=ring: sk.local_profile(c, "0000", ring), ("00**", "00*0")))
+    refusals.append((square, lambda c: sk.local_profile(c, "00"), ("**", "0*")))
+    refusals.append((skeleton, lambda c: sk.local_profile(c, "0000"), ("00**", "00*0")))
     for c, check, named in refusals:
         with pytest.raises(sk.StructuralError) as refused:
             check(c)
@@ -251,7 +250,7 @@ def test_star_matches_subface_oracle():
             c = random_subcomplex(rng, base)
             given = rng.sample(list(all_words(n)), rng.randint(0, 3))
             expected = {w for w in c.faces if any(oracle_is_subface(f, w) for f in given)}
-            assert sk.star(c, given) == expected, (sorted(c.faces), given)
+            assert star(c, given) == expected, (sorted(c.faces), given)
             assert star_walk_oracle(c, given) == expected, (sorted(c.faces), given)
 
 
@@ -265,7 +264,7 @@ def test_star_is_exact_on_face_sets_that_are_not_closed():
             c = sk.CubicalComplex(n, frozenset(rng.sample(words, rng.randint(0, len(words) // 3))))
             given = rng.sample(words, rng.randint(0, 3))
             expected = {w for w in c.faces if any(oracle_is_subface(f, w) for f in given)}
-            assert sk.star(c, given) == expected, (sorted(c.faces), given)
+            assert star(c, given) == expected, (sorted(c.faces), given)
             walk_missed += star_walk_oracle(c, given) != expected
     assert walk_missed > 0
 
@@ -363,6 +362,27 @@ def test_a_long_word_past_the_bound_is_named_by_its_length_and_stars():
         sk.closure(n, ["*" + "0" * (n - 1)])
     assert str(err.value).startswith(f"closure of a {n}-letter word with 1 star would exceed 20726199 letters")
     assert len(str(err.value)) < 200
+
+
+def test_every_refusal_that_quotes_a_word_names_a_long_one_by_its_length_and_stars():
+    n = 100_000
+    edge = "*" + "0" * (n - 1)
+    bent = sk.CubicalComplex(n, frozenset({edge, "0" * n}))  # the edge's high end is missing
+    named = f"a {n}-letter word with 1 star"
+    refusals = (
+        (lambda: sk.CubicalComplex(n + 1, frozenset({edge})), f"face word {named} has length {n}, expected {n + 1}"),
+        (lambda: sk.CubicalComplex(n, frozenset({edge[:-1] + "x"})), f"face word {named} contains letters"),
+        (bent.validate, f"at {named}, face a {n}-letter word with 0 stars is missing"),
+        (lambda: sk.local_profile(bent, edge), f"at {named}, face"),
+        (lambda: sk.face_criterion(bent, edge, 2, 3), f"candidate {named} has dimension 1, expected 3"),
+        (lambda: sk.closure(n, ["*" * 12 + "0" * (n - 12)]), f"closure of a {n}-letter word with 12 stars"),
+    )
+    for call, says in refusals:
+        with pytest.raises((sk.StructuralError, sk.ContractError)) as refused:
+            call()
+        assert len(str(refused.value)) < 200 and says in str(refused.value), str(refused.value)[:200]
+    with pytest.raises(sk.StructuralError, match=f"^face {named} is not in the complex$"):
+        sk.local_profile(sk.CubicalComplex(n, frozenset({"0" * n})), edge)
 
 
 def test_size_bound_holds_cube_13_and_refuses_small_inputs_with_large_results():

@@ -65,7 +65,7 @@ def test_all_names_are_defined(path):
 
 
 def test_every_exported_name_is_its_submodules_object():
-    assert len(sk._EXPORTS) == 56  # the whole public API: no name dropped from the table
+    assert len(sk._EXPORTS) == 54  # the whole public API: no name dropped from the table
     for name, module in sk._EXPORTS.items():
         assert getattr(sk, name) is getattr(importlib.import_module(f"skelcube.{module}"), name), name
         assert name in dir(sk)
@@ -74,6 +74,17 @@ def test_every_exported_name_is_its_submodules_object():
     with pytest.raises(AttributeError, match="no_such_name"):
         sk.no_such_name
     assert not hasattr(sk, "no_such_name")
+
+
+def test_names_no_command_reaches_are_gone():
+    # the open star, direct orientability and the subcomplex test are read
+    # through tests/helpers.py and is_homology_manifold; local profiles are GF(2)
+    for name in ("star", "is_orientable"):
+        assert name not in sk._EXPORTS
+        assert not hasattr(sk.complex, name) and not hasattr(importlib.import_module("skelcube.manifold"), name)
+    assert not hasattr(sk.CubicalComplex, "is_subcomplex_of")
+    with pytest.raises(TypeError):
+        sk.local_profile(sk.cube_boundary(2), "00", sk.GF2)
 
 
 def test_reconstruct_is_the_function_whatever_loads_its_module_first(tmp_path):

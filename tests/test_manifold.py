@@ -14,6 +14,7 @@ from helpers import (
     first_gap_oracle,
     gap_named_by,
     graph_of_by_vertices,
+    integer_local_profile,
     link_by_star_oracle,
     local_profile_oracle,
     projective_plane,
@@ -23,24 +24,19 @@ from helpers import (
 from test_properties import BY_NAME, MANIFOLDS
 
 
-def contains(g: str, f: str) -> bool:
-    """Whether face g contains face f: each letter of g is f's or a star."""
-    return all(b in (a, "*") for a, b in zip(f, g))
-
-
 def test_local_profile_interior_and_top_faces():
     s2 = sk.cube_boundary(3)
     # every face of a closed surface has the local pattern of a 2-sphere
     for f in ["000", "0*0", "**0"]:
-        assert sk.local_profile(s2, f, sk.GF2).betti == (0, 0, 1)
-        assert sk.local_profile(s2, f, sk.INTEGER).betti == (0, 0, 1)
+        assert sk.local_profile(s2, f).betti == (0, 0, 1)
+        assert integer_local_profile(s2, f).betti == (0, 0, 1)
 
 
 def test_local_profile_boundary_vertex_of_disc():
     disc = sk.full_cube(2)
     # corner of a solid square: relative homology of a cone, all zero
-    assert sk.local_profile(disc, "00", sk.GF2).betti == (0, 0, 0)
-    assert sk.local_profile(disc, "**", sk.GF2).betti == (0, 0, 1)
+    assert sk.local_profile(disc, "00").betti == (0, 0, 0)
+    assert sk.local_profile(disc, "**").betti == (0, 0, 1)
 
 
 def test_local_profile_homogeneous_across_faces():
@@ -49,7 +45,7 @@ def test_local_profile_homogeneous_across_faces():
     for c in (sk.cube_boundary(3), torus):
         by_dim: dict[int, set] = {}
         for f in sorted(c.faces):
-            prof = sk.local_profile(c, f, sk.GF2)
+            prof = sk.local_profile(c, f)
             by_dim.setdefault(f.count("*"), set()).add(prof.betti)
         assert all(len(seen) == 1 for seen in by_dim.values())
 
@@ -58,27 +54,28 @@ def test_local_profile_matches_subface_scan_oracle():
     # random subcomplexes are not manifolds, so the sliced ranks drop and profiles
     # vary; RP^2 x I has boundary faces; the cubes at the origin of I^6 spanned by
     # the triangles of the six-vertex RP^2 give the origin the link RP^2, so its
-    # local homology has 2-torsion.  Every face, both rings.
+    # local homology has 2-torsion.  Every face: the GF(2) profile and, over Z,
+    # the pair (c, c minus the open star of f) through relative_profile.
     rng = random.Random(41)
     inputs = [random_subcomplex(rng, sk.full_cube(n), max_generators=4) for n in range(1, 6) for _ in range(12)]
     inputs.append(sk.product_complex(projective_plane(), sk.closure(1, ["*"])))
     triangles = ["012", "023", "034", "045", "015", "124", "235", "134", "245", "135"]
     cone = sk.closure(6, ["".join("*" if str(i) in t else "0" for i in range(6)) for t in triangles])
     torsion_at_apex = sk.HomologyProfile((0, 0, 0, 0), ((), (), (2,), ()))
-    assert sk.local_profile(cone, "000000", sk.INTEGER) == torsion_at_apex
+    assert integer_local_profile(cone, "000000") == torsion_at_apex
     inputs.append(cone)
     # letter flips and coordinate permutations change the cubical signs of the
     # star's quotient matrices but must leave the Z/2 at the apex, wherever it lands
     for seed in range(8):
         apply = cube_symmetry(random.Random(seed), 6)
         placed = sk.CubicalComplex(6, frozenset(map(apply, cone.faces)))
-        assert sk.local_profile(placed, apply("000000"), sk.INTEGER) == torsion_at_apex, seed
+        assert integer_local_profile(placed, apply("000000")) == torsion_at_apex, seed
     checked = 0
     for c in inputs:
         for f in sorted(c.faces):
-            for ring in (sk.GF2, sk.INTEGER):
-                assert sk.local_profile(c, f, ring) == local_profile_oracle(c, f, ring), (sorted(c.faces), f, ring)
-                checked += 1
+            assert sk.local_profile(c, f) == local_profile_oracle(c, f, sk.GF2), (sorted(c.faces), f)
+            assert integer_local_profile(c, f) == local_profile_oracle(c, f, sk.INTEGER), (sorted(c.faces), f)
+            checked += 2
     assert checked > 1800
 
 
@@ -87,8 +84,11 @@ def test_local_profile_matches_oracle_on_every_face_of_a_placed_manifold(name):
     m, d, _ = BY_NAME[name]
     c = relabel(m, random.Random(name))
     for f in sorted(c.faces):
-        for ring in (sk.GF2, sk.INTEGER):
-            assert sk.local_profile(c, f, ring) == local_profile_oracle(c, f, ring), (f, ring)
+        assert sk.local_profile(c, f) == local_profile_oracle(c, f, sk.GF2), f
+    # over Z each pair is a relative_profile call over a complement of all of
+    # c, so the first face of each dimension stands for the rest
+    for f in {word_dim(f): f for f in reversed(sorted(c.faces))}.values():
+        assert integer_local_profile(c, f) == local_profile_oracle(c, f, sk.INTEGER), f
 
 
 @pytest.fixture
@@ -120,9 +120,6 @@ def test_manifold_check_builds_the_matrices_once_per_component(builds):
         assert len(builds) == len(comps) == parts
         for faces, comp in zip(builds, comps):
             assert faces == {w for w in comp.faces if word_dim(w) >= comp.dim - 1}
-    builds.clear()
-    assert sk.is_orientable(two)
-    assert len(builds) == 2 and all(min(map(word_dim, faces)) == 1 for faces in builds)
 
 
 def test_manifold_check_without_orientability_builds_no_matrices(builds):
@@ -132,17 +129,12 @@ def test_manifold_check_without_orientability_builds_no_matrices(builds):
     assert builds == []
 
 
-def test_local_profile_builds_the_open_star_over_z_and_nothing_over_gf2(builds):
-    # GF(2) reads the link; Z builds the quotient matrices once, over exactly
-    # the faces containing f
+def test_local_profile_builds_no_matrices_over_gf2(builds):
+    # the GF(2) profile reads the link of f, with no quotient matrix built
     c = sk.product_complex(projective_plane(), sk.closure(1, ["*"]))
     for f in sorted(c.faces):
-        sk.local_profile(c, f, sk.GF2)
+        sk.local_profile(c, f)
     assert builds == []
-    for f in sorted(c.faces):
-        sk.local_profile(c, f, sk.INTEGER)
-        assert builds == [{g for g in c.faces if contains(g, f)}], f
-        builds.clear()
 
 
 def test_local_profile_builds_the_vertex_links_once():
@@ -195,7 +187,14 @@ def test_a_connected_complex_is_its_own_component(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("check", [sk.components, sk.is_homology_manifold, sk.is_orientable])
+@pytest.mark.parametrize(
+    "check",
+    [
+        sk.components,
+        sk.is_homology_manifold,
+        pytest.param(lambda c: sk.is_homology_manifold(c, check_orientability=True), id="orientability"),
+    ],
+)
 def test_a_face_set_that_is_not_downward_closed_is_refused(check):
     # the square's edges and corners are missing; of its facets, 1* comes first
     with pytest.raises(sk.StructuralError, match=r"at '\*\*', face '1\*' is missing"):
@@ -207,10 +206,12 @@ def test_a_face_set_that_is_not_downward_closed_is_refused(check):
 
 def test_a_face_whose_star_lacks_a_facet_containing_it_is_refused_over_both_rings():
     # "00" is in the star of "**", whose facets "1*" and "0*" would be too;
-    # read as they stand, GF(2) has no row for them and Z gives a Betti number -1
-    for ring in (sk.GF2, sk.INTEGER):
+    # read as they stand, GF(2) has no row for them and Z gives a Betti number
+    # -1.  Over Z the pair (c, c minus the open star) goes to relative_profile.
+    routes = {sk.GF2: sk.local_profile, sk.INTEGER: integer_local_profile}
+    for route in routes.values():
         with pytest.raises(sk.StructuralError, match=r"at '\*\*', face '1\*' is missing"):
-            sk.local_profile(sk.CubicalComplex(2, frozenset({"**", "00"})), "00", ring)
+            route(sk.CubicalComplex(2, frozenset({"**", "00"})), "00")
     # random face sets and subcomplexes in I^2 and I^3: refused at every face
     # exactly when the set is not closed, naming its first gap, else the
     # quotient's homology
@@ -225,13 +226,13 @@ def test_a_face_whose_star_lacks_a_facet_containing_it_is_refused_over_both_ring
             c = sk.CubicalComplex(n, frozenset(rng.sample(words, rng.randint(1, len(words)))))
         gap = first_gap_oracle(c)
         for f in sorted(c.faces):
-            for ring in (sk.GF2, sk.INTEGER):
+            for ring, route in routes.items():
                 if gap is None:
-                    assert sk.local_profile(c, f, ring) == local_profile_oracle(c, f, ring), (sorted(c.faces), f)
+                    assert route(c, f) == local_profile_oracle(c, f, ring), (sorted(c.faces), f)
                     kept += 1
                 else:
                     with pytest.raises(sk.StructuralError) as refused_at:
-                        sk.local_profile(c, f, ring)
+                        route(c, f)
                     assert gap_named_by(refused_at.value, c) == gap
                     refused += 1
     assert refused > 200 and kept > 200
@@ -270,7 +271,7 @@ def test_solid_square_is_not_a_manifold():
     assert not rep.is_manifold
     assert rep.failing_face is not None
     # the witness face really does fail the local sphere pattern
-    assert sk.local_profile(sk.full_cube(2), rep.failing_face, sk.GF2).betti != (0, 0, 1)
+    assert sk.local_profile(sk.full_cube(2), rep.failing_face).betti != (0, 0, 1)
 
 
 def test_wedge_of_circles_fails_at_shared_corner():
@@ -281,7 +282,7 @@ def test_wedge_of_circles_fails_at_shared_corner():
     rep = sk.is_homology_manifold(c)
     assert not rep.is_manifold
     assert (rep.reason, rep.failing_face) == ("local-homology", "1100")
-    assert rep.failing_profile == sk.local_profile(c, "1100", sk.GF2)
+    assert rep.failing_profile == sk.local_profile(c, "1100")
     assert rep.failing_profile.betti == (0, 3)
 
 
@@ -336,16 +337,11 @@ def test_projective_plane_manifold_not_orientable():
     rep = sk.is_homology_manifold(p, check_orientability=True)
     assert rep.is_manifold and rep.dimension == 2
     assert rep.orientable is False
-    assert sk.is_orientable(p) is False
 
 
-def test_is_orientable_direct_calls():
-    assert sk.is_orientable(sk.cube_boundary(3)) is True
-    assert sk.is_orientable(sk.cube_boundary(2)) is True
-    with pytest.raises(sk.ContractError):
-        sk.is_orientable(sk.CubicalComplex(2, frozenset()))
-    with pytest.raises(sk.ContractError):
-        sk.is_orientable(sk.closure(2, ["0*", "11"]))
+def test_orientability_of_spheres():
+    for n in (2, 3):
+        assert sk.is_homology_manifold(sk.cube_boundary(n), check_orientability=True).orientable is True
 
 
 def test_facelike_characterization_positive_and_negative():
