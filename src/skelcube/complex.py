@@ -9,6 +9,7 @@ from .errors import ContractError, StructuralError, _Record
 from .words import (
     STAR,
     _named,
+    _number,
     canon_key,
     facets,
     free_masks,
@@ -240,7 +241,9 @@ def closure(ambient_dim: int, generators) -> CubicalComplex:
 def _check_size(what: str, faces: int, ambient_dim: int) -> None:
     """Refuse to build `what`, up to `faces` faces of I^ambient_dim, when they exceed MAX_LETTERS letters."""
     if faces * ambient_dim > MAX_LETTERS:
-        raise ContractError(f"{what} would exceed {MAX_LETTERS} letters (up to {faces} faces of I^{ambient_dim})")
+        raise ContractError(
+            f"{what} would exceed {MAX_LETTERS} letters (up to {_number(faces)} faces of I^{_number(ambient_dim)})"
+        )
 
 
 def _check_stars(stars: int) -> None:
@@ -251,7 +254,7 @@ def _check_stars(stars: int) -> None:
     `_check_size`.
     """
     if stars >= MAX_LETTERS.bit_length():
-        raise ContractError(f"a word with {stars} stars would exceed {MAX_LETTERS} letters")
+        raise ContractError(f"a word with {_number(stars)} stars would exceed {MAX_LETTERS} letters")
 
 
 def full_cube(n: int) -> CubicalComplex:

@@ -26,7 +26,7 @@ from itertools import chain, count, takewhile
 
 # `complex` loads in `components` alone; annotations naming CubicalComplex are never evaluated
 from .errors import ContractError, ContradictionError, StructuralError, _Record
-from .words import ONE, STAR, ZERO, sort_words, word_dim
+from .words import ONE, STAR, ZERO, _number, sort_words, word_dim
 
 __all__ = [
     "SimpleGraph",
@@ -262,7 +262,7 @@ def find_graph_embedding(g: SimpleGraph, n_max: int) -> HypercubeEmbedding | Non
     that cannot embed is refuted without placing the others.
     """
     if n_max < 0:
-        raise ContractError(f"n_max >= 0 required, got {n_max}")
+        raise ContractError(f"n_max >= 0 required, got {_number(n_max)}")
     if g.num_vertices == 0:
         return HypercubeEmbedding(0, ())
     if embedding_obstruction(g, n_max) is not None:

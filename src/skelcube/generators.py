@@ -12,7 +12,7 @@ from __future__ import annotations
 from .complex import CubicalComplex, _check_size, _derived, cube_boundary, full_cube, product_complex, skeleton
 from .embedding import SimpleGraph
 from .errors import StructuralError, _Record
-from .words import ONE, STAR, ZERO, _named, subwords
+from .words import ONE, STAR, ZERO, _named, _number, subwords
 
 __all__ = [
     "GeneratorSpec",
@@ -122,7 +122,7 @@ def cubical_barycentric_subdivision(simplices) -> CubicalComplex:
 def _cbs_polygon(m: int) -> CubicalComplex:
     """Subdivided boundary of an m-gon: a cycle of 2m edges in I^m."""
     if m < 3:
-        raise ValueError(f"cbs takes a polygon size >= 3, got {m}")
+        raise ValueError(f"cbs takes a polygon size >= 3, got {_number(m)}")
     # the count the subdivision checks, 3**2 - 2**2 intervals per edge, before the edges are listed
     _check_size("cubical barycentric subdivision", 5 * m, m)
     return cubical_barycentric_subdivision([frozenset({i, (i + 1) % m}) for i in range(m)])
@@ -130,7 +130,7 @@ def _cbs_polygon(m: int) -> CubicalComplex:
 
 def _even_cycle(length: int) -> CubicalComplex:
     if length < 4 or length % 2:
-        raise ValueError(f"cycle complexes exist only for even length >= 4, got {length}")
+        raise ValueError(f"cycle complexes exist only for even length >= 4, got {_number(length)}")
     return cube_boundary(2) if length == 4 else _cbs_polygon(length // 2)
 
 
@@ -170,5 +170,8 @@ def generate(spec: GeneratorSpec | str):
     args = [generate(a) if isinstance(a, GeneratorSpec) else a for a in spec.args]
     if len(args) != len(kinds) or not all(isinstance(a, kind) for a, kind in zip(args, kinds)):
         expected = ", ".join(_KIND_NAMES[kind] for kind in kinds)
-        raise ValueError(f"{spec.family} takes ({expected}), got {spec}")
+        got = str(spec)
+        if len(got) > 64:  # named by its family and argument count, as `_named` names a long word
+            got = f"{spec.family}(...) with {len(args)} argument{'s' * (len(args) != 1)}"
+        raise ValueError(f"{spec.family} takes ({expected}), got {got}")
     return build(*args)

@@ -25,19 +25,41 @@ homology by universal coefficients.
 
 Over GF(2) a map is read in one of two ways, each made at most once
 per matrix and carried up with the levels when a complex grows.  With
-nothing deleted only rank D_j is read: `gf2_rank` of the columns packed
-into ints (`BoundaryMatrices.gf2_rank`), which is all whole-complex and
-relative homology need.  Keeping only the columns K of D_j, with S the
-rest, rank(D_j|K) = rank D_j - |S| + rank(Z_j|S) by rank-nullity, for
-Z_j a kernel basis.  Column reduction finds Z_j fully reduced: the top
-bit of each vector, its pivot, lies in no other vector.  With P the
-pivots, each pivot in S is a unit column of Z_j|S, so rank(Z_j|S) =
-|S & P| + rank(Y), where Y holds, for each non-pivot column in S, the
-pivots outside S of the vectors holding it.  The first mask read of a
-map builds only that table of pivots by column (`gf2_reduced_kernel`),
-folding in each kernel vector as it is found, so no basis is kept; its
-nullity |P| gives the rank too.  A view then costs a C-level pick of
-S's non-pivot columns and one `gf2_rank` of Y, small for a local S.
+nothing deleted only rank D_j is read: a basis pass over the columns
+packed into ints, cleared as below (`BoundaryMatrices.gf2_rank`), which
+is all whole-complex and relative homology need.  Keeping only the
+columns K of D_j, with S the rest, rank(D_j|K) = rank D_j - |S| +
+rank(Z_j|S) by rank-nullity, for Z_j a kernel basis.  Column reduction
+finds Z_j fully reduced: the top bit of each vector, its pivot, lies in
+no other vector.  With P the pivots, each pivot in S is a unit column of
+Z_j|S, so rank(Z_j|S) = |S & P| + rank(Y), where Y holds, for each
+non-pivot column in S, the pivots outside S of the vectors holding it.
+The first mask read of a map builds only that table of pivots by column
+(`gf2_reduced_kernel`), folding in each kernel vector as it is found,
+so no basis is kept; its nullity |P| gives the rank too.  A view then
+costs a C-level pick of S's non-pivot columns and one `gf2_rank` of Y,
+small for a local S.
+
+With nothing deleted, maps are read from the top degree down and
+cleared, over both rings: the twist of Chen-Kerber ("Persistent homology
+computation with a twist", EuroCG 2011) and Bauer-Kerber-Reininghaus
+("Clear and compress", 2014).  A read of D_j first reads D_(j+1), then
+skips the columns of D_j at D_(j+1)'s pivot rows, kept per level as a
+mask (`BoundaryMatrices._cleared`); each read is cached per level.  Over
+GF(2) the pivot rows are the top bits of the basis: a basis vector b
+with top bit r is a boundary, so D_j b = 0 makes column r of D_j a sum
+of columns of lower index, and by induction on r a sum of kept ones, so
+the rank stays.  Over Z they are the rows of the unit pivots that
+`_invariant_factors` eliminates.  These pivots lie in a square block U
+of D_(j+1), on rows R and columns C, with det +-1, the product of the
+pivots.  D_j D_(j+1) = 0 then gives D_j's columns at R as
+-D_j[:, not R] D_(j+1)[not R, C] U^-1, integer combinations of the kept
+columns: the column lattice stays, and with it the invariant factors.
+About half the columns are skipped; on a full cube every kept column
+brings a new pivot.  Reads through a mask, of a view or of a kernel
+table, are not cleared: the table needs the whole kernel.  A level that
+`extended` adds later clears nothing already cached: the levels below
+keep the reads made before it came.
 
 A view finds S per level from the level's letter masks, built once
 (`words.letter_masks`): the faces with letter 0 and with letter 1 at
@@ -89,6 +111,7 @@ INTEGER = "int"
 
 # a mask's binary digits as bytes 0 and 1, the selectors of itertools.compress
 _SELECT = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _check_ring(ring: str) -> None:
@@ -120,7 +143,8 @@ class BoundaryMatrices:
 
     Built only by `extended`, one level at a time (`_matrices_over`),
     for a complex (`CubicalComplex.chains`), a grown complex and the
-    quotient of a pair alike.
+    quotient of a pair alike.  Unmasked reads clear each map by the one
+    above, which holds only because D_j D_(j+1) = 0 for such matrices.
     """
 
     def __init__(self, levels, columns):
@@ -129,6 +153,8 @@ class BoundaryMatrices:
         self._ranks: dict[int, int] = {}
         self._tables: dict[int, tuple[int, list[int]]] = {}
         self._letters: dict[int, tuple] = {}
+        self._integer: dict[int, tuple[int, tuple[int, ...]]] = {}  # unmasked reads over Z (`_integer_map`)
+        self._pivots: dict[tuple[str, int], int] = {}  # (ring, j): D_j's pivot rows, skipped in D_(j-1) (`_cleared`)
 
     @property
     def top(self) -> int:
@@ -140,16 +166,32 @@ class BoundaryMatrices:
         return 0
 
     def gf2_rank(self, j: int) -> int:
-        """Rank of D_j over GF(2), from `gf2_rank` of its packed columns unless a table gave it; cached per level.
+        """Rank of D_j over GF(2), cached per level: a table's nullity gives it, else a pass over D_j cleared by D_(j+1).
 
-        Outside degrees 1..top there is no matrix: rank 0.
+        D_(j+1) is read first, and the pass packs the columns of D_j off
+        its pivot rows (`_cleared`).  The top bits of the pass's basis,
+        D_j's pivot rows, are kept as a mask for D_(j-1); the basis is
+        not.  Outside degrees 1..top there is no matrix: rank 0.
         """
         if not 1 <= j <= self.top:
             return 0
         got = self._ranks.get(j)
         if got is None:
-            got = self._ranks[j] = gf2_rank([sum(1 << r for r, _ in col) for col in self.columns[j]])
+            self.gf2_rank(j + 1)
+            tops = bytearray(self.num_faces(j - 1))
+            got = self._ranks[j] = gf2_rank((sum(1 << r for r, _ in col) for col in self._cleared(GF2, j)), tops)
+            self._pivots[GF2, j] = _mask(tops)
         return got
+
+    def _cleared(self, ring: str, j: int):
+        """The columns of D_j, in order, but those at the pivot rows of D_(j+1) as last read over `ring`: all when it was not.
+
+        Each skipped column is a sum of kept ones (see the module
+        docstring), so the rank and the invariant factors stay.
+        """
+        skip = self._pivots.get((ring, j + 1), 0)
+        columns = self.columns[j]
+        return compress(columns, _selectors(((1 << len(columns)) - 1) & ~skip)) if skip else columns
 
     def gf2_reduced_kernel(self, j: int) -> tuple[int, list[int]]:
         """A fully reduced kernel basis of D_j read by column, as (pivots, cover), built once per matrix.
@@ -192,7 +234,8 @@ class BoundaryMatrices:
 
         Rows are the top level's faces, looked up in a dict of that level
         built here, and a facet outside it gets none.  The lower levels,
-        their GF(2) ranks, reduced kernel tables and letter masks are shared.
+        their ranks over both rings, pivot rows, reduced kernel tables and
+        letter masks are shared.
         """
         level = sort_words(words)
         below = {w: i for i, w in enumerate(self.levels[-1])} if self.levels else {}
@@ -201,6 +244,8 @@ class BoundaryMatrices:
         grown._ranks.update(self._ranks)
         grown._tables.update(self._tables)
         grown._letters.update(self._letters)
+        grown._integer.update(self._integer)
+        grown._pivots.update(self._pivots)
         return grown
 
     def dense(self, j: int) -> list[list[int]]:
@@ -225,7 +270,7 @@ class _Without(BoundaryMatrices):
 
     def __init__(self, whole: BoundaryMatrices, faces):
         self._whole, self._faces, self._deleted = whole, faces, {}
-        self._ranks, self._tables, self._letters = {}, {}, {}
+        self._ranks, self._tables, self._letters, self._integer, self._pivots = {}, {}, {}, {}, {}
 
     def source(self, j: int) -> tuple[BoundaryMatrices, int]:
         got = self._deleted.get(j)
@@ -268,6 +313,11 @@ def _selectors(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_SELECT)
 
 
+def _mask(marks: bytearray) -> int:
+    """The mask with bit i set where marks[i] is 1: the inverse of `_selectors`."""
+    return int(b"0" + marks[::-1].translate(_DIGITS), 2)
+
+
 def _matrices_over(face_set) -> BoundaryMatrices:
     """The matrices of face_set, one `extended` per level from none; facets outside face_set get no row."""
     top = max((word_dim(w) for w in face_set), default=-1)
@@ -277,20 +327,26 @@ def _matrices_over(face_set) -> BoundaryMatrices:
     return reduce(BoundaryMatrices.extended, levels, BoundaryMatrices([], []))
 
 
-def gf2_rank(vectors) -> int:
-    """Rank of a family of GF(2) vectors packed as ints."""
+def gf2_rank(vectors, pivot_rows: bytearray | None = None) -> int:
+    """Rank of a family of GF(2) vectors packed as ints.
+
+    Each vector is reduced by the basis vectors at its top bits in turn.
+    When `pivot_rows` is given (a bytearray over the bits), the top bit
+    of each basis vector, its pivot row, is marked with 1 there.
+    """
     basis: dict[int, int] = {}
-    rank = 0
     for v in vectors:
         while v:
             h = v.bit_length() - 1
             b = basis.get(h)
             if b is None:
                 basis[h] = v
-                rank += 1
                 break
             v ^= b
-    return rank
+    if pivot_rows is not None:
+        for h in basis:
+            pivot_rows[h] = 1
+    return len(basis)
 
 
 def _gf2_table(columns) -> tuple[int, list[int]]:
@@ -375,15 +431,16 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def _invariant_factors(columns) -> tuple[int, ...]:
+def _invariant_factors(columns, pivot_rows: bytearray | None = None) -> tuple[int, ...]:
     """Invariant factors of the matrix whose columns are (row, value) lists.
 
     Values are nonzero and a row appears at most once per column.  While
     some column holds a unit entry, take the one whose row has the fewest
     nonzeros (columns in index order, passes until no unit is left), clear
     its row by column operations and drop the pivot's row and column: the
-    Schur complement.  Each such step adds one factor 1.  The rest is
-    handed to the dense `smith_normal_form`.
+    Schur complement.  Each such step adds one factor 1 and, when
+    `pivot_rows` is given (a bytearray over the rows), marks the pivot's
+    row with 1 there.  The rest is handed to the dense `smith_normal_form`.
     """
     cols = [dict(col) for col in columns]
     rows: dict[int, set[int]] = {}
@@ -399,6 +456,8 @@ def _invariant_factors(columns) -> tuple[int, ...]:
             if not pivots:
                 continue
             r = min(pivots, key=lambda i: len(rows[i]))
+            if pivot_rows is not None:
+                pivot_rows[r] = 1
             u = col.pop(r)
             for r2 in col:
                 rows[r2].discard(c)
@@ -463,12 +522,25 @@ def _gf2_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[i
 
 
 def _integer_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[int, ...]]:
-    """(rank of D_i, invariant factors above 1) over Z without the columns in the mask `deleted`."""
-    columns = mats.columns[i] if 1 <= i <= mats.top else []
+    """(rank of D_i, invariant factors above 1) over Z without the columns in the mask `deleted`.
+
+    With nothing deleted the read is cached per level and cleared:
+    D_(i+1) is read first, and D_i's columns at the rows of its unit
+    pivots are skipped (`BoundaryMatrices._cleared`).
+    """
+    if not 1 <= i <= mats.top:
+        return 0, ()
     if deleted:
-        columns = [col for c, col in enumerate(columns) if not deleted >> c & 1]
-    factors = _invariant_factors(columns)
-    return len(factors), tuple(d for d in factors if d > 1)
+        factors = _invariant_factors([col for c, col in enumerate(mats.columns[i]) if not deleted >> c & 1])
+        return len(factors), tuple(d for d in factors if d > 1)
+    got = mats._integer.get(i)
+    if got is None:
+        _integer_map(mats, i + 1, 0)
+        units = bytearray(mats.num_faces(i - 1))
+        factors = _invariant_factors(mats._cleared(INTEGER, i), units)
+        got = mats._integer[i] = len(factors), tuple(d for d in factors if d > 1)
+        mats._pivots[INTEGER, i] = _mask(units)
+    return got
 
 
 # the ring picks the routine that reads one boundary map through a mask of deleted columns

@@ -14,7 +14,7 @@ from __future__ import annotations
 # `complex` loads in `parse_complex` alone; annotations naming CubicalComplex are never evaluated
 from .embedding import SimpleGraph, _normalize_edge
 from .errors import StructuralError
-from .words import _named
+from .words import _named, _number
 
 __all__ = ["parse_complex", "serialize_complex", "parse_graph", "serialize_graph"]
 
@@ -81,7 +81,7 @@ def parse_graph(text: str) -> SimpleGraph:
     empty = "empty graph file, expected a 'vertices <n>' header"
     lines, head, n = _header(text, "vertices", "vertex count", empty)
     if n > MAX_GRAPH_VERTICES:
-        raise StructuralError(f"line {head}: vertex count {n} exceeds the bound {MAX_GRAPH_VERTICES}")
+        raise StructuralError(f"line {head}: vertex count {_number(n)} exceeds the bound {MAX_GRAPH_VERTICES}")
     edges = set()
     for lineno, line in lines:
         parts = line.split()

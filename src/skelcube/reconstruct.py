@@ -46,7 +46,7 @@ from __future__ import annotations
 from .complex import CubicalComplex, _derived, _grown, delete
 from .errors import ContractError, _Record
 from .homology import GF2, INTEGER, _homology, homology_profile
-from .words import ONE, STAR, ZERO, _named, facets, one_step_cofaces, sort_words, validate_word, word_dim, word_vertices
+from .words import ONE, STAR, ZERO, _named, _number, facets, one_step_cofaces, sort_words, validate_word, word_dim, word_vertices
 
 __all__ = [
     "STANDARD",
@@ -79,16 +79,16 @@ class ReconstructionConfig(_Record):
         _check_mode_and_k(self.mode, self.k)
         if self.mode == STANDARD:
             if self.k < self.d // 2 + 1:
-                raise ContractError(f"k >= floor(d/2)+1 required, got k={self.k}, d={self.d}")
+                raise ContractError(f"k >= floor(d/2)+1 required, got k={_number(self.k)}, d={_number(self.d)}")
         elif self.d != 2 * self.k:
-            raise ContractError(f"tight mode needs d = 2k, got k={self.k}, d={self.d}")
+            raise ContractError(f"tight mode needs d = 2k, got k={_number(self.k)}, d={_number(self.d)}")
 
 
 def _check_mode_and_k(mode: str, k: int) -> None:
     if mode not in _MODES:
         raise ContractError(f"mode must be one of {_MODES}, got {mode!r}")
     if k < 2:
-        raise ContractError(f"k >= 2 required, got k={k}")
+        raise ContractError(f"k >= 2 required, got k={_number(k)}")
 
 
 class CandidateVerdict(_Record):
@@ -119,7 +119,7 @@ def enumerate_candidates(skel: CubicalComplex, k: int) -> list[str]:
     subfaces are then present as well.
     """
     if skel.dim > k:
-        raise ContractError(f"skeleton dimension {skel.dim} exceeds k={k}")
+        raise ContractError(f"skeleton dimension {skel.dim} exceeds k={_number(k)}")
     edges = _edge_directions(skel.faces)
     above = {
         up
@@ -187,7 +187,7 @@ def reconstruct_steps(skel: CubicalComplex, cfg: ReconstructionConfig):
     if skel.dim > cfg.k:
         raise ContractError(f"input dimension {skel.dim} exceeds k={cfg.k}")
     if cfg.d > skel.ambient_dim:
-        raise ContractError(f"target dimension d={cfg.d} exceeds the ambient dimension {skel.ambient_dim}")
+        raise ContractError(f"target dimension d={_number(cfg.d)} exceeds the ambient dimension {skel.ambient_dim}")
     skel.chains  # built now, so that a gap is refused before the first step
     return _steps(skel, cfg)
 

@@ -75,6 +75,20 @@ def _named(w: str) -> str:
     return f"a {len(w)}-letter word with {d} star{'s' * (d != 1)}"
 
 
+def _number(n: int) -> str:
+    """n as a refusal names it: in full up to 64 digits, else by its first and last 8 and its digit count.
+
+    Nothing spells n whole, which past 4,300 digits Python refuses to do.
+    """
+    if -(10**64) < n < 10**64:
+        return str(n)
+    m = abs(n)
+    digits = max(64, int((m.bit_length() - 1) * 0.30103) - 1)  # log10(2), rounded down: at most the count
+    while 10**digits <= m:
+        digits += 1
+    return f"{'-' * (n < 0)}{m // 10 ** (digits - 8)}...{m % 10**8:08d} ({digits} digits)"
+
+
 def validate_word(w: str, ambient_dim: int) -> None:
     if not isinstance(w, str):
         raise StructuralError(f"face word must be a string, got {type(w).__name__}")
@@ -94,15 +108,18 @@ def signed_facets(w: str):
 
     Counting stars left to right starting at 1, replacing the i-th star
     by ONE carries (-1)**(i+1) and by ZERO carries (-1)**i.  This choice
-    satisfies boundary-of-boundary = 0.
+    satisfies boundary-of-boundary = 0.  The stars are found by
+    `str.find`, so a long word with few stars costs its stars, not its
+    letters, in Python.
     """
-    i = 0
-    for pos, letter in enumerate(w):
-        if letter == STAR:
-            i += 1
-            sign = -1 if i % 2 == 0 else 1
-            yield w[:pos] + ONE + w[pos + 1 :], sign
-            yield w[:pos] + ZERO + w[pos + 1 :], -sign
+    sign = 1
+    pos = w.find(STAR)
+    while pos >= 0:
+        head, tail = w[:pos], w[pos + 1 :]
+        yield head + ONE + tail, sign
+        yield head + ZERO + tail, -sign
+        sign = -sign
+        pos = w.find(STAR, pos + 1)
 
 
 def subwords(w: str):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import skelcube as sk
 from skelcube.complex import _derived
-from skelcube.homology import _RINGS, _groups, _invariant_factors, _matrices_over, _profile
+from skelcube.homology import _RINGS, _groups, _integer_map, _invariant_factors, _matrices_over, _profile
 from skelcube.words import (
     letter_masks,
     mask_word,
@@ -467,6 +467,24 @@ def kept_homology_gf2_oracle(mats: sk.BoundaryMatrices, degrees, kept) -> dict[i
     return {j: (len(kept_faces(j)) - rank(j) - rank(j + 1), ()) for j in degrees}
 
 
+def per_level_homology(mats: sk.BoundaryMatrices, ring: str, degrees) -> dict[int, tuple[int, tuple]]:
+    """Homology with each map read whole on its own: the reads the library made before it cleared them.
+
+    Over GF(2) the rank of all of D_j's columns packed into ints, over Z
+    the invariant factors of all of them; no read skips a column at the
+    pivot rows of the map above.
+    """
+    faces, rank, torsion = {}, {}, {}
+    for i in sorted({i for j in degrees for i in (j, j + 1)}):
+        faces[i] = mats.num_faces(i)
+        if ring == sk.GF2:
+            rank[i], torsion[i] = sk.gf2_rank(packed_columns(mats, i)), ()
+        else:
+            factors = _invariant_factors(mats.columns[i] if 1 <= i <= mats.top else [])
+            rank[i], torsion[i] = len(factors), tuple(d for d in factors if d > 1)
+    return _groups(faces, rank, torsion, degrees)
+
+
 def kept_homology(mats: sk.BoundaryMatrices, ring: str, degrees, kept) -> dict[int, tuple[int, tuple]]:
     """Homology of the faces of mats in kept, which holds every facet of its faces, through the library's ring readers.
 
@@ -569,11 +587,12 @@ def assert_criterion_matches_oracle(skel: sk.CubicalComplex, k: int, faces) -> i
 def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.ReconstructionConfig) -> list:
     """The steps of reconstruct_steps, each grown complex checked against a fresh build.
 
-    A degree carries the previous complex's matrices, their GF(2) ranks,
-    kernel tables and letter masks and its vertex index up by the added
-    faces; they must equal what `_matrices_over` and a new complex build
-    from the grown faces: levels, signed columns, and every rank, table
-    and letter mask carried.  The vertex index is compared as sets.
+    A degree carries the previous complex's matrices, their ranks over
+    both rings, pivot rows, kernel tables and letter masks and its vertex
+    index up by the added faces; they must equal what `_matrices_over`
+    and a new complex build from the grown faces: levels, signed columns,
+    and every rank, GF(2) pivot mask, table and letter mask carried.  The
+    vertex index is compared as sets.
     After the last step the input and every grown complex are checked
     again, as a later carry must not change the complex it grew from.
     """
@@ -587,7 +606,7 @@ def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.Reconstructi
 
 
 def _assert_tables_fresh(c: sk.CubicalComplex) -> None:
-    """Assert c's chains, with each rank, table and letter mask carried, and vertex index equal those built anew."""
+    """Assert c's chains, with each rank, pivot mask, table and letter mask carried, and vertex index equal those built anew."""
     carried, fresh = c.chains, _matrices_over(c.faces)
     assert carried.levels == fresh.levels
     assert carried.columns[1:] == fresh.columns[1:]
@@ -595,6 +614,14 @@ def _assert_tables_fresh(c: sk.CubicalComplex) -> None:
         assert got == fresh.gf2_rank(j), j
     for j, got in carried._tables.items():
         assert got == fresh.gf2_reduced_kernel(j), j
+    for j, got in carried._integer.items():
+        assert got == _integer_map(fresh, j, 0), j
+    ranked = _matrices_over(c.faces)  # read rank first, so that each level keeps its pivot rows
+    for (ring, j), got in carried._pivots.items():
+        # over GF(2) the top bits of a basis are those of its span, D_j's column space, however it was cleared
+        if ring == sk.GF2:
+            ranked.gf2_rank(j)
+            assert got == ranked._pivots[ring, j], j
     for j, got in carried._letters.items():
         assert got == letter_masks(fresh.levels[j]), j
     index = sk.CubicalComplex(c.ambient_dim, c.faces).faces_by_vertex

@@ -110,6 +110,31 @@ MUTANTS = (
             "tests/test_homology.py::test_masked_gf2_rank_matches_the_dense_rank_of_the_kept_columns",
         ),
     ),
+    # D_j cleared by the pivot rows of D_j itself, which a read from the top
+    # down has not found yet: nothing is skipped, so every answer stays and
+    # only the count of columns each pass takes tells it from clearing
+    Mutant(
+        "clearing-reads-its-own-pivots",
+        HOMOLOGY,
+        "skip = self._pivots.get((ring, j + 1), 0)",
+        "skip = self._pivots.get((ring, j), 0)",
+        (
+            "tests/test_homology.py::test_cleared_reads_match_the_per_level_oracle_over_both_rings",
+            "tests/test_homology.py::test_whole_complex_gf2_pass_packs_one_column_per_pivot_on_a_full_cube",
+        ),
+    ),
+    # over Z, every row the unit pivot's column holds is cleared below, not
+    # the pivot's row alone: columns that span more of the lattice are lost
+    Mutant(
+        "integer-clears-every-row-of-a-unit-column",
+        HOMOLOGY,
+        "            if pivot_rows is not None:\n                pivot_rows[r] = 1\n",
+        "            if pivot_rows is not None:\n                for r2 in col:\n                    pivot_rows[r2] = 1\n",
+        (
+            "tests/test_homology.py::test_cleared_reads_match_the_per_level_oracle_over_both_rings",
+            "tests/test_homology.py::test_cleared_reads_of_grown_complexes_and_views_of_views_match_the_oracle",
+        ),
+    ),
     # a face meets a j-face unless some coordinate holds opposite letters;
     # each mutant below misreads the letter masks of a deletion view
     Mutant(
@@ -156,8 +181,8 @@ MUTANTS = (
     Mutant(
         "integer-reader-ignores-mask",
         HOMOLOGY,
-        "    if deleted:\n        columns = ",
-        "    if False:\n        columns = ",
+        "_invariant_factors([col for c, col in enumerate(mats.columns[i]) if not deleted >> c & 1])",
+        "_invariant_factors(mats.columns[i])",
         (
             "tests/test_reconstruct.py::test_tight_criterion_compares_only_degree_d_minus_k_minus_1",
             "tests/test_homology.py::test_rank_nullity_matches_the_kept_column_reduction",
@@ -318,7 +343,7 @@ MUTANTS = (
     Mutant(
         "signs-ignore-star-index",
         WORDS,
-        "sign = -1 if i % 2 == 0 else 1",
+        "sign = -sign",
         "sign = 1",
         ("tests/test_homology.py::test_boundary_of_boundary_vanishes",),
     ),
@@ -373,8 +398,8 @@ MUTANTS = (
     Mutant(
         "same-sign-facets",
         WORDS,
-        "yield w[:pos] + ZERO + w[pos + 1 :], -sign",
-        "yield w[:pos] + ZERO + w[pos + 1 :], sign",
+        "yield head + ZERO + tail, -sign",
+        "yield head + ZERO + tail, sign",
         ("tests/test_homology.py", "tests/test_manifold.py"),
         survives=True,
     ),

@@ -275,7 +275,7 @@ def test_reconstruct_refuses_dmax_without_auto(tmp_path, capsys):
 def test_running_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     # whole-complex GF(2) homology reads only ranks; here the rank raises
     # at once, and the memo is bypassed so that it runs
-    def exhausted(vectors):
+    def exhausted(vectors, pivot_rows=None):
         raise MemoryError
 
     monkeypatch.setattr(sk.homology, "gf2_rank", exhausted)
@@ -584,7 +584,8 @@ def _long_inputs(rng, n: int):
     """(subcommand, file text or spec) pairs whose refusals meet words and lines of about n letters.
 
     The first is the 6,999,999-letter word in I^7000000.  The letters
-    that break each word sit at seeded places.
+    that break each word sit at seeded places.  The last two specs are a
+    4,000-digit cube dimension and a cube of n // 5 arguments.
     """
     at = rng.randrange(n)
     bad = "0" * at + "x" + "0" * (n - at - 1)
@@ -599,13 +600,16 @@ def _long_inputs(rng, n: int):
     ]
     graphs = [f"vertices 3\n0 1 {' 2' * n}\n", f"vertices {bad}\n", f"{bad} 3\n"]
     specs = ["cube(2)" + bad, bad, "cube(2 " + "0" * n, "(" + bad]
+    specs += ["cube(" + "9" * 4000 + ")", "cube(" + ", ".join(["1"] * (n // 5)) + ")"]
     return [("complex", t) for t in complexes] + [("graph", t) for t in graphs] + [("spec", t) for t in specs]
 
 
 def test_cli_ends_every_run_on_mutated_inputs_with_an_exit_code(tmp_path, capsys):
     # 60 seeded runs over the six subcommands; argparse refusing an argument exits 2.
-    # Then every subcommand on long words, lines and specs: each refusal names
-    # a long word by its length and stars, so no run writes more than 1 KB to stderr.
+    # Then every subcommand on long words, lines, specs and numbers: each refusal
+    # names a long word by its length and stars, a long spec by its family and
+    # argument count and a long number by its digits, so no run writes more
+    # than 1 KB to stderr.
     rng = random.Random(89)
     complexes = [
         serialize_complex(c)
@@ -671,6 +675,20 @@ def test_cli_ends_every_run_on_mutated_inputs_with_an_exit_code(tmp_path, capsys
             ["reconstruct", "-k", "2", "--auto", "--dmax", "4", "-o", out],
         ):
             long_runs.append([command[0], str(path), *command[1:]])
+    # numbers of 4,000 digits in options and headers of valid inputs
+    huge = "9" * 4000
+    sphere, triangle, crowded = tmp_path / "sphere", tmp_path / "triangle", tmp_path / "crowded"
+    sphere.write_text(complexes[0])
+    triangle.write_text("vertices 3\n0 1\n1 2\n")
+    crowded.write_text(f"vertices {huge}\n0 1\n")
+    long_runs += [
+        ["reconstruct", str(sphere), "-k", "2", "-d", huge, "-o", out],
+        ["reconstruct", str(sphere), "-k", "-" + huge, "-d", "3", "-o", out],
+        ["embed", str(triangle), "--nmax", "-" + huge],
+        ["embed", str(crowded), "--nmax", "3"],
+        ["generate", f"even-cycle({huge})", "-o", out],
+        ["generate", f"cbs(-{huge})", "-o", out],
+    ]
     for argv in runs + long_runs:
         try:
             code = main(argv)

@@ -1,13 +1,16 @@
 import math
 import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
 
 import skelcube as sk
+from skelcube import homology
+from skelcube.complex import _grown
 from skelcube.homology import _gf2_map, _homology, _invariant_factors, _matrices_over
-from skelcube.words import letter_masks, word_vertices
+from skelcube.words import letter_masks, signed_facets, word_dim, word_vertices
 
 from helpers import (
     all_words,
@@ -24,6 +27,7 @@ from helpers import (
     kept_homology_gf2_oracle,
     meeting_oracle,
     packed_columns,
+    per_level_homology,
     projective_plane,
     random_subcomplex,
     sliced_chains,
@@ -564,6 +568,126 @@ def test_a_view_in_a_padded_cube_keeps_masks_for_the_differing_coordinates_alone
     assert got == [{0: (1, ()), 1: (0, ()), 2: (0, ())}] * 8
     assert all(len(masks) == 3 for *_, masks in mats._letters.values())
     assert peak <= 3_000_000, peak
+
+
+def _count_cleared_columns(monkeypatch) -> dict[str, list[int]]:
+    """Per ring, the number of columns each unmasked read hands to its elimination, as the reads run."""
+    packed = {sk.GF2: [], sk.INTEGER: []}
+    real_rank, real_factors = homology.gf2_rank, homology._invariant_factors
+
+    def counting_rank(vectors, pivot_rows=None):
+        if pivot_rows is not None:  # only the unmasked read keeps its pivot rows
+            vectors = list(vectors)
+            packed[sk.GF2].append(len(vectors))
+        return real_rank(vectors, pivot_rows)
+
+    def counting_factors(columns, pivot_rows=None):
+        if pivot_rows is not None:  # only the unmasked read keeps its pivot rows
+            columns = list(columns)
+            packed[sk.INTEGER].append(len(columns))
+        return real_factors(columns, pivot_rows)
+
+    monkeypatch.setattr(homology, "gf2_rank", counting_rank)
+    monkeypatch.setattr(homology, "_invariant_factors", counting_factors)
+    return packed
+
+
+def test_cleared_reads_match_the_per_level_oracle_over_both_rings(monkeypatch):
+    # the corpus, RP^2 products and, for torsion, the closures of seeded
+    # random parts of their top faces: the cleared reads give each map's
+    # rank and factors as reading it whole does, and each read skips in
+    # D_j one column per pivot row of D_(j+1), rank D_(j+1) of them over GF(2)
+    rng = random.Random(97)
+    rp2 = projective_plane()
+    products = [sk.product_complex(rp2, sk.cube_boundary(2)), sk.product_complex(rp2, sk.generate("even-cycle(6)"))]
+    hosts = [c for _, c in corpus()] + [rp2] + products
+    for host in products:
+        tops = sorted(w for w in host.faces if word_dim(w) == host.dim)
+        hosts += [sk.closure(host.ambient_dim, rng.sample(tops, rng.randint(len(tops) // 2, len(tops)))) for _ in range(6)]
+    packed = _count_cleared_columns(monkeypatch)
+    torsion = 0
+    for c in hosts:
+        degrees = range(-1, c.dim + 2)
+        for ring in (sk.GF2, sk.INTEGER):
+            mats = _matrices_over(c.faces)
+            packed[ring].clear()
+            got = _homology(mats, ring, degrees)
+            assert got == per_level_homology(mats, ring, degrees), (ring, sorted(c.faces))
+            levels = range(1, mats.top + 1)
+            skipped = [mats._pivots.get((ring, j + 1), 0).bit_count() for j in levels]
+            assert sum(packed[ring]) == sum(mats.num_faces(j) - s for j, s in zip(levels, skipped)), ring
+            if ring == sk.GF2:
+                assert skipped == [mats.gf2_rank(j + 1) for j in levels]
+            torsion += any(factors for _, factors in got.values())
+    assert torsion >= 6  # RP^2, its two products and three or more of their random parts
+
+
+def test_cleared_reads_of_grown_complexes_and_views_of_views_match_the_oracle():
+    # a complex grown one level at a time by `extended` keeps the reads of
+    # its lower levels, cleared by the top it had; a view of a view with
+    # nothing deleted reads the first view whole and clears it; each
+    # equals the per-level reads of matrices built anew
+    rng = random.Random(101)
+    rp2 = projective_plane()
+    hosts = [sk.product_complex(rp2, sk.cube_boundary(2)), sk.full_cube(4), sk.product_complex(sk.cube_boundary(3), sk.cube_boundary(2))]
+    for host in hosts:
+        n = host.ambient_dim
+        for ring in (sk.GF2, sk.INTEGER):
+            current = sk.skeleton(host, 1)
+            _homology(current.chains, ring, range(3))
+            for k in range(2, host.dim + 1):
+                current = _grown(current, [w for w in host.faces if word_dim(w) == k])
+                degrees = range(-1, k + 2)
+                fresh = _matrices_over(current.faces)
+                assert _homology(current.chains, ring, degrees) == per_level_homology(fresh, ring, degrees), (ring, k)
+            c = sk.CubicalComplex(n, host.faces)
+            c.chains
+            vertices = sorted(c.vertices())
+            cut = sk.delete(c, sk.closure(n, [rng.choice(vertices)]))
+            for g in (sk.closure(n, []), sk.closure(n, [rng.choice(sorted(cut.vertices()))])):
+                twice = sk.delete(cut, g)
+                assert twice.chains._whole is cut.chains
+                degrees = range(-1, host.dim + 2)
+                expected = per_level_homology(_matrices_over(twice.faces), ring, degrees)
+                assert _homology(twice.chains, ring, degrees) == expected, (ring, sorted(g.faces))
+
+
+def test_whole_complex_gf2_pass_packs_one_column_per_pivot_on_a_full_cube(monkeypatch):
+    # cleared from the top down, every column a pass of I^n packs brings a
+    # new pivot: (3^n - 1) / 2 columns in all, half the faces, where
+    # reading each map whole packs every face but the 2^n vertices
+    packed = _count_cleared_columns(monkeypatch)
+    for n in range(1, 8):
+        c = sk.full_cube(n)
+        packed[sk.GF2].clear()
+        assert homology._profile(c.chains, n + 1, sk.GF2).betti == (1,) + (0,) * n
+        assert sum(packed[sk.GF2]) == (3**n - 1) // 2, n
+        assert sum(packed[sk.GF2]) == sum(c.chains.gf2_rank(j) for j in range(1, n + 1))
+
+
+def test_chains_of_a_padded_complex_cost_their_stars_not_their_letters():
+    # the 2-sphere padded with zeros into I^2003: its matrices are those of
+    # the 2-sphere, and `signed_facets`, called twice per face (closedness
+    # and the matrices), runs a few Python lines per star and per call,
+    # where a walk over the letters ran two per letter: some 140,000
+    small = sk.cube_boundary(3)
+    pad = "0" * 2000
+    padded = sk.CubicalComplex(2003, frozenset(w + pad for w in small.faces))
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is signed_facets.__code__ else None)
+    try:
+        mats = padded.chains
+    finally:
+        sys.settrace(None)
+    assert mats.levels == [[w + pad for w in level] for level in small.chains.levels]
+    assert mats.columns == small.chains.columns
+    assert lines <= 20 * (sum(map(word_dim, small.faces)) + len(small.faces)), lines
 
 
 def test_gf2_rank_packed():

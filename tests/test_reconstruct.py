@@ -402,15 +402,19 @@ def test_reconstruction_eliminates_each_gf2_map_once_per_degree(monkeypatch, ske
     # every candidate reads the base's rank and kernel table of a map, none
     # reduces its own columns, and a later degree keeps the ranks and tables
     # of the maps it carries: over the whole reconstruction each map gets
-    # one rank pass, from the base profile, and at most one table build
+    # one rank pass, from the base profile, and at most one table build.
+    # The input's passes run from its top level down, each packing the
+    # columns off the pivot rows of the map above, as many as its rank;
+    # a level added later has no map above it when it is read
     ranked, tabled = [], []
     real_rank, real_table = homology.gf2_rank, homology._gf2_table
     rank_read = homology.BoundaryMatrices.gf2_rank.__code__
 
-    def counting_rank(vectors):
+    def counting_rank(vectors, pivot_rows=None):
         if sys._getframe(1).f_code is rank_read:  # not the masked read's rank of Y
+            vectors = list(vectors)
             ranked.append(len(vectors))
-        return real_rank(vectors)
+        return real_rank(vectors, pivot_rows)
 
     def counting_table(columns):
         tabled.append(columns)
@@ -422,7 +426,10 @@ def test_reconstruction_eliminates_each_gf2_map_once_per_degree(monkeypatch, ske
     skel = sk.CubicalComplex(skel.ambient_dim, skel.faces)
     steps = list(sk.reconstruct_steps(skel, cfg))
     last = steps[-2].complex_after if len(steps) > 1 else skel  # the base of the last degree
-    assert ranked == [last.chains.num_faces(j) for j in range(1, last.dim + 1)]
+    mats = last.chains
+    top = skel.dim
+    cleared = [mats.num_faces(j) - (mats.gf2_rank(j + 1) if j < top else 0) for j in range(top, 0, -1)]
+    assert ranked == cleared + [mats.num_faces(j) for j in range(top + 1, last.dim + 1)]
     maps = last.chains.columns[1:]
     assert tabled and all(sum(t is m for m in maps) == 1 for t in tabled)
     assert len({id(t) for t in tabled}) == len(tabled)
