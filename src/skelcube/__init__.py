@@ -30,18 +30,18 @@ _EXPORTS = {
     "product_complex": "complex",
     "skeleton": "complex",
     "HypercubeEmbedding": "embedding",
-    "SimpleGraph": "embedding",
-    "bfs_forest": "embedding",
     "bipartition_or_odd_cycle": "embedding",
-    "components": "embedding",
     "embedding_obstruction": "embedding",
     "find_graph_embedding": "embedding",
-    "graph_of": "embedding",
     "labelling_from_embedding": "embedding",
     "verify_labelling": "embedding",
     "ContractError": "errors",
     "ContradictionError": "errors",
     "StructuralError": "errors",
+    "SimpleGraph": "graph",
+    "bfs_forest": "graph",
+    "components": "graph",
+    "graph_of": "graph",
     "GeneratorSpec": "generators",
     "cubical_barycentric_subdivision": "generators",
     "generate": "generators",

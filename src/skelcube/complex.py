@@ -12,13 +12,12 @@ from .words import (
     _number,
     canon_key,
     facets,
-    free_masks,
     proper_subwords,
     sort_words,
     subwords,
     validate_word,
+    vertex_table,
     word_dim,
-    word_vertices,
 )
 
 __all__ = [
@@ -92,23 +91,23 @@ class CubicalComplex(_Record):
     def faces_by_vertex(self) -> dict[str, tuple[str, ...]]:
         """Each vertex mapped to the faces containing it, built once per instance.
 
-        One pass over the sum of 2**dim(w) vertex incidences; tuples keep
+        One walk over each face's vertices as masks (`vertex_table`), the
+        sum of 2**dim(w) incidences, each vertex spelt once; tuples keep
         the index small, as it lives as long as the complex.
         """
-        return _vertex_index_plus({}, self.faces)
+        return vertex_table(self.faces)
 
     @cached_property
     def vertex_links(self) -> dict[str, tuple[int, ...]]:
         """Each vertex mapped to the free-coordinate masks of the faces containing it, built once per instance.
 
         A face containing vertex v is v with the coordinates of its mask
-        freed, so the masks are the simplices of v's link.  Each face is
-        parsed once (`free_masks`) and its mask looked up under each
-        entry of `faces_by_vertex`; the link of any face is read from its
-        low corner's entry (`manifold._link`).
+        freed, so the masks are the simplices of v's link.  They come from
+        the same walk as `faces_by_vertex` (`vertex_table`), not from that
+        index, which a manifold test never builds; the link of any face is
+        read from its low corner's entry (`manifold._link`).
         """
-        mask = dict(zip(self.faces, free_masks(tuple(self.faces))))
-        return {v: tuple(map(mask.__getitem__, ws)) for v, ws in self.faces_by_vertex.items()}
+        return vertex_table(self.faces, masks=True)
 
     def __contains__(self, w: str) -> bool:
         return w in self.faces
@@ -213,13 +212,9 @@ def _grown(c: CubicalComplex, added) -> CubicalComplex:
 
 def _vertex_index_plus(at: dict[str, tuple[str, ...]], words) -> dict[str, tuple[str, ...]]:
     """A copy of the vertex index `at` with each word added under each of its vertices; `at` is not changed."""
-    new: dict[str, list[str]] = {}
-    for w in words:
-        for v in word_vertices(w):
-            new.setdefault(v, []).append(w)
     out = dict(at)
-    for v, ws in new.items():
-        out[v] = at.get(v, ()) + tuple(ws)
+    for v, ws in vertex_table(words).items():
+        out[v] = at.get(v, ()) + ws
     return out
 
 

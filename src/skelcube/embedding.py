@@ -1,9 +1,8 @@
 """Embedding graphs into hypercube graphs.
 
-`bfs_forest` is the one graph traversal: a breadth-first forest with
-roots in index order.  Connectivity, the bipartition, the labelling
-check, the embedding search and the connected `components` of a complex
-(through its 1-skeleton, `graph_of`) all read it.
+The graphs and `bfs_forest`, the one graph traversal, live in `graph`;
+the bipartition, the labelling check and the embedding search here read
+that traversal.  Of the commands, only `embed` loads this module.
 
 A labelling of the edges by coordinates {1..n} certifies an embedding
 when every cycle uses each label an even number of times and every path
@@ -24,59 +23,18 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, count, takewhile
 
-# `complex` loads in `components` alone; annotations naming CubicalComplex are never evaluated
 from .errors import ContractError, ContradictionError, StructuralError, _Record
-from .words import ONE, STAR, ZERO, _number, sort_words, word_dim
+from .graph import SimpleGraph, _normalize_edge, bfs_forest
+from .words import _number
 
 __all__ = [
-    "SimpleGraph",
     "HypercubeEmbedding",
-    "graph_of",
-    "components",
-    "bfs_forest",
     "bipartition_or_odd_cycle",
     "verify_labelling",
     "embedding_obstruction",
     "find_graph_embedding",
     "labelling_from_embedding",
 ]
-
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
-class SimpleGraph(_Record):
-    _fields = ("num_vertices", "edges")
-
-    def __init__(self, num_vertices: int, edges: frozenset[tuple[int, int]]):
-        if num_vertices < 0:
-            raise StructuralError("vertex count must be nonnegative")
-        if not isinstance(edges, frozenset):
-            edges = frozenset(edges)
-        for e in edges:
-            u, v = e
-            if u == v:
-                raise StructuralError(f"loop at vertex {u}")
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise StructuralError(f"edge {e} out of range")
-            if u > v:
-                raise StructuralError(f"edge {e} not normalized (expected min first)")
-        self.__dict__.update(num_vertices=num_vertices, edges=edges)
-
-    @classmethod
-    def from_edges(cls, num_vertices: int, pairs) -> "SimpleGraph":
-        return cls(num_vertices, frozenset(_normalize_edge(u, v) for u, v in pairs))
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for u, v in sorted(self.edges):
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
-    def is_connected(self) -> bool:
-        _, parent = bfs_forest(self.adjacency())
-        return parent.count(-1) <= 1
 
 
 class HypercubeEmbedding(_Record):
@@ -98,66 +56,6 @@ class HypercubeEmbedding(_Record):
         if len(self.codes) != g.num_vertices:
             return False
         return all((self.codes[u] ^ self.codes[v]).bit_count() == 1 for u, v in g.edges)
-
-
-def graph_of(c: CubicalComplex) -> SimpleGraph:
-    """The 1-skeleton as a graph; vertices are numbered in canonical word order.
-
-    An edge's two ends are its two corners, its star set to 0 and to 1,
-    which are vertices of c once it has passed `validate`.
-    """
-    c.validate()
-    verts = sort_words(c.vertices())
-    index = {v: i for i, v in enumerate(verts)}
-    edges = set()
-    for w in c.faces:
-        if word_dim(w) == 1:
-            edges.add(_normalize_edge(index[w.replace(STAR, ZERO)], index[w.replace(STAR, ONE)]))
-    return SimpleGraph(len(verts), frozenset(edges))
-
-
-def components(c: CubicalComplex) -> list[CubicalComplex]:
-    """Connected components, ordered by their smallest vertex; each face goes with its low corner."""
-    from .complex import _derived
-
-    index = {v: i for i, v in enumerate(sort_words(c.vertices()))}
-    order, parent = bfs_forest(graph_of(c).adjacency())
-    root = [-1] * len(order)
-    for v in order:
-        root[v] = v if parent[v] < 0 else root[parent[v]]
-    buckets: list[set[str]] = [set() for _ in order]
-    for w in c.faces:
-        buckets[root[index[w.replace(STAR, ZERO)]]].add(w)
-    parts = [b for b in buckets if b]
-    # a connected c is its own component, with the tables it carries;
-    # graph_of has validated c, and each component of it is closed
-    return [c] if len(parts) == 1 else [_derived(c.ambient_dim, frozenset(b), closed=True) for b in parts]
-
-
-def bfs_forest(adj: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Breadth-first order of all vertices, roots taken in index order.
-
-    parent[v] is the vertex that discovered v, -1 at a root; a root is
-    the smallest vertex of its component.
-    """
-    order: list[int] = []
-    parent = [-1] * len(adj)
-    seen = [False] * len(adj)
-    for root in range(len(adj)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        head = len(order)
-        order.append(root)
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    order.append(v)
-    return order, parent
 
 
 def bipartition_or_odd_cycle(g: SimpleGraph):

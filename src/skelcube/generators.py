@@ -10,8 +10,8 @@ passed to; the builders check the ranges of their own arguments.
 from __future__ import annotations
 
 from .complex import CubicalComplex, _check_size, _derived, cube_boundary, full_cube, product_complex, skeleton
-from .embedding import SimpleGraph
 from .errors import StructuralError, _Record
+from .graph import SimpleGraph
 from .words import ONE, STAR, ZERO, _named, _number, subwords
 
 __all__ = [

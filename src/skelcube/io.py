@@ -11,8 +11,8 @@ blank line after the header is the empty word, the one face of I^0.
 
 from __future__ import annotations
 
-# `complex` loads in `parse_complex` alone; annotations naming CubicalComplex are never evaluated
-from .embedding import SimpleGraph, _normalize_edge
+# `complex` loads in `parse_complex` alone and `graph` in `parse_graph`; annotations
+# naming CubicalComplex or SimpleGraph are never evaluated
 from .errors import StructuralError
 from .words import _named, _number
 
@@ -78,6 +78,8 @@ def serialize_complex(c: CubicalComplex) -> str:
 
 
 def parse_graph(text: str) -> SimpleGraph:
+    from .graph import SimpleGraph, _normalize_edge
+
     empty = "empty graph file, expected a 'vertices <n>' header"
     lines, head, n = _header(text, "vertices", "vertex count", empty)
     if n > MAX_GRAPH_VERTICES:

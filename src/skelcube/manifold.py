@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from .complex import CubicalComplex
-from .embedding import components
 from .errors import StructuralError, _Record
+from .graph import components
 from .homology import (
     HomologyProfile,
     _as_profile,

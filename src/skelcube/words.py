@@ -8,6 +8,7 @@ iff at every position q has '*' or the letters agree.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import reduce
 from itertools import product, repeat
 from operator import itemgetter, or_
@@ -27,6 +28,7 @@ __all__ = [
     "subwords",
     "proper_subwords",
     "word_vertices",
+    "vertex_table",
     "one_step_cofaces",
     "mask_word",
     "free_masks",
@@ -155,14 +157,42 @@ def mask_word(n: int, ones: int, stars: int) -> str:
 
 
 def free_masks(words: tuple[str, ...]) -> tuple[int, ...]:
-    """Each word's free coordinates as a mask, letter 0 the highest bit.
+    """Each word's free coordinates as a mask, letter 0 the highest bit."""
+    return tuple(_numerals(words, _FREE)) if words else ()
 
-    One `translate` spells all the words as binary numerals, each led by
-    a "0" so that the empty word of I^0 is one too.
+
+def _numerals(words: tuple[str, ...], table: dict) -> map:
+    """A nonempty tuple of words, each translated by table to a binary numeral, read as ints.
+
+    One `translate` spells all the words, each led by a "0" so that the
+    empty word of I^0 is a numeral too.
     """
+    return map(int, ("0" + " 0".join(words)).translate(table).split(), repeat(2))
+
+
+def vertex_table(words, masks: bool = False) -> dict[str, tuple]:
+    """Each vertex of the faces mapped to the faces containing it, or with `masks` to their free masks.
+
+    A face's vertices are its ONE letters (as a mask, letter 0 the
+    highest bit) with any sub-mask of its free coordinates added, walked
+    from the empty one, its low corner, upward.  Every incidence is an
+    int; each distinct vertex is spelt once at the end, so a vertex of
+    I^0 is the empty word.  Values keep the faces' order.
+    """
+    words = tuple(words)
     if not words:
-        return ()
-    return tuple(map(int, ("0" + " 0".join(words)).translate(_FREE).split(), repeat(2)))
+        return {}
+    at: defaultdict[int, list] = defaultdict(list)
+    frees = free_masks(words)
+    for ones, free, value in zip(_numerals(words, _ONE_AT), frees, frees if masks else words):
+        sub = 0
+        while True:
+            at[ones | sub].append(value)
+            sub = (sub - free) & free  # the next sub-mask up, 0 after the last
+            if not sub:
+                break
+    lead = 1 << len(words[0])  # spelt with its leading bit, cut off, so every letter shows
+    return {bin(x | lead)[3:]: tuple(vs) for x, vs in at.items()}
 
 
 def letter_bits(w: str) -> tuple[int, int]:

@@ -606,7 +606,7 @@ def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.Reconstructi
 
 
 def _assert_tables_fresh(c: sk.CubicalComplex) -> None:
-    """Assert c's chains, with each rank, pivot mask, table and letter mask carried, and vertex index equal those built anew."""
+    """Assert c's chains, with each rank, pivot mask, table and letter mask carried, equal those built anew, and its vertex index the oracle's."""
     carried, fresh = c.chains, _matrices_over(c.faces)
     assert carried.levels == fresh.levels
     assert carried.columns[1:] == fresh.columns[1:]
@@ -624,9 +624,29 @@ def _assert_tables_fresh(c: sk.CubicalComplex) -> None:
             assert got == ranked._pivots[ring, j], j
     for j, got in carried._letters.items():
         assert got == letter_masks(fresh.levels[j]), j
-    index = sk.CubicalComplex(c.ambient_dim, c.faces).faces_by_vertex
-    assert {v: set(ws) for v, ws in c.faces_by_vertex.items()} == {v: set(ws) for v, ws in index.items()}
-    assert sum(map(len, c.faces_by_vertex.values())) == sum(map(len, index.values()))
+    assert sorted_entries(c.faces_by_vertex) == vertex_tables_oracle(c)[0]
+
+
+def vertex_tables_oracle(c: sk.CubicalComplex) -> tuple[dict[str, list[str]], dict[str, list[int]]]:
+    """c's vertex index and link table, each entry sorted: every vertex of a face spelt by `word_vertices`.
+
+    A face's link simplex is its free mask, read letter by letter with
+    letter 0 the highest bit.
+    """
+    index: dict[str, list[str]] = {}
+    links: dict[str, list[int]] = {}
+    n = c.ambient_dim
+    for w in c.faces:
+        mask = sum(1 << (n - 1 - i) for i, letter in enumerate(w) if letter == "*")
+        for v in word_vertices(w):
+            index.setdefault(v, []).append(w)
+            links.setdefault(v, []).append(mask)
+    return sorted_entries(index), sorted_entries(links)
+
+
+def sorted_entries(table: dict) -> dict:
+    """table with each entry a sorted list, so that two tables compare as multisets per key."""
+    return {key: sorted(values) for key, values in table.items()}
 
 
 def random_subcomplex(rng, base: sk.CubicalComplex, max_generators: int = 6) -> sk.CubicalComplex:

@@ -47,6 +47,7 @@ COMPLEX = "src/skelcube/complex.py"
 HOMOLOGY = "src/skelcube/homology.py"
 RECONSTRUCT = "src/skelcube/reconstruct.py"
 EMBEDDING = "src/skelcube/embedding.py"
+GRAPH = "src/skelcube/graph.py"
 WORDS = "src/skelcube/words.py"
 GENERATORS = "src/skelcube/generators.py"
 MANIFOLD = "src/skelcube/manifold.py"
@@ -384,13 +385,30 @@ MUTANTS = (
         "        if isinstance(other, _Record):\n",
         ("tests/test_records.py::test_record_behaves_as_its_dataclass_twin",),
     ),
-    # `embed` and `import skelcube.cli` load the complex layer again
+    # `embed` loads the complex layer again
     Mutant(
-        "embedding-imports-complex",
-        EMBEDDING,
-        "from .errors import ContractError, ContradictionError, StructuralError, _Record\n",
-        "from .complex import _derived\nfrom .errors import ContractError, ContradictionError, StructuralError, _Record\n",
+        "graph-imports-complex",
+        GRAPH,
+        "from .errors import StructuralError, _Record\n",
+        "from .complex import _derived\nfrom .errors import StructuralError, _Record\n",
         ("tests/test_cli.py::test_cli_import_loads_no_process_machinery",),
+    ),
+    # every command, and `import skelcube.cli`, loads the embedding search again
+    Mutant(
+        "cli-imports-embedding",
+        CLI,
+        "never evaluated\nfrom .errors import",
+        "never evaluated\nfrom .embedding import embedding_obstruction, labelling_from_embedding, verify_labelling\n"
+        "from .errors import",
+        ("tests/test_cli.py::test_cli_import_loads_no_process_machinery",),
+    ),
+    # each face of positive dimension loses its low corner from both vertex tables
+    Mutant(
+        "vertex-walk-skips-low-corner",
+        WORDS,
+        "        sub = 0\n",
+        "        sub = -free & free\n",
+        ("tests/test_complex.py::test_vertex_tables_match_the_word_vertices_oracle",),
     ),
     # Both facets of a star with the same sign: w -> (-1)^(number of ONEs in w) w
     # carries this boundary to -D, so every homology answer is unchanged.

@@ -453,23 +453,29 @@ def test_embed_command_long_path(tmp_path, capsys):
 
 # the skelcube modules each run loads: `import skelcube` loads no layer,
 # and a command loads the CLI's own layers plus the ones it runs.  Only
-# commands that build a complex load `complex`, and only `--auto` loads
-# `manifold` for `reconstruct`.
-CLI_LAYERS = {"skelcube", "skelcube.cli", "skelcube.embedding", "skelcube.errors", "skelcube.io", "skelcube.words"}
+# commands that build a complex load `complex`, only `embed` loads the
+# embedding search, and only `--auto` loads `manifold` for `reconstruct`.
+# The graph layer comes with the search, with `manifold` (for
+# `components`) and with `generators` (for its graph families).
+CLI_LAYERS = {"skelcube", "skelcube.cli", "skelcube.errors", "skelcube.io", "skelcube.words"}
 COMPLEX_LAYERS = CLI_LAYERS | {"skelcube.complex"}
 FOOTPRINTS = (
     ("import skelcube", (), {"skelcube"}),
     ("import skelcube.cli", (), CLI_LAYERS),
-    ("embed", (["embed", "{graph}", "--nmax", "3"],), CLI_LAYERS),
+    ("embed", (["embed", "{graph}", "--nmax", "3"],), CLI_LAYERS | {"skelcube.embedding", "skelcube.graph"}),
     ("skeleton", (["skeleton", "{cplx}", "-k", "1", "-o", "{out}"],), COMPLEX_LAYERS),
     ("homology", (["homology", "{cplx}"],), COMPLEX_LAYERS | {"skelcube.homology"}),
-    ("manifold-check", (["manifold-check", "{cplx}"],), COMPLEX_LAYERS | {"skelcube.homology", "skelcube.manifold"}),
+    (
+        "manifold-check",
+        (["manifold-check", "{cplx}"],),
+        COMPLEX_LAYERS | {"skelcube.graph", "skelcube.homology", "skelcube.manifold"},
+    ),
     (
         "reconstruct",
         (["reconstruct", "{skel}", "-k", "2", "-d", "3", "-o", "{out}"],),
         COMPLEX_LAYERS | {"skelcube.homology", "skelcube.reconstruct"},
     ),
-    ("generate", (["generate", "cube", "2", "-o", "{out}"],), COMPLEX_LAYERS | {"skelcube.generators"}),
+    ("generate", (["generate", "cube", "2", "-o", "{out}"],), COMPLEX_LAYERS | {"skelcube.generators", "skelcube.graph"}),
 )
 # modules no run may load: the process machinery, and the standard library
 # modules whose import costs more than a command's own start-up
@@ -681,9 +687,13 @@ def test_cli_ends_every_run_on_mutated_inputs_with_an_exit_code(tmp_path, capsys
     sphere.write_text(complexes[0])
     triangle.write_text("vertices 3\n0 1\n1 2\n")
     crowded.write_text(f"vertices {huge}\n0 1\n")
-    long_runs += [
+    # a refused reconstruct config echoes none of its numbers on stdout either
+    refused_configs = [
         ["reconstruct", str(sphere), "-k", "2", "-d", huge, "-o", out],
         ["reconstruct", str(sphere), "-k", "-" + huge, "-d", "3", "-o", out],
+        ["reconstruct", str(sphere), "-k", "-" + huge, "--auto", "--dmax", "3", "-o", out],
+    ]
+    long_runs += refused_configs + [
         ["embed", str(triangle), "--nmax", "-" + huge],
         ["embed", str(crowded), "--nmax", "3"],
         ["generate", f"even-cycle({huge})", "-o", out],
@@ -694,9 +704,12 @@ def test_cli_ends_every_run_on_mutated_inputs_with_an_exit_code(tmp_path, capsys
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-        err = capsys.readouterr().err
+        out_text, err = capsys.readouterr()
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err
         assert len(err.encode()) <= 1024, (argv[0], err[:200])
         if argv in long_runs:
             assert code in (2, 3) and err.count("\n") == 1, (argv[0], err)
+            assert len(out_text.encode()) <= 1024, (argv[0], out_text[:200])
+        if argv in refused_configs:
+            assert code == 3, argv

@@ -9,6 +9,7 @@ from skelcube.words import proper_subwords, word_dim
 from helpers import (
     all_words,
     components_oracle,
+    corpus,
     delete_oracle,
     first_gap_oracle,
     gap_named_by,
@@ -18,8 +19,10 @@ from helpers import (
     oracle_is_subface,
     projective_plane,
     random_subcomplex,
+    sorted_entries,
     star,
     star_walk_oracle,
+    vertex_tables_oracle,
     vertices_of,
 )
 
@@ -278,6 +281,27 @@ def test_vertex_index_lists_the_faces_at_each_vertex():
         assert {v: set(ws) for v, ws in index.items()} == expected
         assert all(len(ws) == len(set(ws)) for ws in index.values())
         assert c.faces_by_vertex is index
+
+
+def test_vertex_tables_match_the_word_vertices_oracle():
+    # both tables walk each face's vertices as masks and spell each vertex
+    # once; the oracle spells every incidence from its word
+    pad = "10" * 40
+    sphere = sk.cube_boundary(3)
+    padded = sk.CubicalComplex(163, frozenset(pad + w + pad for w in sphere.faces))
+    point = sk.full_cube(0)
+    for c in [c for _, c in corpus()] + [point, padded, projective_plane()]:
+        index, links = vertex_tables_oracle(c)
+        assert sorted_entries(c.faces_by_vertex) == index
+        assert sorted_entries(c.vertex_links) == links
+    assert (point.faces_by_vertex, point.vertex_links) == ({"": ("",)}, {"": (0,)})
+    assert len(padded.faces_by_vertex) == 8 and all(v.startswith(pad) for v in padded.vertex_links)
+    # every degree of a reconstruction, each index carried up from the last
+    steps = list(sk.reconstruct_steps(sk.skeleton(sk.cube_boundary(5), 2), sk.ReconstructionConfig(2, 4, sk.TIGHT_GF2)))
+    assert len(steps) == 2 and steps[-1].complex_after == sk.cube_boundary(5)
+    for step in steps:
+        assert "faces_by_vertex" in step.complex_after.__dict__  # carried, not built on first read
+        assert sorted_entries(step.complex_after.faces_by_vertex) == vertex_tables_oracle(step.complex_after)[0]
 
 
 def test_delete_and_face_likeness_match_vertex_scan_oracles():

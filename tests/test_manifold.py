@@ -145,6 +145,7 @@ def test_local_profile_builds_the_vertex_links_once():
     table = c.__dict__["vertex_links"]
     sk.local_profile(c, second)
     assert c.__dict__["vertex_links"] is table
+    assert "faces_by_vertex" not in c.__dict__  # the links come from the faces, not the index
 
 
 def test_link_matches_the_star_intersection_oracle():
@@ -176,8 +177,9 @@ def test_graph_and_components_match_their_vertex_list_forms():
 
 
 def test_a_connected_complex_is_its_own_component(monkeypatch):
-    # a rebuilt complex carries the vertex index it was grown with, and its
-    # manifold check reads its links from that index, building none
+    # a rebuilt complex is its own component, with the tables it carries,
+    # and its manifold check walks its faces for the links alone: no
+    # vertex index is built
     built = sk.reconstruct(sk.skeleton(sk.cube_boundary(4), 2), sk.ReconstructionConfig(2, 3))
     assert sk.components(built)[0] is built
     calls = []

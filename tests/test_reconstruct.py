@@ -384,13 +384,14 @@ def test_reconstruction_builds_one_vertex_index_per_degree(monkeypatch, skel, cf
     # a later degree's index is the last one plus the added faces, and the
     # candidates' deletions only read it
     expanded = []
-    real = sk.complex.word_vertices
+    real = sk.complex.vertex_table
 
-    def counting(w):
-        expanded.append(w)
-        return real(w)
+    def counting(words, masks=False):
+        words = tuple(words)
+        expanded.extend(words)
+        return real(words, masks)
 
-    monkeypatch.setattr(sk.complex, "word_vertices", counting)
+    monkeypatch.setattr(sk.complex, "vertex_table", counting)
     skel = sk.CubicalComplex(skel.ambient_dim, skel.faces)  # a fresh instance, no index yet
     steps = list(sk.reconstruct_steps(skel, cfg))
     assert sorted(expanded) == sorted(steps[-1].complex_after.faces)
