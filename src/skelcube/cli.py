@@ -127,11 +127,11 @@ def _cmd_reconstruct(args) -> int:
         _write(args.output, serialize_complex(cx))
         print(f"wrote {args.output} (d={d})")
         return 0
-    cfg = ReconstructionConfig(args.k, args.d, args.mode)
-    cfg.validate()  # before the mode line, which would echo a refused number in full
+    # the contract is checked before the mode line, which would echo a refused number in full
+    steps = reconstruct_steps(c, ReconstructionConfig(args.k, args.d, args.mode))
     print(f"mode {args.mode} k={args.k} d={args.d}")
     current = c
-    for step in reconstruct_steps(c, cfg):
+    for step in steps:
         _print_verdicts(step)
         current = step.complex_after
     print(f"faces {len(current.faces)}")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 
 from .errors import ContractError, StructuralError, _Record
 from .words import (
@@ -59,8 +58,7 @@ class CubicalComplex(_Record):
     A `_Record` of `ambient_dim` and `faces`: equality, hash and repr
     read those two alone.  Tables read from the faces are cached beside
     them in the instance `__dict__` on first use: `dim`, the boundary
-    matrices `chains`, the vertex index `faces_by_vertex` and, built from
-    it, the masks of each vertex's link, `vertex_links`.
+    matrices `chains` and the masks of each vertex's link, `vertex_links`.
     """
 
     _fields = ("ambient_dim", "faces")
@@ -88,26 +86,15 @@ class CubicalComplex(_Record):
         return homology._matrices_over(self.faces)
 
     @cached_property
-    def faces_by_vertex(self) -> dict[str, tuple[str, ...]]:
-        """Each vertex mapped to the faces containing it, built once per instance.
-
-        One walk over each face's vertices as masks (`vertex_table`), the
-        sum of 2**dim(w) incidences, each vertex spelt once; tuples keep
-        the index small, as it lives as long as the complex.
-        """
-        return vertex_table(self.faces)
-
-    @cached_property
     def vertex_links(self) -> dict[str, tuple[int, ...]]:
         """Each vertex mapped to the free-coordinate masks of the faces containing it, built once per instance.
 
         A face containing vertex v is v with the coordinates of its mask
-        freed, so the masks are the simplices of v's link.  They come from
-        the same walk as `faces_by_vertex` (`vertex_table`), not from that
-        index, which a manifold test never builds; the link of any face is
-        read from its low corner's entry (`manifold._link`).
+        freed, so the masks are the simplices of v's link, found by one
+        walk over each face's vertices (`vertex_table`); the link of any
+        face is read from its low corner's entry (`manifold._link`).
         """
-        return vertex_table(self.faces, masks=True)
+        return vertex_table(self.faces)
 
     def __contains__(self, w: str) -> bool:
         return w in self.faces
@@ -175,47 +162,38 @@ def _not_closed(at: str, missing: str) -> StructuralError:
     return StructuralError(f"the face set is not downward closed: at {_named(at)}, face {_named(missing)} is missing")
 
 
-def _derived(ambient_dim: int, faces: frozenset, closed: bool = False) -> CubicalComplex:
+def _derived(ambient_dim: int, faces: frozenset, closed: bool = False, chains=None) -> CubicalComplex:
     """A complex built without the constructor's word check, for faces the library made.
 
     Its words come from valid complexes or are spelt by a builder.  With
     `closed` the builder marks the set as checked, so `validate` never
-    scans it.  A builder marks only what is closed whatever it was
-    given: `closure`, `components`, whose input has passed `validate`
-    by then, `_grown`, which adds to a checked c faces whose facets are
-    in c, and `delete` from a c whose matrices are built, so checked.
-    Any other output, such as the skeleton, deletion or product of an
-    unchecked set, is checked by its first reader.
+    scans it, and `chains`, when given, are its boundary matrices.  A
+    builder marks only what is closed whatever it was given: `closure`,
+    `components`, whose input has passed `validate` by then, `_grown`,
+    which adds to a checked c faces whose facets are in c, and `delete`,
+    which validates c first and so refuses a c that is not closed.  Any
+    other output, such as the skeleton or product of an unchecked set,
+    is checked by its first reader.
     """
     c = object.__new__(CubicalComplex)
     c.__dict__.update(ambient_dim=ambient_dim, faces=faces)
     if closed:
         c.__dict__[_CLOSED] = True
+    if chains is not None:
+        c.__dict__["chains"] = chains
     return c
 
 
 def _grown(c: CubicalComplex, added) -> CubicalComplex:
     """c with faces one dimension above its top added, c itself when none are; their facets must be in c.
 
-    Its chains are c's with one level added (`BoundaryMatrices.extended`)
-    and its vertex index a copy of c's plus the added faces: the builders
-    of a fresh complex, started from c's tables, which stay as they are.
+    Its chains are c's with one level added (`BoundaryMatrices.extended`),
+    the builder of a fresh complex started from c's matrices, which stay
+    as they are; reading c.chains validates c.
     """
     if not added:
         return c
-    grown = _derived(c.ambient_dim, c.faces.union(added), closed=True)
-    # cached properties, set ahead of their first use; reading c.chains validates c
-    grown.__dict__["chains"] = c.chains.extended(added)
-    grown.__dict__["faces_by_vertex"] = _vertex_index_plus(c.faces_by_vertex, added)
-    return grown
-
-
-def _vertex_index_plus(at: dict[str, tuple[str, ...]], words) -> dict[str, tuple[str, ...]]:
-    """A copy of the vertex index `at` with each word added under each of its vertices; `at` is not changed."""
-    out = dict(at)
-    for v, ws in vertex_table(words).items():
-        out[v] = at.get(v, ()) + ws
-    return out
+    return _derived(c.ambient_dim, c.faces.union(added), closed=True, chains=c.chains.extended(added))
 
 
 def closure(ambient_dim: int, generators) -> CubicalComplex:
@@ -287,18 +265,16 @@ def _require_subcomplex(c: CubicalComplex, g: CubicalComplex, role: str) -> None
 def delete(c: CubicalComplex, g: CubicalComplex) -> CubicalComplex:
     """Faces of c containing no vertex of g: c minus the open star of V(g).
 
-    The star of a vertex is its entry in `faces_by_vertex`, so the
-    result is one C-level copy of c's faces with those entries
-    discarded, frozen as it is made.  When c's boundary matrices are
-    built, the result's are a view of them without the deleted columns
-    (`BoundaryMatrices.without`), so its homology costs no new matrices.
+    The result's boundary matrices are a view of c's without the star
+    (`BoundaryMatrices.without`), so its homology costs no new matrices,
+    and its faces are one C-level copy of c's with the faces the view
+    leaves out discarded, frozen as it is made.  Building c's matrices
+    validates c, so a face set that is not downward closed is refused
+    (StructuralError); a closed set minus an open star is closed.
     """
     _require_subcomplex(c, g, "deletion argument")
-    at = c.faces_by_vertex
-    out = _derived(c.ambient_dim, c.faces.difference(chain.from_iterable(at.get(v, ()) for v in g.vertices())))
-    if "chains" in c.__dict__:  # c has passed validate, and a closed set minus an open star is closed
-        out.__dict__.update({"chains": c.chains.without(g.vertices()), _CLOSED: True})
-    return out
+    kept = c.chains.without(g.vertices())
+    return _derived(c.ambient_dim, c.faces.difference(kept.left_out()), closed=True, chains=kept)
 
 
 def product_complex(a: CubicalComplex, b: CubicalComplex) -> CubicalComplex:

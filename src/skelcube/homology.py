@@ -85,7 +85,7 @@ precision and there is no overflow path to detect.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import compress, count
+from itertools import chain, compress, count
 
 from .complex import CubicalComplex, _require_subcomplex
 from .errors import ContractError, StructuralError, _Record
@@ -190,8 +190,7 @@ class BoundaryMatrices:
         docstring), so the rank and the invariant factors stay.
         """
         skip = self._pivots.get((ring, j + 1), 0)
-        columns = self.columns[j]
-        return compress(columns, _selectors(((1 << len(columns)) - 1) & ~skip)) if skip else columns
+        return _outside(self.columns[j], skip) if skip else self.columns[j]
 
     def gf2_reduced_kernel(self, j: int) -> tuple[int, list[int]]:
         """A fully reduced kernel basis of D_j read by column, as (pivots, cover), built once per matrix.
@@ -265,7 +264,8 @@ class _Without(BoundaryMatrices):
     A closed set minus an open star is closed, so the kept D_j is whole's
     restricted to the kept columns.  Counts, GF(2) ranks (rank-nullity on
     whole's table) and the ring readers (`source`) take each level's
-    deleted mask alone; levels and columns are built only when read.
+    deleted mask alone; levels and columns are built only when read, and
+    `left_out` names the deleted faces by the same masks.
     """
 
     def __init__(self, whole: BoundaryMatrices, faces):
@@ -286,10 +286,15 @@ class _Without(BoundaryMatrices):
         whole, deleted = self.source(j)
         return _gf2_map(whole, j, deleted)[0]
 
+    def left_out(self):
+        """An iterator over whole's faces that this view leaves out, level by level, each picked by its deleted mask."""
+        levels = enumerate(self._whole.levels)
+        return chain.from_iterable(compress(level, _selectors(self.source(j)[1])) for j, level in levels)
+
     @cached_property
     def levels(self) -> list[list[str]]:
         """The kept faces per level, in whole's order, up to the top level holding one."""
-        kept = [list(compress(level, _selectors(self._kept(j)))) for j, level in enumerate(self._whole.levels)]
+        kept = [list(_outside(level, self.source(j)[1])) for j, level in enumerate(self._whole.levels)]
         while kept and not kept[-1]:
             kept.pop()
         return kept
@@ -299,13 +304,15 @@ class _Without(BoundaryMatrices):
         """The kept columns of each level, their rows numbered among the kept faces below."""
         out = []
         for j in range(len(self.levels)):
-            renumber = dict(zip(compress(count(), _selectors(self._kept(j - 1))), count()))
-            kept = compress(self._whole.columns[j], _selectors(self._kept(j)))
+            renumber = dict(zip(_outside(range(self._whole.num_faces(j - 1)), self.source(j - 1)[1]), count()))
+            kept = _outside(self._whole.columns[j], self.source(j)[1])
             out.append([[(renumber[r], s) for r, s in col] for col in kept])
         return out
 
-    def _kept(self, j: int) -> int:
-        return ((1 << self._whole.num_faces(j)) - 1) & ~self.source(j)[1]
+
+def _outside(items, mask: int):
+    """An iterator over the items of a sequence but those at the set bits of mask, in order, picked in C."""
+    return compress(items, _selectors(((1 << len(items)) - 1) & ~mask))
 
 
 def _selectors(mask: int) -> bytes:
@@ -531,7 +538,7 @@ def _integer_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tup
     if not 1 <= i <= mats.top:
         return 0, ()
     if deleted:
-        factors = _invariant_factors([col for c, col in enumerate(mats.columns[i]) if not deleted >> c & 1])
+        factors = _invariant_factors(_outside(mats.columns[i], deleted))
         return len(factors), tuple(d for d in factors if d > 1)
     got = mats._integer.get(i)
     if got is None:

@@ -13,24 +13,22 @@ vertices, and a face outside that star has no vertex there, so none of
 its facets is in the star either.  The deletion therefore removes
 columns only: its D_j is the current complex's D_j restricted to the
 j-faces kept.  The input builds its boundary matrices once
-(`CubicalComplex.chains`, also read by its base profile) and indexes its
-faces by vertex once (`CubicalComplex.faces_by_vertex`).  A degree only
-adds faces one dimension above the current complex, so the grown
-complex carries both up (`complex._grown`) with the builders a fresh
+(`CubicalComplex.chains`, also read by its base profile).  A degree
+only adds faces one dimension above the current complex, so the grown
+complex carries them up (`complex._grown`) with the builder a fresh
 complex starts from nothing: its matrices are the current ones plus
 one level (`BoundaryMatrices.extended`), sharing D_1..D_k with their
-GF(2) ranks, kernel tables and letter masks, and its vertex index is a
-copy of the current one plus the added faces; the current complex is
+GF(2) ranks, kernel tables and letter masks; the current complex is
 left as it is.  A step that accepts nothing keeps the current complex.
 So each map is built, ranked over GF(2) and given its kernel table and
-letter masks at most once per reconstruction.  A candidate then costs
-one C-level pass (`delete`, one frozenset difference with its vertices'
-index entries), whose result reads the current matrices through a view
-without the star (`BoundaryMatrices.without`).  Per compared map, the
-deleted columns are all but an OR of letter masks, one per fixed
-coordinate of the candidate where the level's words differ; over GF(2)
-a C-level pick of their non-pivot columns in the base's reduced kernel
-and one small rank follow, by rank-nullity (see homology).
+letter masks at most once per reconstruction.  A candidate's deletion
+(`delete`) reads the current matrices through a view without the star
+(`BoundaryMatrices.without`).  Per map, the deleted columns are all but
+an OR of letter masks, one per fixed coordinate of the candidate where
+the level's words differ; the same masks pick the faces that one C-level
+frozenset difference leaves out.  Over GF(2) a C-level pick of the
+deleted non-pivot columns in the base's reduced kernel and one small
+rank follow, by rank-nullity (see homology).
 TIGHT_INTEGER compares torsion and reduces the kept columns over Z.
 
 A tight mode (even target dimension d = 2k) is the same test at the
@@ -166,7 +164,6 @@ def face_criterion(skel: CubicalComplex, f: str, k: int, d: int, mode: str = STA
     if not _boundary_present(skel, f):
         return CandidateVerdict(f, False, False)
     degrees = (d - k, d - k - 1) if mode == STANDARD else (d - k - 1,)
-    skel.chains  # built before the deletion, which then reads skel's matrices without its star
     kept = delete(skel, _derived(skel.ambient_dim, frozenset(word_vertices(f))))
     deleted = _homology(kept.chains, ring, degrees)
     profiles = tuple((j, deleted[j], base.degree(j)) for j in degrees)

@@ -170,8 +170,8 @@ def _numerals(words: tuple[str, ...], table: dict) -> map:
     return map(int, ("0" + " 0".join(words)).translate(table).split(), repeat(2))
 
 
-def vertex_table(words, masks: bool = False) -> dict[str, tuple]:
-    """Each vertex of the faces mapped to the faces containing it, or with `masks` to their free masks.
+def vertex_table(words) -> dict[str, tuple[int, ...]]:
+    """Each vertex of the faces mapped to the free masks of the faces containing it.
 
     A face's vertices are its ONE letters (as a mask, letter 0 the
     highest bit) with any sub-mask of its free coordinates added, walked
@@ -182,12 +182,11 @@ def vertex_table(words, masks: bool = False) -> dict[str, tuple]:
     words = tuple(words)
     if not words:
         return {}
-    at: defaultdict[int, list] = defaultdict(list)
-    frees = free_masks(words)
-    for ones, free, value in zip(_numerals(words, _ONE_AT), frees, frees if masks else words):
+    at: defaultdict[int, list[int]] = defaultdict(list)
+    for ones, free in zip(_numerals(words, _ONE_AT), free_masks(words)):
         sub = 0
         while True:
-            at[ones | sub].append(value)
+            at[ones | sub].append(free)
             sub = (sub - free) & free  # the next sub-mask up, 0 after the last
             if not sub:
                 break

@@ -401,22 +401,31 @@ def assert_facelike_iff_not_bounding(c: sk.CubicalComplex, f: str) -> bool:
     return facelike
 
 
+@lru_cache(maxsize=16)
+def faces_at_vertices(c: sk.CubicalComplex) -> dict[str, frozenset[str]]:
+    """Each vertex of c's faces mapped to the faces containing it, every vertex spelt by `word_vertices`."""
+    at: dict[str, set[str]] = {}
+    for w in c.faces:
+        for v in word_vertices(w):
+            at.setdefault(v, set()).add(w)
+    return {v: frozenset(ws) for v, ws in at.items()}
+
+
 def star(c: sk.CubicalComplex, faces) -> frozenset[str]:
     """Faces of c having one of the given faces as a subface (their open star).
 
     A face contains f exactly when it contains both extreme corners of
     f, the vertices with every star of f set to 0 and to 1, so the star
-    of f is the intersection of their entries in `faces_by_vertex`.
-    Exact on any face set, downward closed or not, and for given words
-    outside c.
+    of f is the intersection of their entries in an index of c's faces
+    by vertex, built here once per complex (`faces_at_vertices`) apart
+    from the library's tables.  Exact on any face set, downward closed
+    or not, and for given words outside c.
     """
-    at = c.faces_by_vertex
+    at = faces_at_vertices(c)
+    none: frozenset[str] = frozenset()
     found: set[str] = set()
     for f in faces:
-        low = at.get(f.replace("*", "0"), ())
-        high = at.get(f.replace("*", "1"), ())
-        # a vertex is both its corners: the same tuple, no intersection needed
-        found.update(low if low is high else set(low).intersection(high))
+        found |= at.get(f.replace("*", "0"), none) & at.get(f.replace("*", "1"), none)
     return frozenset(found)
 
 
@@ -512,7 +521,7 @@ def local_profile_oracle(c: sk.CubicalComplex, f: str, ring: str) -> sk.Homology
     """Homology of (c, faces not containing f) from quotient matrices rebuilt from words.
 
     The faces containing f are listed by keeping or starring each fixed
-    letter of f, not read from the library's vertex index, and their
+    letter of f, not read from the library's vertex tables, and their
     matrices are built from the words, not sliced from c.chains.
     """
     letters = [(a,) if a == "*" else (a, "*") for a in f]
@@ -523,8 +532,8 @@ def local_profile_oracle(c: sk.CubicalComplex, f: str, ring: str) -> sk.Homology
 def link_by_star_oracle(c: sk.CubicalComplex, f: str) -> list[list[int]]:
     """The link of f in c by number of vertices, each simplex a mask of f's fixed coordinates, from `star`.
 
-    The open star is the intersection of the vertex-index entries of f's
-    two extreme corners, and each of its faces g is parsed on its own
+    The open star is the intersection of the `faces_at_vertices` entries
+    of f's two extreme corners, and each of its faces g is parsed on its own
     into A_g, its free coordinates less f's; the library filters the
     masks of f's low corner instead.
     """
@@ -588,11 +597,10 @@ def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.Reconstructi
     """The steps of reconstruct_steps, each grown complex checked against a fresh build.
 
     A degree carries the previous complex's matrices, their ranks over
-    both rings, pivot rows, kernel tables and letter masks and its vertex
-    index up by the added faces; they must equal what `_matrices_over`
-    and a new complex build from the grown faces: levels, signed columns,
-    and every rank, GF(2) pivot mask, table and letter mask carried.  The
-    vertex index is compared as sets.
+    both rings, pivot rows, kernel tables and letter masks up by the
+    added faces; they must equal what `_matrices_over` builds from the
+    grown faces: levels, signed columns, and every rank, GF(2) pivot
+    mask, table and letter mask carried.
     After the last step the input and every grown complex are checked
     again, as a later carry must not change the complex it grew from.
     """
@@ -606,7 +614,7 @@ def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.Reconstructi
 
 
 def _assert_tables_fresh(c: sk.CubicalComplex) -> None:
-    """Assert c's chains, with each rank, pivot mask, table and letter mask carried, equal those built anew, and its vertex index the oracle's."""
+    """Assert c's chains, with each rank, pivot mask, table and letter mask carried, equal those built anew."""
     carried, fresh = c.chains, _matrices_over(c.faces)
     assert carried.levels == fresh.levels
     assert carried.columns[1:] == fresh.columns[1:]
@@ -624,24 +632,21 @@ def _assert_tables_fresh(c: sk.CubicalComplex) -> None:
             assert got == ranked._pivots[ring, j], j
     for j, got in carried._letters.items():
         assert got == letter_masks(fresh.levels[j]), j
-    assert sorted_entries(c.faces_by_vertex) == vertex_tables_oracle(c)[0]
 
 
-def vertex_tables_oracle(c: sk.CubicalComplex) -> tuple[dict[str, list[str]], dict[str, list[int]]]:
-    """c's vertex index and link table, each entry sorted: every vertex of a face spelt by `word_vertices`.
+def vertex_links_oracle(c: sk.CubicalComplex) -> dict[str, list[int]]:
+    """c's link table, each entry sorted: every vertex of a face spelt by `word_vertices`.
 
     A face's link simplex is its free mask, read letter by letter with
     letter 0 the highest bit.
     """
-    index: dict[str, list[str]] = {}
     links: dict[str, list[int]] = {}
     n = c.ambient_dim
     for w in c.faces:
         mask = sum(1 << (n - 1 - i) for i, letter in enumerate(w) if letter == "*")
         for v in word_vertices(w):
-            index.setdefault(v, []).append(w)
             links.setdefault(v, []).append(mask)
-    return sorted_entries(index), sorted_entries(links)
+    return sorted_entries(links)
 
 
 def sorted_entries(table: dict) -> dict:

@@ -182,7 +182,7 @@ MUTANTS = (
     Mutant(
         "integer-reader-ignores-mask",
         HOMOLOGY,
-        "_invariant_factors([col for c, col in enumerate(mats.columns[i]) if not deleted >> c & 1])",
+        "_invariant_factors(_outside(mats.columns[i], deleted))",
         "_invariant_factors(mats.columns[i])",
         (
             "tests/test_reconstruct.py::test_tight_criterion_compares_only_degree_d_minus_k_minus_1",
@@ -224,20 +224,20 @@ MUTANTS = (
     Mutant(
         "delete-skips-a-vertex",
         COMPLEX,
-        "at.get(v, ()) for v in g.vertices()",
-        "at.get(v, ()) for v in sorted(g.vertices())[1:]",
+        "kept = c.chains.without(g.vertices())",
+        "kept = c.chains.without(sorted(g.vertices())[1:])",
         (
             "tests/test_complex.py::test_delete_and_face_likeness_match_vertex_scan_oracles",
             "tests/test_complex.py::test_delete_matches_the_oracle_and_hashes_alike",
         ),
     ),
-    # the grown complex's vertex index written into its parent's
+    # the deleted vertices stay in the deletion's faces, though its view leaves them out
     Mutant(
-        "carried-vertex-index-not-copied",
-        COMPLEX,
-        "    out = dict(at)\n",
-        "    out = at\n",
-        ("tests/test_properties.py::test_middle_skeleton_rebuilds_the_manifold",),
+        "deleted-faces-skip-level-zero",
+        HOMOLOGY,
+        "levels = enumerate(self._whole.levels)\n",
+        "levels = enumerate(self._whole.levels[1:], 1)\n",
+        ("tests/test_complex.py::test_delete_matches_the_oracle_and_hashes_alike",),
     ),
     # a local profile read on a face set that is not closed: a link facet
     # has no row (KeyError)

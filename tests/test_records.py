@@ -96,7 +96,7 @@ def test_complex_tables_are_cached_per_instance():
     c = sk.closure(3, ["**0", "0**"])
     again = sk.CubicalComplex(c.ambient_dim, c.faces)
     assert c == again and hash(c) == hash(again) and "_closed" in vars(c) and "_closed" not in vars(again)
-    for name in ("chains", "faces_by_vertex", "vertex_links"):
+    for name in ("chains", "vertex_links"):
         table = getattr(c, name)
         assert getattr(c, name) is table and vars(c)[name] is table
         assert name not in vars(again)
@@ -106,4 +106,4 @@ def test_complex_tables_are_cached_per_instance():
     assert c == again and hash(c) == hash(again) and repr(c) == repr(again) == repr(sk.CubicalComplex(3, c.faces))
     assert again.chains is not c.chains
     back = pickle.loads(pickle.dumps(c))
-    assert vars(back).keys() == vars(c).keys() and back.faces_by_vertex == c.faces_by_vertex
+    assert vars(back).keys() == vars(c).keys() and back.vertex_links == c.vertex_links
