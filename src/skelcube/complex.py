@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
 from .errors import ContractError, StructuralError, _Record
 from .words import (
@@ -59,6 +60,8 @@ class CubicalComplex(_Record):
     read those two alone.  Tables read from the faces are cached beside
     them in the instance `__dict__` on first use: `dim`, the boundary
     matrices `chains` and the masks of each vertex's link, `vertex_links`.
+    A deletion is made from its chains alone, and its `faces` are cached
+    the same way, from its view's levels on first read.
     """
 
     _fields = ("ambient_dim", "faces")
@@ -71,6 +74,15 @@ class CubicalComplex(_Record):
         for w in faces:
             validate_word(w, ambient_dim)
         self.__dict__.update(ambient_dim=ambient_dim, faces=faces)
+
+    @cached_property
+    def faces(self) -> frozenset[str]:
+        """The faces of a complex `_derived` from its chains alone (a deletion), frozen from their levels on first read.
+
+        Every other instance holds its faces in `__dict__`, which shadows
+        this property, so reading them costs nothing extra.
+        """
+        return frozenset(chain.from_iterable(self.chains.levels))
 
     @cached_property
     def dim(self) -> int:
@@ -162,7 +174,7 @@ def _not_closed(at: str, missing: str) -> StructuralError:
     return StructuralError(f"the face set is not downward closed: at {_named(at)}, face {_named(missing)} is missing")
 
 
-def _derived(ambient_dim: int, faces: frozenset, closed: bool = False, chains=None) -> CubicalComplex:
+def _derived(ambient_dim: int, faces: frozenset | None, closed: bool = False, chains=None) -> CubicalComplex:
     """A complex built without the constructor's word check, for faces the library made.
 
     Its words come from valid complexes or are spelt by a builder.  With
@@ -173,14 +185,14 @@ def _derived(ambient_dim: int, faces: frozenset, closed: bool = False, chains=No
     which adds to a checked c faces whose facets are in c, and `delete`,
     which validates c first and so refuses a c that is not closed.  Any
     other output, such as the skeleton or product of an unchecked set,
-    is checked by its first reader.
+    is checked by its first reader.  `faces` may be None only together
+    with `chains` and `closed` (`delete`): the faces are then read from
+    the chains' levels on first use (`CubicalComplex.faces`), and
+    `validate` never reads them.
     """
     c = object.__new__(CubicalComplex)
-    c.__dict__.update(ambient_dim=ambient_dim, faces=faces)
-    if closed:
-        c.__dict__[_CLOSED] = True
-    if chains is not None:
-        c.__dict__["chains"] = chains
+    entries = {"ambient_dim": ambient_dim, "faces": faces, _CLOSED: closed or None, "chains": chains}
+    c.__dict__.update((key, value) for key, value in entries.items() if value is not None)
     return c
 
 
@@ -266,15 +278,16 @@ def delete(c: CubicalComplex, g: CubicalComplex) -> CubicalComplex:
     """Faces of c containing no vertex of g: c minus the open star of V(g).
 
     The result's boundary matrices are a view of c's without the star
-    (`BoundaryMatrices.without`), so its homology costs no new matrices,
-    and its faces are one C-level copy of c's with the faces the view
-    leaves out discarded, frozen as it is made.  Building c's matrices
-    validates c, so a face set that is not downward closed is refused
-    (StructuralError); a closed set minus an open star is closed.
+    (`BoundaryMatrices.without`), so its homology costs no new matrices.
+    Its faces are the view's levels, built on first read, so a deletion
+    costs one pass over g's faces (the subcomplex check and V(g)) plus
+    the masks the view reads, not a copy of c's faces.  Building c's
+    matrices validates c, so a face set that is not downward closed is
+    refused (StructuralError); a closed set minus an open star is closed.
     """
     _require_subcomplex(c, g, "deletion argument")
     kept = c.chains.without(g.vertices())
-    return _derived(c.ambient_dim, c.faces.difference(kept.left_out()), closed=True, chains=kept)
+    return _derived(c.ambient_dim, None, closed=True, chains=kept)
 
 
 def product_complex(a: CubicalComplex, b: CubicalComplex) -> CubicalComplex:

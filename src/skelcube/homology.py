@@ -85,7 +85,7 @@ precision and there is no overflow path to detect.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, compress, count
+from itertools import compress, count
 
 from .complex import CubicalComplex, _require_subcomplex
 from .errors import ContractError, StructuralError, _Record
@@ -264,8 +264,9 @@ class _Without(BoundaryMatrices):
     A closed set minus an open star is closed, so the kept D_j is whole's
     restricted to the kept columns.  Counts, GF(2) ranks (rank-nullity on
     whole's table) and the ring readers (`source`) take each level's
-    deleted mask alone; levels and columns are built only when read, and
-    `left_out` names the deleted faces by the same masks.
+    deleted mask alone; levels and columns are built only when read.
+    `levels` is the one place that names the kept faces: a deletion's
+    face set is frozen from it on first read (`CubicalComplex.faces`).
     """
 
     def __init__(self, whole: BoundaryMatrices, faces):
@@ -285,11 +286,6 @@ class _Without(BoundaryMatrices):
     def gf2_rank(self, j: int) -> int:
         whole, deleted = self.source(j)
         return _gf2_map(whole, j, deleted)[0]
-
-    def left_out(self):
-        """An iterator over whole's faces that this view leaves out, level by level, each picked by its deleted mask."""
-        levels = enumerate(self._whole.levels)
-        return chain.from_iterable(compress(level, _selectors(self.source(j)[1])) for j, level in levels)
 
     @cached_property
     def levels(self) -> list[list[str]]:

@@ -25,10 +25,10 @@ letter masks at most once per reconstruction.  A candidate's deletion
 (`delete`) reads the current matrices through a view without the star
 (`BoundaryMatrices.without`).  Per map, the deleted columns are all but
 an OR of letter masks, one per fixed coordinate of the candidate where
-the level's words differ; the same masks pick the faces that one C-level
-frozenset difference leaves out.  Over GF(2) a C-level pick of the
-deleted non-pivot columns in the base's reduced kernel and one small
-rank follow, by rank-nullity (see homology).
+the level's words differ.  The criterion never reads the deletion's
+faces, so no face set is built for a candidate.  Over GF(2) a C-level
+pick of the deleted non-pivot columns in the base's reduced kernel and
+one small rank follow, by rank-nullity (see homology).
 TIGHT_INTEGER compares torsion and reduces the kept columns over Z.
 
 A tight mode (even target dimension d = 2k) is the same test at the

@@ -231,13 +231,25 @@ MUTANTS = (
             "tests/test_complex.py::test_delete_matches_the_oracle_and_hashes_alike",
         ),
     ),
-    # the deleted vertices stay in the deletion's faces, though its view leaves them out
+    # the view's kept faces start at the edges, so a deletion's faces lose its vertices
     Mutant(
         "deleted-faces-skip-level-zero",
         HOMOLOGY,
-        "levels = enumerate(self._whole.levels)\n",
-        "levels = enumerate(self._whole.levels[1:], 1)\n",
+        "for j, level in enumerate(self._whole.levels)]",
+        "for j, level in enumerate(self._whole.levels[1:], 1)]",
         ("tests/test_complex.py::test_delete_matches_the_oracle_and_hashes_alike",),
+    ),
+    # a deletion freezes its faces as it is made: its answers stay right,
+    # only the tests of what a deletion holds and allocates can tell
+    Mutant(
+        "delete-builds-its-faces",
+        COMPLEX,
+        "return _derived(c.ambient_dim, None, closed=True, chains=kept)",
+        "return _derived(c.ambient_dim, frozenset(chain.from_iterable(kept.levels)), closed=True, chains=kept)",
+        (
+            "tests/test_complex.py::test_deleting_a_star_copies_no_face_set",
+            "tests/test_reconstruct.py::test_reconstruction_reads_no_deletion_face_set",
+        ),
     ),
     # a local profile read on a face set that is not closed: a link facet
     # has no row (KeyError)

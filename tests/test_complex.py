@@ -1,4 +1,9 @@
+import copy
+import pickle
 import random
+import sys
+import tracemalloc
+from functools import partial, reduce
 
 import pytest
 
@@ -306,29 +311,57 @@ def test_delete_and_face_likeness_match_vertex_scan_oracles():
             assert is_face_like(c, g) == is_face_like_oracle(c, g)
 
 
+def _unread_deletions(c, cuts) -> list[sk.CubicalComplex]:
+    """c less each of cuts in turn, as returned and through pickle, copy and deepcopy, none of them read yet."""
+    fresh = partial(reduce, sk.delete, cuts, c)
+    return [fresh(), pickle.loads(pickle.dumps(fresh())), copy.copy(fresh()), copy.deepcopy(fresh())]
+
+
 def test_delete_matches_the_oracle_and_hashes_alike():
     # g holding edges and squares, g = c and g empty, and a deletion from
-    # each nonempty result.  The homology memos key on complexes, so the
-    # result must also hash as the oracle's does.
+    # each nonempty result, on the corpus and on random subcomplexes.  The
+    # homology memos key on complexes, so the result must also hash as the
+    # oracle's does.  A deletion's faces are built on first read, so each
+    # is compared before anything read them, also after pickle or copy
     rng = random.Random(89)
     again = 0
-    for n in range(2, 6):
-        base = sk.full_cube(n)
-        for _ in range(12):
-            c = random_subcomplex(rng, base)
-            cells = sorted(w for w in c.faces if 1 <= word_dim(w) <= 2)
-            cells = sk.closure(n, rng.sample(cells, min(len(cells), rng.randint(1, 3))))
-            for g in (cells, c, sk.CubicalComplex(n)):
-                pairs = [(c, g)]
-                first = sk.delete(c, g)
-                if first.faces:
-                    pairs.append((first, sk.closure(n, [rng.choice(sorted(first.faces))])))
-                    again += 1
-                for host, cut in pairs:
-                    got, expected = sk.delete(host, cut), delete_oracle(host, cut)
-                    assert got == expected and hash(got) == hash(expected), (sorted(host.faces), sorted(cut.faces))
-                    assert type(got.faces) is frozenset
+    hosts = [c for _, c in corpus()] + [random_subcomplex(rng, sk.full_cube(n)) for n in range(2, 6) for _ in range(12)]
+    for c in hosts:
+        n = c.ambient_dim
+        cells = sorted(w for w in c.faces if 1 <= word_dim(w) <= 2)
+        cells = sk.closure(n, rng.sample(cells, min(len(cells), rng.randint(1, 3))))
+        for g in (cells, c, sk.CubicalComplex(n)):
+            first = delete_oracle(c, g)
+            cases = [([g], first)]
+            if first.faces:
+                cut = sk.closure(n, [rng.choice(sorted(first.faces))])
+                cases.append(([g, cut], delete_oracle(first, cut)))
+                again += 1
+            for cuts, expected in cases:
+                for got in _unread_deletions(c, cuts):
+                    assert "faces" not in vars(got)
+                    assert got == expected and hash(got) == hash(expected), (sorted(c.faces), [sorted(x.faces) for x in cuts])
+                    assert type(got.faces) is frozenset and vars(got)["faces"] is got.faces
     assert again > 40
+
+
+def test_deleting_a_star_copies_no_face_set():
+    # a deletion's faces are built from its view when first read, so
+    # deleting one vertex's 256-face star from I^8 allocates far less
+    # than the host's face set of 6,561 words
+    c = sk.full_cube(8)
+    c.chains
+    g = sk.closure(8, ["0" * 8])
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        got = sk.delete(c, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < sys.getsizeof(c.faces) // 16
+    assert got == delete_oracle(c, g) and len(got) == 3**8 - 2**8
 
 
 def test_dim_is_computed_once(monkeypatch):

@@ -90,6 +90,8 @@ def test_names_no_command_reaches_are_gone():
     assert not hasattr(sk.CubicalComplex, "faces_by_vertex") and not hasattr(sk.complex, "_vertex_index_plus")
     with pytest.raises(TypeError):
         sk.words.vertex_table(["0*"], masks=True)
+    # a deletion's faces are its view's levels: the pick of the faces it leaves out went
+    assert not hasattr(importlib.import_module("skelcube.homology")._Without, "left_out")
 
 
 def test_reconstruct_is_the_function_whatever_loads_its_module_first(tmp_path):

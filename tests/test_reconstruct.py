@@ -392,6 +392,19 @@ def test_reconstruction_builds_no_vertex_table(monkeypatch, skel, cfg):
 
 
 @_COST_CASES
+def test_reconstruction_reads_no_deletion_face_set(monkeypatch, skel, cfg):
+    # the criterion reads a candidate's deletion through its chains alone,
+    # so no deletion builds its face set
+    kept = []
+    module = importlib.import_module("skelcube.reconstruct")  # the package's name is the function
+    real = module.delete
+    monkeypatch.setattr(module, "delete", lambda c, g: kept.append(real(c, g)) or kept[-1])
+    steps = list(sk.reconstruct_steps(skel, cfg))
+    assert len(kept) == sum(len(step.verdicts) for step in steps) > len(steps)
+    assert not any("faces" in vars(c) for c in kept)
+
+
+@_COST_CASES
 def test_reconstruction_eliminates_each_gf2_map_once_per_degree(monkeypatch, skel, cfg):
     # every candidate reads the base's rank and kernel table of a map, none
     # reduces its own columns, and a later degree keeps the ranks and tables

@@ -107,3 +107,16 @@ def test_complex_tables_are_cached_per_instance():
     assert again.chains is not c.chains
     back = pickle.loads(pickle.dumps(c))
     assert vars(back).keys() == vars(c).keys() and back.vertex_links == c.vertex_links
+    # a deletion holds its chains, and its faces once read; pickle and copy restore what it holds
+    expected = sk.CubicalComplex(3, c.faces - {"000", "00*", "0*0", "*00", "0**", "**0"})
+    for read in (False, True):
+        for trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+            cut = sk.delete(c, sk.closure(3, ["000"]))
+            if read:
+                cut.faces
+            back = trip(cut)
+            assert type(back) is sk.CubicalComplex and vars(back).keys() == vars(cut).keys()
+            assert ("faces" in vars(back)) is read
+            assert back == cut == expected and hash(back) == hash(expected) and len(back) == len(expected)
+            assert back.dim == 1 and "110" in back and "000" not in back
+            assert repr(back) == repr(sk.CubicalComplex(3, back.faces))  # equal sets may print in other orders
