@@ -61,7 +61,9 @@ class CubicalComplex(_Record):
     them in the instance `__dict__` on first use: `dim`, the boundary
     matrices `chains` and the masks of each vertex's link, `vertex_links`.
     A deletion is made from its chains alone, and its `faces` are cached
-    the same way, from its view's levels on first read.
+    the same way, from its view's levels on first read.  Pickle and copy
+    keep the faces and the closed mark alone (`__reduce__`), so a
+    deletion's copy leaves its host's matrices behind.
     """
 
     _fields = ("ambient_dim", "faces")
@@ -74,6 +76,9 @@ class CubicalComplex(_Record):
         for w in faces:
             validate_word(w, ambient_dim)
         self.__dict__.update(ambient_dim=ambient_dim, faces=faces)
+
+    def __reduce__(self):
+        return _derived, (self.ambient_dim, self.faces, _CLOSED in self.__dict__)
 
     @cached_property
     def faces(self) -> frozenset[str]:

@@ -23,52 +23,54 @@ with no matrix built.  `_groups` is the one ranks-to-Betti formula,
 read by `_homology` and by the link, and cohomology follows from
 homology by universal coefficients.
 
-Over GF(2) a map is read in one of two ways, each made at most once
-per matrix and carried up with the levels when a complex grows.  With
-nothing deleted only rank D_j is read: a basis pass over the columns
-packed into ints, cleared as below (`BoundaryMatrices.gf2_rank`), which
-is all whole-complex and relative homology need.  Keeping only the
-columns K of D_j, with S the rest, rank(D_j|K) = rank D_j - |S| +
-rank(Z_j|S) by rank-nullity, for Z_j a kernel basis.  Column reduction
-finds Z_j fully reduced: the top bit of each vector, its pivot, lies in
-no other vector.  With P the pivots, each pivot in S is a unit column of
-Z_j|S, so rank(Z_j|S) = |S & P| + rank(Y), where Y holds, for each
-non-pivot column in S, the pivots outside S of the vectors holding it.
-The first mask read of a map builds only that table of pivots by column
-(`gf2_reduced_kernel`), folding in each kernel vector as it is found,
-so no basis is kept; its nullity |P| gives the rank too.  A view then
-costs a C-level pick of S's non-pivot columns and one `gf2_rank` of Y,
-small for a local S.
+One function reads a map, over either ring: `_read(mats, ring, j)`.  It
+takes the matrices level j is read from and the mask of their columns
+left out (`BoundaryMatrices.source`): none for whole matrices, the
+deleted star's for a view made by `without`.  With none it makes the
+one pass both rings share, cached per level as (rank, torsion, pivot
+rows) and carried up with the levels when a complex grows.  Maps are
+read from the top degree down and cleared: the twist of Chen-Kerber
+("Persistent homology computation with a twist", EuroCG 2011) and
+Bauer-Kerber-Reininghaus ("Clear and compress", 2014).  A pass over D_j
+first reads D_(j+1), then hands the ring's elimination (`gf2_rank` on
+columns packed into ints, or `_invariant_factors`) the columns of D_j
+off D_(j+1)'s pivot rows (`BoundaryMatrices._cleared`), and keeps the
+rows it marks as D_j's.  Over GF(2) they are the top bits of the basis:
+a basis vector b with top bit r is a boundary, so D_j b = 0 makes column
+r of D_j a sum of columns of lower index, and by induction on r a sum of
+kept ones, so the rank stays.  Over Z they are the rows of the unit
+pivots that `_invariant_factors` eliminates.  These pivots lie in a
+square block U of D_(j+1), on rows R and columns C, with det +-1, the
+product of the pivots.  D_j D_(j+1) = 0 then gives D_j's columns at R
+as -D_j[:, not R] D_(j+1)[not R, C] U^-1, integer combinations of the
+kept columns: the column lattice stays, and with it the invariant
+factors.  About half the columns are skipped; on a full cube every kept
+column brings a new pivot.  A level that `extended` adds later clears
+nothing already cached: the levels below keep the reads made before it.
 
-With nothing deleted, maps are read from the top degree down and
-cleared, over both rings: the twist of Chen-Kerber ("Persistent homology
-computation with a twist", EuroCG 2011) and Bauer-Kerber-Reininghaus
-("Clear and compress", 2014).  A read of D_j first reads D_(j+1), then
-skips the columns of D_j at D_(j+1)'s pivot rows, kept per level as a
-mask (`BoundaryMatrices._cleared`); each read is cached per level.  Over
-GF(2) the pivot rows are the top bits of the basis: a basis vector b
-with top bit r is a boundary, so D_j b = 0 makes column r of D_j a sum
-of columns of lower index, and by induction on r a sum of kept ones, so
-the rank stays.  Over Z they are the rows of the unit pivots that
-`_invariant_factors` eliminates.  These pivots lie in a square block U
-of D_(j+1), on rows R and columns C, with det +-1, the product of the
-pivots.  D_j D_(j+1) = 0 then gives D_j's columns at R as
--D_j[:, not R] D_(j+1)[not R, C] U^-1, integer combinations of the kept
-columns: the column lattice stays, and with it the invariant factors.
-About half the columns are skipped; on a full cube every kept column
-brings a new pivot.  Reads through a mask, of a view or of a kernel
-table, are not cleared: the table needs the whole kernel.  A level that
-`extended` adds later clears nothing already cached: the levels below
-keep the reads made before it came.
+Through a mask the ring's masked reader reads the map, uncleared.  Over
+GF(2) (`_gf2_map`), keeping only the columns K of D_j, with S the rest,
+rank(D_j|K) = rank D_j - |S| + rank(Z_j|S) by rank-nullity, for Z_j a
+kernel basis.  Column reduction finds Z_j fully reduced: the top bit of
+each vector, its pivot, lies in no other vector.  With P the pivots,
+each pivot in S is a unit column of Z_j|S, so rank(Z_j|S) = |S & P| +
+rank(Y), where Y holds, for each non-pivot column in S, the pivots
+outside S of the vectors holding it.  The first mask read of a map
+builds only that table of pivots by column (`gf2_reduced_kernel`),
+folding in each kernel vector as it is found, so no basis is kept; its
+nullity |P| gives the rank too, cached with no pivot rows, so it clears
+nothing below.  A view then costs a C-level pick of S's non-pivot
+columns and one `gf2_rank` of Y, small for a local S.  Over Z
+(`_integer_map`) the masked columns are dropped and the rest reduced,
+as the integer reconstruction mode compares torsion.
 
 A view finds S per level from the level's letter masks, built once
 (`words.letter_masks`): the faces with letter 0 and with letter 1 at
 each coordinate where the level's words differ.  A face misses a vertex
 where a coordinate holds the opposite letter, so the faces meeting a
 face's vertices are all but an OR of masks over its fixed coordinates
-(`words.meeting`).  `_homology` reads a view's maps through S
-(`BoundaryMatrices.source`); over Z the masked columns are dropped and
-the rest reduced, as the integer reconstruction mode compares torsion.
+(`words.meeting`).
+
 Every integer elimination (homology, relative homology and
 `integer_rank`) goes through one sparse reducer, `_invariant_factors`.
 It first eliminates unit (+-1) pivots: each one is a unimodular row and
@@ -150,38 +152,22 @@ class BoundaryMatrices:
     def __init__(self, levels, columns):
         self.levels = levels        # levels[j]: j-faces, canonical order
         self.columns = columns      # columns[j][c]: list of (row, sign), j >= 1
-        self._ranks: dict[int, int] = {}
+        self._reads: dict[tuple[str, int], tuple[int, tuple[int, ...], int]] = {}  # (ring, j): rank, torsion, pivot rows
         self._tables: dict[int, tuple[int, list[int]]] = {}
         self._letters: dict[int, tuple] = {}
-        self._integer: dict[int, tuple[int, tuple[int, ...]]] = {}  # unmasked reads over Z (`_integer_map`)
-        self._pivots: dict[tuple[str, int], int] = {}  # (ring, j): D_j's pivot rows, skipped in D_(j-1) (`_cleared`)
 
     @property
     def top(self) -> int:
         return len(self.levels) - 1
 
     def num_faces(self, j: int) -> int:
-        if 0 <= j <= self.top:
-            return len(self.levels[j])
-        return 0
+        """The j-faces held: those of the level read (`source`) but the columns left out."""
+        whole, deleted = self.source(j)
+        return (len(whole.levels[j]) if 0 <= j <= whole.top else 0) - deleted.bit_count()
 
     def gf2_rank(self, j: int) -> int:
-        """Rank of D_j over GF(2), cached per level: a table's nullity gives it, else a pass over D_j cleared by D_(j+1).
-
-        D_(j+1) is read first, and the pass packs the columns of D_j off
-        its pivot rows (`_cleared`).  The top bits of the pass's basis,
-        D_j's pivot rows, are kept as a mask for D_(j-1); the basis is
-        not.  Outside degrees 1..top there is no matrix: rank 0.
-        """
-        if not 1 <= j <= self.top:
-            return 0
-        got = self._ranks.get(j)
-        if got is None:
-            self.gf2_rank(j + 1)
-            tops = bytearray(self.num_faces(j - 1))
-            got = self._ranks[j] = gf2_rank((sum(1 << r for r, _ in col) for col in self._cleared(GF2, j)), tops)
-            self._pivots[GF2, j] = _mask(tops)
-        return got
+        """Rank of D_j over GF(2) (`_read`); outside degrees 1..top there is no matrix: rank 0."""
+        return _read(self, GF2, j)[0]
 
     def _cleared(self, ring: str, j: int):
         """The columns of D_j, in order, but those at the pivot rows of D_(j+1) as last read over `ring`: all when it was not.
@@ -189,7 +175,7 @@ class BoundaryMatrices:
         Each skipped column is a sum of kept ones (see the module
         docstring), so the rank and the invariant factors stay.
         """
-        skip = self._pivots.get((ring, j + 1), 0)
+        skip = self._reads.get((ring, j + 1), (0, (), 0))[2]
         return _outside(self.columns[j], skip) if skip else self.columns[j]
 
     def gf2_reduced_kernel(self, j: int) -> tuple[int, list[int]]:
@@ -207,7 +193,7 @@ class BoundaryMatrices:
         got = self._tables.get(j)
         if got is None:
             got = self._tables[j] = _gf2_table(self.columns[j])
-            self._ranks.setdefault(j, len(got[1]) - got[0].bit_count())
+            self._reads.setdefault((GF2, j), (len(got[1]) - got[0].bit_count(), (), 0))
         return got
 
     def source(self, j: int) -> tuple["BoundaryMatrices", int]:
@@ -233,18 +219,16 @@ class BoundaryMatrices:
 
         Rows are the top level's faces, looked up in a dict of that level
         built here, and a facet outside it gets none.  The lower levels,
-        their ranks over both rings, pivot rows, reduced kernel tables and
-        letter masks are shared.
+        their reads over both rings, reduced kernel tables and letter
+        masks are shared.
         """
         level = sort_words(words)
         below = {w: i for i, w in enumerate(self.levels[-1])} if self.levels else {}
         columns = [[(below[f], s) for f, s in signed_facets(w) if f in below] for w in level]
         grown = BoundaryMatrices(self.levels + [level], self.columns + [columns])
-        grown._ranks.update(self._ranks)
+        grown._reads.update(self._reads)
         grown._tables.update(self._tables)
         grown._letters.update(self._letters)
-        grown._integer.update(self._integer)
-        grown._pivots.update(self._pivots)
         return grown
 
     def dense(self, j: int) -> list[list[int]]:
@@ -262,30 +246,22 @@ class _Without(BoundaryMatrices):
     """`whole`'s matrices without the faces meeting one of `faces` (`BoundaryMatrices.without`).
 
     A closed set minus an open star is closed, so the kept D_j is whole's
-    restricted to the kept columns.  Counts, GF(2) ranks (rank-nullity on
-    whole's table) and the ring readers (`source`) take each level's
-    deleted mask alone; levels and columns are built only when read.
-    `levels` is the one place that names the kept faces: a deletion's
-    face set is frozen from it on first read (`CubicalComplex.faces`).
+    restricted to the kept columns.  Counts and reads take each level's
+    deleted mask alone (`source`); levels and columns are built only when
+    read.  `levels` is the one place that names the kept faces: a
+    deletion's face set is frozen from it on first read
+    (`CubicalComplex.faces`).
     """
 
     def __init__(self, whole: BoundaryMatrices, faces):
         self._whole, self._faces, self._deleted = whole, faces, {}
-        self._ranks, self._tables, self._letters, self._integer, self._pivots = {}, {}, {}, {}, {}
+        self._reads, self._tables, self._letters = {}, {}, {}
 
     def source(self, j: int) -> tuple[BoundaryMatrices, int]:
         got = self._deleted.get(j)
         if got is None:
             got = self._deleted[j] = self._whole._meeting(j, self._faces)
         return self._whole, got
-
-    def num_faces(self, j: int) -> int:
-        whole, deleted = self.source(j)
-        return whole.num_faces(j) - deleted.bit_count()
-
-    def gf2_rank(self, j: int) -> int:
-        whole, deleted = self.source(j)
-        return _gf2_map(whole, j, deleted)[0]
 
     @cached_property
     def levels(self) -> list[list[str]]:
@@ -511,62 +487,76 @@ def _gf2_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[i
     the other columns of S count only on the vectors whose pivot is not
     in S, so rank(Z|S) = |S & P| + rank(Y), where Y holds for each
     non-pivot q in S the pivots outside S of the vectors holding q.
-    With nothing deleted only the rank is read, and no table is built.
     """
-    if not deleted or i < 1:  # D_0 is the zero map whatever is deleted
-        return mats.gf2_rank(i), ()
-    pivots, cover = mats.gf2_reduced_kernel(i)  # built before the rank, which it then gives
-    rank = mats.gf2_rank(i)
+    if i < 1:  # D_0 is the zero map whatever is deleted
+        return 0, ()
+    pivots, cover = mats.gf2_reduced_kernel(i)
     outside = pivots & ~deleted
     # the deleted non-pivot columns' pivots outside S, the zero ones dropped, picked in C
     y = filter(None, map(outside.__and__, compress(cover, _selectors(deleted & ~pivots))))
+    rank = len(cover) - pivots.bit_count()  # rank D_i, the width less the nullity
     rank += (deleted & pivots).bit_count() + gf2_rank(y) - deleted.bit_count()
     return rank, ()
 
 
 def _integer_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[int, ...]]:
-    """(rank of D_i, invariant factors above 1) over Z without the columns in the mask `deleted`.
-
-    With nothing deleted the read is cached per level and cleared:
-    D_(i+1) is read first, and D_i's columns at the rows of its unit
-    pivots are skipped (`BoundaryMatrices._cleared`).
-    """
+    """(rank of D_i, invariant factors above 1) over Z without the columns in the mask `deleted`, reduced as they are."""
     if not 1 <= i <= mats.top:
         return 0, ()
+    return _integer_elimination(_outside(mats.columns[i], deleted))
+
+
+def _gf2_elimination(columns, pivot_rows: bytearray) -> tuple[int, tuple[int, ...]]:
+    """(rank, no torsion) over GF(2) of (row, sign) columns, packed into ints for `gf2_rank`, which marks pivot_rows."""
+    return gf2_rank((sum(1 << r for r, _ in col) for col in columns), pivot_rows), ()
+
+
+def _integer_elimination(columns, pivot_rows: bytearray | None = None) -> tuple[int, tuple[int, ...]]:
+    """(rank, invariant factors above 1) over Z of (row, value) columns, by `_invariant_factors`, which marks pivot_rows."""
+    factors = _invariant_factors(columns, pivot_rows)
+    return len(factors), tuple(d for d in factors if d > 1)
+
+
+# per ring: the elimination of the shared cleared pass, and the reader of a map through a mask of deleted columns
+_RINGS = {GF2: (_gf2_elimination, _gf2_map), INTEGER: (_integer_elimination, _integer_map)}
+
+
+def _read(mats: BoundaryMatrices, ring: str, j: int) -> tuple[int, tuple[int, ...]]:
+    """(rank of D_j, invariant factors above 1) over `ring` of the faces mats holds: the one reader of a map.
+
+    The map is read from the matrices and mask `mats.source(j)` gives.
+    Through a mask the ring's masked reader reads it.  Else it is the
+    pass both rings share, cached per level: D_(j+1) is read first, and
+    the ring's elimination takes the columns of D_j off its pivot rows
+    (`_cleared`) and marks D_j's, kept for D_(j-1).  Outside degrees
+    1..top there is no matrix: rank 0.
+    """
+    whole, deleted = mats.source(j)
+    elimination, masked = _RINGS[ring]
     if deleted:
-        factors = _invariant_factors(_outside(mats.columns[i], deleted))
-        return len(factors), tuple(d for d in factors if d > 1)
-    got = mats._integer.get(i)
+        return masked(whole, j, deleted)
+    if not 1 <= j <= whole.top:
+        return 0, ()
+    got = whole._reads.get((ring, j))
     if got is None:
-        _integer_map(mats, i + 1, 0)
-        units = bytearray(mats.num_faces(i - 1))
-        factors = _invariant_factors(mats._cleared(INTEGER, i), units)
-        got = mats._integer[i] = len(factors), tuple(d for d in factors if d > 1)
-        mats._pivots[INTEGER, i] = _mask(units)
-    return got
-
-
-# the ring picks the routine that reads one boundary map through a mask of deleted columns
-_RINGS = {GF2: _gf2_map, INTEGER: _integer_map}
+        _read(whole, ring, j + 1)
+        rows = bytearray(whole.num_faces(j - 1))
+        got = whole._reads[ring, j] = (*elimination(whole._cleared(ring, j), rows), _mask(rows))
+    return got[:2]
 
 
 def _homology(mats: BoundaryMatrices, ring: str, degrees) -> dict[int, tuple[int, tuple[int, ...]]]:
     """(Betti number, torsion) per degree j: faces_j - rank D_j - rank D_(j+1), factors above 1.
 
-    The torsion of degree j is that of D_(j+1).  Each map is read once,
-    also when two degrees share it, and the ring's reader sees the
-    matrices it is read from and the mask of their columns that mats
-    leaves out (`BoundaryMatrices.source`): none for whole matrices, the
-    deleted star's for a view made by `without`.
+    The torsion of degree j is that of D_(j+1).  Each map is read once
+    (`_read`), also when two degrees share it.
     """
-    read = _RINGS[ring]
     faces: dict[int, int] = {}
     rank: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     for i in sorted({i for j in degrees for i in (j, j + 1)}):
-        whole, deleted = mats.source(i)
-        faces[i] = whole.num_faces(i) - deleted.bit_count()
-        rank[i], torsion[i] = read(whole, i, deleted)
+        faces[i] = mats.num_faces(i)
+        rank[i], torsion[i] = _read(mats, ring, i)
     return _groups(faces, rank, torsion, degrees)
 
 

@@ -156,9 +156,9 @@ def face_criterion(skel: CubicalComplex, f: str, k: int, d: int, mode: str = STA
     degrees alone.
     """
     ReconstructionConfig(k, d, mode).validate()
+    validate_word(f, skel.ambient_dim)
     if word_dim(f) != k + 1:
         raise ContractError(f"candidate {_named(f)} has dimension {word_dim(f)}, expected {k + 1}")
-    validate_word(f, skel.ambient_dim)
     ring = INTEGER if mode == TIGHT_INTEGER else GF2
     base = homology_profile(skel, ring)  # refuses a skel lacking a facet of one of its faces
     if not _boundary_present(skel, f):

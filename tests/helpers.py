@@ -24,7 +24,7 @@ from pathlib import Path
 
 import skelcube as sk
 from skelcube.complex import _derived
-from skelcube.homology import _RINGS, _groups, _integer_map, _invariant_factors, _matrices_over, _profile
+from skelcube.homology import _RINGS, _groups, _invariant_factors, _matrices_over, _profile, _read
 from skelcube.words import (
     letter_masks,
     mask_word,
@@ -495,7 +495,7 @@ def per_level_homology(mats: sk.BoundaryMatrices, ring: str, degrees) -> dict[in
 
 
 def kept_homology(mats: sk.BoundaryMatrices, ring: str, degrees, kept) -> dict[int, tuple[int, tuple]]:
-    """Homology of the faces of mats in kept, which holds every facet of its faces, through the library's ring readers.
+    """Homology of the faces of mats in kept, which holds every facet of its faces, through the library's masked readers.
 
     Each level's faces outside kept are found by a membership scan and
     each map is read through their mask, as `_homology` reads a view
@@ -506,7 +506,7 @@ def kept_homology(mats: sk.BoundaryMatrices, ring: str, degrees, kept) -> dict[i
         level = mats.levels[i] if 0 <= i <= mats.top else []
         deleted = sum(1 << c for c, w in enumerate(level) if w not in kept)
         faces[i] = len(level) - deleted.bit_count()
-        rank[i], torsion[i] = _RINGS[ring](mats, i, deleted)
+        rank[i], torsion[i] = _RINGS[ring][1](mats, i, deleted)
     return _groups(faces, rank, torsion, degrees)
 
 
@@ -596,11 +596,11 @@ def assert_criterion_matches_oracle(skel: sk.CubicalComplex, k: int, faces) -> i
 def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.ReconstructionConfig) -> list:
     """The steps of reconstruct_steps, each grown complex checked against a fresh build.
 
-    A degree carries the previous complex's matrices, their ranks over
-    both rings, pivot rows, kernel tables and letter masks up by the
-    added faces; they must equal what `_matrices_over` builds from the
-    grown faces: levels, signed columns, and every rank, GF(2) pivot
-    mask, table and letter mask carried.
+    A degree carries the previous complex's matrices, their reads over
+    both rings (rank, torsion and pivot rows), kernel tables and letter
+    masks up by the added faces; they must equal what `_matrices_over`
+    builds from the grown faces: levels, signed columns, and every read,
+    GF(2) pivot mask, table and letter mask carried.
     After the last step the input and every grown complex are checked
     again, as a later carry must not change the complex it grew from.
     """
@@ -614,22 +614,19 @@ def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.Reconstructi
 
 
 def _assert_tables_fresh(c: sk.CubicalComplex) -> None:
-    """Assert c's chains, with each rank, pivot mask, table and letter mask carried, equal those built anew."""
+    """Assert c's chains, with each read, pivot mask, table and letter mask carried, equal those built anew."""
     carried, fresh = c.chains, _matrices_over(c.faces)
     assert carried.levels == fresh.levels
     assert carried.columns[1:] == fresh.columns[1:]
-    for j, got in carried._ranks.items():
-        assert got == fresh.gf2_rank(j), j
+    ranked = _matrices_over(c.faces)  # read rank first, so that each level keeps its pivot rows
+    for (ring, j), (rank, torsion, rows) in carried._reads.items():
+        assert (rank, torsion) == _read(ranked, ring, j), (ring, j)
+        # over GF(2) the top bits of a basis are those of its span, D_j's column space, however it was cleared;
+        # a rank read from a kernel table keeps none
+        if ring == sk.GF2:
+            assert rows == ranked._reads[ring, j][2] or (j in carried._tables and not rows), j
     for j, got in carried._tables.items():
         assert got == fresh.gf2_reduced_kernel(j), j
-    for j, got in carried._integer.items():
-        assert got == _integer_map(fresh, j, 0), j
-    ranked = _matrices_over(c.faces)  # read rank first, so that each level keeps its pivot rows
-    for (ring, j), got in carried._pivots.items():
-        # over GF(2) the top bits of a basis are those of its span, D_j's column space, however it was cleared
-        if ring == sk.GF2:
-            ranked.gf2_rank(j)
-            assert got == ranked._pivots[ring, j], j
     for j, got in carried._letters.items():
         assert got == letter_masks(fresh.levels[j]), j
 

@@ -91,7 +91,15 @@ def test_names_no_command_reaches_are_gone():
     with pytest.raises(TypeError):
         sk.words.vertex_table(["0*"], masks=True)
     # a deletion's faces are its view's levels: the pick of the faces it leaves out went
-    assert not hasattr(importlib.import_module("skelcube.homology")._Without, "left_out")
+    homology = importlib.import_module("skelcube.homology")
+    assert not hasattr(homology._Without, "left_out")
+    # one reader of a map: the shared pass keeps one cache over both rings,
+    # and a view answers counts and reads through its masks alone
+    mats = sk.cube_boundary(3).chains
+    for ring in (sk.GF2, sk.INTEGER):
+        homology._profile(mats, 3, ring)
+    assert not any(hasattr(mats, name) for name in ("_ranks", "_integer", "_pivots"))
+    assert not {"num_faces", "gf2_rank"} & homology._Without.__dict__.keys()
 
 
 def test_reconstruct_is_the_function_whatever_loads_its_module_first(tmp_path):

@@ -130,6 +130,8 @@ def test_face_criterion_validates_arguments():
         sk.face_criterion(skel, "***0", 2, 3, sk.TIGHT_INTEGER)  # tight needs d = 2k
     with pytest.raises(sk.ContractError):
         sk.face_criterion(skel, "***0", 2, 4, "rationals")
+    with pytest.raises(sk.StructuralError, match="face word must be a string, got int"):
+        sk.face_criterion(skel, 123, 2, 3)  # checked as a word before its dimension is read
 
 
 def test_tight_criterion_compares_only_degree_d_minus_k_minus_1():
@@ -415,10 +417,10 @@ def test_reconstruction_eliminates_each_gf2_map_once_per_degree(monkeypatch, ske
     # a level added later has no map above it when it is read
     ranked, tabled = [], []
     real_rank, real_table = homology.gf2_rank, homology._gf2_table
-    rank_read = homology.BoundaryMatrices.gf2_rank.__code__
+    rank_read = homology._gf2_elimination.__code__
 
     def counting_rank(vectors, pivot_rows=None):
-        if sys._getframe(1).f_code is rank_read:  # not the masked read's rank of Y
+        if sys._getframe(1).f_code is rank_read:  # the shared pass, not the masked read's rank of Y
             vectors = list(vectors)
             ranked.append(len(vectors))
         return real_rank(vectors, pivot_rows)
