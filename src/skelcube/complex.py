@@ -47,14 +47,14 @@ class CubicalComplex(_Record):
     The constructor checks word shape only.  Every answer is defined on
     downward-closed sets alone, and `validate` is the one check of that:
     each reader calls it on entry (`chains`, and so homology, cohomology
-    and the reconstruction criterion; `graph_of`, and so components and
-    the manifold tests; the GF(2) `local_profile`; both members of
-    `relative_profile`).  A passed check is marked on the instance, so it
-    runs at most once per complex, and `closure`, which builds every
-    parsed file, marks its output.  The library's own builders build
-    through `_derived`, which skips the word check.  That one complex
-    lies in another is checked only where a pair is read (`delete`,
-    `relative_profile`), by `_require_subcomplex`.
+    and the reconstruction criterion; `enumerate_candidates`; `graph_of`,
+    and so components and the manifold tests; the GF(2) `local_profile`;
+    both members of `relative_profile`).  A passed check is marked on the
+    instance, so it runs at most once per complex, and `closure`, which
+    builds every parsed file, marks its output.  The library's own
+    builders build through `_derived`, which skips the word check.  That
+    one complex lies in another is checked only where a pair is read
+    (`delete`, `relative_profile`), by `_require_subcomplex`.
 
     A `_Record` of `ambient_dim` and `faces`: equality, hash and repr
     read those two alone.  Tables read from the faces are cached beside
@@ -138,8 +138,9 @@ class CubicalComplex(_Record):
         """Faces not properly contained in another face, canonical order.
 
         In a downward-closed set a face lies in another only if it lies
-        in one a step up, which frees one of its fixed coordinates.  Only
-        the coordinates some face frees are tried, each found by one
+        in one a step up, which frees one of its fixed coordinates.  The
+        set is read as given, unvalidated: {'***', '0*0'} gives both.
+        Only the coordinates some face frees are tried, each by one
         strided slice of the words joined end to end: a complex padded
         into a large cube costs no more than unpadded.
         """
@@ -191,9 +192,8 @@ def _derived(ambient_dim: int, faces: frozenset | None, closed: bool = False, ch
     which validates c first and so refuses a c that is not closed.  Any
     other output, such as the skeleton or product of an unchecked set,
     is checked by its first reader.  `faces` may be None only together
-    with `chains` and `closed` (`delete`): the faces are then read from
-    the chains' levels on first use (`CubicalComplex.faces`), and
-    `validate` never reads them.
+    with `chains` and `closed` (`delete`): they are then read from the
+    chains' levels on first use (`CubicalComplex.faces`).
     """
     c = object.__new__(CubicalComplex)
     entries = {"ambient_dim": ambient_dim, "faces": faces, _CLOSED: closed or None, "chains": chains}
@@ -283,12 +283,12 @@ def delete(c: CubicalComplex, g: CubicalComplex) -> CubicalComplex:
     """Faces of c containing no vertex of g: c minus the open star of V(g).
 
     The result's boundary matrices are a view of c's without the star
-    (`BoundaryMatrices.without`), so its homology costs no new matrices.
-    Its faces are the view's levels, built on first read, so a deletion
-    costs one pass over g's faces (the subcomplex check and V(g)) plus
-    the masks the view reads, not a copy of c's faces.  Building c's
-    matrices validates c, so a face set that is not downward closed is
-    refused (StructuralError); a closed set minus an open star is closed.
+    (`BoundaryMatrices.without`), of c's host when c is a deletion, so
+    its homology costs no new matrices.  Its faces are the view's levels,
+    built on first read: a deletion costs one pass over g's faces (the
+    subcomplex check and V(g)) and the masks the view reads, not a copy
+    of c's faces.  Building c's matrices refuses a c that is not downward
+    closed (StructuralError); a closed set minus an open star is closed.
     """
     _require_subcomplex(c, g, "deletion argument")
     kept = c.chains.without(g.vertices())

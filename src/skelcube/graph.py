@@ -85,8 +85,7 @@ def components(c: CubicalComplex) -> list[CubicalComplex]:
     for w in c.faces:
         buckets[root[index[w.replace(STAR, ZERO)]]].add(w)
     parts = [b for b in buckets if b]
-    # a connected c is its own component, with the tables it carries;
-    # graph_of has validated c, and each component of it is closed
+    # graph_of has validated c, so each part is closed; a connected c is its own, its faces not copied
     return [c] if len(parts) == 1 else [_derived(c.ambient_dim, frozenset(b), closed=True) for b in parts]
 
 

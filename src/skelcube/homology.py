@@ -14,9 +14,9 @@ builds the matrices of its whole face set once (`CubicalComplex.chains`),
 and a complex grown by one level extends them.  Deleting the open star
 of some vertices keeps a closed set whose matrices are the complex's
 restricted to the kept columns: `BoundaryMatrices.without` gives them
-as a view.  The faces of c outside
-a subcomplex are closed upward, so the quotient matrices of a pair
-(`relative_profile`) are the matrices built over those faces.  The
+as a view, and a view of a view cuts both stars from the same host.
+The faces of c outside a subcomplex are closed upward, so the quotient
+matrices of a pair (`relative_profile`) are those built over them.  The
 local GF(2) profile at a face, whose pair leaves out an open star, is
 read as the chain complex of a link instead (`manifold.local_profile`),
 with no matrix built.  `_groups` is the one ranks-to-Betti formula,
@@ -26,7 +26,7 @@ homology by universal coefficients.
 One function reads a map, over either ring: `_read(mats, ring, j)`.  It
 takes the matrices level j is read from and the mask of their columns
 left out (`BoundaryMatrices.source`): none for whole matrices, the
-deleted star's for a view made by `without`.  With none it makes the
+deleted stars' for a view made by `without`.  With none it makes the
 one pass both rings share, cached per level as (rank, torsion, pivot
 rows) and carried up with the levels when a complex grows.  Maps are
 read from the top degree down and cleared: the twist of Chen-Kerber
@@ -64,7 +64,7 @@ columns and one `gf2_rank` of Y, small for a local S.  Over Z
 (`_integer_map`) the masked columns are dropped and the rest reduced,
 as the integer reconstruction mode compares torsion.
 
-A view finds S per level from the level's letter masks, built once
+A view finds S per level from its host level's letter masks, built once
 (`words.letter_masks`): the faces with letter 0 and with letter 1 at
 each coordinate where the level's words differ.  A face misses a vertex
 where a coordinate holds the opposite letter, so the faces meeting a
@@ -246,16 +246,19 @@ class _Without(BoundaryMatrices):
     """`whole`'s matrices without the faces meeting one of `faces` (`BoundaryMatrices.without`).
 
     A closed set minus an open star is closed, so the kept D_j is whole's
-    restricted to the kept columns.  Counts and reads take each level's
-    deleted mask alone (`source`); levels and columns are built only when
-    read.  `levels` is the one place that names the kept faces: a
-    deletion's face set is frozen from it on first read
-    (`CubicalComplex.faces`).
+    restricted to the kept columns, and a view of a view is whole's
+    without both stars (`without`).  Reads take each level's deleted mask
+    alone (`source`); levels and columns are built only when read, and a
+    deletion's face set is frozen from `levels` (`CubicalComplex.faces`).
     """
 
     def __init__(self, whole: BoundaryMatrices, faces):
         self._whole, self._faces, self._deleted = whole, faces, {}
         self._reads, self._tables, self._letters = {}, {}, {}
+
+    def without(self, vertices) -> BoundaryMatrices:
+        """The same host's matrices without this view's faces and those holding one of `vertices`."""
+        return _Without(self._whole, self._faces + spanned_faces(vertices))
 
     def source(self, j: int) -> tuple[BoundaryMatrices, int]:
         got = self._deleted.get(j)
@@ -488,8 +491,6 @@ def _gf2_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[i
     in S, so rank(Z|S) = |S & P| + rank(Y), where Y holds for each
     non-pivot q in S the pivots outside S of the vectors holding q.
     """
-    if i < 1:  # D_0 is the zero map whatever is deleted
-        return 0, ()
     pivots, cover = mats.gf2_reduced_kernel(i)
     outside = pivots & ~deleted
     # the deleted non-pivot columns' pivots outside S, the zero ones dropped, picked in C
@@ -501,8 +502,6 @@ def _gf2_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[i
 
 def _integer_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[int, ...]]:
     """(rank of D_i, invariant factors above 1) over Z without the columns in the mask `deleted`, reduced as they are."""
-    if not 1 <= i <= mats.top:
-        return 0, ()
     return _integer_elimination(_outside(mats.columns[i], deleted))
 
 
@@ -525,18 +524,18 @@ def _read(mats: BoundaryMatrices, ring: str, j: int) -> tuple[int, tuple[int, ..
     """(rank of D_j, invariant factors above 1) over `ring` of the faces mats holds: the one reader of a map.
 
     The map is read from the matrices and mask `mats.source(j)` gives.
-    Through a mask the ring's masked reader reads it.  Else it is the
+    Outside their degrees 1..top it is zero, so no masked reader tests
+    the degree.  A mask goes to the ring's masked reader; else it is the
     pass both rings share, cached per level: D_(j+1) is read first, and
     the ring's elimination takes the columns of D_j off its pivot rows
-    (`_cleared`) and marks D_j's, kept for D_(j-1).  Outside degrees
-    1..top there is no matrix: rank 0.
+    (`_cleared`) and marks D_j's, kept for D_(j-1).
     """
     whole, deleted = mats.source(j)
+    if not 1 <= j <= whole.top:
+        return 0, ()
     elimination, masked = _RINGS[ring]
     if deleted:
         return masked(whole, j, deleted)
-    if not 1 <= j <= whole.top:
-        return 0, ()
     got = whole._reads.get((ring, j))
     if got is None:
         _read(whole, ring, j + 1)

@@ -72,6 +72,7 @@ def parse_complex(text: str) -> tuple[CubicalComplex, int]:
 
 
 def serialize_complex(c: CubicalComplex) -> str:
+    """The header and `maximal_faces`, of the set as given: parsing closes it again, so the file reads back as its closure."""
     lines = [f"ambient {c.ambient_dim}"]
     lines.extend(c.maximal_faces())
     return "\n".join(lines) + "\n"

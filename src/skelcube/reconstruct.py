@@ -113,9 +113,10 @@ def enumerate_candidates(skel: CubicalComplex, k: int) -> list[str]:
     along its new star from the low corner of each such facet, so a
     k-face w is walked up only along the edges of skel at w's low corner
     (`_edge_directions`), not along all n - k free coordinates.  Checking
-    the 2(k+1) facets suffices: skel is downward closed, so deeper
-    subfaces are then present as well.
+    the 2(k+1) facets suffices as deeper subfaces are then present too,
+    so a skel that is not downward closed is refused first (`validate`).
     """
+    skel.validate()
     if skel.dim > k:
         raise ContractError(f"skeleton dimension {skel.dim} exceeds k={_number(k)}")
     edges = _edge_directions(skel.faces)

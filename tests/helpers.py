@@ -500,13 +500,15 @@ def kept_homology(mats: sk.BoundaryMatrices, ring: str, degrees, kept) -> dict[i
     Each level's faces outside kept are found by a membership scan and
     each map is read through their mask, as `_homology` reads a view
     made by `BoundaryMatrices.without`, whose masks come from letters.
+    Outside degrees 1..top the map is zero: `_read` answers so before
+    it calls a masked reader, which tests no degree.
     """
     faces, rank, torsion = {}, {}, {}
     for i in sorted({i for j in degrees for i in (j, j + 1)}):
         level = mats.levels[i] if 0 <= i <= mats.top else []
         deleted = sum(1 << c for c, w in enumerate(level) if w not in kept)
         faces[i] = len(level) - deleted.bit_count()
-        rank[i], torsion[i] = _RINGS[ring][1](mats, i, deleted)
+        rank[i], torsion[i] = _RINGS[ring][1](mats, i, deleted) if 1 <= i <= mats.top else (0, ())
     return _groups(faces, rank, torsion, degrees)
 
 

@@ -249,6 +249,24 @@ MUTANTS = (
         "for j, level in enumerate(self._whole.levels[1:], 1)]",
         ("tests/test_complex.py::test_delete_matches_the_oracle_and_hashes_alike",),
     ),
+    # a deletion of a deletion masks the first view as its host: its
+    # answers stay right, but the first view builds columns, kernel tables
+    # and letter masks of its own
+    Mutant(
+        "view-nests",
+        HOMOLOGY,
+        "return _Without(self._whole, self._faces + spanned_faces(vertices))",
+        "return _Without(self, self._faces + spanned_faces(vertices))",
+        ("tests/test_homology.py::test_a_deletion_of_a_deletion_reads_its_host_alone",),
+    ),
+    # a deletion of a deletion keeps the first star
+    Mutant(
+        "compose-forgets-first-cut",
+        HOMOLOGY,
+        "return _Without(self._whole, self._faces + spanned_faces(vertices))",
+        "return _Without(self._whole, spanned_faces(vertices))",
+        ("tests/test_complex.py::test_delete_matches_the_oracle_and_hashes_alike",),
+    ),
     # a deletion freezes its faces as it is made: its answers stay right,
     # only the tests of what a deletion holds and allocates can tell
     Mutant(

@@ -159,6 +159,7 @@ def _reader_calls(c: sk.CubicalComplex):
     yield "is_homology_manifold", lambda: sk.is_homology_manifold(c)
     yield "is_homology_manifold with orientability", lambda: sk.is_homology_manifold(c, check_orientability=True)
     yield "reconstruct", lambda: sk.reconstruct(c, sk.ReconstructionConfig(2, min(3, n)))
+    yield "enumerate_candidates", lambda: sk.enumerate_candidates(c, c.dim)
     if n >= 3:  # a candidate of the criterion at k = 2 is a 3-face
         f = "***" + "0" * (n - 3)
         yield "face_criterion", lambda: sk.face_criterion(c, f, 2, 3)
@@ -189,6 +190,10 @@ def test_no_reader_answers_on_a_face_set_that_is_not_downward_closed():
     ]
     refusals.append((square, lambda c: sk.local_profile(c, "00"), ("**", "0*")))
     refusals.append((skeleton, lambda c: sk.local_profile(c, "0000"), ("00**", "00*0")))
+    # four edges of a square and none of their vertices: walking up from
+    # the edges alone would offer the square 0** as a candidate
+    rim = sk.CubicalComplex(3, frozenset({"00*", "01*", "0*0", "0*1"}))
+    refusals.append((rim, lambda c: sk.enumerate_candidates(c, 1), ("00*", "001")))
     for c, check, named in refusals:
         with pytest.raises(sk.StructuralError) as refused:
             check(c)
