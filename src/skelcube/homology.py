@@ -27,8 +27,9 @@ One function reads a map, over either ring: `_read(mats, ring, j)`.  It
 takes the matrices level j is read from and the mask of their columns
 left out (`BoundaryMatrices.source`): none for whole matrices, the
 deleted stars' for a view made by `without`.  With none it makes the
-one pass both rings share, cached per level as (rank, torsion, pivot
-rows) and carried up with the levels when a complex grows.  Maps are
+one pass both rings share, the only writer of its cache: per level
+(rank, torsion, the `compress` selectors of the columns below off its
+pivot rows), carried up with the levels when a complex grows.  Maps are
 read from the top degree down and cleared: the twist of Chen-Kerber
 ("Persistent homology computation with a twist", EuroCG 2011) and
 Bauer-Kerber-Reininghaus ("Clear and compress", 2014).  A pass over D_j
@@ -56,13 +57,12 @@ each vector, its pivot, lies in no other vector.  With P the pivots,
 each pivot in S is a unit column of Z_j|S, so rank(Z_j|S) = |S & P| +
 rank(Y), where Y holds, for each non-pivot column in S, the pivots
 outside S of the vectors holding it.  The first mask read of a map
-builds only that table of pivots by column (`gf2_reduced_kernel`),
-folding in each kernel vector as it is found, so no basis is kept; its
-nullity |P| gives the rank too, cached with no pivot rows, so it clears
-nothing below.  A view then costs a C-level pick of S's non-pivot
-columns and one `gf2_rank` of Y, small for a local S.  Over Z
-(`_integer_map`) the masked columns are dropped and the rest reduced,
-as the integer reconstruction mode compares torsion.
+builds only that table of pivots by column (`_kernel_table`), folding
+in each kernel vector as it is found, so no basis is kept.  A view then
+costs a C-level pick of S's non-pivot columns and one `gf2_rank` of Y,
+small for a local S.  Over Z (`_integer_map`) the masked columns are
+dropped and the rest reduced, as the integer reconstruction mode
+compares torsion.
 
 A view finds S per level from its host level's letter masks, built once
 (`words.letter_masks`): the faces with letter 0 and with letter 1 at
@@ -111,9 +111,9 @@ __all__ = [
 GF2 = "gf2"
 INTEGER = "int"
 
-# a mask's binary digits as bytes 0 and 1, the selectors of itertools.compress
+# a mask's binary digits as bytes 0 and 1, and marked pivot rows as 0s among 1s: selectors of itertools.compress
 _SELECT = bytes.maketrans(b"01", b"\x00\x01")
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _check_ring(ring: str) -> None:
@@ -152,7 +152,7 @@ class BoundaryMatrices:
     def __init__(self, levels, columns):
         self.levels = levels        # levels[j]: j-faces, canonical order
         self.columns = columns      # columns[j][c]: list of (row, sign), j >= 1
-        self._reads: dict[tuple[str, int], tuple[int, tuple[int, ...], int]] = {}  # (ring, j): rank, torsion, pivot rows
+        self._reads: dict[tuple[str, int], tuple[int, tuple[int, ...], bytearray]] = {}  # (ring, j): rank, torsion, rows kept below
         self._tables: dict[int, tuple[int, list[int]]] = {}
         self._letters: dict[int, tuple] = {}
 
@@ -165,35 +165,26 @@ class BoundaryMatrices:
         whole, deleted = self.source(j)
         return (len(whole.levels[j]) if 0 <= j <= whole.top else 0) - deleted.bit_count()
 
-    def gf2_rank(self, j: int) -> int:
-        """Rank of D_j over GF(2) (`_read`); outside degrees 1..top there is no matrix: rank 0."""
-        return _read(self, GF2, j)[0]
-
     def _cleared(self, ring: str, j: int):
-        """The columns of D_j, in order, but those at the pivot rows of D_(j+1) as last read over `ring`: all when it was not.
+        """The columns of D_j, in order, but those at the pivot rows of D_(j+1) as read over `ring`: all above the top.
 
         Each skipped column is a sum of kept ones (see the module
         docstring), so the rank and the invariant factors stay.
         """
-        skip = self._reads.get((ring, j + 1), (0, (), 0))[2]
-        return _outside(self.columns[j], skip) if skip else self.columns[j]
+        got = self._reads.get((ring, j + 1))
+        return compress(self.columns[j], got[2]) if got else self.columns[j]
 
-    def gf2_reduced_kernel(self, j: int) -> tuple[int, list[int]]:
+    def _kernel_table(self, j: int) -> tuple[int, list[int]]:
         """A fully reduced kernel basis of D_j read by column, as (pivots, cover), built once per matrix.
 
         pivots is the mask of the basis vectors' top bits, each of which
         lies in its own vector only.  cover[q] is the mask of the pivots
         of the vectors holding the non-pivot column q: 0 when none does,
-        and at a pivot.  The basis itself is not kept (`_gf2_table`), and
-        the nullity |pivots| gives rank D_j as well.  Outside degrees
-        1..top there is no kernel.
+        and at a pivot.  The basis itself is not kept (`_gf2_table`).
         """
-        if not 1 <= j <= self.top:
-            return 0, []
         got = self._tables.get(j)
         if got is None:
             got = self._tables[j] = _gf2_table(self.columns[j])
-            self._reads.setdefault((GF2, j), (len(got[1]) - got[0].bit_count(), (), 0))
         return got
 
     def source(self, j: int) -> tuple["BoundaryMatrices", int]:
@@ -248,8 +239,9 @@ class _Without(BoundaryMatrices):
     A closed set minus an open star is closed, so the kept D_j is whole's
     restricted to the kept columns, and a view of a view is whole's
     without both stars (`without`).  Reads take each level's deleted mask
-    alone (`source`); levels and columns are built only when read, and a
-    deletion's face set is frozen from `levels` (`CubicalComplex.faces`).
+    alone (`source`); levels are built only when read, a deletion's face
+    set is frozen from them (`CubicalComplex.faces`), and columns are
+    built over them as a complex's are.
     """
 
     def __init__(self, whole: BoundaryMatrices, faces):
@@ -276,13 +268,8 @@ class _Without(BoundaryMatrices):
 
     @cached_property
     def columns(self) -> list[list[list[tuple[int, int]]]]:
-        """The kept columns of each level, their rows numbered among the kept faces below."""
-        out = []
-        for j in range(len(self.levels)):
-            renumber = dict(zip(_outside(range(self._whole.num_faces(j - 1)), self.source(j - 1)[1]), count()))
-            kept = _outside(self._whole.columns[j], self.source(j)[1])
-            out.append([[(renumber[r], s) for r, s in col] for col in kept])
-        return out
+        """The columns of the kept faces, built from them (`extended`), as a complex's are from its own."""
+        return reduce(BoundaryMatrices.extended, self.levels, BoundaryMatrices([], [])).columns
 
 
 def _outside(items, mask: int):
@@ -293,11 +280,6 @@ def _outside(items, mask: int):
 def _selectors(mask: int) -> bytes:
     """One byte per bit of a nonnegative mask, 1 where it is set, bit 0 first: selectors for itertools.compress."""
     return bin(mask)[:1:-1].encode().translate(_SELECT)
-
-
-def _mask(marks: bytearray) -> int:
-    """The mask with bit i set where marks[i] is 1: the inverse of `_selectors`."""
-    return int(b"0" + marks[::-1].translate(_DIGITS), 2)
 
 
 def _matrices_over(face_set) -> BoundaryMatrices:
@@ -341,7 +323,7 @@ def _gf2_table(columns) -> tuple[int, list[int]]:
     reduced column is summed only with columns that stayed nonzero,
     whose masks hold such columns alone, so no pivot lies in another
     kernel vector.  Each vector is folded into the table as it is found
-    and not kept (see `BoundaryMatrices.gf2_reduced_kernel`).
+    and not kept (see `BoundaryMatrices._kernel_table`).
     """
     reduced: dict[int, tuple[int, int]] = {}
     pivots = 0
@@ -491,7 +473,7 @@ def _gf2_map(mats: BoundaryMatrices, i: int, deleted: int) -> tuple[int, tuple[i
     in S, so rank(Z|S) = |S & P| + rank(Y), where Y holds for each
     non-pivot q in S the pivots outside S of the vectors holding q.
     """
-    pivots, cover = mats.gf2_reduced_kernel(i)
+    pivots, cover = mats._kernel_table(i)
     outside = pivots & ~deleted
     # the deleted non-pivot columns' pivots outside S, the zero ones dropped, picked in C
     y = filter(None, map(outside.__and__, compress(cover, _selectors(deleted & ~pivots))))
@@ -526,9 +508,10 @@ def _read(mats: BoundaryMatrices, ring: str, j: int) -> tuple[int, tuple[int, ..
     The map is read from the matrices and mask `mats.source(j)` gives.
     Outside their degrees 1..top it is zero, so no masked reader tests
     the degree.  A mask goes to the ring's masked reader; else it is the
-    pass both rings share, cached per level: D_(j+1) is read first, and
-    the ring's elimination takes the columns of D_j off its pivot rows
-    (`_cleared`) and marks D_j's, kept for D_(j-1).
+    pass both rings share, cached per level here alone: D_(j+1) is read
+    first, the ring's elimination takes the columns of D_j off its pivot
+    rows (`_cleared`) and marks D_j's, kept for D_(j-1) as the selectors
+    of the other rows.
     """
     whole, deleted = mats.source(j)
     if not 1 <= j <= whole.top:
@@ -540,7 +523,7 @@ def _read(mats: BoundaryMatrices, ring: str, j: int) -> tuple[int, tuple[int, ..
     if got is None:
         _read(whole, ring, j + 1)
         rows = bytearray(whole.num_faces(j - 1))
-        got = whole._reads[ring, j] = (*elimination(whole._cleared(ring, j), rows), _mask(rows))
+        got = whole._reads[ring, j] = (*elimination(whole._cleared(ring, j), rows), rows.translate(_FLIP))
     return got[:2]
 
 

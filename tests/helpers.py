@@ -602,7 +602,7 @@ def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.Reconstructi
     both rings (rank, torsion and pivot rows), kernel tables and letter
     masks up by the added faces; they must equal what `_matrices_over`
     builds from the grown faces: levels, signed columns, and every read,
-    GF(2) pivot mask, table and letter mask carried.
+    GF(2) pivot-row selectors, table and letter mask carried.
     After the last step the input and every grown complex are checked
     again, as a later carry must not change the complex it grew from.
     """
@@ -616,19 +616,18 @@ def reconstruct_checking_the_carry(skel: sk.CubicalComplex, cfg: sk.Reconstructi
 
 
 def _assert_tables_fresh(c: sk.CubicalComplex) -> None:
-    """Assert c's chains, with each read, pivot mask, table and letter mask carried, equal those built anew."""
+    """Assert c's chains, with each read, pivot-row selectors, table and letter mask carried, equal those built anew."""
     carried, fresh = c.chains, _matrices_over(c.faces)
     assert carried.levels == fresh.levels
     assert carried.columns[1:] == fresh.columns[1:]
     ranked = _matrices_over(c.faces)  # read rank first, so that each level keeps its pivot rows
     for (ring, j), (rank, torsion, rows) in carried._reads.items():
         assert (rank, torsion) == _read(ranked, ring, j), (ring, j)
-        # over GF(2) the top bits of a basis are those of its span, D_j's column space, however it was cleared;
-        # a rank read from a kernel table keeps none
+        # over GF(2) the top bits of a basis are those of its span, D_j's column space, however it was cleared
         if ring == sk.GF2:
-            assert rows == ranked._reads[ring, j][2] or (j in carried._tables and not rows), j
+            assert rows == ranked._reads[ring, j][2], j
     for j, got in carried._tables.items():
-        assert got == fresh.gf2_reduced_kernel(j), j
+        assert got == fresh._kernel_table(j), j
     for j, got in carried._letters.items():
         assert got == letter_masks(fresh.levels[j]), j
 

@@ -80,25 +80,6 @@ MUTANTS = (
             "tests/test_homology.py::test_relative_profile_builds_no_matrices_of_either_member",
         ),
     ),
-    # the table a masked read builds gives the map's rank as its width
-    # minus the nullity; off by one, a map read masked first answers wrong
-    Mutant(
-        "table-rank-off-by-one",
-        HOMOLOGY,
-        "self._reads.setdefault((GF2, j), (len(got[1]) - got[0].bit_count(), (), 0))",
-        "self._reads.setdefault((GF2, j), (len(got[1]) - got[0].bit_count() + 1, (), 0))",
-        ("tests/test_homology.py::test_gf2_rank_and_kernel_table_match_the_oracle_in_either_read_order",),
-    ),
-    # the rank a table gives cached with the table's kernel pivots as the
-    # map's pivot rows: a pass over the map below, cleared by them, skips
-    # columns at the indices of the kernel's pivots and loses rank
-    Mutant(
-        "table-rank-keeps-its-kernel-pivots",
-        HOMOLOGY,
-        "self._reads.setdefault((GF2, j), (len(got[1]) - got[0].bit_count(), (), 0))",
-        "self._reads.setdefault((GF2, j), (len(got[1]) - got[0].bit_count(), (), got[0]))",
-        ("tests/test_homology.py::test_gf2_rank_and_kernel_table_match_the_oracle_in_either_read_order",),
-    ),
     Mutant(
         "rank-nullity-drops-size",
         HOMOLOGY,
@@ -127,11 +108,24 @@ MUTANTS = (
     Mutant(
         "clearing-reads-its-own-pivots",
         HOMOLOGY,
-        "skip = self._reads.get((ring, j + 1), (0, (), 0))[2]",
-        "skip = self._reads.get((ring, j), (0, (), 0))[2]",
+        "got = self._reads.get((ring, j + 1))",
+        "got = self._reads.get((ring, j))",
         (
             "tests/test_homology.py::test_cleared_reads_match_the_per_level_oracle_over_both_rings",
             "tests/test_homology.py::test_whole_complex_gf2_pass_packs_one_column_per_pivot_on_a_full_cube",
+        ),
+    ),
+    # the pass keeps the pivot rows themselves as D_(j-1)'s selectors: the
+    # read below takes only the columns it should skip and loses rank
+    Mutant(
+        "cleared-keeps-the-pivot-columns",
+        HOMOLOGY,
+        "rows.translate(_FLIP)",
+        "bytes(rows)",
+        (
+            "tests/test_homology.py::test_relative_profile_extremes",
+            "tests/test_homology.py::test_cleared_reads_match_the_per_level_oracle_over_both_rings",
+            "tests/test_cli_golden.py::test_cli_output_matches_the_golden_transcript",
         ),
     ),
     # over Z, every row the unit pivot's column holds is cleared below, not
@@ -248,6 +242,18 @@ MUTANTS = (
         "for j, level in enumerate(self._whole.levels)]",
         "for j, level in enumerate(self._whole.levels[1:], 1)]",
         ("tests/test_complex.py::test_delete_matches_the_oracle_and_hashes_alike",),
+    ),
+    # a view's columns built over its host's levels, not its own: only a
+    # reader of the view's columns, as a rebuild from a deletion is, sees it
+    Mutant(
+        "view-columns-from-the-host",
+        HOMOLOGY,
+        "reduce(BoundaryMatrices.extended, self.levels,",
+        "reduce(BoundaryMatrices.extended, self._whole.levels,",
+        (
+            "tests/test_reconstruct.py::test_reconstruction_from_a_deletion_matches_its_plain_twin",
+            "tests/test_homology.py::test_every_reader_of_a_deletion_view_matches_matrices_built_anew",
+        ),
     ),
     # a deletion of a deletion masks the first view as its host: its
     # answers stay right, but the first view builds columns, kernel tables

@@ -90,6 +90,10 @@ def test_names_no_command_reaches_are_gone():
     assert not hasattr(sk.CubicalComplex, "faces_by_vertex") and not hasattr(sk.complex, "_vertex_index_plus")
     with pytest.raises(TypeError):
         sk.words.vertex_table(["0*"], masks=True)
+    # a map is read by `homology._read` alone, its kernel table only behind
+    # it, and the cleared pass keeps its pivot rows as selectors
+    assert not {"gf2_rank", "gf2_reduced_kernel"} & vars(sk.BoundaryMatrices).keys()
+    assert not hasattr(sk.homology, "_mask") and not hasattr(sk.homology, "_DIGITS")
     # a deletion's faces are its view's levels: the pick of the faces it leaves out went
     homology = importlib.import_module("skelcube.homology")
     assert not hasattr(homology._Without, "left_out")
