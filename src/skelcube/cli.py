@@ -182,13 +182,13 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    from .generators import generate, parse_generator_spec
+    from .generators import generate
     from .graph import SimpleGraph
 
     text = args.family
     if args.params:
         text += "(" + ", ".join(args.params) + ")"
-    obj = generate(parse_generator_spec(text))
+    obj = generate(text)
     if isinstance(obj, SimpleGraph):
         _write(args.output, serialize_graph(obj))
         print(f"graph vertices={obj.num_vertices} edges={len(obj.edges)}")

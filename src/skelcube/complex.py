@@ -71,8 +71,7 @@ class CubicalComplex(_Record):
     def __init__(self, ambient_dim: int, faces: frozenset[str] = frozenset()):
         if ambient_dim < 0:
             raise StructuralError("ambient_dim must be nonnegative")
-        if not isinstance(faces, frozenset):
-            faces = frozenset(faces)
+        faces = frozenset(faces)
         for w in faces:
             validate_word(w, ambient_dim)
         self.__dict__.update(ambient_dim=ambient_dim, faces=faces)
@@ -267,8 +266,6 @@ def cube_boundary(n: int) -> CubicalComplex:
 
 def skeleton(c: CubicalComplex, k: int) -> CubicalComplex:
     """Faces of dimension at most k; k < 0 yields the empty complex."""
-    if k < 0:
-        return _derived(c.ambient_dim, frozenset())
     return _derived(c.ambient_dim, frozenset(w for w in c.faces if word_dim(w) <= k))
 
 

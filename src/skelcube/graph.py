@@ -28,8 +28,7 @@ class SimpleGraph(_Record):
     def __init__(self, num_vertices: int, edges: frozenset[tuple[int, int]]):
         if num_vertices < 0:
             raise StructuralError("vertex count must be nonnegative")
-        if not isinstance(edges, frozenset):
-            edges = frozenset(edges)
+        edges = frozenset(edges)
         for e in edges:
             u, v = e
             if u == v:

@@ -283,11 +283,11 @@ def _selectors(mask: int) -> bytes:
 
 
 def _matrices_over(face_set) -> BoundaryMatrices:
-    """The matrices of face_set, one `extended` per level from none; facets outside face_set get no row."""
-    top = max((word_dim(w) for w in face_set), default=-1)
-    levels = [[] for _ in range(top + 1)]
+    """The matrices of any iterable of faces, grouped by dimension in one walk, one `extended` per level; outside facets get no row."""
+    by_dim: dict[int, list[str]] = {}
     for w in face_set:
-        levels[word_dim(w)].append(w)
+        by_dim.setdefault(word_dim(w), []).append(w)
+    levels = [by_dim.get(j, []) for j in range(max(by_dim, default=-1) + 1)]
     return reduce(BoundaryMatrices.extended, levels, BoundaryMatrices([], []))
 
 

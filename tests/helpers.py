@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from skelcube.words import (
     one_step_cofaces,
     proper_subwords,
     sort_words,
+    subwords,
     word_dim,
     word_vertices,
 )
@@ -657,6 +659,45 @@ def random_subcomplex(rng, base: sk.CubicalComplex, max_generators: int = 6) -> 
     count = rng.randint(0, min(max_generators, len(faces)))
     gens = rng.sample(faces, count)
     return sk.closure(base.ambient_dim, gens)
+
+
+def shelled_sphere(seed: int, n: int, d: int, cells: int) -> sk.CubicalComplex:
+    """The boundary of a ball of up to `cells` (d+1)-faces of I^n, grown by a seeded shelling: a PL d-sphere.
+
+    A new face F joins the ball B when the facets of F that lie in B are
+    nonempty and hold no opposite pair, so that they share a corner of F;
+    each lies in exactly one face of B, so on its boundary; and their
+    closure is all of F that lies in B.  Without the boundary condition
+    the boundary may pinch.  The sphere is the closure of the facets that
+    lie in exactly one face of B.
+    """
+    rng = random.Random(seed)
+    stars = rng.sample(range(n), d + 1)
+    first = "".join("*" if i in stars else rng.choice("01") for i in range(n))
+    ball, in_ball, cover = {first}, set(subwords(first)), dict.fromkeys(_facet_words(first), 1)
+
+    def joins(f: str) -> bool:
+        shared = [a for a in _facet_words(f) if a in in_ball]
+        # the star of f each shared facet fixes; opposite facets fix the same one
+        sides = {next(i for i, letter in enumerate(a) if letter != f[i]) for a in shared}
+        return (
+            bool(shared)
+            and len(sides) == len(shared)
+            and all(cover[a] == 1 for a in shared)
+            and {w for a in shared for w in subwords(a)} == {w for w in subwords(f) if w in in_ball}
+        )
+
+    while len(ball) < cells:
+        frontier = sorted({f for a, k in cover.items() if k == 1 for f in one_step_cofaces(a)} - ball)
+        rng.shuffle(frontier)
+        f = next(filter(joins, frontier), None)
+        if f is None:
+            break
+        ball.add(f)
+        in_ball.update(subwords(f))
+        for a in _facet_words(f):
+            cover[a] = cover.get(a, 0) + 1
+    return sk.closure(n, [a for a, k in cover.items() if k == 1])
 
 
 # 6-vertex triangulation of the projective plane (antipodal icosahedron),

@@ -340,6 +340,15 @@ MUTANTS = (
         "degrees = (d - k - 1,)",
         ("tests/test_reconstruct.py::test_product_manifold_rebuild_rejects_spurious_faces",),
     ),
+    # the face set walked once for its top dimension before it is grouped,
+    # so an iterator leaves every level empty
+    Mutant(
+        "matrices-over-walks-twice",
+        HOMOLOGY,
+        "    by_dim: dict[int, list[str]] = {}\n",
+        "    by_dim: dict[int, list[str]] = {}\n    max(map(word_dim, face_set), default=-1)\n",
+        ("tests/test_homology.py::test_matrices_over_walks_its_faces_once",),
+    ),
     # two vertices of a hypercube share 0 or 2 neighbours, so this refutes
     # every cube graph with a vertex of degree 3 or more
     Mutant(

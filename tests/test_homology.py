@@ -273,6 +273,17 @@ def test_integer_rank_vs_bareiss_oracle():
         assert sk.integer_rank(mats.dense(j)) == bareiss_rank(mats.dense(j))
 
 
+def test_matrices_over_walks_its_faces_once():
+    # an iterator builds what its list builds; a set without its lower
+    # dimensions, as `_top_free_rank` passes, keeps those levels empty
+    rp2 = projective_plane()
+    for faces in (sorted(rp2.faces), [w for w in rp2.faces if word_dim(w) >= 1]):
+        listed, walked = _matrices_over(faces), _matrices_over(iter(faces))
+        assert (walked.levels, walked.columns) == (listed.levels, listed.columns)
+        assert len(walked.levels) == 3
+    assert _matrices_over(iter(["0", "1", "*"])).levels == [["0", "1"], ["*"]]
+
+
 def test_projective_plane_squared_integer_homology_and_cohomology():
     # Kuenneth: H_*(RP^2 x RP^2; Z) = Z, (Z/2)^2, Z/2, Z/2, 0
     rp2 = projective_plane()

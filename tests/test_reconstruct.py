@@ -17,6 +17,7 @@ from helpers import (
     projective_plane,
     random_subcomplex,
     reconstruct_checking_the_carry,
+    shelled_sphere,
     words_by_stars,
 )
 
@@ -206,6 +207,23 @@ def test_tight_modes_rebuild_boundary_of_5_cube():
     for mode in (sk.TIGHT_GF2, sk.TIGHT_INTEGER):
         out = sk.reconstruct(skel, sk.ReconstructionConfig(2, 4, mode))
         assert out == sk.cube_boundary(5)
+
+
+@pytest.mark.parametrize("seed, n, d", [(1, 5, 3), (2, 6, 3), (3, 6, 4)], ids=["S^3-in-I^5", "S^3-in-I^6", "S^4-in-I^6"])
+def test_shelled_sphere_rebuilds_from_its_middle_skeleton(seed, n, d):
+    # a sphere that is no cube boundary: the paper's sphere case, where at
+    # even d the (d/2)-skeleton suffices in both tight modes
+    s = shelled_sphere(seed, n, d, cells=8)
+    assert len(s.maximal_faces()) > 2 * (d + 1)
+    report = sk.is_homology_manifold(s, check_orientability=True)
+    assert (report.is_manifold, report.dimension, report.orientable) == (True, d, True)
+    for ring in (sk.GF2, sk.INTEGER):
+        assert sk.homology_profile(s, ring) == sk.homology_profile(sk.cube_boundary(d + 1), ring)
+    k = d // 2 + 1
+    assert sk.reconstruct(sk.skeleton(s, k), sk.ReconstructionConfig(k, d)) == s
+    if d % 2 == 0:
+        for mode in (sk.TIGHT_GF2, sk.TIGHT_INTEGER):
+            assert sk.reconstruct(sk.skeleton(s, d // 2), sk.ReconstructionConfig(d // 2, d, mode)) == s
 
 
 def test_reconstruct_is_idempotent_on_complete_input():
