@@ -11,7 +11,9 @@ reads a map.  One builder makes them all: `BoundaryMatrices.extended`
 adds a level of columns on top, and `_matrices_over` folds it over the
 levels of a face set, giving a facet outside the set no row.  A complex
 builds the matrices of its whole face set once (`CubicalComplex.chains`),
-and a complex grown by one level extends them.  Deleting the open star
+and a complex grown by one level extends them.  Nothing is memoised
+across complexes: `homology_profile` and its one-ring aliases `betti_gf2`
+and `homology_integer` read c's own chains.  Deleting the open star
 of some vertices keeps a closed set whose matrices are the complex's
 restricted to the kept columns: `BoundaryMatrices.without` gives them
 as a view, and a view of a view cuts both stars from the same host.
@@ -561,27 +563,24 @@ def _profile(mats: BoundaryMatrices, length: int, ring: str) -> HomologyProfile:
     return _as_profile(_homology(mats, ring, range(length)))
 
 
-# Reconstruction asks for the base profile of the same skeleton once per
-# candidate, so these two memos now hold only the base of each degree
-# (the candidates' deleted complexes are judged by _homology over the
-# base's own matrices).  They stay because perfbench/traced.py reads
-# their cache_info() for homology.memo_hit_ratio until the benchmark
-# records spans itself (ROADMAP item 1).  Cohomology reads them too.
-@lru_cache(maxsize=256)
-def betti_gf2(c: CubicalComplex) -> HomologyProfile:
-    """Non-reduced GF(2) Betti numbers in degrees 0..dim."""
-    return _profile(c.chains, c.dim + 1, GF2)
-
-
-@lru_cache(maxsize=256)
-def homology_integer(c: CubicalComplex) -> HomologyProfile:
-    """Integer homology: free ranks plus invariant factors per degree."""
-    return _profile(c.chains, c.dim + 1, INTEGER)
-
-
 def homology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:
     _check_ring(ring)
-    return betti_gf2(c) if ring == GF2 else homology_integer(c)
+    return _profile(c.chains, c.dim + 1, ring)
+
+
+# maxsize 0: these cache nothing and stay only so that perfbench/traced.py
+# finds their cache_info() until the benchmark records spans itself
+# (ROADMAP item 1a); item 16 then deletes the decorators
+@lru_cache(maxsize=0)
+def betti_gf2(c: CubicalComplex) -> HomologyProfile:
+    """Non-reduced GF(2) Betti numbers in degrees 0..dim: `homology_profile` over GF(2)."""
+    return homology_profile(c, GF2)
+
+
+@lru_cache(maxsize=0)
+def homology_integer(c: CubicalComplex) -> HomologyProfile:
+    """Integer homology, free ranks plus invariant factors per degree: `homology_profile` over Z."""
+    return homology_profile(c, INTEGER)
 
 
 def cohomology_profile(c: CubicalComplex, ring: str = GF2) -> HomologyProfile:

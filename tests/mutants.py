@@ -465,6 +465,28 @@ MUTANTS = (
         "        sub = -free & free\n",
         ("tests/test_complex.py::test_vertex_tables_match_the_word_vertices_oracle",),
     ),
+    # a memo keyed on whole complexes keeps each one and its chains alive,
+    # and answers an equal complex without building its chains
+    Mutant(
+        "profile-memoized",
+        HOMOLOGY,
+        "\ndef homology_profile(",
+        "\n@lru_cache(maxsize=256)\ndef homology_profile(",
+        (
+            "tests/test_homology.py::test_a_dropped_complex_leaves_nothing_alive_after_its_homology_is_read",
+            "tests/test_homology.py::test_an_equal_complex_reads_its_own_chains",
+        ),
+    ),
+    Mutant(
+        "alias-memo-holds-complexes",
+        HOMOLOGY,
+        "@lru_cache(maxsize=0)\ndef betti_gf2(",
+        "@lru_cache(maxsize=256)\ndef betti_gf2(",
+        (
+            "tests/test_homology.py::test_a_dropped_complex_leaves_nothing_alive_after_its_homology_is_read",
+            "tests/test_homology.py::test_an_equal_complex_reads_its_own_chains",
+        ),
+    ),
     # Both facets of a star with the same sign: w -> (-1)^(number of ONEs in w) w
     # carries this boundary to -D, so every homology answer is unchanged.
     # Only tests/test_words.py pins the signs themselves.

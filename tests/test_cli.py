@@ -278,13 +278,11 @@ def test_reconstruct_refuses_dmax_without_auto(tmp_path, capsys):
 
 
 def test_running_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
-    # whole-complex GF(2) homology reads only ranks; here the rank raises
-    # at once, and the memo is bypassed so that it runs
+    # whole-complex GF(2) homology reads only ranks; here the rank raises at once
     def exhausted(vectors, pivot_rows=None):
         raise MemoryError
 
     monkeypatch.setattr(sk.homology, "gf2_rank", exhausted)
-    monkeypatch.setattr(sk.homology, "betti_gf2", sk.homology.betti_gf2.__wrapped__)
     src = write_complex(tmp_path, "square.cplx", sk.full_cube(2))
     assert main(["homology", src]) == 3
     assert capsys.readouterr().err == "out of memory: the input is too large for this computation\n"
