@@ -284,8 +284,9 @@ def delete(c: CubicalComplex, g: CubicalComplex) -> CubicalComplex:
     its homology costs no new matrices.  Its faces are the view's levels,
     built on first read: a deletion costs one pass over g's faces (the
     subcomplex check and V(g)) and the masks the view reads, not a copy
-    of c's faces.  Building c's matrices refuses a c that is not downward
-    closed (StructuralError); a closed set minus an open star is closed.
+    of c's faces; a c that is a deletion has its faces and view levels
+    frozen by that check.  Building c's matrices refuses a c that is not
+    downward closed (StructuralError); a closed set minus an open star is closed.
     """
     _require_subcomplex(c, g, "deletion argument")
     kept = c.chains.without(g.vertices())

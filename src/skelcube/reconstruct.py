@@ -218,29 +218,28 @@ def reconstruct_auto(
 ) -> list[tuple[int, CubicalComplex]]:
     """Try every admissible target dimension and keep verified manifolds.
 
-    For d in k..min(d_max, 2k, n) the standard loop runs below d = 2k,
+    An input above k is refused, whatever d_max.  The input itself is
+    reported first when it is already a manifold, which covers d <= k.
+    For d in k+1..min(d_max, 2k, n) the standard loop runs below d = 2k,
     where k >= floor(d/2)+1 holds; the boundary case d = 2k runs only in
     a tight mode, which the caller enables only when its hypothesis is
     trusted.  No mode admits d > 2k, and no d-manifold lies in I^n for
-    d > n, the ambient dimension.
-    A result is kept iff it passes is_homology_manifold at dimension d.
-    The input itself is reported when it is already a manifold, covering
-    skeletons below the search range.  Whenever a d is tried, its
-    dimension is at most k (a larger one makes reconstruct raise), so
-    results come in ascending d, and it can only repeat as the result at
-    d = k.
+    d > n, the ambient dimension.  A result is kept iff it passes
+    is_homology_manifold at dimension d, above k, so none repeats.
     """
     from .manifold import is_homology_manifold  # a run without --auto does not load manifold
 
     _check_mode_and_k(mode, k)
+    if skel.dim > k:
+        raise ContractError(f"input dimension {skel.dim} exceeds k={k}")
     results: list[tuple[int, CubicalComplex]] = []
     own = is_homology_manifold(skel)
     if own.is_manifold:
         results.append((own.dimension, skel))
     top = 2 * k if mode != STANDARD else 2 * k - 1
-    for d in range(k, min(d_max, top, skel.ambient_dim) + 1):
+    for d in range(k + 1, min(d_max, top, skel.ambient_dim) + 1):
         built = reconstruct(skel, ReconstructionConfig(k, d, mode if d == 2 * k else STANDARD))
         report = is_homology_manifold(built)
-        if report.is_manifold and report.dimension == d and (d, built) not in results:
+        if report.is_manifold and report.dimension == d:
             results.append((d, built))
     return results

@@ -124,24 +124,23 @@ def signed_facets(w: str):
         pos = w.find(STAR, pos + 1)
 
 
-def subwords(w: str):
+def _spelt(w: str, free: str) -> map:
+    """The words w spells with each STAR read as each letter of `free` in turn, joined in C."""
+    return map("".join, product(*(free if letter == STAR else letter for letter in w)))
+
+
+def subwords(w: str) -> map:
     """All subfaces of w, including w itself."""
-    options = [("01*" if letter == STAR else letter) for letter in w]
-    for combo in product(*options):
-        yield "".join(combo)
+    return _spelt(w, "01*")
 
 
-def proper_subwords(w: str):
-    for s in subwords(w):
-        if s != w:
-            yield s
+def proper_subwords(w: str) -> filter:
+    return filter(w.__ne__, subwords(w))
 
 
-def word_vertices(w: str):
+def word_vertices(w: str) -> map:
     """The 2**dim vertices of a face."""
-    options = [("01" if letter == STAR else letter) for letter in w]
-    for combo in product(*options):
-        yield "".join(combo)
+    return _spelt(w, "01")
 
 
 def one_step_cofaces(w: str, directions=None):

@@ -338,7 +338,18 @@ MUTANTS = (
         RECONSTRUCT,
         "degrees = (d - k, d - k - 1) if mode == STANDARD else (d - k - 1,)",
         "degrees = (d - k - 1,)",
-        ("tests/test_reconstruct.py::test_product_manifold_rebuild_rejects_spurious_faces",),
+        (
+            "tests/test_reconstruct.py::test_product_manifold_rebuild_rejects_spurious_faces",
+            "tests/test_reconstruct.py::test_rebuilds_reject_cube_boundaries_on_degree_d_minus_j_alone",
+        ),
+    ),
+    # `reconstruct_auto` starts one target late, so d = k + 1 is never tried
+    Mutant(
+        "auto-skips-first-target",
+        RECONSTRUCT,
+        "range(k + 1,",
+        "range(k + 2,",
+        ("tests/test_reconstruct.py::test_auto_tries_no_target_above_the_ambient_dimension",),
     ),
     # the face set walked once for its top dimension before it is grouped,
     # so an iterator leaves every level empty

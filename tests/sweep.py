@@ -3,19 +3,28 @@
     python tests/sweep.py
 
 Each sphere is the boundary of a seeded shelling of (d+1)-faces of
-I^(d+2) (`helpers.shelled_sphere`), for d = 3..6.  A sphere with at most
-2(d+1) maximal faces is a cube boundary, which the tier-1 tests cover,
-and is skipped.  Every other sphere must be an orientable homology
-d-manifold with the homology of S^d over GF(2) and over Z, and must
-rebuild to itself from its (floor(d/2)+1)-skeleton in the standard mode
-and, at even d, from its d/2-skeleton in the tight GF(2) mode.  The
-tight integer mode runs at d = 4 only: it reduces each candidate's kept
-columns over Z, and at d = 6 the sphere of seed 1 alone takes 21.7 s of
-CPU on a 2-vCPU VM (ROADMAP item 6).
+I^(d+3) or I^(d+4) (`helpers.shelled_sphere`), 14 seeds for each d =
+3..6.  In I^(d+2), which has only 2(d+2) faces of dimension d+1, every
+such ball is a piece of one cube boundary and most seeds give the same
+sphere; the larger cube and a number of cells that varies with the seed
+make them differ, and the sweep prints how many distinct (faces,
+maximal faces) pairs each d has.  A sphere with at most 2(d+1) maximal
+faces is a cube boundary, which the tier-1 tests cover, and is skipped.
+Every other sphere must be an orientable homology d-manifold with the
+homology of S^d over GF(2) and over Z, and must rebuild to itself from
+its (floor(d/2)+1)-skeleton in the standard mode and, at even d, from
+its d/2-skeleton in the tight GF(2) mode.  The tight integer mode runs
+at d = 4 only: it reduces each candidate's kept columns over Z, and at
+d = 6 the sphere of seed 1 in I^8 alone took 21.7 s of CPU on a 2-vCPU
+VM (ROADMAP item 6).
 
-Each product of two such spheres, of total dimension 3..5, must be an
-orientable homology manifold with the Kuenneth homology of S^p x S^q
-over both rings and rebuild from its (floor(d/2)+1)-skeleton.
+Each product of two spheres of I^(p+2), of total dimension 3..5, and
+each product of a sphere with a cube boundary dI^(j+1), of dimension
+3..5, must be an orientable homology manifold with the Kuenneth
+homology over both rings and rebuild from its (floor(d/2)+1)-skeleton.
+A factor dI^(j+1) with j >= floor(d/2)+1 offers (j+1)-cubes whose whole
+boundary is present at step j, and only degree d-j of the criterion
+rejects them.
 
 pytest does not collect this file (it does not match test_*.py).  It
 prints one line per case and exits 0 when every check holds, 1
@@ -34,9 +43,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import skelcube as sk  # noqa: E402
 from helpers import shelled_sphere  # noqa: E402
 
-# (seed, d, cells): the boundary of a shelling of up to `cells` (d+1)-faces of I^(d+2)
-SPHERES = [(seed, d, 6 + seed % 5) for d in range(3, 7) for seed in range(1, 15)]
-# (seed, p) and (seed, q) of the factors S^p and S^q
+# d: (n, cells, spread), each sphere the boundary of a shelling of up to
+# cells + seed % spread (d+1)-faces of I^n; sized so the sweep stays
+# well inside its 5-minute CI step
+SIZES = {3: (7, 10, 5), 4: (8, 8, 5), 5: (8, 6, 5), 6: (9, 4, 3)}
+SPHERES = [(seed, d, n, cells + seed % spread) for d, (n, cells, spread) in SIZES.items() for seed in range(1, 15)]
+# (seed, p) and (seed, q) of the factors S^p and S^q, each in I^(p+2)
 PRODUCTS = [
     ((31, 1), (32, 2)),
     ((33, 1), (34, 2)),
@@ -48,9 +60,11 @@ PRODUCTS = [
     ((45, 2), (46, 3)),
     ((47, 2), (48, 3)),
 ]
+# (seed, a) of a factor S^a in I^(a+2), and j of the cube boundary dI^(j+1)
+CUBE_PRODUCTS = [((51, 1), 2), ((52, 1), 3), ((53, 2), 2), ((54, 1), 4), ((55, 2), 3), ((56, 3), 2)]
 
 
-def _sphere(seed: int, d: int, cells: int = 8) -> sk.CubicalComplex:
+def _factor(seed: int, d: int, cells: int = 8) -> sk.CubicalComplex:
     return shelled_sphere(seed, d + 2, d, cells)
 
 
@@ -109,18 +123,26 @@ def _run(label: str, checks) -> bool:
 
 def main() -> int:
     ok = True
-    for seed, d, cells in SPHERES:
-        s = _sphere(seed, d, cells)
+    sizes: dict[int, list[tuple[int, int]]] = {d: [] for d in SIZES}
+    for seed, d, n, cells in SPHERES:
+        s = shelled_sphere(seed, n, d, cells)
         tops = len(s.maximal_faces())
-        label = f"S^{d} seed {seed}, {cells} cells in I^{d + 2}, {len(s.faces)} faces, {tops} maximal"
+        sizes[d].append((len(s.faces), tops))
+        label = f"S^{d} seed {seed}, {cells} cells in I^{n}, {len(s.faces)} faces, {tops} maximal"
         if tops <= 2 * (d + 1):
             print(f"skip {label}: a cube boundary", flush=True)
             continue
         ok &= _run(label, _checks(s, d, _sphere_betti(d)))
     for (seed_p, p), (seed_q, q) in PRODUCTS:
-        m = sk.product_complex(_sphere(seed_p, p), _sphere(seed_q, q))
+        m = sk.product_complex(_factor(seed_p, p), _factor(seed_q, q))
         label = f"S^{p} seed {seed_p} x S^{q} seed {seed_q}, {len(m.faces)} faces"
         ok &= _run(label, _checks(m, p + q, _kuenneth(_sphere_betti(p), _sphere_betti(q))))
+    for (seed, a), j in CUBE_PRODUCTS:
+        m = sk.product_complex(_factor(seed, a, 6), sk.cube_boundary(j + 1))
+        label = f"S^{a} seed {seed} x dI^{j + 1}, {len(m.faces)} faces"
+        ok &= _run(label, _checks(m, a + j, _kuenneth(_sphere_betti(a), _sphere_betti(j))))
+    for d, pairs in sizes.items():
+        print(f"S^{d}: {len(set(pairs))} distinct (faces, maximal faces) pairs of {len(pairs)} spheres")
     return 0 if ok else 1
 
 

@@ -256,6 +256,11 @@ def test_reconstruct_command_input_errors(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
     assert main(["reconstruct", src, "-k", "2", "--auto", "-o", dst]) == 2
     assert "--auto requires --dmax" in capsys.readouterr().err
+    # an input above k is refused whether --dmax reaches k or not
+    sphere = write_complex(tmp_path, "s3.cplx", sk.cube_boundary(4))
+    for dmax in ("1", "2", "3"):
+        assert main(["reconstruct", sphere, "-k", "2", "--auto", "--dmax", dmax, "-o", dst]) == 3
+        assert "input dimension 3 exceeds k=2" in capsys.readouterr().err
     assert not (tmp_path / "x.cplx").exists()
 
 
@@ -613,12 +618,14 @@ def _long_inputs(rng, n: int):
     return [("complex", t) for t in complexes] + [("graph", t) for t in graphs] + [("spec", t) for t in specs]
 
 
-def test_cli_ends_every_run_on_mutated_inputs_with_an_exit_code(tmp_path, capsys):
-    # 60 seeded runs over the six subcommands; argparse refusing an argument exits 2.
-    # Then every subcommand on long words, lines, specs and numbers: each refusal
-    # names a long word by its length and stars, a long spec by its family and
-    # argument count and a long number by its digits, so no run writes more
-    # than 1 KB to stderr.
+def robustness_runs(tmp_path) -> tuple[list[list[str]], list[list[str]], list[list[str]]]:
+    """The argument lists of the robustness test, their input files written under tmp_path.
+
+    Returns (runs, long_runs, refused_configs): 60 seeded runs over the
+    six subcommands on mutated inputs; every subcommand on long words,
+    lines, specs and numbers; and the reconstruct configs among the long
+    runs that are refused as configs.  `tests/reach.py` runs them too.
+    """
     rng = random.Random(89)
     complexes = [
         serialize_complex(c)
@@ -702,6 +709,15 @@ def test_cli_ends_every_run_on_mutated_inputs_with_an_exit_code(tmp_path, capsys
         ["generate", f"even-cycle({huge})", "-o", out],
         ["generate", f"cbs(-{huge})", "-o", out],
     ]
+    return runs, long_runs, refused_configs
+
+
+def test_cli_ends_every_run_on_mutated_inputs_with_an_exit_code(tmp_path, capsys):
+    # argparse refusing an argument exits 2.  Each refusal of a long input
+    # names a long word by its length and stars, a long spec by its family
+    # and argument count and a long number by its digits, so no run writes
+    # more than 1 KB to stderr.
+    runs, long_runs, refused_configs = robustness_runs(tmp_path)
     for argv in runs + long_runs:
         try:
             code = main(argv)

@@ -193,6 +193,31 @@ def test_product_manifold_rebuild_rejects_spurious_faces():
     assert steps[-1].complex_after == m
 
 
+@pytest.mark.parametrize(
+    "m, k, d",
+    [
+        (sk.product_complex(sk.cube_boundary(4), sk.cube_boundary(2)), 3, 4),
+        (sk.product_complex(shelled_sphere(1, 3, 1, 6), sk.cube_boundary(3)), 2, 3),
+    ],
+    ids=["dI^4xdI^2", "S^1xdI^3"],
+)
+def test_rebuilds_reject_cube_boundaries_on_degree_d_minus_j_alone(m, k, d):
+    # a factor dI^(j+1) offers (j+1)-cubes, dI^(j+1) x {vertex}, whose whole
+    # boundary is present at step j: deleting it drops H_(d-j), and nothing
+    # in degree d-j-1 tells them from the faces of m
+    steps = list(sk.reconstruct_steps(sk.skeleton(m, k), sk.ReconstructionConfig(k, d)))
+    assert steps[-1].complex_after == m
+    alone = [
+        v.face
+        for step in steps
+        for v in step.verdicts
+        if v.boundary_present
+        and [left == right for _, left, right in v.profiles] == [False, True]
+        and [j for j, _, _ in v.profiles] == [d - step.degree, d - step.degree - 1]
+    ]
+    assert alone
+
+
 def test_rejected_profiles_show_the_homology_drop():
     m = sk.product_complex(sk.cube_boundary(3), sk.cube_boundary(2))
     skel = sk.skeleton(m, 2)
@@ -305,7 +330,8 @@ def test_reconstruct_steps_checks_its_contract_at_the_call():
 
 
 def test_auto_tries_no_target_above_the_ambient_dimension(monkeypatch):
-    # d runs up to min(dmax, 2k - 1, 4) on a complex in I^4, never past 4
+    # d runs from k + 1 up to min(dmax, 2k - 1, 4) on a complex in I^4, never
+    # past 4: d = k would add no face to a k-skeleton, whose own check is made
     module = importlib.import_module("skelcube.reconstruct")  # the package's name is the function
     tried = []
     real = module.reconstruct
@@ -319,7 +345,14 @@ def test_auto_tries_no_target_above_the_ambient_dimension(monkeypatch):
     for k in (2, 3, 800):
         found = sk.reconstruct_auto(sk.skeleton(sk.cube_boundary(4), 2), k, 10**6)
         assert [(d, cx == sk.cube_boundary(4)) for d, cx in found] == ([(3, True)] if k == 2 else [])
-    assert tried == [2, 3, 3, 4]
+    assert tried == [3, 4]
+
+
+def test_auto_refuses_an_input_above_k_for_every_dmax():
+    # whether d_max reaches k or not: the refusal is made on entry
+    for d_max in (1, 2, 3, 10**6):
+        with pytest.raises(sk.ContractError, match=r"^input dimension 3 exceeds k=2$"):
+            sk.reconstruct_auto(sk.cube_boundary(4), 2, d_max)
 
 
 def test_auto_finds_sphere_and_nothing_else():
